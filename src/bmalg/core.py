@@ -5,10 +5,18 @@ A :class:`Hypermatrix` is a flat row-major scalar array with shape
 ``i0*n1*n2 + i1*n2 + i2``.  :class:`Matrix` is the separate dense 2-d
 type used wherever determinants, adjugates or inverses are needed.
 All values are treated as immutable; slicing copies.
+
+:func:`echelon` is the one elimination routine in the package.  The
+``Matrix`` rank, determinant, inverse, solve and nullspace kernels and
+:func:`complete_to_basis` call it, as do the GF(q) fiber solver of the
+exhaustive rank search (``rank._fiber_solutions``) and the
+flattening-block inverses of the direct-search nullity
+(``nullity._invertible_actions``).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -223,13 +231,6 @@ class Hypermatrix:
             [complex(a) for a in self.data], dtype=complex
         ).reshape(self.shape)
 
-    @staticmethod
-    def from_numpy(arr, domain):
-        n0, n1, n2 = arr.shape
-        return Hypermatrix.from_function(
-            (n0, n1, n2), domain, lambda i, j, k: arr[i, j, k]
-        )
-
     def to_json(self):
         dom = self.domain
         return {
@@ -261,6 +262,61 @@ def reassemble_depth(matrices, domain=None) -> Hypermatrix:
     return Hypermatrix.from_function(
         (n0, n1, n2), dom, lambda i, j, k: matrices[k][i, j]
     )
+
+
+def echelon(rows, ncols, domain: ScalarDomain):
+    """Gauss-Jordan elimination of ``rows`` in place over ``domain``.
+
+    Pivots are taken only in the first ``ncols`` columns; trailing
+    columns ride along as the augmentation.  Exact domains pivot on the
+    first nonzero entry, the complex domain on the entry of largest
+    modulus above ``tol``.  Pivot rows are not normalised: row ``r``
+    ends with a nonzero ``rows[r][pivot_cols[r]]``, zero (within
+    ``tol`` over C) above and below it, and rows past
+    ``len(pivot_cols)`` are zero in the first ``ncols`` columns.
+    Returns (pivot_cols, swap_parity).
+    """
+    m = len(rows)
+    q = domain.q  # None outside GF(q)
+    exact = domain.is_exact
+    # exact zeros are falsy, so the exact test needs no method call
+    is_zero = operator.not_ if exact else domain.is_zero
+    pivot_cols = []
+    parity = 1
+    pr = 0
+    for pc in range(ncols):
+        best = None
+        if exact:
+            for i in range(pr, m):
+                if not is_zero(rows[i][pc]):
+                    best = i
+                    break
+        else:
+            mag = 0.0
+            for i in range(pr, m):
+                a = abs(rows[i][pc])
+                if a > mag and not is_zero(rows[i][pc]):
+                    mag, best = a, i
+        if best is None:
+            continue
+        if best != pr:
+            rows[pr], rows[best] = rows[best], rows[pr]
+            parity = -parity
+        pivot = rows[pr]
+        inv_p = domain.inv(pivot[pc])
+        for i in range(m):
+            if i == pr or is_zero(rows[i][pc]):
+                continue
+            f = rows[i][pc] * inv_p
+            if q is None:
+                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+            else:
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], pivot)]
+        pivot_cols.append(pc)
+        pr += 1
+        if pr == m:
+            break
+    return pivot_cols, parity
 
 
 class Matrix:
@@ -386,63 +442,16 @@ class Matrix:
 
     # -- elimination-based kernels ------------------------------------------------
 
-    def _echelon(self, augment=None):
-        """Row echelon form via Gaussian elimination over the domain.
-
-        Exact domains pivot on the first nonzero entry; the complex
-        domain pivots on the entry of largest modulus.  Returns
-        (rows, aug_rows, pivot_cols, swap_parity).
-        """
-        dom = self.domain
-        m, n = self.shape
-        rows = [list(self.row(i)) for i in range(m)]
-        aug = [list(r) for r in augment] if augment is not None else None
-        pivot_cols = []
-        parity = 1
-        pr = 0
-        for pc in range(n):
-            best = None
-            if dom.is_exact:
-                for i in range(pr, m):
-                    if not dom.is_zero(rows[i][pc]):
-                        best = i
-                        break
-            else:
-                mag, best = 0.0, None
-                for i in range(pr, m):
-                    a = abs(rows[i][pc])
-                    if a > mag and not dom.is_zero(rows[i][pc]):
-                        mag, best = a, i
-            if best is None:
-                continue
-            if best != pr:
-                rows[pr], rows[best] = rows[best], rows[pr]
-                if aug is not None:
-                    aug[pr], aug[best] = aug[best], aug[pr]
-                parity = -parity
-            inv_p = dom.inv(rows[pr][pc])
-            for i in range(m):
-                if i == pr or dom.is_zero(rows[i][pc]):
-                    continue
-                f = dom.mul(rows[i][pc], inv_p)
-                rows[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(rows[i], rows[pr])]
-                if aug is not None:
-                    aug[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(aug[i], aug[pr])]
-            pivot_cols.append(pc)
-            pr += 1
-            if pr == m:
-                break
-        return rows, aug, pivot_cols, parity
-
     def rank(self) -> int:
-        return len(self._echelon()[2])
+        return len(echelon(self.to_rows(), self.shape[1], self.domain)[0])
 
     def det(self):
         m, n = self.shape
         if m != n:
             raise ShapeError("determinant needs a square matrix")
         dom = self.domain
-        rows, _, pivots, parity = self._echelon()
+        rows = self.to_rows()
+        pivots, parity = echelon(rows, n, dom)
         if len(pivots) < n:
             return dom.zero()
         d = dom.one() if parity == 1 else dom.neg(dom.one())
@@ -456,13 +465,14 @@ class Matrix:
             raise ShapeError("inverse needs a square matrix")
         dom = self.domain
         ident = Matrix.identity(n, dom)
-        rows, aug, pivots, _ = self._echelon(augment=ident.to_rows())
+        rows = [self.row(i) + ident.row(i) for i in range(n)]
+        pivots, _ = echelon(rows, n, dom)
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
         out = [[None] * n for _ in range(n)]
         for r, c in enumerate(pivots):
             f = dom.inv(rows[r][c])
-            out[c] = [dom.mul(f, a) for a in aug[r]]
+            out[c] = [dom.mul(f, a) for a in rows[r][n:]]
         return Matrix.from_rows(out, dom)
 
     def solve(self, rhs_cols):
@@ -474,25 +484,26 @@ class Matrix:
         """
         dom = self.domain
         m, n = self.shape
-        aug = [[col[i] for col in rhs_cols] for i in range(m)]
-        rows, aug, pivots, _ = self._echelon(augment=aug)
+        rows = [self.row(i) + [col[i] for col in rhs_cols] for i in range(m)]
+        pivots, _ = echelon(rows, n, dom)
         nrhs = len(rhs_cols)
         # inconsistency: zero row with nonzero rhs
-        for i in range(len(pivots), m):
-            if any(not dom.is_zero(a) for a in aug[i]):
+        for row in rows[len(pivots):]:
+            if any(not dom.is_zero(a) for a in row[n:]):
                 return None
         sols = [[dom.zero()] * n for _ in range(nrhs)]
         for r, c in enumerate(pivots):
             f = dom.inv(rows[r][c])
             for s in range(nrhs):
-                sols[s][c] = dom.mul(f, aug[r][s])
+                sols[s][c] = dom.mul(f, rows[r][n + s])
         return sols
 
     def nullspace(self):
         """Basis of {x : self @ x = 0}, deterministic free-variable pattern."""
         dom = self.domain
         m, n = self.shape
-        rows, _, pivots, _ = self._echelon()
+        rows = self.to_rows()
+        pivots, _ = echelon(rows, n, dom)
         free = [c for c in range(n) if c not in pivots]
         basis = []
         for fc in free:
@@ -551,7 +562,7 @@ def complete_to_basis(rows, n, domain):
     if not rows:
         return list(range(n))
     mat = Matrix.from_rows(rows, domain)
-    _, _, pivots, _ = mat._echelon()
+    pivots, _ = echelon(mat.to_rows(), mat.shape[1], domain)
     if len(pivots) < len(rows):
         raise ValueError("given rows are linearly dependent")
     return [c for c in range(n) if c not in pivots]

@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .core import Hypermatrix, Matrix, complete_to_basis
+from .core import Hypermatrix, Matrix, complete_to_basis, echelon
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -441,30 +441,6 @@ def orient_depth_min(a: Hypermatrix):
 _ACTION_CACHE = {}
 
 
-def _int_inverse_mod(rows, q):
-    """Inverse of a small integer matrix mod prime q, or None."""
-    p = len(rows)
-    aug = [list(rows[i]) + [1 if i == j else 0 for j in range(p)] for i in range(p)]
-    pr = 0
-    for pc in range(p):
-        sel = None
-        for i in range(pr, p):
-            if aug[i][pc] % q:
-                sel = i
-                break
-        if sel is None:
-            return None
-        aug[pr], aug[sel] = aug[sel], aug[pr]
-        inv = pow(aug[pr][pc], q - 2, q)
-        aug[pr] = [(v * inv) % q for v in aug[pr]]
-        for i in range(p):
-            if i != pr and aug[i][pc] % q:
-                f = aug[i][pc]
-                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[pr])]
-        pr += 1
-    return [row[p:] for row in aug]
-
-
 def _invertible_actions(m, n, p, domain, budget):
     """All distinct invertible-pair actions over a small prime field.
 
@@ -474,16 +450,17 @@ def _invertible_actions(m, n, p, domain, budget):
     action).  Returns a list of (blocks, flat0, flat1); cached per
     signature.
     """
-    key = (m, n, p, domain.q)
-    if key in _ACTION_CACHE:
-        return _ACTION_CACHE[key]
     q = domain.q
     digits = m * p * p + p * n * p
     if q**digits > budget:
         raise BudgetExceededError(
             f"direct search needs q^{digits} pair candidates, over budget {budget}"
         )
+    key = (m, n, p, q)
+    if key in _ACTION_CACHE:
+        return _ACTION_CACHE[key]
     flat1_all = list(itertools.product(range(q), repeat=p * n * p))
+    unit_rows = [[1 if s == t else 0 for s in range(p)] for t in range(p)]
     actions = {}
     pairs_idx = list(itertools.product(range(m), range(n)))
     for flat0 in itertools.product(range(q), repeat=m * p * p):
@@ -499,12 +476,17 @@ def _invertible_actions(m, n, p, domain, budget):
                     ]
                     for t in range(p)
                 ]
-                inv = _int_inverse_mod(rows, q)
-                if inv is None:
+                aug = [row + unit for row, unit in zip(rows, unit_rows)]
+                if len(echelon(aug, p, domain)[0]) < p:
                     singular = True
                     break
                 blocks.append(tuple(v for row in rows for v in row))
-                inverses.append(inv)
+                # full rank puts pivot t in row t; scale it to one
+                inv_rows = []
+                for t, row in enumerate(aug):
+                    f = pow(row[t], q - 2, q)
+                    inv_rows.append([v * f % q for v in row[p:]])
+                inverses.append(inv_rows)
             if singular:
                 continue
             blocks = tuple(blocks)

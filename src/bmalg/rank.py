@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Hypermatrix, Matrix
+from .core import Hypermatrix, Matrix, echelon
 from .errors import (
     BudgetExceededError,
     CertificateError,
     ReductionHypothesisError,
     ShapeError,
 )
-from .products import delta_t, identity_pair, outer_product_at
+from .products import bm_product, delta_t, identity_pair
 
 DEFAULT_RANK_BUDGET = 10_000_000
 
@@ -95,19 +95,11 @@ class DecompositionTriple:
     def r(self):
         return len(self.support)
 
-    @property
-    def target_shape(self):
-        return (self.x0.shape[0], self.x1.shape[1], self.x2.shape[2])
-
     def legs(self):
         return self.x0, self.x1, self.x2
 
     def reconstruct(self) -> Hypermatrix:
-        dom = self.x0.domain
-        acc = Hypermatrix.zeros(self.target_shape, dom)
-        for t in self.support:
-            acc = acc.add(outer_product_at(self.x0, self.x1, self.x2, t))
-        return acc
+        return bm_product(self.x0, self.x1, self.x2)
 
     def to_json(self):
         return {
@@ -445,22 +437,6 @@ class DepthSliceWitness:
     v_rows: dict
     residual: float
 
-    def matrices(self, n, p, domain):
-        zero = domain.zero()
-        u = Matrix.from_function(
-            n,
-            p,
-            domain,
-            lambda i, t: domain.coerce(self.u_cols[t][i]) if t in self.u_cols else zero,
-        )
-        v = Matrix.from_function(
-            p,
-            n,
-            domain,
-            lambda t, j: domain.coerce(self.v_rows[t][j]) if t in self.v_rows else zero,
-        )
-        return u, v
-
     def rewrite(self) -> SliceRewriteData:
         return SliceRewriteData(tau=self.tau, us=self.u_cols, vs=self.v_rows)
 
@@ -601,72 +577,35 @@ def generic_rank_bound(n) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_fiber(rows, rhs, q, r):
-    """Row-reduce an (len(rows) x r) system mod prime q.
-
-    Returns (reduced_rows, reduced_rhs, pivot_cols, free_cols) or None
-    when inconsistent.
-    """
-    m = len(rows)
-    aug = [list(rows[i]) + [rhs[i] % q] for i in range(m)]
-    piv_cols = []
-    pr = 0
-    for pc in range(r):
-        sel = None
-        for i in range(pr, m):
-            if aug[i][pc] % q:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[pr], aug[sel] = aug[sel], aug[pr]
-        inv = pow(aug[pr][pc], q - 2, q)
-        aug[pr] = [(v * inv) % q for v in aug[pr]]
-        for i in range(m):
-            if i == pr or aug[i][pc] % q == 0:
-                continue
-            f = aug[i][pc]
-            aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[pr])]
-        piv_cols.append(pc)
-        pr += 1
-        if pr == m:
-            break
-    for i in range(pr, m):
-        if aug[i][r] % q:
+def _fiber_solutions(rows, rhs, domain, r, all_solutions):
+    """Solutions of one fiber system over GF(q), or None when it is
+    inconsistent: the free-variables-zero one, or every solution in
+    lexicographic free-assignment order."""
+    q = domain.q
+    aug = [row + [b] for row, b in zip(rows, rhs)]
+    pivots, _ = echelon(aug, r, domain)
+    for row in aug[len(pivots):]:
+        if row[r]:
             return None
-    free_cols = [c for c in range(r) if c not in piv_cols]
-    return aug[: len(piv_cols)], piv_cols, free_cols
-
-
-def _fiber_solutions(rows, rhs, q, r, all_solutions):
-    """Solutions of one fiber system: the free-variables-zero one, or
-    every solution in lexicographic free-assignment order."""
-    red = _reduce_fiber(rows, rhs, q, r)
-    if red is None:
-        return None
-    reduced, piv_cols, free_cols = red
-    if not all_solutions or not free_cols:
+    free = [c for c in range(r) if c not in pivots]
+    if not all_solutions or not free:
         sol = [0] * r
-        for row, pc in zip(reduced, piv_cols):
-            sol[pc] = row[r]
+        for pc, row in zip(pivots, aug):
+            sol[pc] = row[r] * pow(row[pc], q - 2, q) % q
         return [sol]
+    solved = [(pc, row, pow(row[pc], q - 2, q)) for pc, row in zip(pivots, aug)]
     out = []
-    for assign in itertools.product(range(q), repeat=len(free_cols)):
+    for assign in itertools.product(range(q), repeat=len(free)):
         sol = [0] * r
-        for fc, v in zip(free_cols, assign):
+        for fc, v in zip(free, assign):
             sol[fc] = v
-        for row, pc in zip(reduced, piv_cols):
+        for pc, row, inv in solved:
             acc = row[r]
-            for fc, v in zip(free_cols, assign):
+            for fc, v in zip(free, assign):
                 acc -= row[fc] * v
-            sol[pc] = acc % q
+            sol[pc] = acc * inv % q
         out.append(sol)
     return out
-
-
-def _solve_fiber(rows, rhs, q, r):
-    sols = _fiber_solutions(rows, rhs, q, r, all_solutions=False)
-    return None if sols is None else sols[0]
 
 
 def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
@@ -766,7 +705,7 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
             ok = True
             for key in fiber_keys:
                 rows, rhs = fiber(legs, key)
-                sols = _fiber_solutions(rows, rhs, q, r, all_solutions)
+                sols = _fiber_solutions(rows, rhs, dom, r, all_solutions)
                 if sols is None:
                     ok = False
                     break
@@ -853,11 +792,11 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
                         for j in range(n)
                     ]
                     rhs = [av[(i * n + j) * p + k] for i in range(m) for j in range(n)]
-                    s = _solve_fiber(rows, rhs, q, r)
-                    if s is None:
+                    sols = _fiber_solutions(rows, rhs, dom, r, False)
+                    if sols is None:
                         ok = False
                         break
-                    zsol[k] = s
+                    zsol[k] = sols[0]
                 if not ok:
                     continue
                 x0 = Hypermatrix.from_function(

@@ -1,0 +1,339 @@
+"""Reference implementations kept as test oracles.
+
+These are the per-caller elimination routines, the direct-search
+action enumeration built on the modular block inverse, and the
+three-identity sandwich check that ``bmalg`` used before every solve
+went through ``bmalg.core.echelon``.  The bodies are kept as they were;
+the former ``Matrix`` methods take the matrix as an explicit first
+argument.
+"""
+
+import itertools
+
+from bmalg.core import Matrix
+from bmalg.errors import BudgetExceededError, ShapeError
+from bmalg.products import bm_product
+
+
+# -- former Matrix elimination methods ----------------------------------------
+
+
+def _echelon(self, augment=None):
+    """Row echelon form via Gaussian elimination over the domain.
+
+    Exact domains pivot on the first nonzero entry; the complex
+    domain pivots on the entry of largest modulus.  Returns
+    (rows, aug_rows, pivot_cols, swap_parity).
+    """
+    dom = self.domain
+    m, n = self.shape
+    rows = [list(self.row(i)) for i in range(m)]
+    aug = [list(r) for r in augment] if augment is not None else None
+    pivot_cols = []
+    parity = 1
+    pr = 0
+    for pc in range(n):
+        best = None
+        if dom.is_exact:
+            for i in range(pr, m):
+                if not dom.is_zero(rows[i][pc]):
+                    best = i
+                    break
+        else:
+            mag, best = 0.0, None
+            for i in range(pr, m):
+                a = abs(rows[i][pc])
+                if a > mag and not dom.is_zero(rows[i][pc]):
+                    mag, best = a, i
+        if best is None:
+            continue
+        if best != pr:
+            rows[pr], rows[best] = rows[best], rows[pr]
+            if aug is not None:
+                aug[pr], aug[best] = aug[best], aug[pr]
+            parity = -parity
+        inv_p = dom.inv(rows[pr][pc])
+        for i in range(m):
+            if i == pr or dom.is_zero(rows[i][pc]):
+                continue
+            f = dom.mul(rows[i][pc], inv_p)
+            rows[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(rows[i], rows[pr])]
+            if aug is not None:
+                aug[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(aug[i], aug[pr])]
+        pivot_cols.append(pc)
+        pr += 1
+        if pr == m:
+            break
+    return rows, aug, pivot_cols, parity
+
+
+def rank(self) -> int:
+    return len(_echelon(self)[2])
+
+
+def det(self):
+    m, n = self.shape
+    if m != n:
+        raise ShapeError("determinant needs a square matrix")
+    dom = self.domain
+    rows, _, pivots, parity = _echelon(self)
+    if len(pivots) < n:
+        return dom.zero()
+    d = dom.one() if parity == 1 else dom.neg(dom.one())
+    for r, c in enumerate(pivots):
+        d = dom.mul(d, rows[r][c])
+    return d
+
+
+def inverse(self):
+    m, n = self.shape
+    if m != n:
+        raise ShapeError("inverse needs a square matrix")
+    dom = self.domain
+    ident = Matrix.identity(n, dom)
+    rows, aug, pivots, _ = _echelon(self, augment=ident.to_rows())
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    out = [[None] * n for _ in range(n)]
+    for r, c in enumerate(pivots):
+        f = dom.inv(rows[r][c])
+        out[c] = [dom.mul(f, a) for a in aug[r]]
+    return Matrix.from_rows(out, dom)
+
+
+def solve(self, rhs_cols):
+    """Solve self @ X = RHS for each rhs column; None if inconsistent.
+
+    Free variables are set to zero, making the solution deterministic.
+    ``rhs_cols`` is a list of columns; returns a list of solution
+    columns (length n each).
+    """
+    dom = self.domain
+    m, n = self.shape
+    aug = [[col[i] for col in rhs_cols] for i in range(m)]
+    rows, aug, pivots, _ = _echelon(self, augment=aug)
+    nrhs = len(rhs_cols)
+    # inconsistency: zero row with nonzero rhs
+    for i in range(len(pivots), m):
+        if any(not dom.is_zero(a) for a in aug[i]):
+            return None
+    sols = [[dom.zero()] * n for _ in range(nrhs)]
+    for r, c in enumerate(pivots):
+        f = dom.inv(rows[r][c])
+        for s in range(nrhs):
+            sols[s][c] = dom.mul(f, aug[r][s])
+    return sols
+
+
+def nullspace(self):
+    """Basis of {x : self @ x = 0}, deterministic free-variable pattern."""
+    dom = self.domain
+    m, n = self.shape
+    rows, _, pivots, _ = _echelon(self)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        x = [dom.zero()] * n
+        x[fc] = dom.one()
+        for r, c in enumerate(pivots):
+            # rows[r] is zero left of c; solve rows[r] . x = 0
+            acc = rows[r][fc]
+            x[c] = dom.neg(dom.mul(dom.inv(rows[r][c]), acc))
+        basis.append(x)
+    return basis
+
+
+# -- former GF(q) fiber solver (rank) ------------------------------------------
+
+
+def _reduce_fiber(rows, rhs, q, r):
+    """Row-reduce an (len(rows) x r) system mod prime q.
+
+    Returns (reduced_rows, reduced_rhs, pivot_cols, free_cols) or None
+    when inconsistent.
+    """
+    m = len(rows)
+    aug = [list(rows[i]) + [rhs[i] % q] for i in range(m)]
+    piv_cols = []
+    pr = 0
+    for pc in range(r):
+        sel = None
+        for i in range(pr, m):
+            if aug[i][pc] % q:
+                sel = i
+                break
+        if sel is None:
+            continue
+        aug[pr], aug[sel] = aug[sel], aug[pr]
+        inv = pow(aug[pr][pc], q - 2, q)
+        aug[pr] = [(v * inv) % q for v in aug[pr]]
+        for i in range(m):
+            if i == pr or aug[i][pc] % q == 0:
+                continue
+            f = aug[i][pc]
+            aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[pr])]
+        piv_cols.append(pc)
+        pr += 1
+        if pr == m:
+            break
+    for i in range(pr, m):
+        if aug[i][r] % q:
+            return None
+    free_cols = [c for c in range(r) if c not in piv_cols]
+    return aug[: len(piv_cols)], piv_cols, free_cols
+
+
+def _fiber_solutions(rows, rhs, q, r, all_solutions):
+    """Solutions of one fiber system: the free-variables-zero one, or
+    every solution in lexicographic free-assignment order."""
+    red = _reduce_fiber(rows, rhs, q, r)
+    if red is None:
+        return None
+    reduced, piv_cols, free_cols = red
+    if not all_solutions or not free_cols:
+        sol = [0] * r
+        for row, pc in zip(reduced, piv_cols):
+            sol[pc] = row[r]
+        return [sol]
+    out = []
+    for assign in itertools.product(range(q), repeat=len(free_cols)):
+        sol = [0] * r
+        for fc, v in zip(free_cols, assign):
+            sol[fc] = v
+        for row, pc in zip(reduced, piv_cols):
+            acc = row[r]
+            for fc, v in zip(free_cols, assign):
+                acc -= row[fc] * v
+            sol[pc] = acc % q
+        out.append(sol)
+    return out
+
+
+# -- former flattening-block inverse (nullity) ---------------------------------
+
+
+def _int_inverse_mod(rows, q):
+    """Inverse of a small integer matrix mod prime q, or None."""
+    p = len(rows)
+    aug = [list(rows[i]) + [1 if i == j else 0 for j in range(p)] for i in range(p)]
+    pr = 0
+    for pc in range(p):
+        sel = None
+        for i in range(pr, p):
+            if aug[i][pc] % q:
+                sel = i
+                break
+        if sel is None:
+            return None
+        aug[pr], aug[sel] = aug[sel], aug[pr]
+        inv = pow(aug[pr][pc], q - 2, q)
+        aug[pr] = [(v * inv) % q for v in aug[pr]]
+        for i in range(p):
+            if i != pr and aug[i][pc] % q:
+                f = aug[i][pc]
+                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[pr])]
+        pr += 1
+    return [row[p:] for row in aug]
+
+
+_ACTION_CACHE = {}
+
+
+def _invertible_actions(m, n, p, domain, budget):
+    """All distinct invertible-pair actions over a small prime field.
+
+    Enumerates every (X0, X1) candidate in integer form, keeps those
+    whose flattening blocks are all invertible with rank-one inverse
+    slices, and dedupes by the block tuple (which determines the
+    action).  Returns a list of (blocks, flat0, flat1); cached per
+    signature.
+    """
+    key = (m, n, p, domain.q)
+    if key in _ACTION_CACHE:
+        return _ACTION_CACHE[key]
+    q = domain.q
+    digits = m * p * p + p * n * p
+    if q**digits > budget:
+        raise BudgetExceededError(
+            f"direct search needs q^{digits} pair candidates, over budget {budget}"
+        )
+    flat1_all = list(itertools.product(range(q), repeat=p * n * p))
+    actions = {}
+    pairs_idx = list(itertools.product(range(m), range(n)))
+    for flat0 in itertools.product(range(q), repeat=m * p * p):
+        for flat1 in flat1_all:
+            blocks = []
+            singular = False
+            inverses = []
+            for i, j in pairs_idx:
+                rows = [
+                    [
+                        (flat0[(i * p + s) * p + t] * flat1[(s * n + j) * p + t]) % q
+                        for s in range(p)
+                    ]
+                    for t in range(p)
+                ]
+                inv = _int_inverse_mod(rows, q)
+                if inv is None:
+                    singular = True
+                    break
+                blocks.append(tuple(v for row in rows for v in row))
+                inverses.append(inv)
+            if singular:
+                continue
+            blocks = tuple(blocks)
+            if blocks in actions:
+                continue
+            # rank-one factorability of every inverse slice
+            factorable = True
+            for t in range(p):
+                if not factorable:
+                    break
+                for k in range(p):
+                    g = [
+                        [inverses[i * n + j][k][t] for j in range(n)]
+                        for i in range(m)
+                    ]
+                    for i0 in range(m):
+                        for i1 in range(i0 + 1, m):
+                            for j0 in range(n):
+                                for j1 in range(j0 + 1, n):
+                                    if (
+                                        g[i0][j0] * g[i1][j1]
+                                        - g[i0][j1] * g[i1][j0]
+                                    ) % q:
+                                        factorable = False
+                    if not factorable:
+                        break
+            if factorable:
+                actions[blocks] = (flat0, flat1)
+    out = [(blocks, f0, f1) for blocks, (f0, f1) in actions.items()]
+    _ACTION_CACHE[key] = out
+    return out
+
+
+# -- former three-identity sandwich check (inverse) ----------------------------
+
+
+def sandwich_check(pair, inverse, probes) -> float:
+    """Max deviation over probes of Prod(C, Prod(A, X, B), D) from X,
+    including the two transpose conjugation identities."""
+    a, b = pair.a, pair.b
+    c, d = inverse.c, inverse.d
+    worst = 0.0
+    for x in probes:
+        direct = bm_product(c, bm_product(a, x, b), d)
+        worst = max(worst, direct.max_deviation(x))
+        xt = x.transpose()
+        left = bm_product(
+            bm_product(xt, b.transpose(), a.transpose()), d.transpose(), c.transpose()
+        )
+        worst = max(worst, left.max_deviation(xt))
+        xt2 = xt.transpose()
+        right = bm_product(
+            d.transpose().transpose(),
+            c.transpose().transpose(),
+            bm_product(b.transpose().transpose(), a.transpose().transpose(), xt2),
+        )
+        worst = max(worst, right.max_deviation(xt2))
+    return worst

@@ -1,0 +1,207 @@
+"""The one elimination routine against the per-caller routines it
+replaced (kept in ``reference.py``): equal results, bit for bit over the
+complex doubles, and the same fiber-solution order."""
+
+import importlib
+import itertools
+import random
+import types
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference as ref
+from bmalg import scalars
+from bmalg.core import Hypermatrix, Matrix, complete_to_basis
+from bmalg.inverse import (
+    OuterInversePair,
+    random_pair,
+    recover_outer_inverse,
+    sandwich_check,
+    unit_probe_basis,
+)
+from bmalg.rank import _fiber_solutions
+
+nullity_module = importlib.import_module("bmalg.nullity")
+
+PRIMES = (2, 3, 7, 251)
+DOMAINS = (
+    [scalars.rational()]
+    + [scalars.gf(q) for q in PRIMES]
+    + [scalars.complex_doubles()]
+)
+EXACT_DOMAINS = DOMAINS[:-1]
+
+
+def sample_matrix(rng, m, n, dom):
+    """Dense, sparse or low-rank, so that singular and rank-deficient
+    systems come up as often as regular ones."""
+    kind = rng.choice(["dense", "sparse", "low-rank"])
+    if kind == "dense":
+        return Matrix.random(m, n, dom, rng)
+    if kind == "sparse":
+        return Matrix.from_function(
+            m, n, dom, lambda i, j: dom.random(rng) if rng.random() < 0.4 else 0
+        )
+    k = rng.randint(0, min(m, n) - 1)
+    if k == 0:
+        return Matrix.zeros(m, n, dom)
+    return Matrix.random(m, k, dom, rng).matmul(Matrix.random(k, n, dom, rng))
+
+
+def outcome(fn, *args):
+    """The result of fn, or the exception type it raised."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+def oracle_complete_to_basis(rows, n, domain):
+    mat = Matrix.from_rows(rows, domain)
+    pivots = ref._echelon(mat)[2]
+    if len(pivots) < len(rows):
+        raise ValueError("given rows are linearly dependent")
+    return [c for c in range(n) if c not in pivots]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(DOMAINS),
+    st.integers(1, 5),
+    st.integers(1, 5),
+)
+def test_matrix_kernels_match_oracle(seed, dom, m, n):
+    rng = random.Random(seed)
+    a = sample_matrix(rng, m, n, dom)
+    assert a.rank() == ref.rank(a)
+    assert a.nullspace() == ref.nullspace(a)
+    consistent = a.matmul(Matrix.random(n, 1, dom, rng)).col(0)
+    rhs = [consistent, [dom.random(rng) for _ in range(m)]]
+    assert a.solve(rhs) == ref.solve(a, rhs)
+    assert a.solve(rhs[:1]) == ref.solve(a, rhs[:1])
+    rows = a.to_rows()
+    assert outcome(complete_to_basis, rows, n, dom) == outcome(
+        oracle_complete_to_basis, rows, n, dom
+    )
+    sq = sample_matrix(rng, m, m, dom)
+    assert sq.det() == ref.det(sq)
+    got, want = outcome(sq.inverse), outcome(ref.inverse, sq)
+    if isinstance(want, Matrix):
+        assert got.data == want.data
+    else:
+        assert got is want is ZeroDivisionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(PRIMES),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_fiber_solutions_match_oracle(seed, q, m, all_solutions):
+    rng = random.Random(seed)
+    # all-solutions lists q^free entries: keep them small for q = 251
+    r = rng.randint(1, 1 if (all_solutions and q > 7) else 3)
+    rows = [
+        [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(r)]
+        for _ in range(m)
+    ]
+    rhs = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(m)]
+    got = _fiber_solutions(rows, rhs, scalars.gf(q), r, all_solutions)
+    assert got == ref._fiber_solutions(rows, rhs, q, r, all_solutions)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(PRIMES), st.integers(1, 4))
+def test_inverse_mod_q_matches_oracle(seed, q, p):
+    rng = random.Random(seed)
+    rows = [
+        [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(p)]
+        for _ in range(p)
+    ]
+    want = ref._int_inverse_mod(rows, q)
+    got = outcome(Matrix.from_rows(rows, scalars.gf(q)).inverse)
+    if want is None:
+        assert got is ZeroDivisionError
+    else:
+        assert got.to_rows() == want
+
+
+@pytest.mark.parametrize(
+    "m, n, p, q", [(1, 1, 1, 251), (1, 1, 2, 3), (2, 2, 1, 3), (2, 3, 1, 7), (2, 2, 2, 2)]
+)
+def test_invertible_actions_match_oracle(monkeypatch, m, n, p, q):
+    """Every candidate of these signatures is enumerated, so equal action
+    lists mean the same flattening blocks were found singular."""
+    monkeypatch.setattr(nullity_module, "_ACTION_CACHE", {})
+    monkeypatch.setattr(ref, "_ACTION_CACHE", {})
+    dom = scalars.gf(q)
+    budget = q ** (m * p * p + p * n * p)
+    got = nullity_module._invertible_actions(m, n, p, dom, budget)
+    assert got == ref._invertible_actions(m, n, p, dom, budget)
+
+
+def sampled_itertools(seed, size):
+    """An ``itertools`` stand-in whose ``product(range(q), repeat=k)``
+    yields a fixed sorted sample of ``size`` digit tuples, so that pair
+    signatures too large to enumerate are still searched, identically
+    by both implementations.  Other products are left whole."""
+    rng = random.Random(seed)
+    samples = {}
+
+    def product(*iterables, repeat=1):
+        if len(iterables) > 1 or repeat == 1:
+            return itertools.product(*iterables, repeat=repeat)
+        q = len(iterables[0])
+        if (q, repeat) not in samples:
+            samples[q, repeat] = sorted(
+                {tuple(rng.randrange(q) for _ in range(repeat)) for _ in range(size)}
+            )
+        return iter(samples[q, repeat])
+
+    return types.SimpleNamespace(product=product)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(PRIMES[1:]))
+def test_sampled_invertible_actions_match_oracle(seed, q):
+    """At (2, 2, 2) over q >= 3 the pivots are not all one, so the
+    scaling of the eliminated blocks into inverses decides which
+    candidates factor."""
+    fake = sampled_itertools(seed, 40)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nullity_module, "_ACTION_CACHE", {})
+        patch.setattr(ref, "_ACTION_CACHE", {})
+        patch.setattr(nullity_module, "itertools", fake)
+        patch.setattr(ref, "itertools", fake)
+        dom = scalars.gf(q)
+        got = nullity_module._invertible_actions(2, 2, 2, dom, q**16)
+        assert got == ref._invertible_actions(2, 2, 2, dom, q**16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(EXACT_DOMAINS),
+    st.sampled_from([(1, 2, 2), (2, 2, 1), (2, 3, 2)]),
+)
+def test_sandwich_deviation_matches_oracle(seed, dom, dims):
+    rng = random.Random(seed)
+    m, n, p = dims
+    pair = random_pair(m, n, p, dom, rng)
+    recovered = recover_outer_inverse(pair)
+    perturbed = OuterInversePair(
+        recovered.c,
+        Hypermatrix.random(recovered.d.shape, dom, rng),
+    )
+    probes = unit_probe_basis(m, n, p, dom) + [
+        Hypermatrix.random((m, n, p), dom, rng)
+    ]
+    for inverse in (recovered, perturbed):
+        assert sandwich_check(pair, inverse, probes) == ref.sandwich_check(
+            pair, inverse, probes
+        )

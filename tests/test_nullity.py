@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from bmalg import scalars
 from bmalg.core import Hypermatrix, Matrix
-from bmalg.errors import CertificateError
+from bmalg.errors import BudgetExceededError, CertificateError
 from bmalg.inverse import pair_invertible, random_pair, scaling_inverse
 from bmalg.nullity import (
     MatrixDecomposition,
@@ -280,6 +281,19 @@ def test_nullity_direct_search_delta_sum_gf2():
     for r in (1, 2):
         cert = nullity_direct_search(delta_sum(2, r, GF2))
         assert cert.nullity == 1
+
+
+def test_direct_search_budget_holds_on_cache_hit(monkeypatch):
+    """The budget is checked before the action cache is consulted, so a
+    result does not depend on which calls came first."""
+    nullity_module = importlib.import_module("bmalg.nullity")
+    monkeypatch.setattr(nullity_module, "_ACTION_CACHE", {})
+    a = Hypermatrix.from_function((2, 2, 1), GF2, lambda i, j, k: i + j)
+    with pytest.raises(BudgetExceededError):
+        nullity_direct_search(a, budget=10)
+    assert nullity_direct_search(a).nullity == 0
+    with pytest.raises(BudgetExceededError):
+        nullity_direct_search(a, budget=10)
 
 
 def test_nullity_generic_complex_3x3x3():
