@@ -183,8 +183,12 @@ class Hypermatrix:
         """Cyclic transpose: result shape (n1, n2, n0) with
         result[i0, i1, i2] = self[i2, i0, i1]."""
         n0, n1, n2 = self.shape
-        return Hypermatrix.from_function(
-            (n1, n2, n0), self.domain, lambda a, b, c: self[c, a, b]
+        step = n1 * n2
+        data = self.data
+        return Hypermatrix(
+            (n1, n2, n0),
+            [v for ab in range(step) for v in data[ab::step]],
+            self.domain,
         )
 
     def transpose_times(self, times):
@@ -200,24 +204,26 @@ class Hypermatrix:
         extent = self.shape[axis]
         if not (0 <= idx < extent):
             raise ShapeError(f"slice index {idx} out of range for axis {axis}")
+        data = self.data
         if axis == 0:
-            return Hypermatrix.from_function(
-                (1, n1, n2), self.domain, lambda a, b, c: self[idx, b, c]
+            return Hypermatrix(
+                (1, n1, n2), data[idx * n1 * n2 : (idx + 1) * n1 * n2], self.domain
             )
         if axis == 1:
-            return Hypermatrix.from_function(
-                (n0, 1, n2), self.domain, lambda a, b, c: self[a, idx, c]
+            return Hypermatrix(
+                (n0, 1, n2),
+                [v for a in range(n0)
+                 for v in data[(a * n1 + idx) * n2 : (a * n1 + idx + 1) * n2]],
+                self.domain,
             )
-        return Hypermatrix.from_function(
-            (n0, n1, 1), self.domain, lambda a, b, c: self[a, b, idx]
-        )
+        return Hypermatrix((n0, n1, 1), data[idx::n2], self.domain)
 
     def mat_of_depth(self, k) -> "Matrix":
         """The depth matrix slice: rows x cols = n0 x n1, entry [i,j] = A[i,j,k]."""
         n0, n1, n2 = self.shape
         if not (0 <= k < n2):
             raise ShapeError(f"depth index {k} out of range (n2={n2})")
-        return Matrix.from_function(n0, n1, self.domain, lambda i, j: self[i, j, k])
+        return Matrix((n0, n1), self.data[k::n2], self.domain)
 
     def depth_matrices(self):
         return [self.mat_of_depth(k) for k in range(self.shape[2])]

@@ -600,7 +600,8 @@ def nullity(
     without one, only the zero depth slices of the input itself are
     certified (there is no exact rational rank oracle here, so this is
     a lower bound).  "direct-search" is the exhaustive oracle over tiny
-    prime fields.
+    prime fields.  ``budget`` caps every exhaustive enumeration either
+    strategy runs over GF(q).
     """
     oriented, tcount = orient_depth_min(a)
     m, n, p = oriented.shape
@@ -616,7 +617,7 @@ def nullity(
             oriented, decomposition, seed=seed, transposes_applied=tcount
         )
     if dom.kind == "gf":
-        cert = bm_rank_exhaustive(oriented)
+        cert = bm_rank_exhaustive(oriented, budget=budget)
         r = cert.r
         # The rank-to-nullity transfer needs a decomposition whose legs
         # admit an invertible completion.  Over a tiny finite field that
@@ -636,7 +637,7 @@ def nullity(
             tried = 0
             found = None
             for triple in iter_bm_decompositions(
-                oriented, r_level, all_solutions=True
+                oriented, r_level, budget=budget, all_solutions=True
             ):
                 tried += 1
                 if tried > attempts:

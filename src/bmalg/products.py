@@ -7,12 +7,25 @@
 ``general_bm_product`` weights a triple sum by a cubic background
 hypermatrix; the plain product is the Kronecker-delta background, and
 the rank-one backgrounds delta_t pick out single outer products.
+
+Both products run on one array kernel, ``_contract``: it loops over the
+summation terms in order and computes each term for every output entry
+at once.  GF(q) uses int64 arrays reduced mod q and Q uses integer
+numerators over common denominators, so both are exact; C uses split
+real and imaginary float64 arrays with CPython's complex product, so
+every entry is bit-identical to the per-scalar sum.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
+import numpy as np
+
 from .core import Hypermatrix
 from .errors import ConformabilityError
+from .scalars import COMPLEX_KIND
 
 
 def conformability(a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix):
@@ -59,20 +72,8 @@ def conformability(a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix):
 def bm_product(a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix) -> Hypermatrix:
     """Ternary product of a conformable triple; exact in exact domains."""
     n0, n1, n2, ell = conformability(a0, a1, a2)
-    dom = a0.domain
-    add, mul = dom.add, dom.mul
-    out = []
-    for i0 in range(n0):
-        for i1 in range(n1):
-            for i2 in range(n2):
-                acc = dom.zero()
-                for j in range(ell):
-                    acc = add(
-                        acc,
-                        mul(mul(a0[i0, j, i2], a1[i0, i1, j]), a2[j, i1, i2]),
-                    )
-                out.append(acc)
-    return Hypermatrix((n0, n1, n2), out, dom)
+    terms = [(j, j, j, None) for j in range(ell)]
+    return _contract(a0, a1, a2, (n0, n1, n2), terms)
 
 
 def general_bm_product(
@@ -87,8 +88,6 @@ def general_bm_product(
             leg="background",
         )
     dom = a0.domain
-    add, mul = dom.add, dom.mul
-    zero = dom.zero()
     # skip zero background entries; delta-like backgrounds are the common case
     support = [
         (j0, j1, j2, background[j0, j1, j2])
@@ -97,21 +96,78 @@ def general_bm_product(
         for j2 in range(ell)
         if not dom.is_zero(background[j0, j1, j2])
     ]
-    out = []
-    for i0 in range(n0):
-        for i1 in range(n1):
-            for i2 in range(n2):
-                acc = zero
-                for j0, j1, j2, w in support:
-                    acc = add(
-                        acc,
-                        mul(
-                            mul(mul(a0[i0, j0, i2], a1[i0, i1, j1]), a2[j2, i1, i2]),
-                            w,
-                        ),
-                    )
-                out.append(acc)
-    return Hypermatrix((n0, n1, n2), out, dom)
+    return _contract(a0, a1, a2, (n0, n1, n2), support)
+
+
+def _contract(a0, a1, a2, shape, terms):
+    """Sum over ``terms`` (j0, j1, j2, w), in their order, of
+
+        ((a0[i0, j0, i2] * a1[i0, i1, j1]) * a2[j2, i1, i2]) * w
+
+    for every (i0, i1, i2) at once; ``w`` None means no weight factor.
+
+    GF(q) works on int64 arrays reduced mod q (q <= 251 keeps every
+    intermediate far below 2^63).  Q works on Python-int numerators over
+    one common denominator per leg, in object arrays, so nothing can
+    overflow.  C works on separate float64 real and imaginary arrays
+    with CPython's complex product and accumulates from +0.0 in term
+    order, so every entry has the bits of the per-scalar sum; complex128
+    ufuncs and einsum round differently in the last bits.
+    """
+    dom = a0.domain
+    legs = (a0, a1, a2)
+    if dom.kind == COMPLEX_KIND:
+        zs = [np.array(a.data, dtype=complex).reshape(a.shape) for a in legs]
+        re0, re1, re2 = (z.real for z in zs)
+        im0, im1, im2 = (z.imag for z in zs)
+        acc_re, acc_im = np.zeros(shape), np.zeros(shape)
+        for j0, j1, j2, w in terms:
+            re, im = _cmul(re0[:, j0, None], im0[:, j0, None],
+                           re1[:, :, j1, None], im1[:, :, j1, None])
+            re, im = _cmul(re, im, re2[j2], im2[j2])
+            if w is not None:
+                re, im = _cmul(re, im, w.real, w.imag)
+            acc_re += re
+            acc_im += im
+        out = acc_re.astype(complex)
+        out.imag = acc_im
+        return Hypermatrix(shape, out.ravel().tolist(), dom)
+    q = dom.q  # None over Q
+    if q is None:
+        (x0, d0), (x1, d1), (x2, d2) = (_numerators(a.data) for a in legs)
+        weights, dw = _numerators([w for *_, w in terms if w is not None])
+        dtype = object
+    else:
+        x0, x1, x2 = ([v % q for v in a.data] for a in legs)
+        weights = [w % q for *_, w in terms if w is not None]
+        dtype = np.int64
+    x0, x1, x2 = (np.array(x, dtype=dtype).reshape(a.shape)
+                  for x, a in zip((x0, x1, x2), legs))
+    weights = iter(weights)
+    acc = np.zeros(shape, dtype=dtype)
+    for j0, j1, j2, w in terms:
+        t = x0[:, j0, None] * x1[:, :, j1, None] * x2[j2]
+        if w is not None:
+            t *= next(weights)
+        acc += t
+        if q is not None:
+            acc %= q
+    if q is not None:
+        return Hypermatrix(shape, acc.ravel().tolist(), dom)
+    den = d0 * d1 * d2 * dw
+    return Hypermatrix(shape, [Fraction(v, den) for v in acc.ravel().tolist()], dom)
+
+
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product on split real and imaginary parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _numerators(values):
+    """Integer numerators of ``values`` over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def kronecker_delta(n, domain) -> Hypermatrix:

@@ -3,16 +3,17 @@
 These are the per-caller elimination routines, the direct-search
 action enumeration built on the modular block inverse, and the
 three-identity sandwich check that ``bmalg`` used before every solve
-went through ``bmalg.core.echelon``.  The bodies are kept as they were;
-the former ``Matrix`` methods take the matrix as an explicit first
-argument.
+went through ``bmalg.core.echelon``, and the per-scalar ternary
+products that ``bmalg.products`` used before its array kernel.  The
+bodies are kept as they were; the former ``Matrix`` methods take the
+matrix as an explicit first argument.
 """
 
 import itertools
 
-from bmalg.core import Matrix
-from bmalg.errors import BudgetExceededError, ShapeError
-from bmalg.products import bm_product
+from bmalg.core import Hypermatrix, Matrix
+from bmalg.errors import BudgetExceededError, ConformabilityError, ShapeError
+from bmalg.products import bm_product, conformability
 
 
 # -- former Matrix elimination methods ----------------------------------------
@@ -337,3 +338,64 @@ def sandwich_check(pair, inverse, probes) -> float:
         )
         worst = max(worst, right.max_deviation(xt2))
     return worst
+
+
+# -- former per-scalar ternary products (products) ----------------------------
+
+
+def scalar_bm_product(a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix) -> Hypermatrix:
+    """Ternary product of a conformable triple; exact in exact domains."""
+    n0, n1, n2, ell = conformability(a0, a1, a2)
+    dom = a0.domain
+    add, mul = dom.add, dom.mul
+    out = []
+    for i0 in range(n0):
+        for i1 in range(n1):
+            for i2 in range(n2):
+                acc = dom.zero()
+                for j in range(ell):
+                    acc = add(
+                        acc,
+                        mul(mul(a0[i0, j, i2], a1[i0, i1, j]), a2[j, i1, i2]),
+                    )
+                out.append(acc)
+    return Hypermatrix((n0, n1, n2), out, dom)
+
+
+def scalar_general_bm_product(
+    a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix, background: Hypermatrix
+) -> Hypermatrix:
+    """Triple-sum product weighted by a cubic background of side ell."""
+    n0, n1, n2, ell = conformability(a0, a1, a2)
+    a0.domain.check_same(background.domain)
+    if background.shape != (ell, ell, ell):
+        raise ConformabilityError(
+            f"background must be cubic of side {ell}, found {background.shape}",
+            leg="background",
+        )
+    dom = a0.domain
+    add, mul = dom.add, dom.mul
+    zero = dom.zero()
+    # skip zero background entries; delta-like backgrounds are the common case
+    support = [
+        (j0, j1, j2, background[j0, j1, j2])
+        for j0 in range(ell)
+        for j1 in range(ell)
+        for j2 in range(ell)
+        if not dom.is_zero(background[j0, j1, j2])
+    ]
+    out = []
+    for i0 in range(n0):
+        for i1 in range(n1):
+            for i2 in range(n2):
+                acc = zero
+                for j0, j1, j2, w in support:
+                    acc = add(
+                        acc,
+                        mul(
+                            mul(mul(a0[i0, j0, i2], a1[i0, i1, j1]), a2[j2, i1, i2]),
+                            w,
+                        ),
+                    )
+                out.append(acc)
+    return Hypermatrix((n0, n1, n2), out, dom)

@@ -173,6 +173,11 @@ def test_nullity_command(tmp_path):
     assert read_json(out2)["nullity"] == 1
 
 
+def test_nullity_via_rank_budget_exit(tmp_path):
+    f = write_json(tmp_path, "t.json", delta_sum(2, 1, GF2).to_json())
+    assert main(["nullity", f, "--strategy", "via-rank", "--budget", "10"]) == 4
+
+
 def test_verify_command(capsys):
     assert main(["verify", "core", "--seed", "1"]) == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]

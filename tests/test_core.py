@@ -74,6 +74,33 @@ def test_slice_shapes_and_content():
         a.slice(SliceSpec.row(3))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_reindexing_matches_index_definitions(seed):
+    """Transpose, the three slices and the depth matrices, entry by entry
+    on non-cubic shapes."""
+    rng = random.Random(seed)
+    n0, n1, n2 = (rng.randint(1, 4) for _ in range(3))
+    dom = rng.choice([RAT, scalars.gf(5), scalars.complex_doubles()])
+    a = Hypermatrix.random((n0, n1, n2), dom, rng)
+    cells = [(i, j, k) for i in range(n0) for j in range(n1) for k in range(n2)]
+    t = a.transpose()
+    assert t.shape == (n1, n2, n0)
+    assert all(t[j, k, i] == a[i, j, k] for i, j, k in cells)
+    for axis in range(3):
+        idx = rng.randrange(a.shape[axis])
+        s = a.slice(SliceSpec(axis, idx))
+        assert s.shape == tuple(1 if ax == axis else e for ax, e in enumerate(a.shape))
+        for i, j, k in cells:
+            pinned = (i, j, k)[axis] == idx
+            at = tuple(0 if ax == axis else v for ax, v in enumerate((i, j, k)))
+            assert not pinned or s[at] == a[i, j, k]
+    k = rng.randrange(n2)
+    mat = a.mat_of_depth(k)
+    assert mat.shape == (n0, n1)
+    assert all(mat[i, j] == a[i, j, k] for i in range(n0) for j in range(n1))
+
+
 def test_slice_reassembly_reproduces_original():
     a = random_hyper((2, 3, 4), 11)
     mats = a.depth_matrices()

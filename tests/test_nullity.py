@@ -296,6 +296,15 @@ def test_direct_search_budget_holds_on_cache_hit(monkeypatch):
         nullity_direct_search(a, budget=10)
 
 
+def test_via_rank_honours_budget():
+    """The caller's budget reaches the exhaustive search behind via-rank:
+    2x2x2 over GF(2) needs 2^8 candidates, over a budget of 10."""
+    a = Hypermatrix((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 1], GF2)
+    with pytest.raises(BudgetExceededError):
+        nullity(a, strategy="via-rank", budget=10)
+    assert nullity(a, strategy="via-rank").nullity == nullity_direct_search(a).nullity
+
+
 def test_nullity_generic_complex_3x3x3():
     rng = random.Random(14)
     a = Hypermatrix.random((3, 3, 3), CPLX, rng, nonzero=True)
