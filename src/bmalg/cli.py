@@ -235,32 +235,34 @@ def _two_slice_report(a, dom):
     }
 
 
+def _dependence_report(dom, witness, **extra):
+    """The dependence verdict: exhaustive over GF(q), numeric otherwise,
+    where "not found" is no proof and reads as ``null``."""
+    exhaustive = dom.kind == "gf"
+    report = {
+        "dependent": False if exhaustive else None,
+        "method": "exhaustive" if exhaustive else "numeric",
+        "witness": None,
+    }
+    if witness is not None:
+        enc_dom = dom if dom.kind != "rational" else complex_doubles()
+        report.update(dependent=True, witness=witness.to_json(enc_dom), **extra)
+    return report
+
+
 def cmd_dependence(args):
-    if args.family:
-        fam = _family_from_file(args.family)
-        dom = fam[0].domain
-        witness = find_dependence(
+    def search(fam):
+        return find_dependence(
             fam,
             budget=args.budget,
             restarts=args.restarts,
             iters=args.iters,
             seed=args.seed,
         )
-        if witness is None:
-            report = {
-                "dependent": False if dom.kind == "gf" else None,
-                "method": "exhaustive" if dom.kind == "gf" else "numeric",
-                "witness": None,
-            }
-        else:
-            report = {
-                "dependent": True,
-                "method": "exhaustive" if dom.kind == "gf" else "numeric",
-                "witness": witness.to_json(
-                    dom if dom.kind != "rational" else complex_doubles()
-                ),
-            }
-        _write(report, args.out)
+
+    if args.family:
+        fam = _family_from_file(args.family)
+        _write(_dependence_report(fam[0].domain, search(fam)), args.out)
         return EXIT_OK
     a = _load_hyper(args.hyper, args)
     dom = a.domain
@@ -276,34 +278,11 @@ def cmd_dependence(args):
         return EXIT_OK
     slices = a.depth_matrices()
     for subset in itertools.combinations(range(p), size):
-        fam = [slices[k] for k in subset]
-        witness = find_dependence(
-            fam,
-            budget=args.budget,
-            restarts=args.restarts,
-            iters=args.iters,
-            seed=args.seed,
-        )
+        witness = search([slices[k] for k in subset])
         if witness is not None:
-            enc_dom = dom if dom.kind != "rational" else complex_doubles()
-            _write(
-                {
-                    "dependent": True,
-                    "method": "exhaustive" if dom.kind == "gf" else "numeric",
-                    "subset": list(subset),
-                    "witness": witness.to_json(enc_dom),
-                },
-                args.out,
-            )
+            _write(_dependence_report(dom, witness, subset=list(subset)), args.out)
             return EXIT_OK
-    _write(
-        {
-            "dependent": False if dom.kind == "gf" else None,
-            "method": "exhaustive" if dom.kind == "gf" else "numeric",
-            "witness": None,
-        },
-        args.out,
-    )
+    _write(_dependence_report(dom, None), args.out)
     return EXIT_OK
 
 

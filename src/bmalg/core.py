@@ -1,10 +1,15 @@
 """Dense order-3 hypermatrices and the matrix/vector bridge.
 
-A :class:`Hypermatrix` is a flat row-major scalar array with shape
-``(n0, n1, n2)``; entry ``A[i0, i1, i2]`` lives at flat index
-``i0*n1*n2 + i1*n2 + i2``.  :class:`Matrix` is the separate dense 2-d
-type used wherever determinants, adjugates or inverses are needed.
-All values are treated as immutable; slicing copies.
+:class:`Hypermatrix` and :class:`Matrix` share one dense base class:
+a flat row-major scalar list with a shape and a domain, so entry
+``A[i0, i1, i2]`` of an ``(n0, n1, n2)`` hypermatrix lives at flat
+index ``i0*n1*n2 + i1*n2 + i2``.  The base constructor checks the
+extents and the data length and stores GF(q) entries as canonical
+representatives in ``[0, q)``; the base also states the entry-wise
+algebra, the comparisons and the JSON codec once.  The subclasses add
+indexing and their constructors, plus transposes and slices
+(``Hypermatrix``) or the product and the elimination kernels
+(``Matrix``).  All values are immutable; slicing copies.
 
 :func:`echelon` is the one elimination routine in the package.  The
 ``Matrix`` rank, determinant, inverse, solve and nullspace kernels and
@@ -51,23 +56,114 @@ class SliceSpec:
         return SliceSpec(2, index)
 
 
-class Hypermatrix:
+class _Dense:
+    """Flat row-major scalar storage shared by :class:`Hypermatrix` and
+    :class:`Matrix`, with the entry-wise algebra and the JSON codec.
+
+    The constructor is the one place that checks the extents and the
+    data length and that stores GF(q) entries as canonical
+    representatives in ``[0, q)``.
+    """
+
     __slots__ = ("shape", "data", "domain")
+    NDIM = 0
 
     def __init__(self, shape, data, domain: ScalarDomain):
-        n0, n1, n2 = shape
-        if n0 <= 0 or n1 <= 0 or n2 <= 0:
-            raise ShapeError(f"extents must be positive, got {shape}")
-        if len(data) != n0 * n1 * n2:
+        shape = tuple(shape)
+        if len(shape) != self.NDIM:
+            raise ShapeError(
+                f"{type(self).__name__} shape must have {self.NDIM} extents, "
+                f"got {shape}"
+            )
+        size = 1
+        for extent in shape:
+            if extent <= 0:
+                raise ShapeError(f"extents must be positive, got {shape}")
+            size *= extent
+        q = domain.q  # None outside GF(q)
+        data = list(data) if q is None else [v % q for v in data]
+        if len(data) != size:
             raise ShapeError(
                 f"data length {len(data)} does not match shape {shape}"
             )
-        object.__setattr__(self, "shape", (n0, n1, n2))
-        object.__setattr__(self, "data", list(data))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "domain", domain)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Hypermatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- entry-wise algebra ------------------------------------------------------
+    # GF(q) results are reduced by the constructor.
+
+    def add(self, other):
+        self._check_binary(other)
+        return type(self)(
+            self.shape, [a + b for a, b in zip(self.data, other.data)], self.domain
+        )
+
+    def sub(self, other):
+        self._check_binary(other)
+        return type(self)(
+            self.shape, [a - b for a, b in zip(self.data, other.data)], self.domain
+        )
+
+    def scale(self, c):
+        c = self.domain.coerce(c)
+        return type(self)(self.shape, [c * a for a in self.data], self.domain)
+
+    def _check_binary(self, other):
+        self.domain.check_same(other.domain)
+        if self.shape != other.shape:
+            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
+
+    def equals(self, other):
+        self._check_binary(other)
+        return all(map(self.domain.eq, self.data, other.data))
+
+    def is_zero(self):
+        return all(map(self.domain.is_zero, self.data))
+
+    def max_deviation(self, other) -> float:
+        self._check_binary(other)
+        magnitude = self.domain.magnitude
+        return max(
+            (magnitude(a - b) for a, b in zip(self.data, other.data)), default=0.0
+        )
+
+    def norm(self) -> float:
+        magnitude = self.domain.magnitude
+        return sum(magnitude(a) ** 2 for a in self.data) ** 0.5
+
+    # -- interop -----------------------------------------------------------------
+
+    def to_numpy(self):
+        import numpy as np
+
+        return np.array([complex(a) for a in self.data], dtype=complex).reshape(
+            self.shape
+        )
+
+    def to_json(self):
+        dom = self.domain
+        return {
+            "domain": dom.to_json(),
+            "shape": list(self.shape),
+            "data": [dom.encode(a) for a in self.data],
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        dom = ScalarDomain.from_json(obj["domain"])
+        return cls(obj["shape"], [dom.decode(a) for a in obj["data"]], dom)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(shape={self.shape}, domain={self.domain.kind})"
+
+
+class Hypermatrix(_Dense):
+    __slots__ = ()
+    NDIM = 3
 
     # -- construction -------------------------------------------------------
 
@@ -126,57 +222,6 @@ class Hypermatrix:
             for i in range(n0)
         ]
 
-    # -- algebra ---------------------------------------------------------------
-
-    def add(self, other):
-        self._check_binary(other)
-        dom = self.domain
-        return Hypermatrix(
-            self.shape,
-            [dom.add(a, b) for a, b in zip(self.data, other.data)],
-            dom,
-        )
-
-    def sub(self, other):
-        self._check_binary(other)
-        dom = self.domain
-        return Hypermatrix(
-            self.shape,
-            [dom.sub(a, b) for a, b in zip(self.data, other.data)],
-            dom,
-        )
-
-    def scale(self, c):
-        dom = self.domain
-        c = dom.coerce(c)
-        return Hypermatrix(self.shape, [dom.mul(c, a) for a in self.data], dom)
-
-    def _check_binary(self, other):
-        self.domain.check_same(other.domain)
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-
-    def equals(self, other):
-        self._check_binary(other)
-        dom = self.domain
-        return all(dom.eq(a, b) for a, b in zip(self.data, other.data))
-
-    def is_zero(self):
-        dom = self.domain
-        return all(dom.is_zero(a) for a in self.data)
-
-    def max_deviation(self, other) -> float:
-        self._check_binary(other)
-        dom = self.domain
-        return max(
-            (dom.magnitude(dom.sub(a, b)) for a, b in zip(self.data, other.data)),
-            default=0.0,
-        )
-
-    def norm(self) -> float:
-        dom = self.domain
-        return sum(dom.magnitude(a) ** 2 for a in self.data) ** 0.5
-
     # -- transposition and slicing ---------------------------------------------
 
     def transpose(self):
@@ -227,34 +272,6 @@ class Hypermatrix:
 
     def depth_matrices(self):
         return [self.mat_of_depth(k) for k in range(self.shape[2])]
-
-    # -- interop -----------------------------------------------------------------
-
-    def to_numpy(self):
-        import numpy as np
-
-        return np.array(
-            [complex(a) for a in self.data], dtype=complex
-        ).reshape(self.shape)
-
-    def to_json(self):
-        dom = self.domain
-        return {
-            "domain": dom.to_json(),
-            "shape": list(self.shape),
-            "data": [dom.encode(a) for a in self.data],
-        }
-
-    @staticmethod
-    def from_json(obj):
-        dom = ScalarDomain.from_json(obj["domain"])
-        shape = tuple(obj["shape"])
-        if len(shape) != 3:
-            raise ShapeError(f"hypermatrix shape must have 3 extents, got {shape}")
-        return Hypermatrix(shape, [dom.decode(a) for a in obj["data"]], dom)
-
-    def __repr__(self):
-        return f"Hypermatrix(shape={self.shape}, domain={self.domain.kind})"
 
 
 def reassemble_depth(matrices, domain=None) -> Hypermatrix:
@@ -325,21 +342,9 @@ def echelon(rows, ncols, domain: ScalarDomain):
     return pivot_cols, parity
 
 
-class Matrix:
-    __slots__ = ("shape", "data", "domain")
-
-    def __init__(self, shape, data, domain: ScalarDomain):
-        m, n = shape
-        if m <= 0 or n <= 0:
-            raise ShapeError(f"matrix extents must be positive, got {shape}")
-        if len(data) != m * n:
-            raise ShapeError(f"data length {len(data)} mismatches shape {shape}")
-        object.__setattr__(self, "shape", (m, n))
-        object.__setattr__(self, "data", list(data))
-        object.__setattr__(self, "domain", domain)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+class Matrix(_Dense):
+    __slots__ = ()
+    NDIM = 2
 
     @staticmethod
     def from_function(m, n, domain, fn):
@@ -384,21 +389,6 @@ class Matrix:
     def to_rows(self):
         return [self.row(i) for i in range(self.shape[0])]
 
-    def add(self, other):
-        self._check_binary(other)
-        dom = self.domain
-        return Matrix(self.shape, [dom.add(a, b) for a, b in zip(self.data, other.data)], dom)
-
-    def sub(self, other):
-        self._check_binary(other)
-        dom = self.domain
-        return Matrix(self.shape, [dom.sub(a, b) for a, b in zip(self.data, other.data)], dom)
-
-    def scale(self, c):
-        dom = self.domain
-        c = dom.coerce(c)
-        return Matrix(self.shape, [dom.mul(c, a) for a in self.data], dom)
-
     def matmul(self, other):
         self.domain.check_same(other.domain)
         m, k1 = self.shape
@@ -415,36 +405,6 @@ class Matrix:
                     acc = dom.add(acc, dom.mul(ri[t], other[t, j]))
                 out.append(acc)
         return Matrix((m, n), out, dom)
-
-    def mat_transpose(self):
-        m, n = self.shape
-        return Matrix.from_function(n, m, self.domain, lambda i, j: self[j, i])
-
-    def _check_binary(self, other):
-        self.domain.check_same(other.domain)
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-
-    def equals(self, other):
-        self._check_binary(other)
-        dom = self.domain
-        return all(dom.eq(a, b) for a, b in zip(self.data, other.data))
-
-    def is_zero(self):
-        dom = self.domain
-        return all(dom.is_zero(a) for a in self.data)
-
-    def max_deviation(self, other) -> float:
-        self._check_binary(other)
-        dom = self.domain
-        return max(
-            (dom.magnitude(dom.sub(a, b)) for a, b in zip(self.data, other.data)),
-            default=0.0,
-        )
-
-    def norm(self) -> float:
-        dom = self.domain
-        return sum(dom.magnitude(a) ** 2 for a in self.data) ** 0.5
 
     # -- elimination-based kernels ------------------------------------------------
 
@@ -521,32 +481,6 @@ class Matrix:
                 x[c] = dom.neg(dom.mul(dom.inv(rows[r][c]), acc))
             basis.append(x)
         return basis
-
-    def to_numpy(self):
-        import numpy as np
-
-        return np.array([complex(a) for a in self.data], dtype=complex).reshape(
-            self.shape
-        )
-
-    def to_json(self):
-        dom = self.domain
-        return {
-            "domain": dom.to_json(),
-            "shape": list(self.shape),
-            "data": [dom.encode(a) for a in self.data],
-        }
-
-    @staticmethod
-    def from_json(obj):
-        dom = ScalarDomain.from_json(obj["domain"])
-        shape = tuple(obj["shape"])
-        if len(shape) != 2:
-            raise ShapeError(f"matrix shape must have 2 extents, got {shape}")
-        return Matrix(shape, [dom.decode(a) for a in obj["data"]], dom)
-
-    def __repr__(self):
-        return f"Matrix(shape={self.shape}, domain={self.domain.kind})"
 
 
 def diag(vector, domain) -> Matrix:

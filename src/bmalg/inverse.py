@@ -76,9 +76,6 @@ class OuterInversePair:
     def act(self, x: Hypermatrix) -> Hypermatrix:
         return bm_product(self.c, x, self.d)
 
-    def as_pair(self) -> HyperPair:
-        return HyperPair(self.c, self.d)
-
     def to_json(self):
         return {"C": self.c.to_json(), "D": self.d.to_json(), "gauge": self.gauge}
 

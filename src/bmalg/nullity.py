@@ -596,7 +596,8 @@ def nullity(
     "via-rank" converts a rank certificate: exhaustive exact rank over
     GF(q) (retrying across decompositions until one admits an
     invertible completion), the numeric reduction pipeline over complex
-    doubles, or a caller-provided decomposition; over the rationals
+    doubles (for any shape: it starts from the identity-pair
+    decomposition), or a caller-provided decomposition; over the rationals
     without one, only the zero depth slices of the input itself are
     certified (there is no exact rational rank oracle here, so this is
     a lower bound).  "direct-search" is the exhaustive oracle over tiny

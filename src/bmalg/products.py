@@ -106,13 +106,14 @@ def _contract(a0, a1, a2, shape, terms):
 
     for every (i0, i1, i2) at once; ``w`` None means no weight factor.
 
-    GF(q) works on int64 arrays reduced mod q (q <= 251 keeps every
-    intermediate far below 2^63).  Q works on Python-int numerators over
-    one common denominator per leg, in object arrays, so nothing can
-    overflow.  C works on separate float64 real and imaginary arrays
-    with CPython's complex product and accumulates from +0.0 in term
-    order, so every entry has the bits of the per-scalar sum; complex128
-    ufuncs and einsum round differently in the last bits.
+    GF(q) works on int64 arrays of the stored canonical entries, reduced
+    mod q after each term (q <= 251 keeps every intermediate far below
+    2^63).  Q works on Python-int numerators over one common denominator
+    per leg, in object arrays, so nothing can overflow.  C works on
+    separate float64 real and imaginary arrays with CPython's complex
+    product and accumulates from +0.0 in term order, so every entry has
+    the bits of the per-scalar sum; complex128 ufuncs and einsum round
+    differently in the last bits.
     """
     dom = a0.domain
     legs = (a0, a1, a2)
@@ -133,13 +134,14 @@ def _contract(a0, a1, a2, shape, terms):
         out.imag = acc_im
         return Hypermatrix(shape, out.ravel().tolist(), dom)
     q = dom.q  # None over Q
+    weights = [w for *_, w in terms if w is not None]
     if q is None:
         (x0, d0), (x1, d1), (x2, d2) = (_numerators(a.data) for a in legs)
-        weights, dw = _numerators([w for *_, w in terms if w is not None])
+        weights, dw = _numerators(weights)
         dtype = object
     else:
-        x0, x1, x2 = ([v % q for v in a.data] for a in legs)
-        weights = [w % q for *_, w in terms if w is not None]
+        # stored GF(q) entries are already canonical
+        x0, x1, x2 = (a.data for a in legs)
         dtype = np.int64
     x0, x1, x2 = (np.array(x, dtype=dtype).reshape(a.shape)
                   for x, a in zip((x0, x1, x2), legs))

@@ -24,7 +24,7 @@ from .errors import (
     ReductionHypothesisError,
     ShapeError,
 )
-from .products import bm_product, delta_t, identity_pair
+from .products import bm_product, delta_t, identity_pair, outer_product_at
 
 DEFAULT_RANK_BUDGET = 10_000_000
 
@@ -297,79 +297,44 @@ class SliceRewriteData:
     vs: dict
 
 
-def _reduction_sides(x0, x1, x2, rewrite):
-    """Left and right sides of the reduction hypothesis per depth index."""
-    dom = x0.domain
-    m, ell, p = x0.shape
-    n = x1.shape[1]
-    tau = rewrite.tau
-    others = [t for t in range(ell) if t != tau]
-    us, vs = rewrite.us, rewrite.vs
-    lhs, rhs = [], []
-    for k in range(p):
-        lmat = Matrix.from_function(
-            m,
-            n,
-            dom,
-            lambda i, j: dom.mul(
-                dom.mul(x0[i, tau, k], x1[i, j, tau]), x2[tau, j, k]
-            ),
-        )
+def check_reduction_hypothesis(legs, reduced, tau):
+    """Validate the reduction hypothesis of the rewrite of ``legs`` into
+    ``reduced`` for every depth index; raises ReductionHypothesisError
+    carrying the first offending (k, entry), k outermost, then i, then j.
 
-        def rentry(i, j, k=k):
-            acc = dom.zero()
-            for t in others:
-                u = dom.coerce(us[t][i])
-                v = dom.coerce(vs[t][j])
-                inner = dom.add(
-                    dom.add(
-                        dom.mul(dom.mul(u, x0[i, tau, k]), dom.mul(x2[tau, j, k], v)),
-                        dom.mul(dom.mul(u, x0[i, tau, k]), x2[t, j, k]),
-                    ),
-                    dom.mul(dom.mul(x0[i, t, k], x2[tau, j, k]), v),
-                )
-                acc = dom.add(acc, dom.mul(x1[i, j, t], inner))
-            return acc
-
-        rhs.append(Matrix.from_function(m, n, dom, rentry))
-        lhs.append(lmat)
-    return lhs, rhs
-
-
-def check_reduction_hypothesis(x0, x1, x2, rewrite):
-    """Validate the reduction hypothesis for every depth index; raises
-    ReductionHypothesisError carrying the first offending (k, entry)."""
-    dom = x0.domain
-    lhs, rhs = _reduction_sides(x0, x1, x2, rewrite)
+    The hypothesis equates the pivot outer product ``lhs`` (the terms
+    the rewrite drops) with ``rhs``, what the rewritten slices add to
+    the other terms.  Their difference is Prod(legs) - Prod(reduced),
+    so the hypothesis holds at (i, j, k) exactly when the rewrite
+    preserves the product there.  Over C the deviation is judged
+    against the scale 1 + ||lhs|| + ||rhs||.
+    """
+    dom = legs[0].domain
+    before, after = bm_product(*legs), bm_product(*reduced)
+    m, n, p = before.shape
+    cells = [(k, i, j) for k in range(p) for i in range(m) for j in range(n)]
     if dom.is_exact:
-        for k, (lm, rm) in enumerate(zip(lhs, rhs)):
-            if not lm.equals(rm):
-                for i in range(lm.shape[0]):
-                    for j in range(lm.shape[1]):
-                        if not dom.eq(lm[i, j], rm[i, j]):
-                            raise ReductionHypothesisError(
-                                f"hypothesis fails at depth {k}, entry ({i},{j})",
-                                k=k,
-                                entry=(i, j),
-                            )
+        for k, i, j in cells:
+            if not dom.eq(before[i, j, k], after[i, j, k]):
+                raise ReductionHypothesisError(
+                    f"hypothesis fails at depth {k}, entry ({i},{j})",
+                    k=k,
+                    entry=(i, j),
+                )
         return 0.0
-    dev = sum(lm.sub(rm).norm() ** 2 for lm, rm in zip(lhs, rhs)) ** 0.5
-    scale = (
-        1.0
-        + sum(lm.norm() ** 2 for lm in lhs) ** 0.5
-        + sum(rm.norm() ** 2 for rm in rhs) ** 0.5
-    )
+    diff = before.sub(after)
+    lhs = outer_product_at(*legs, tau)
+    dev = diff.norm()
+    scale = 1.0 + lhs.norm() + lhs.sub(diff).norm()
     if dev > dom.tol * scale * 100:
-        for k, (lm, rm) in enumerate(zip(lhs, rhs)):
-            for i in range(lm.shape[0]):
-                for j in range(lm.shape[1]):
-                    if abs(lm[i, j] - rm[i, j]) > dom.tol * scale * 10:
-                        raise ReductionHypothesisError(
-                            f"hypothesis fails at depth {k}, entry ({i},{j}), "
-                            f"deviation {abs(lm[i, j] - rm[i, j]):.3e}",
-                            k=k,
-                            entry=(i, j),
-                        )
+        for k, i, j in cells:
+            if abs(diff[i, j, k]) > dom.tol * scale * 10:
+                raise ReductionHypothesisError(
+                    f"hypothesis fails at depth {k}, entry ({i},{j}), "
+                    f"deviation {abs(diff[i, j, k]):.3e}",
+                    k=k,
+                    entry=(i, j),
+                )
         raise ReductionHypothesisError(
             f"hypothesis deviation {dev:.3e} exceeds tolerance", k=None, entry=None
         )
@@ -387,7 +352,7 @@ def hyper_slice_reduce(x0, x1, x2, rewrite: SliceRewriteData):
         x2'[t, :, k] = x2[t, :, k] + x2[tau, :, k] o vs[t]
 
     and leg 1 simply drops depth slice tau.  The hypothesis is checked
-    for every depth index first.
+    for every depth index before the rewritten legs are returned.
     """
     dom = x0.domain
     m, ell, p = x0.shape
@@ -397,7 +362,6 @@ def hyper_slice_reduce(x0, x1, x2, rewrite: SliceRewriteData):
     tau = rewrite.tau
     if not (0 <= tau < ell):
         raise ShapeError(f"tau {tau} out of range")
-    check_reduction_hypothesis(x0, x1, x2, rewrite)
     others = [t for t in range(ell) if t != tau]
     us, vs = rewrite.us, rewrite.vs
     new_x0 = Hypermatrix.from_function(
@@ -419,7 +383,9 @@ def hyper_slice_reduce(x0, x1, x2, rewrite: SliceRewriteData):
             dom.mul(x2[tau, j, k], dom.coerce(vs[others[tn]][j])),
         ),
     )
-    return new_x0, new_x1, new_x2
+    reduced = (new_x0, new_x1, new_x2)
+    check_reduction_hypothesis((x0, x1, x2), reduced, tau)
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -935,13 +901,14 @@ def triple_reduction_witness(
 def generic_rank_pipeline(
     b: Hypermatrix, tau=None, tol=None, restarts=50, iters=500, seed=0
 ) -> RankCertificate:
-    """Numeric upper-bound certificate for an entry-wise nonzero cubic
-    hypermatrix.
+    """Numeric upper-bound certificate for an entry-wise nonzero
+    hypermatrix of any shape (m, n, p).
 
     Starts from the identity-pair decomposition with contracted
-    dimension n and keeps reducing while a depth-slice witness (first
-    step) or a general reduction witness (later steps) is found; stalls
-    return the best certificate so far, residual included.
+    dimension p, which exists for every shape, and keeps reducing while
+    a depth-slice witness (first step) or a general reduction witness
+    (later steps) is found; stalls return the best certificate so far,
+    residual included.
     """
     dom = b.domain
     if dom.kind != "complex":
@@ -949,8 +916,6 @@ def generic_rank_pipeline(
     if tol is None:
         tol = dom.tol or 1e-9
     m, n, p = b.shape
-    if not (m == n == p):
-        raise ShapeError("pipeline expects a cubic hypermatrix")
     for idx, v in enumerate(b.data):
         if abs(v) <= dom.tol:
             raise ZeroDivisionError("entries must be nonzero (genericity proxy)")

@@ -3,16 +3,23 @@
 These are the per-caller elimination routines, the direct-search
 action enumeration built on the modular block inverse, and the
 three-identity sandwich check that ``bmalg`` used before every solve
-went through ``bmalg.core.echelon``, and the per-scalar ternary
-products that ``bmalg.products`` used before its array kernel.  The
-bodies are kept as they were; the former ``Matrix`` methods take the
-matrix as an explicit first argument.
+went through ``bmalg.core.echelon``, the per-scalar ternary products
+that ``bmalg.products`` used before its array kernel, and the
+hand-expanded slice-reduction hypothesis check that ``bmalg.rank``
+used before it compared the products of the original and rewritten
+legs.  The bodies are kept as they were; the former ``Matrix`` methods
+take the matrix as an explicit first argument.
 """
 
 import itertools
 
 from bmalg.core import Hypermatrix, Matrix
-from bmalg.errors import BudgetExceededError, ConformabilityError, ShapeError
+from bmalg.errors import (
+    BudgetExceededError,
+    ConformabilityError,
+    ReductionHypothesisError,
+    ShapeError,
+)
 from bmalg.products import bm_product, conformability
 
 
@@ -399,3 +406,85 @@ def scalar_general_bm_product(
                     )
                 out.append(acc)
     return Hypermatrix((n0, n1, n2), out, dom)
+
+
+# -- former slice-reduction hypothesis check ---------------------------------
+
+
+def _reduction_sides(x0, x1, x2, rewrite):
+    """Left and right sides of the reduction hypothesis per depth index."""
+    dom = x0.domain
+    m, ell, p = x0.shape
+    n = x1.shape[1]
+    tau = rewrite.tau
+    others = [t for t in range(ell) if t != tau]
+    us, vs = rewrite.us, rewrite.vs
+    lhs, rhs = [], []
+    for k in range(p):
+        lmat = Matrix.from_function(
+            m,
+            n,
+            dom,
+            lambda i, j: dom.mul(
+                dom.mul(x0[i, tau, k], x1[i, j, tau]), x2[tau, j, k]
+            ),
+        )
+
+        def rentry(i, j, k=k):
+            acc = dom.zero()
+            for t in others:
+                u = dom.coerce(us[t][i])
+                v = dom.coerce(vs[t][j])
+                inner = dom.add(
+                    dom.add(
+                        dom.mul(dom.mul(u, x0[i, tau, k]), dom.mul(x2[tau, j, k], v)),
+                        dom.mul(dom.mul(u, x0[i, tau, k]), x2[t, j, k]),
+                    ),
+                    dom.mul(dom.mul(x0[i, t, k], x2[tau, j, k]), v),
+                )
+                acc = dom.add(acc, dom.mul(x1[i, j, t], inner))
+            return acc
+
+        rhs.append(Matrix.from_function(m, n, dom, rentry))
+        lhs.append(lmat)
+    return lhs, rhs
+
+
+def check_reduction_hypothesis(x0, x1, x2, rewrite):
+    """Validate the reduction hypothesis for every depth index; raises
+    ReductionHypothesisError carrying the first offending (k, entry)."""
+    dom = x0.domain
+    lhs, rhs = _reduction_sides(x0, x1, x2, rewrite)
+    if dom.is_exact:
+        for k, (lm, rm) in enumerate(zip(lhs, rhs)):
+            if not lm.equals(rm):
+                for i in range(lm.shape[0]):
+                    for j in range(lm.shape[1]):
+                        if not dom.eq(lm[i, j], rm[i, j]):
+                            raise ReductionHypothesisError(
+                                f"hypothesis fails at depth {k}, entry ({i},{j})",
+                                k=k,
+                                entry=(i, j),
+                            )
+        return 0.0
+    dev = sum(lm.sub(rm).norm() ** 2 for lm, rm in zip(lhs, rhs)) ** 0.5
+    scale = (
+        1.0
+        + sum(lm.norm() ** 2 for lm in lhs) ** 0.5
+        + sum(rm.norm() ** 2 for rm in rhs) ** 0.5
+    )
+    if dev > dom.tol * scale * 100:
+        for k, (lm, rm) in enumerate(zip(lhs, rhs)):
+            for i in range(lm.shape[0]):
+                for j in range(lm.shape[1]):
+                    if abs(lm[i, j] - rm[i, j]) > dom.tol * scale * 10:
+                        raise ReductionHypothesisError(
+                            f"hypothesis fails at depth {k}, entry ({i},{j}), "
+                            f"deviation {abs(lm[i, j] - rm[i, j]):.3e}",
+                            k=k,
+                            entry=(i, j),
+                        )
+        raise ReductionHypothesisError(
+            f"hypothesis deviation {dev:.3e} exceeds tolerance", k=None, entry=None
+        )
+    return dev

@@ -316,6 +316,23 @@ def test_nullity_generic_complex_3x3x3():
     assert slice_norm < 1e-7 * (1 + a.norm())
 
 
+def test_nullity_complex_non_cubic():
+    """The complex pipeline starts from the identity-pair decomposition,
+    which exists for every shape, so a 2x3x4 input gets a certificate
+    that verifies instead of a cubic-only ShapeError."""
+    rng = random.Random(17)
+    a = Hypermatrix.random((2, 3, 4), CPLX, rng, nonzero=True)
+    cert = nullity(a, seed=0)
+    oriented, t = orient_depth_min(a)
+    assert cert.transposes_applied == t
+    assert cert.nullity == len(cert.zero_set)
+    # raises unless the pair is invertible, zeroes the claimed slices
+    # and its recovered outer inverse reconstructs the input
+    hyper_nullity_sufficiency(oriented, cert.pair, cert.zero_set)
+    back = cert.outer_inverse.act(cert.pair.act(oriented))
+    assert back.sub(oriented).norm() < 1e-7 * (1 + a.norm())
+
+
 def test_nullity_rational_zero_slice_lower_bound():
     rng = random.Random(15)
     r = 2
