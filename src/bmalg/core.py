@@ -21,6 +21,7 @@ flattening-block inverses of the direct-search nullity
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -67,6 +68,14 @@ class _Dense:
 
     __slots__ = ("shape", "data", "domain")
     NDIM = 0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Each subclass holds the codec in its own namespace, ``from_json``
+        # as a staticmethod fixed to the subclass: benchmarks/tracing.py
+        # patches the methods it finds in a class ``__dict__``.
+        cls.to_json = _Dense.to_json
+        cls.from_json = staticmethod(functools.partial(_Dense.from_json.__func__, cls))
 
     def __init__(self, shape, data, domain: ScalarDomain):
         shape = tuple(shape)
@@ -402,8 +411,9 @@ class Matrix(_Dense):
             for j in range(n):
                 acc = dom.zero()
                 for t in range(k1):
-                    acc = dom.add(acc, dom.mul(ri[t], other[t, j]))
+                    acc = acc + ri[t] * other[t, j]
                 out.append(acc)
+        # GF(q) entries are reduced by the constructor
         return Matrix((m, n), out, dom)
 
     # -- elimination-based kernels ------------------------------------------------

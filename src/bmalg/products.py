@@ -106,9 +106,10 @@ def _contract(a0, a1, a2, shape, terms):
 
     for every (i0, i1, i2) at once; ``w`` None means no weight factor.
 
-    GF(q) works on int64 arrays of the stored canonical entries, reduced
-    mod q after each term (q <= 251 keeps every intermediate far below
-    2^63).  Q works on Python-int numerators over one common denominator
+    GF(q) works on int64 arrays of the stored canonical entries and
+    leaves the reduction mod q to the ``Hypermatrix`` constructor: each
+    term is below 251^4 < 2^32 (q <= 251), so the sum overflows only
+    past 2^31 terms.  Q works on Python-int numerators over one common denominator
     per leg, in object arrays, so nothing can overflow.  C works on
     separate float64 real and imaginary arrays with CPython's complex
     product and accumulates from +0.0 in term order, so every entry has
@@ -152,8 +153,6 @@ def _contract(a0, a1, a2, shape, terms):
         if w is not None:
             t *= next(weights)
         acc += t
-        if q is not None:
-            acc %= q
     if q is not None:
         return Hypermatrix(shape, acc.ravel().tolist(), dom)
     den = d0 * d1 * d2 * dw
