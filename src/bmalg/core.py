@@ -13,10 +13,10 @@ indexing and their constructors, plus transposes and slices
 
 :func:`echelon` is the one elimination routine in the package.  The
 ``Matrix`` rank, determinant, inverse, solve and nullspace kernels and
-:func:`complete_to_basis` call it, as do the GF(q) fiber solver of the
-exhaustive rank search (``rank._fiber_solutions``) and the
-flattening-block inverses of the direct-search nullity
-(``nullity._invertible_actions``).
+:func:`complete_to_basis` call it, as does the GF(q) fiber solver of
+the exhaustive rank search (``rank._fiber_solutions``).  Flattening
+blocks of inverse pairs, those of the direct-search nullity included,
+are inverted through ``Matrix.inverse``.
 """
 
 from __future__ import annotations
@@ -373,7 +373,8 @@ class Matrix(_Dense):
     @staticmethod
     def identity(n, domain):
         one, zero = domain.one(), domain.zero()
-        return Matrix.from_function(n, n, domain, lambda i, j: one if i == j else zero)
+        data = [one if i == j else zero for i in range(n) for j in range(n)]
+        return Matrix((n, n), data, domain)
 
     @staticmethod
     def random(m, n, domain, rng, nonzero=False):
@@ -440,16 +441,20 @@ class Matrix(_Dense):
         if m != n:
             raise ShapeError("inverse needs a square matrix")
         dom = self.domain
-        ident = Matrix.identity(n, dom)
-        rows = [self.row(i) + ident.row(i) for i in range(n)]
+        one, zero = dom.one(), dom.zero()
+        rows = [
+            self.row(i) + [one if i == j else zero for j in range(n)] for i in range(n)
+        ]
         pivots, _ = echelon(rows, n, dom)
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
-        out = [[None] * n for _ in range(n)]
-        for r, c in enumerate(pivots):
-            f = dom.inv(rows[r][c])
-            out[c] = [dom.mul(f, a) for a in rows[r][n:]]
-        return Matrix.from_rows(out, dom)
+        # full rank puts pivot r in row r; GF(q) entries are reduced by the
+        # constructor
+        data = []
+        for r, row in enumerate(rows):
+            f = dom.inv(row[r])
+            data.extend(f * a for a in row[n:])
+        return Matrix((n, n), data, dom)
 
     def solve(self, rhs_cols):
         """Solve self @ X = RHS for each rhs column; None if inconsistent.

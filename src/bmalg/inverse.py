@@ -8,6 +8,13 @@ composed action gives a block-diagonal matrix with one p x p block per
 position (i, j); invertibility of every block plus rank-one
 factorability of the inverse blocks is necessary and sufficient, and
 the factorization recovers (C, D) explicitly.
+
+This module is the one statement of that criterion: :func:`flatten`
+builds the blocks, :func:`_inverse_blocks` inverts them and
+:func:`_rank_one_violation` tests the inverse slices of
+:func:`_factor_slices`.  The direct-search nullity
+(``nullity._invertible_actions``) calls the same block construction,
+``Matrix.inverse`` and rank-one test for each candidate pair.
 """
 
 from __future__ import annotations
@@ -197,17 +204,19 @@ class FlatteningMatrix:
 def flatten(pair: HyperPair) -> FlatteningMatrix:
     m, n, p = pair.dims
     dom = pair.domain
-    blocks = []
-    for i in range(m):
-        for j in range(n):
-            blocks.append(
-                Matrix.from_function(
-                    p,
-                    p,
-                    dom,
-                    lambda t, s, i=i, j=j: dom.mul(pair.a[i, s, t], pair.b[s, j, t]),
-                )
-            )
+    a, b = pair.a.data, pair.b.data
+    # entry [t, s] of block (i, j) is A[i, s, t] * B[s, j, t]; GF(q)
+    # entries are reduced by the constructor
+    blocks = [
+        Matrix(
+            (p, p),
+            [a[(i * p + s) * p + t] * b[(s * n + j) * p + t]
+             for t in range(p) for s in range(p)],
+            dom,
+        )
+        for i in range(m)
+        for j in range(n)
+    ]
     return FlatteningMatrix(m=m, n=n, p=p, blocks=blocks)
 
 
@@ -236,12 +245,13 @@ def _rank_one_violation(g: Matrix, tol):
     """First nonzero 2x2 minor of g, or None when rank <= 1."""
     dom = g.domain
     m, n = g.shape
+    v = g.data
     for i0 in range(m):
         for i1 in range(i0 + 1, m):
             for j0 in range(n):
                 for j1 in range(j0 + 1, n):
-                    t1 = dom.mul(g[i0, j0], g[i1, j1])
-                    t2 = dom.mul(g[i0, j1], g[i1, j0])
+                    t1 = dom.mul(v[i0 * n + j0], v[i1 * n + j1])
+                    t2 = dom.mul(v[i0 * n + j1], v[i1 * n + j0])
                     minor = dom.sub(t1, t2)
                     if dom.is_exact:
                         bad = not dom.is_zero(minor)
@@ -255,35 +265,33 @@ def _rank_one_violation(g: Matrix, tol):
 def _inverse_blocks(flat: FlatteningMatrix):
     """Per-block inverses; (None, (i, j)) on the first singular block."""
     inv = []
-    for i in range(flat.m):
-        for j in range(flat.n):
-            blk = flat.block(i, j)
-            dom = blk.domain
-            try:
-                candidate = blk.inverse()
-            except ZeroDivisionError:
-                return None, (i, j)
-            if not dom.is_exact:
-                check = blk.matmul(candidate)
-                if check.max_deviation(Matrix.identity(flat.p, dom)) > max(
-                    dom.tol, 1e-12
-                ) * 1e3 * (1.0 + blk.norm()):
-                    return None, (i, j)
-            inv.append(candidate)
+    for idx, blk in enumerate(flat.blocks):
+        dom = blk.domain
+        try:
+            candidate = blk.inverse()
+        except ZeroDivisionError:
+            return None, divmod(idx, flat.n)
+        if not dom.is_exact:
+            check = blk.matmul(candidate)
+            if check.max_deviation(Matrix.identity(flat.p, dom)) > max(
+                dom.tol, 1e-12
+            ) * 1e3 * (1.0 + blk.norm()):
+                return None, divmod(idx, flat.n)
+        inv.append(candidate)
     return inv, None
 
 
-def _factor_slices(pair: HyperPair, inv_blocks):
-    """The m x n matrices G_{t,k}[i,j] = block(i,j)^{-1}[k, t]."""
-    m, n, p = pair.dims
-    dom = pair.domain
-    out = {}
-    for t in range(p):
-        for k in range(p):
-            out[(t, k)] = Matrix.from_function(
-                m, n, dom, lambda i, j, t=t, k=k: inv_blocks[i * n + j][k, t]
-            )
-    return out
+def _factor_slices(inv_blocks, m, n):
+    """The m x n matrices G_{t,k}[i,j] = block(i,j)^{-1}[k, t], keyed by
+    (t, k) in row-major order; ``inv_blocks`` is row-major over (i, j)."""
+    p = inv_blocks[0].shape[0]
+    dom = inv_blocks[0].domain
+    datas = [blk.data for blk in inv_blocks]
+    return {
+        (t, k): Matrix((m, n), [d[k * p + t] for d in datas], dom)
+        for t in range(p)
+        for k in range(p)
+    }
 
 
 def pair_invertible(pair: HyperPair) -> InvertibilityReport:
@@ -305,7 +313,7 @@ def pair_invertible(pair: HyperPair) -> InvertibilityReport:
         )
     dom = pair.domain
     tol = dom.tol if not dom.is_exact else 0.0
-    for (t, k), g in _factor_slices(pair, inv_blocks).items():
+    for (t, k), g in _factor_slices(inv_blocks, flat.m, flat.n).items():
         violation = _rank_one_violation(g, tol)
         if violation is not None:
             return InvertibilityReport(
@@ -324,27 +332,23 @@ def _factor_rank_one(g: Matrix, tol):
     its first nonzero entry (scanning columns ascending) is one."""
     dom = g.domain
     m, n = g.shape
-    j_star = None
-    i_star = None
-    for j in range(n):
-        for i in range(m):
-            if not dom.is_zero(g[i, j]):
-                j_star, i_star = j, i
-                break
-        if j_star is not None:
-            break
-    if j_star is None:
+    v = g.data
+    column_order = (i * n + j for j in range(n) for i in range(m))
+    star = next((idx for idx in column_order if not dom.is_zero(v[idx])), None)
+    if star is None:
         return [dom.zero()] * m, [dom.zero()] * n
-    anchor = g[i_star, j_star]
-    c = [g[i, j_star] for i in range(m)]
-    d = [dom.div(g[i_star, j], anchor) for j in range(n)]
+    i_star, j_star = divmod(star, n)
+    anchor = v[star]
+    c = v[j_star::n]
+    d = [dom.div(x, anchor) for x in v[i_star * n : (i_star + 1) * n]]
     for i in range(m):
         for j in range(n):
             prod = dom.mul(c[i], d[j])
+            gij = v[i * n + j]
             if dom.is_exact:
-                ok = dom.eq(prod, g[i, j])
+                ok = dom.eq(prod, gij)
             else:
-                ok = abs(prod - g[i, j]) <= tol * (1.0 + abs(prod) + abs(g[i, j]))
+                ok = abs(prod - gij) <= tol * (1.0 + abs(prod) + abs(gij))
             if not ok:
                 raise FactorabilityError(
                     f"entries do not factor: position ({i},{j})",
@@ -370,9 +374,9 @@ def recover_outer_inverse(pair: HyperPair) -> OuterInversePair:
             f"flattening block {bad} is singular; pair not invertible", block=bad
         )
     tol = dom.tol if not dom.is_exact else 0.0
-    c_entries = {}
-    d_entries = {}
-    for (t, k), g in _factor_slices(pair, inv_blocks).items():
+    c_data = [None] * (m * p * p)
+    d_data = [None] * (p * n * p)
+    for (t, k), g in _factor_slices(inv_blocks, m, n).items():
         try:
             c_vec, d_vec = _factor_rank_one(g, tol)
         except FactorabilityError as exc:
@@ -382,35 +386,24 @@ def recover_outer_inverse(pair: HyperPair) -> OuterInversePair:
                 minor=exc.minor,
             ) from exc
         for i in range(m):
-            c_entries[(i, t, k)] = c_vec[i]
+            c_data[(i * p + t) * p + k] = c_vec[i]
         for j in range(n):
-            d_entries[(t, j, k)] = d_vec[j]
-    c = Hypermatrix.from_function(
-        (m, p, p), dom, lambda i, t, k: c_entries[(i, t, k)]
+            d_data[(t * n + j) * p + k] = d_vec[j]
+    return OuterInversePair(
+        Hypermatrix((m, p, p), c_data, dom), Hypermatrix((p, n, p), d_data, dom)
     )
-    d = Hypermatrix.from_function(
-        (p, n, p), dom, lambda t, j, k: d_entries[(t, j, k)]
-    )
-    return OuterInversePair(c, d)
 
 
 def unit_probe_basis(m, n, p, domain):
     """All m*n*p unit hypermatrices; by linearity of the sandwich in X,
     passing on this basis is passing on every X."""
-    probes = []
+    size = m * n * p
     one, zero = domain.one(), domain.zero()
-    for i in range(m):
-        for j in range(n):
-            for k in range(p):
-                probes.append(
-                    Hypermatrix.from_function(
-                        (m, n, p),
-                        domain,
-                        lambda a, b, c, i=i, j=j, k=k: one
-                        if (a, b, c) == (i, j, k)
-                        else zero,
-                    )
-                )
+    probes = []
+    for idx in range(size):
+        data = [zero] * size
+        data[idx] = one
+        probes.append(Hypermatrix((m, n, p), data, domain))
     return probes
 
 

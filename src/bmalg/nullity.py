@@ -12,10 +12,11 @@ leg slices until the completed pair is invertible.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
-from .core import Hypermatrix, Matrix, complete_to_basis, echelon
+from .core import Hypermatrix, Matrix, complete_to_basis
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -25,6 +26,10 @@ from .errors import (
 from .inverse import (
     HyperPair,
     OuterInversePair,
+    _factor_slices,
+    _inverse_blocks,
+    _rank_one_violation,
+    flatten,
     pair_invertible,
     recover_outer_inverse,
 )
@@ -190,13 +195,10 @@ class NullityCertificate:
 
 def _slice_is_zero(g: Hypermatrix, k, tol_scale=0.0):
     dom = g.domain
-    m, n, _ = g.shape
+    depth = g.data[k :: g.shape[2]]
     if dom.is_exact:
-        return all(
-            dom.is_zero(g[i, j, k]) for i in range(m) for j in range(n)
-        )
-    dev = sum(abs(g[i, j, k]) ** 2 for i in range(m) for j in range(n)) ** 0.5
-    return dev <= tol_scale
+        return all(map(dom.is_zero, depth))
+    return sum(abs(v) ** 2 for v in depth) ** 0.5 <= tol_scale
 
 
 def hyper_nullity_sufficiency(
@@ -256,15 +258,16 @@ def _pad_triple(d: DecompositionTriple, p) -> DecompositionTriple:
     return DecompositionTriple(x0, x1, x2, d.support)
 
 
-def _completion_candidates(m, n, p, unused, domain, retries, exhaustive_budget, seed):
+def _completion_candidates(m, n, p, unused, domain, retries, exhaustive, seed):
     """Yield (u_fill, w_fill) dictionaries: per unused slice index, the
     column slice for the first leg (m x p values) and the row slice for
     the third leg (n x p values).
 
-    Order: the identity pattern first; over small prime fields every
-    assignment in lexicographic order; otherwise seeded uniform-style
-    random slices (constant along the free index), which keep the
-    flattening inverse factorable whenever anything does.
+    Order: the identity pattern first (the given legs alone when no
+    slice is unused); with ``exhaustive`` every assignment over GF(q) in
+    lexicographic order; otherwise seeded uniform-style random slices
+    (constant along the free index), which keep the flattening inverse
+    factorable whenever anything does.
     """
     one, zero = domain.one(), domain.zero()
     ident_u = {
@@ -278,27 +281,25 @@ def _completion_candidates(m, n, p, unused, domain, retries, exhaustive_budget, 
     yield ident_u, ident_w
     if not unused:
         return
-    if domain.kind == "gf":
-        digits = len(unused) * p * (m + n)
-        if domain.q**digits <= exhaustive_budget:
-            q = domain.q
-            per_u = m * p
-            per_w = n * p
-            for flat in itertools.product(range(q), repeat=len(unused) * (per_u + per_w)):
-                u_fill, w_fill = {}, {}
-                off = 0
-                for t in unused:
-                    u_fill[t] = [
-                        list(flat[off + i * p : off + (i + 1) * p]) for i in range(m)
-                    ]
-                    off += per_u
-                for t in unused:
-                    w_fill[t] = [
-                        list(flat[off + j * p : off + (j + 1) * p]) for j in range(n)
-                    ]
-                    off += per_w
-                yield u_fill, w_fill
-            return
+    if exhaustive:
+        q = domain.q
+        per_u = m * p
+        per_w = n * p
+        for flat in itertools.product(range(q), repeat=len(unused) * (per_u + per_w)):
+            u_fill, w_fill = {}, {}
+            off = 0
+            for t in unused:
+                u_fill[t] = [
+                    list(flat[off + i * p : off + (i + 1) * p]) for i in range(m)
+                ]
+                off += per_u
+            for t in unused:
+                w_fill[t] = [
+                    list(flat[off + j * p : off + (j + 1) * p]) for j in range(n)
+                ]
+                off += per_w
+            yield u_fill, w_fill
+        return
     rng = random.Random(seed)
     for _ in range(retries):
         u_fill, w_fill = {}, {}
@@ -358,36 +359,31 @@ def hyper_nullity_necessity(
             )
     unused = [t for t in range(p) if t not in s]
     zero_set = tuple(unused)
-    # a zero support column in some flattening block can never be fixed
-    # by completing the unused slices: reject such decompositions early
-    for i in range(m):
-        for j in range(n):
-            for t_sup in s:
-                col = [
-                    dom.mul(d.x0[i, t_sup, t], d.x2[t_sup, j, t]) for t in range(p)
-                ]
-                if all(dom.is_zero(v) for v in col):
-                    raise CompletionError(
-                        f"flattening block ({i},{j}) has a structurally zero "
-                        f"support column {t_sup}; no completion is invertible"
-                    )
+    # column t of flattening block (i, j) reads only slice t of both legs,
+    # so a zero support column can never be fixed by completing the
+    # unused slices: reject such decompositions early
+    for idx, block in enumerate(flatten(HyperPair(d.x0, d.x2)).blocks):
+        for t_sup in s:
+            if all(map(dom.is_zero, block.data[t_sup::p])):
+                i, j = divmod(idx, n)
+                raise CompletionError(
+                    f"flattening block ({i},{j}) has a structurally zero "
+                    f"support column {t_sup}; no completion is invertible"
+                )
+    exhaustive = (
+        dom.kind == "gf" and dom.q ** (len(unused) * p * (m + n)) <= exhaustive_budget
+    )
     for u_fill, w_fill in _completion_candidates(
-        m, n, p, unused, dom, retries, exhaustive_budget, seed
+        m, n, p, unused, dom, retries, exhaustive, seed
     ):
-        u = Hypermatrix.from_function(
-            (m, p, p),
-            dom,
-            lambda i, t, k: d.x0[i, t, k]
-            if t in s
-            else dom.coerce(u_fill[t][i][k]),
-        )
-        w = Hypermatrix.from_function(
-            (p, n, p),
-            dom,
-            lambda t, j, k: d.x2[t, j, k]
-            if t in s
-            else dom.coerce(w_fill[t][j][k]),
-        )
+        u_data, w_data = list(d.x0.data), list(d.x2.data)
+        for t in unused:
+            for i in range(m):
+                u_data[(i * p + t) * p : (i * p + t + 1) * p] = u_fill[t][i]
+            for j in range(n):
+                w_data[(t * n + j) * p : (t * n + j + 1) * p] = w_fill[t][j]
+        u = Hypermatrix((m, p, p), u_data, dom)
+        w = Hypermatrix((p, n, p), w_data, dom)
         candidate = HyperPair(u, w)
         if not pair_invertible(candidate):
             continue
@@ -415,10 +411,14 @@ def hyper_nullity_necessity(
             transposes_applied=transposes_applied,
             residual=residual,
         )
+    if not unused:
+        tried = "only the given legs, since no slice is unused"
+    elif exhaustive:
+        tried = "identity and every assignment of the unused slices"
+    else:
+        tried = f"identity and {retries} uniform-random completions"
     raise CompletionError(
-        "no invertible completion of the decomposition legs was found; "
-        f"tried identity, {'exhaustive, ' if dom.kind == 'gf' else ''}and "
-        f"{retries} uniform-random completions"
+        f"no invertible completion of the decomposition legs was found; tried {tried}"
     )
 
 
@@ -444,9 +444,11 @@ _ACTION_CACHE = {}
 def _invertible_actions(m, n, p, domain, budget):
     """All distinct invertible-pair actions over a small prime field.
 
-    Enumerates every (X0, X1) candidate in integer form, keeps those
-    whose flattening blocks are all invertible with rank-one inverse
-    slices, and dedupes by the block tuple (which determines the
+    Enumerates every (X0, X1) candidate in integer form and keeps those
+    that pass the test of ``inverse.pair_invertible``: every flattening
+    block inverts (``Matrix.inverse``) and no inverse slice has a nonzero
+    2x2 minor (``inverse._rank_one_violation``).  Accepted
+    candidates are deduped by the block tuple (which determines the
     action).  Returns a list of (blocks, flat0, flat1); cached per
     signature.
     """
@@ -459,61 +461,49 @@ def _invertible_actions(m, n, p, domain, budget):
     key = (m, n, p, q)
     if key in _ACTION_CACHE:
         return _ACTION_CACHE[key]
-    flat1_all = list(itertools.product(range(q), repeat=p * n * p))
-    unit_rows = [[1 if s == t else 0 for s in range(p)] for t in range(p)]
+    # block (i, j) depends only on the data of X0[i, :, :] and X1[:, j, :]:
+    # flatten and invert each distinct pair of those once per call
+    inverses = {}
+
+    def block_inverse(row, col):
+        pair = HyperPair(
+            Hypermatrix((1, p, p), row, domain), Hypermatrix((p, 1, p), col, domain)
+        )
+        flat = flatten(pair)
+        inv, _ = _inverse_blocks(flat)
+        return tuple(flat.blocks[0].data), inv[0] if inv else None
+
+    def invertible_blocks(rows, cols):
+        """The block tuple and inverses, or None at the first singular block."""
+        blocks, inv_blocks = [], []
+        for row in rows:
+            for col in cols:
+                found = inverses.get((row, col))
+                if found is None:
+                    found = inverses[row, col] = block_inverse(row, col)
+                if found[1] is None:
+                    return None
+                blocks.append(found[0])
+                inv_blocks.append(found[1])
+        return tuple(blocks), inv_blocks
+
+    legs1 = [
+        (flat1, [tuple(flat1[(s * n + j) * p + t] for s in range(p) for t in range(p))
+                 for j in range(n)])
+        for flat1 in itertools.product(range(q), repeat=p * n * p)
+    ]
     actions = {}
-    pairs_idx = list(itertools.product(range(m), range(n)))
     for flat0 in itertools.product(range(q), repeat=m * p * p):
-        for flat1 in flat1_all:
-            blocks = []
-            singular = False
-            inverses = []
-            for i, j in pairs_idx:
-                rows = [
-                    [
-                        (flat0[(i * p + s) * p + t] * flat1[(s * n + j) * p + t]) % q
-                        for s in range(p)
-                    ]
-                    for t in range(p)
-                ]
-                aug = [row + unit for row, unit in zip(rows, unit_rows)]
-                if len(echelon(aug, p, domain)[0]) < p:
-                    singular = True
-                    break
-                blocks.append(tuple(v for row in rows for v in row))
-                # full rank puts pivot t in row t; scale it to one
-                inv_rows = []
-                for t, row in enumerate(aug):
-                    f = pow(row[t], q - 2, q)
-                    inv_rows.append([v * f % q for v in row[p:]])
-                inverses.append(inv_rows)
-            if singular:
+        rows = [flat0[i * p * p : (i + 1) * p * p] for i in range(m)]
+        for flat1, cols in legs1:
+            found = invertible_blocks(rows, cols)
+            if found is None or found[0] in actions:
                 continue
-            blocks = tuple(blocks)
-            if blocks in actions:
-                continue
-            # rank-one factorability of every inverse slice
-            factorable = True
-            for t in range(p):
-                if not factorable:
-                    break
-                for k in range(p):
-                    g = [
-                        [inverses[i * n + j][k][t] for j in range(n)]
-                        for i in range(m)
-                    ]
-                    for i0 in range(m):
-                        for i1 in range(i0 + 1, m):
-                            for j0 in range(n):
-                                for j1 in range(j0 + 1, n):
-                                    if (
-                                        g[i0][j0] * g[i1][j1]
-                                        - g[i0][j1] * g[i1][j0]
-                                    ) % q:
-                                        factorable = False
-                    if not factorable:
-                        break
-            if factorable:
+            blocks, inv_blocks = found
+            if all(
+                _rank_one_violation(g, 0.0) is None
+                for g in _factor_slices(inv_blocks, m, n).values()
+            ):
                 actions[blocks] = (flat0, flat1)
     out = [(blocks, f0, f1) for blocks, (f0, f1) in actions.items()]
     _ACTION_CACHE[key] = out
@@ -530,23 +520,17 @@ def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS)
     m, n, p = oriented.shape
     q = dom.q
     av = oriented.data
+    fibers = [av[ij * p : (ij + 1) * p] for ij in range(m * n)]
     best = None
     for blocks, flat0, flat1 in _invertible_actions(m, n, p, dom, budget):
+        # entry (i, j, k) of the action is row k of block (i, j) times the
+        # input fiber at (i, j)
         zero_slices = []
         for k in range(p):
-            ok = True
-            for i in range(m):
-                if not ok:
+            for fij, fiber in zip(blocks, fibers):
+                if sum(map(operator.mul, fij[k * p : (k + 1) * p], fiber)) % q:
                     break
-                for j in range(n):
-                    fij = blocks[i * n + j]
-                    acc = 0
-                    for s_idx in range(p):
-                        acc += fij[k * p + s_idx] * av[(i * n + j) * p + s_idx]
-                    if acc % q:
-                        ok = False
-                        break
-            if ok:
+            else:
                 zero_slices.append(k)
         if best is None or len(zero_slices) > len(best[1]):
             best = ((flat0, flat1), zero_slices)

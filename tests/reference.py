@@ -7,8 +7,11 @@ went through ``bmalg.core.echelon``, the per-scalar ternary products
 that ``bmalg.products`` used before its array kernel, and the
 hand-expanded slice-reduction hypothesis check that ``bmalg.rank``
 used before it compared the products of the original and rewritten
-legs.  The bodies are kept as they were; the former ``Matrix`` methods
-take the matrix as an explicit first argument.
+legs, and the inverse-pair layer of ``bmalg.inverse`` as it was before
+its flattening blocks and inverse slices were read from the flat data
+(entry by entry through ``from_function``).  The bodies are kept as
+they were; the former ``Matrix`` methods take the matrix as an
+explicit first argument.
 """
 
 import itertools
@@ -17,8 +20,15 @@ from bmalg.core import Hypermatrix, Matrix
 from bmalg.errors import (
     BudgetExceededError,
     ConformabilityError,
+    FactorabilityError,
     ReductionHypothesisError,
     ShapeError,
+)
+from bmalg.inverse import (
+    FlatteningMatrix,
+    HyperPair,
+    InvertibilityReport,
+    OuterInversePair,
 )
 from bmalg.products import bm_product, conformability
 
@@ -488,3 +498,185 @@ def check_reduction_hypothesis(x0, x1, x2, rewrite):
             f"hypothesis deviation {dev:.3e} exceeds tolerance", k=None, entry=None
         )
     return dev
+
+
+# -- former entry-wise inverse-pair layer (inverse) -----------------------------
+
+
+def flatten(pair: HyperPair) -> FlatteningMatrix:
+    m, n, p = pair.dims
+    dom = pair.domain
+    blocks = []
+    for i in range(m):
+        for j in range(n):
+            blocks.append(
+                Matrix.from_function(
+                    p,
+                    p,
+                    dom,
+                    lambda t, s, i=i, j=j: dom.mul(pair.a[i, s, t], pair.b[s, j, t]),
+                )
+            )
+    return FlatteningMatrix(m=m, n=n, p=p, blocks=blocks)
+
+
+def _rank_one_violation(g: Matrix, tol):
+    """First nonzero 2x2 minor of g, or None when rank <= 1."""
+    dom = g.domain
+    m, n = g.shape
+    for i0 in range(m):
+        for i1 in range(i0 + 1, m):
+            for j0 in range(n):
+                for j1 in range(j0 + 1, n):
+                    t1 = dom.mul(g[i0, j0], g[i1, j1])
+                    t2 = dom.mul(g[i0, j1], g[i1, j0])
+                    minor = dom.sub(t1, t2)
+                    if dom.is_exact:
+                        bad = not dom.is_zero(minor)
+                    else:
+                        bad = abs(minor) > tol * (1.0 + abs(t1) + abs(t2))
+                    if bad:
+                        return (i0, i1, j0, j1)
+    return None
+
+
+def _inverse_blocks(flat: FlatteningMatrix):
+    """Per-block inverses; (None, (i, j)) on the first singular block."""
+    inv = []
+    for i in range(flat.m):
+        for j in range(flat.n):
+            blk = flat.block(i, j)
+            dom = blk.domain
+            try:
+                candidate = blk.inverse()
+            except ZeroDivisionError:
+                return None, (i, j)
+            if not dom.is_exact:
+                check = blk.matmul(candidate)
+                if check.max_deviation(Matrix.identity(flat.p, dom)) > max(
+                    dom.tol, 1e-12
+                ) * 1e3 * (1.0 + blk.norm()):
+                    return None, (i, j)
+            inv.append(candidate)
+    return inv, None
+
+
+def _factor_slices(pair: HyperPair, inv_blocks):
+    """The m x n matrices G_{t,k}[i,j] = block(i,j)^{-1}[k, t]."""
+    m, n, p = pair.dims
+    dom = pair.domain
+    out = {}
+    for t in range(p):
+        for k in range(p):
+            out[(t, k)] = Matrix.from_function(
+                m, n, dom, lambda i, j, t=t, k=k: inv_blocks[i * n + j][k, t]
+            )
+    return out
+
+
+def pair_invertible(pair: HyperPair) -> InvertibilityReport:
+    """Decide membership in the hypermatrix general linear set.
+
+    True iff every flattening block has nonzero determinant and, for
+    every (t, k), the m x n matrix of inverse-block entries
+    G_{t,k}[i,j] = F^{-1}_{(i,j)}[k,t] is rank one or zero.  The
+    diagnostics name the first singular block or the first nonzero
+    2x2 minor of a failing G_{t,k}.
+    """
+    flat = flatten(pair)
+    inv_blocks, bad = _inverse_blocks(flat)
+    if inv_blocks is None:
+        return InvertibilityReport(
+            invertible=False,
+            reason=f"flattening block {bad} is singular",
+            singular_block=bad,
+        )
+    dom = pair.domain
+    tol = dom.tol if not dom.is_exact else 0.0
+    for (t, k), g in _factor_slices(pair, inv_blocks).items():
+        violation = _rank_one_violation(g, tol)
+        if violation is not None:
+            return InvertibilityReport(
+                invertible=False,
+                reason=(
+                    f"inverse-block slice (t={t}, k={k}) is not rank one: "
+                    f"nonzero minor at rows {violation[:2]}, cols {violation[2:]}"
+                ),
+                bad_minor={"t": t, "k": k, "indices": list(violation)},
+            )
+    return InvertibilityReport(invertible=True)
+
+
+def _factor_rank_one(g: Matrix, tol):
+    """Factor a rank-<=1 matrix as (c_i) x (d_j), d gauge-normalized so
+    its first nonzero entry (scanning columns ascending) is one."""
+    dom = g.domain
+    m, n = g.shape
+    j_star = None
+    i_star = None
+    for j in range(n):
+        for i in range(m):
+            if not dom.is_zero(g[i, j]):
+                j_star, i_star = j, i
+                break
+        if j_star is not None:
+            break
+    if j_star is None:
+        return [dom.zero()] * m, [dom.zero()] * n
+    anchor = g[i_star, j_star]
+    c = [g[i, j_star] for i in range(m)]
+    d = [dom.div(g[i_star, j], anchor) for j in range(n)]
+    for i in range(m):
+        for j in range(n):
+            prod = dom.mul(c[i], d[j])
+            if dom.is_exact:
+                ok = dom.eq(prod, g[i, j])
+            else:
+                ok = abs(prod - g[i, j]) <= tol * (1.0 + abs(prod) + abs(g[i, j]))
+            if not ok:
+                raise FactorabilityError(
+                    f"entries do not factor: position ({i},{j})",
+                    minor=(i, j),
+                )
+    return c, d
+
+
+def recover_outer_inverse(pair: HyperPair) -> OuterInversePair:
+    """Recover (C, D) from the inverse flattening blocks.
+
+    Each slice G_{t,k} factors as C[:,t,k] x D[t,:,k]; the gauge scale
+    cancels in every product C[i,t,k] D[t,j,k], which is all the
+    sandwich identity sees, so the fixed first-nonzero-d convention is
+    harmless.  Raises FactorabilityError when a slice is not rank one.
+    """
+    m, n, p = pair.dims
+    dom = pair.domain
+    flat = flatten(pair)
+    inv_blocks, bad = _inverse_blocks(flat)
+    if inv_blocks is None:
+        raise FactorabilityError(
+            f"flattening block {bad} is singular; pair not invertible", block=bad
+        )
+    tol = dom.tol if not dom.is_exact else 0.0
+    c_entries = {}
+    d_entries = {}
+    for (t, k), g in _factor_slices(pair, inv_blocks).items():
+        try:
+            c_vec, d_vec = _factor_rank_one(g, tol)
+        except FactorabilityError as exc:
+            raise FactorabilityError(
+                f"slice (t={t}, k={k}) is not rank one; pair not invertible",
+                block=(t, k),
+                minor=exc.minor,
+            ) from exc
+        for i in range(m):
+            c_entries[(i, t, k)] = c_vec[i]
+        for j in range(n):
+            d_entries[(t, j, k)] = d_vec[j]
+    c = Hypermatrix.from_function(
+        (m, p, p), dom, lambda i, t, k: c_entries[(i, t, k)]
+    )
+    d = Hypermatrix.from_function(
+        (p, n, p), dom, lambda t, j, k: d_entries[(t, j, k)]
+    )
+    return OuterInversePair(c, d)

@@ -1,13 +1,19 @@
 """The benchmark tracer (``benchmarks/tracing.py``) must install on the
 library as it stands: it patches the methods it lists in each class's
-own namespace, the JSON codec included.  The tracer is only imported."""
+own namespace, the JSON codec included, and it rebinds the functions
+it lists in the module namespaces that hold them, so each traced layer
+keeps a span.  The tracer is only imported."""
 
+import importlib
+import random
 import sys
 from pathlib import Path
 
-from bmalg import core
+from bmalg import core, inverse
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.scalars import gf, rational
+
+nullity_module = importlib.import_module("bmalg.nullity")
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 if str(BENCHMARKS) not in sys.path:
@@ -32,3 +38,27 @@ def test_tracer_installs_and_times_the_codec():
         assert dict(vars(cls)) == namespace
     assert Hypermatrix.from_json(h.to_json()).equals(h)
     assert core.Matrix.from_json(m.to_json()).equals(m)
+
+
+def test_tracer_spans_every_inverse_and_nullity_function():
+    pair = inverse.random_pair(2, 2, 2, gf(7), random.Random(3))
+    h = Hypermatrix((2, 2, 2), [1, 0, 0, 1, 1, 1, 0, 1], gf(2))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert inverse.pair_invertible(pair)
+        recovered = inverse.recover_outer_inverse(pair)
+        probes = inverse.unit_probe_basis(2, 2, 2, gf(7))
+        assert inverse.sandwich_check(pair, recovered, probes) == 0.0
+        via_rank = nullity_module.nullity(h, strategy="via-rank")
+        direct = nullity_module.nullity_direct_search(h)
+    finally:
+        tracer.uninstall()
+    assert via_rank.nullity == direct.nullity
+    entries = [
+        entry for entry, *_ in tracing.FUNCTIONS
+        if entry.startswith(("inverse.", "nullity."))
+    ]
+    assert len(entries) == 7
+    for entry in entries:
+        assert tracer.entry(entry)[0] > 0, entry

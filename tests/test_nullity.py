@@ -6,7 +6,7 @@ import pytest
 
 from bmalg import scalars
 from bmalg.core import Hypermatrix, Matrix
-from bmalg.errors import BudgetExceededError, CertificateError
+from bmalg.errors import BudgetExceededError, CertificateError, CompletionError
 from bmalg.inverse import pair_invertible, random_pair, scaling_inverse
 from bmalg.nullity import (
     MatrixDecomposition,
@@ -225,6 +225,50 @@ def test_hyper_necessity_degenerate_support_slice():
     d = DecompositionTriple(x0, x1, x2, (0,))
     with pytest.raises(CertificateError):
         hyper_nullity_necessity(d.reconstruct(), d)
+
+
+def gf_triple(q, x0, x1, x2, support):
+    dom = scalars.gf(q)
+    legs = (Hypermatrix((2, 2, 2), data, dom) for data in (x0, x1, x2))
+    return DecompositionTriple(*legs, support)
+
+
+def test_hyper_necessity_structurally_zero_support_column():
+    # X0[0, 1, :] = 0, so column 1 of flattening block (0, 0) is zero
+    # whatever the unused slices are completed with
+    legs = [1, 1, 0, 0, 1, 1, 1, 1]
+    d = gf_triple(2, legs, legs, legs, (0, 1))
+    with pytest.raises(CompletionError) as info:
+        hyper_nullity_necessity(d.reconstruct(), d)
+    assert str(info.value) == (
+        "flattening block (0,0) has a structurally zero support column 1; "
+        "no completion is invertible"
+    )
+
+
+@pytest.mark.parametrize(
+    "q, legs, support, tried",
+    [
+        # every block of the all-ones legs is singular and no slice is
+        # unused, so the given legs are the only candidate
+        (2, ([1] * 8, [1] * 8, [1] * 8), (0, 1),
+         "only the given legs, since no slice is unused"),
+        # GF(7)^8 completions exceed the exhaustive budget
+        (7, ([1, 6, 3, 3, 4, 1, 2, 1], [5, 1, 6, 3, 2, 0, 3, 6],
+             [4, 5, 0, 1, 5, 5, 6, 2]), (0,),
+         "identity and 32 uniform-random completions"),
+    ],
+)
+def test_hyper_necessity_no_invertible_completion_names_what_was_tried(
+    q, legs, support, tried
+):
+    d = gf_triple(q, *legs, support)
+    with pytest.raises(CompletionError) as info:
+        hyper_nullity_necessity(d.reconstruct(), d)
+    assert str(info.value) == (
+        "no invertible completion of the decomposition legs was found; "
+        f"tried {tried}"
+    )
 
 
 def test_hyper_round_trip_scaled_uniform():
