@@ -12,9 +12,11 @@ the factorization recovers (C, D) explicitly.
 This module is the one statement of that criterion: :func:`flatten`
 builds the blocks, :func:`_inverse_blocks` inverts them and
 :func:`_rank_one_violation` tests the inverse slices of
-:func:`_factor_slices`.  The direct-search nullity
-(``nullity._invertible_actions``) calls the same block construction,
-``Matrix.inverse`` and rank-one test for each candidate pair.
+:func:`_factor_slices`.  The nullity module tests its candidate pairs
+(the direct-search actions and the necessity completions) through one
+memoised block test, ``nullity._invertible_blocks``, which calls the
+same block construction and inversion, followed by the same rank-one
+test.
 """
 
 from __future__ import annotations
@@ -87,6 +89,28 @@ class OuterInversePair:
         return {"C": self.c.to_json(), "D": self.d.to_json(), "gauge": self.gauge}
 
 
+def _scaling_positions(m, n, p):
+    """Flat positions of A[i, t, t] (row-major over (i, t)) and of
+    B[t, j, t] (row-major over (t, j)): the support of a scaling pair."""
+    return (
+        [idx * p + idx % p for idx in range(m * p)],
+        [idx * p + idx // n for idx in range(p * n)],
+    )
+
+
+def _scaling_legs(alpha_data, beta_data, m, n, p, dom):
+    """The (m, p, p) and (p, n, p) legs carrying the flat entries of
+    alpha and beta on the scaling support, zero elsewhere."""
+    a_at, b_at = _scaling_positions(m, n, p)
+    zero = dom.zero()
+    a, b = [zero] * (m * p * p), [zero] * (p * n * p)
+    for at, v in zip(a_at, alpha_data):
+        a[at] = v
+    for at, v in zip(b_at, beta_data):
+        b[at] = v
+    return Hypermatrix((m, p, p), a, dom), Hypermatrix((p, n, p), b, dom)
+
+
 def scaling_pair(alpha: Matrix, beta: Matrix) -> HyperPair:
     """The entry-scaling family: A[i,t,k] = alpha[i,t] on t == k,
     B[t,j,k] = beta[t,j] on t == k, zero off the diagonal pattern.
@@ -108,14 +132,7 @@ def scaling_pair(alpha: Matrix, beta: Matrix) -> HyperPair:
     for idx, v in enumerate(beta.data):
         if dom.is_zero(v):
             raise ZeroDivisionError(f"beta entry {idx} is zero")
-    zero = dom.zero()
-    a = Hypermatrix.from_function(
-        (m, p, p), dom, lambda i, t, k: alpha[i, t] if t == k else zero
-    )
-    b = Hypermatrix.from_function(
-        (p, n, p), dom, lambda t, j, k: beta[t, j] if t == k else zero
-    )
-    return HyperPair(a, b)
+    return HyperPair(*_scaling_legs(alpha.data, beta.data, m, n, p, dom))
 
 
 def extract_scaling(pair: HyperPair):
@@ -123,34 +140,19 @@ def extract_scaling(pair: HyperPair):
     pattern is violated or a diagonal entry vanishes."""
     m, n, p = pair.dims
     dom = pair.domain
-    for i in range(m):
-        for t in range(p):
-            for k in range(p):
-                v = pair.a[i, t, k]
-                if t == k:
-                    if dom.is_zero(v):
-                        raise ZeroDivisionError(
-                            f"scaling pattern needs nonzero A[{i},{t},{t}]"
-                        )
-                elif not dom.is_zero(v):
-                    raise ShapeError(
-                        f"not a scaling pair: A[{i},{t},{k}] is nonzero off pattern"
-                    )
-    for t in range(p):
-        for j in range(n):
-            for k in range(p):
-                v = pair.b[t, j, k]
-                if t == k:
-                    if dom.is_zero(v):
-                        raise ZeroDivisionError(
-                            f"scaling pattern needs nonzero B[{t},{j},{t}]"
-                        )
-                elif not dom.is_zero(v):
-                    raise ShapeError(
-                        f"not a scaling pair: B[{t},{j},{k}] is nonzero off pattern"
-                    )
-    alpha = Matrix.from_function(m, p, dom, lambda i, t: pair.a[i, t, t])
-    beta = Matrix.from_function(p, n, dom, lambda t, j: pair.b[t, j, t])
+    a_at, b_at = _scaling_positions(m, n, p)
+    # scan A, then B, in flat order for the first entry off the pattern
+    for name, leg, support in (("A", pair.a, a_at), ("B", pair.b, b_at)):
+        on = set(support)
+        _, e1, e2 = leg.shape
+        for idx, v in enumerate(leg.data):
+            if (idx in on) == dom.is_zero(v):
+                at = f"{name}[{idx // (e1 * e2)},{idx // e2 % e1},{idx % e2}]"
+                if idx in on:
+                    raise ZeroDivisionError(f"scaling pattern needs nonzero {at}")
+                raise ShapeError(f"not a scaling pair: {at} is nonzero off pattern")
+    alpha = Matrix((m, p), [pair.a.data[at] for at in a_at], dom)
+    beta = Matrix((p, n), [pair.b.data[at] for at in b_at], dom)
     return alpha, beta
 
 
@@ -159,12 +161,9 @@ def scaling_inverse(pair: HyperPair) -> OuterInversePair:
     alpha, beta = extract_scaling(pair)
     dom = pair.domain
     m, n, p = pair.dims
-    zero = dom.zero()
-    c = Hypermatrix.from_function(
-        (m, p, p), dom, lambda i, t, k: dom.inv(alpha[i, t]) if t == k else zero
-    )
-    d = Hypermatrix.from_function(
-        (p, n, p), dom, lambda t, j, k: dom.inv(beta[t, j]) if t == k else zero
+    c, d = _scaling_legs(
+        [dom.inv(v) for v in alpha.data], [dom.inv(v) for v in beta.data],
+        m, n, p, dom,
     )
     return OuterInversePair(c, d, gauge=SCALING_PATTERN)
 

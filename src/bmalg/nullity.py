@@ -6,12 +6,17 @@ of Prod(X0, A, X1) over invertible pairs (X0, X1).  Sufficiency turns a
 pair exhibiting z zero slices into a (p - z)-term decomposition through
 the pair's outer inverse; necessity turns an r-term decomposition into
 a certificate pair exhibiting p - r zero slices, completing the unused
-leg slices until the completed pair is invertible.
+leg slices until the completed pair is invertible.  Over GF(q) the
+via-rank nullity climbs the term counts once: the first level with a
+decomposition is the rank, the first that completes gives the nullity.
+Completions and the direct-search candidates share one memoised
+flattening-block test, :func:`_invertible_blocks`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -36,7 +41,6 @@ from .inverse import (
 from .products import identity_pair
 from .rank import (
     DecompositionTriple,
-    bm_rank_exhaustive,
     iter_bm_decompositions,
     rank_upper_min,
 )
@@ -233,6 +237,45 @@ def hyper_nullity_sufficiency(
     return triple
 
 
+def _col_slices(flat1, n, p):
+    """The slices X1[:, j, :] of a (p, n, p) leg's flat data, each in
+    (s, t) order, one tuple per j."""
+    return [
+        tuple(flat1[(s * n + j) * p + t] for s in range(p) for t in range(p))
+        for j in range(n)
+    ]
+
+
+def _invertible_blocks(rows, cols, memo, domain):
+    """The flattening blocks of a pair, row-major over (i, j), and their
+    inverses; None at the first singular block.
+
+    ``rows`` holds the flat slices X0[i, :, :] and ``cols`` the slices
+    X1[:, j, :] of :func:`_col_slices`, as tuples.  Block (i, j) depends
+    only on rows[i] and cols[j], so each distinct pair of them is
+    flattened and inverted once per ``memo``.
+    """
+    blocks, inv_blocks = [], []
+    for row in rows:
+        for col in cols:
+            found = memo.get((row, col))
+            if found is None:
+                p = math.isqrt(len(row))
+                flat = flatten(HyperPair(
+                    Hypermatrix((1, p, p), row, domain),
+                    Hypermatrix((p, 1, p), col, domain),
+                ))
+                inv, _ = _inverse_blocks(flat)
+                found = memo[row, col] = (
+                    tuple(flat.blocks[0].data), inv[0] if inv else None
+                )
+            if found[1] is None:
+                return None
+            blocks.append(found[0])
+            inv_blocks.append(found[1])
+    return tuple(blocks), inv_blocks
+
+
 def _pad_triple(d: DecompositionTriple, p) -> DecompositionTriple:
     if d.ell == p:
         return d
@@ -246,76 +289,73 @@ def _pad_triple(d: DecompositionTriple, p) -> DecompositionTriple:
     n = d.x1.shape[1]
     zero = dom.zero()
     ell = d.ell
-    x0 = Hypermatrix.from_function(
-        (m, p, p), dom, lambda i, t, k: d.x0[i, t, k] if t < ell else zero
-    )
-    x1 = Hypermatrix.from_function(
-        (m, n, p), dom, lambda i, j, t: d.x1[i, j, t] if t < ell else zero
-    )
-    x2 = Hypermatrix.from_function(
-        (p, n, p), dom, lambda t, j, k: d.x2[t, j, k] if t < ell else zero
-    )
+
+    def pad(leg, shape, run):
+        # each run of entries over slices 0..ell-1 is followed by the
+        # zero entries of slices ell..p-1
+        data = []
+        for start in range(0, len(leg.data), run):
+            data += leg.data[start : start + run]
+            data += [zero] * (run // ell * (p - ell))
+        return Hypermatrix(shape, data, dom)
+
+    x0 = pad(d.x0, (m, p, p), ell * p)
+    x1 = pad(d.x1, (m, n, p), ell)
+    x2 = pad(d.x2, (p, n, p), ell * n * p)
     return DecompositionTriple(x0, x1, x2, d.support)
 
 
-def _completion_candidates(m, n, p, unused, domain, retries, exhaustive, seed):
-    """Yield (u_fill, w_fill) dictionaries: per unused slice index, the
-    column slice for the first leg (m x p values) and the row slice for
-    the third leg (n x p values).
+def _completion_candidates(x0, x2, unused, exhaustive, seed):
+    """Yield the flat data (u_data, w_data) of the legs ``x0`` and ``x2``
+    with their unused slices completed: per unused t, the column slice
+    U[:, t, :] (m x p values) and the row slice W[t, :, :] (n x p values).
 
     Order: the identity pattern first (the given legs alone when no
     slice is unused); with ``exhaustive`` every assignment over GF(q) in
-    lexicographic order; otherwise seeded uniform-style random slices
-    (constant along the free index), which keep the flattening inverse
-    factorable whenever anything does.
+    lexicographic order, all first-leg digits before all third-leg
+    digits; otherwise seeded uniform-style random slices (constant along
+    the free index), which keep the flattening inverse factorable
+    whenever anything does.
     """
+    m, p, _ = x0.shape
+    n = x2.shape[1]
+    domain = x0.domain
+    # where the p values of each U[i, t, :], then of each W[t, j, :], go
+    u_at = [(i * p + t) * p for t in unused for i in range(m)]
+    w_at = [(t * n + j) * p for t in unused for j in range(n)]
+
+    def splice(rows):
+        u_data, w_data = list(x0.data), list(x2.data)
+        for at, row in zip(u_at, rows):
+            u_data[at : at + p] = row
+        for at, row in zip(w_at, rows[len(u_at) :]):
+            w_data[at : at + p] = row
+        return u_data, w_data
+
     one, zero = domain.one(), domain.zero()
-    ident_u = {
-        t: [[one if t == k else zero for k in range(p)] for _ in range(m)]
-        for t in unused
-    }
-    ident_w = {
-        t: [[one if t == k else zero for k in range(p)] for _ in range(n)]
-        for t in unused
-    }
-    yield ident_u, ident_w
+    units = [[one if t == k else zero for k in range(p)] for t in unused]
+    yield splice([e for e in units for _ in range(m)]
+                 + [e for e in units for _ in range(n)])
     if not unused:
         return
     if exhaustive:
-        q = domain.q
-        per_u = m * p
-        per_w = n * p
-        for flat in itertools.product(range(q), repeat=len(unused) * (per_u + per_w)):
-            u_fill, w_fill = {}, {}
-            off = 0
-            for t in unused:
-                u_fill[t] = [
-                    list(flat[off + i * p : off + (i + 1) * p]) for i in range(m)
-                ]
-                off += per_u
-            for t in unused:
-                w_fill[t] = [
-                    list(flat[off + j * p : off + (j + 1) * p]) for j in range(n)
-                ]
-                off += per_w
-            yield u_fill, w_fill
+        for flat in itertools.product(
+            range(domain.q), repeat=len(unused) * (m + n) * p
+        ):
+            yield splice([flat[at : at + p] for at in range(0, len(flat), p)])
         return
     rng = random.Random(seed)
-    for _ in range(retries):
-        u_fill, w_fill = {}, {}
-        for t in unused:
-            row = [domain.random_nonzero(rng) for _ in range(p)]
-            u_fill[t] = [list(row) for _ in range(m)]
-            row_w = [domain.random_nonzero(rng) for _ in range(p)]
-            w_fill[t] = [list(row_w) for _ in range(n)]
-        yield u_fill, w_fill
+    for _ in range(DEFAULT_COMPLETION_RETRIES):
+        u_rows, w_rows = [], []
+        for _ in unused:
+            u_rows += [[domain.random_nonzero(rng) for _ in range(p)]] * m
+            w_rows += [[domain.random_nonzero(rng) for _ in range(p)]] * n
+        yield splice(u_rows + w_rows)
 
 
 def hyper_nullity_necessity(
     a: Hypermatrix,
     decomp: DecompositionTriple,
-    retries=DEFAULT_COMPLETION_RETRIES,
-    exhaustive_budget=DEFAULT_EXHAUSTIVE_COMPLETIONS,
     seed=0,
     strategy_label="via-rank",
     transposes_applied=0,
@@ -324,9 +364,12 @@ def hyper_nullity_necessity(
     exhibiting p - r zero depth slices.
 
     The unused column slices of the first leg and row slices of the
-    third leg are completed until the completed pair is invertible; its
-    recovered outer inverse is the certificate pair, which maps ``a``
-    to the (zero-padded) middle leg.  Completion failure is surfaced as
+    third leg are completed until the completed pair is invertible,
+    each completion tested by the memoised block test
+    :func:`_invertible_blocks` and the rank-one test of its inverse
+    slices; the recovered outer inverse of the first invertible
+    completion is the certificate pair, which maps ``a`` to the
+    (zero-padded) middle leg.  Completion failure is surfaced as
     CompletionError, never silently accepted.
     """
     m, n, p = a.shape
@@ -371,23 +414,22 @@ def hyper_nullity_necessity(
                     f"support column {t_sup}; no completion is invertible"
                 )
     exhaustive = (
-        dom.kind == "gf" and dom.q ** (len(unused) * p * (m + n)) <= exhaustive_budget
+        dom.kind == "gf"
+        and dom.q ** (len(unused) * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
     )
-    for u_fill, w_fill in _completion_candidates(
-        m, n, p, unused, dom, retries, exhaustive, seed
-    ):
-        u_data, w_data = list(d.x0.data), list(d.x2.data)
-        for t in unused:
-            for i in range(m):
-                u_data[(i * p + t) * p : (i * p + t + 1) * p] = u_fill[t][i]
-            for j in range(n):
-                w_data[(t * n + j) * p : (t * n + j + 1) * p] = w_fill[t][j]
+    tol = 0.0 if dom.is_exact else dom.tol
+    memo = {}
+    for u_data, w_data in _completion_candidates(d.x0, d.x2, unused, exhaustive, seed):
+        rows = [tuple(u_data[i * p * p : (i + 1) * p * p]) for i in range(m)]
+        found = _invertible_blocks(rows, _col_slices(w_data, n, p), memo, dom)
+        if found is None or any(
+            _rank_one_violation(g, tol) is not None
+            for g in _factor_slices(found[1], m, n).values()
+        ):
+            continue
         u = Hypermatrix((m, p, p), u_data, dom)
         w = Hypermatrix((p, n, p), w_data, dom)
-        candidate = HyperPair(u, w)
-        if not pair_invertible(candidate):
-            continue
-        certificate_pair_inv = recover_outer_inverse(candidate)
+        certificate_pair_inv = recover_outer_inverse(HyperPair(u, w))
         cert_pair = HyperPair(certificate_pair_inv.c, certificate_pair_inv.d)
         if not pair_invertible(cert_pair):
             continue
@@ -416,7 +458,7 @@ def hyper_nullity_necessity(
     elif exhaustive:
         tried = "identity and every assignment of the unused slices"
     else:
-        tried = f"identity and {retries} uniform-random completions"
+        tried = f"identity and {DEFAULT_COMPLETION_RETRIES} uniform-random completions"
     raise CompletionError(
         f"no invertible completion of the decomposition legs was found; tried {tried}"
     )
@@ -446,11 +488,11 @@ def _invertible_actions(m, n, p, domain, budget):
 
     Enumerates every (X0, X1) candidate in integer form and keeps those
     that pass the test of ``inverse.pair_invertible``: every flattening
-    block inverts (``Matrix.inverse``) and no inverse slice has a nonzero
-    2x2 minor (``inverse._rank_one_violation``).  Accepted
-    candidates are deduped by the block tuple (which determines the
-    action).  Returns a list of (blocks, flat0, flat1); cached per
-    signature.
+    block inverts (:func:`_invertible_blocks`, memoised per call) and no
+    inverse slice has a nonzero 2x2 minor
+    (``inverse._rank_one_violation``).  Accepted candidates are deduped
+    by the block tuple (which determines the action).  Returns a list of
+    (blocks, flat0, flat1); cached per signature.
     """
     q = domain.q
     digits = m * p * p + p * n * p
@@ -461,42 +503,16 @@ def _invertible_actions(m, n, p, domain, budget):
     key = (m, n, p, q)
     if key in _ACTION_CACHE:
         return _ACTION_CACHE[key]
-    # block (i, j) depends only on the data of X0[i, :, :] and X1[:, j, :]:
-    # flatten and invert each distinct pair of those once per call
-    inverses = {}
-
-    def block_inverse(row, col):
-        pair = HyperPair(
-            Hypermatrix((1, p, p), row, domain), Hypermatrix((p, 1, p), col, domain)
-        )
-        flat = flatten(pair)
-        inv, _ = _inverse_blocks(flat)
-        return tuple(flat.blocks[0].data), inv[0] if inv else None
-
-    def invertible_blocks(rows, cols):
-        """The block tuple and inverses, or None at the first singular block."""
-        blocks, inv_blocks = [], []
-        for row in rows:
-            for col in cols:
-                found = inverses.get((row, col))
-                if found is None:
-                    found = inverses[row, col] = block_inverse(row, col)
-                if found[1] is None:
-                    return None
-                blocks.append(found[0])
-                inv_blocks.append(found[1])
-        return tuple(blocks), inv_blocks
-
+    memo = {}
     legs1 = [
-        (flat1, [tuple(flat1[(s * n + j) * p + t] for s in range(p) for t in range(p))
-                 for j in range(n)])
+        (flat1, _col_slices(flat1, n, p))
         for flat1 in itertools.product(range(q), repeat=p * n * p)
     ]
     actions = {}
     for flat0 in itertools.product(range(q), repeat=m * p * p):
         rows = [flat0[i * p * p : (i + 1) * p * p] for i in range(m)]
         for flat1, cols in legs1:
-            found = invertible_blocks(rows, cols)
+            found = _invertible_blocks(rows, cols, memo, domain)
             if found is None or found[0] in actions:
                 continue
             blocks, inv_blocks = found
@@ -570,23 +586,21 @@ def nullity(
     a: Hypermatrix,
     strategy="via-rank",
     budget=DEFAULT_EXHAUSTIVE_COMPLETIONS,
-    decomposition: DecompositionTriple | None = None,
-    attempts=DEFAULT_DECOMPOSITION_ATTEMPTS,
     seed=0,
-    **pipeline_opts,
 ) -> NullityCertificate:
     """Compute a nullity certificate for ``a``.
 
-    "via-rank" converts a rank certificate: exhaustive exact rank over
-    GF(q) (retrying across decompositions until one admits an
-    invertible completion), the numeric reduction pipeline over complex
-    doubles (for any shape: it starts from the identity-pair
-    decomposition), or a caller-provided decomposition; over the rationals
-    without one, only the zero depth slices of the input itself are
-    certified (there is no exact rational rank oracle here, so this is
-    a lower bound).  "direct-search" is the exhaustive oracle over tiny
-    prime fields.  ``budget`` caps every exhaustive enumeration either
-    strategy runs over GF(q).
+    "via-rank" converts a rank certificate: over GF(q) the exhaustive
+    decompositions of each term count from one up, whose first level is
+    the exact rank (retrying across decompositions and levels until one
+    admits an invertible completion); over complex doubles the numeric
+    reduction pipeline (for any shape: it starts from the identity-pair
+    decomposition); over the rationals only the zero depth slices of the
+    input itself are certified (there is no exact rational rank oracle
+    here, so this is a lower bound).  "direct-search" is the exhaustive
+    oracle over tiny prime fields.  ``budget`` caps every exhaustive
+    enumeration either strategy runs over GF(q).  A caller that already
+    holds a decomposition calls :func:`hyper_nullity_necessity`.
     """
     oriented, tcount = orient_depth_min(a)
     m, n, p = oriented.shape
@@ -597,54 +611,44 @@ def nullity(
         raise ValueError(f"unknown strategy {strategy!r}")
     if oriented.is_zero():
         return _zero_pair_certificate(oriented, tcount)
-    if decomposition is not None:
-        return hyper_nullity_necessity(
-            oriented, decomposition, seed=seed, transposes_applied=tcount
-        )
     if dom.kind == "gf":
-        cert = bm_rank_exhaustive(oriented, budget=budget)
-        r = cert.r
         # The rank-to-nullity transfer needs a decomposition whose legs
         # admit an invertible completion.  Over a tiny finite field that
         # can fail at the exact rank (no genericity to lean on), in which
         # case the true nullity is smaller: climb through the term counts
         # until a completion exists.  A pair achieving z zero slices
         # always yields a completable (p - z)-term decomposition, so the
-        # first level that completes matches the exhaustive oracle.
-        for r_level in range(max(r, 1), p + 1):
-            if r_level == p:
-                full = rank_upper_min(oriented)
-                out = hyper_nullity_necessity(
-                    oriented, full.triple, seed=seed, transposes_applied=tcount
-                )
-                out.strategy = f"via-rank (rank {r}, transfer level {r_level})"
-                return out
-            tried = 0
-            found = None
-            for triple in iter_bm_decompositions(
+        # first level that completes matches the exhaustive oracle.  The
+        # same climb finds the rank: it is the first level that yields a
+        # decomposition at all, and p when no level below p does.
+        r = None
+        for r_level in range(1, p):
+            decompositions = iter_bm_decompositions(
                 oriented, r_level, budget=budget, all_solutions=True
-            ):
-                tried += 1
-                if tried > attempts:
+            )
+            for tried, triple in enumerate(decompositions, 1):
+                if r is None:
+                    r = r_level
+                if tried > DEFAULT_DECOMPOSITION_ATTEMPTS:
                     break
                 try:
                     found = hyper_nullity_necessity(
                         oriented, triple, seed=seed, transposes_applied=tcount
                     )
-                    break
                 except CompletionError:
                     continue
-            if found is not None:
                 found.strategy = f"via-rank (rank {r}, transfer level {r_level})"
                 return found
-        raise CompletionError(
-            f"no decomposition at any term count r..{p} admitted an "
-            "invertible completion"
+        found = hyper_nullity_necessity(
+            oriented, rank_upper_min(oriented).triple, seed=seed,
+            transposes_applied=tcount,
         )
+        found.strategy = f"via-rank (rank {r or p}, transfer level {p})"
+        return found
     if dom.kind == "complex":
         from .rank import generic_rank_pipeline
 
-        cert = generic_rank_pipeline(oriented, seed=seed, **pipeline_opts)
+        cert = generic_rank_pipeline(oriented, seed=seed)
         return hyper_nullity_necessity(
             oriented, cert.triple, seed=seed, transposes_applied=tcount
         )

@@ -59,33 +59,15 @@ class DecompositionTriple:
             keep = set(support)
             dom = self.x0.domain
             zero = dom.zero()
-            object.__setattr__(
-                self,
-                "x0",
-                Hypermatrix.from_function(
-                    self.x0.shape,
-                    dom,
-                    lambda i, t, k: self.x0[i, t, k] if t in keep else zero,
-                ),
-            )
-            object.__setattr__(
-                self,
-                "x1",
-                Hypermatrix.from_function(
-                    self.x1.shape,
-                    dom,
-                    lambda i, j, t: self.x1[i, j, t] if t in keep else zero,
-                ),
-            )
-            object.__setattr__(
-                self,
-                "x2",
-                Hypermatrix.from_function(
-                    self.x2.shape,
-                    dom,
-                    lambda t, j, k: self.x2[t, j, k] if t in keep else zero,
-                ),
-            )
+            # slice t of a leg holds the flat entries with
+            # idx // stride % ell == t
+            for name, stride in (("x0", n2), ("x1", 1), ("x2", n1 * n2)):
+                leg = getattr(self, name)
+                data = [
+                    v if idx // stride % ell in keep else zero
+                    for idx, v in enumerate(leg.data)
+                ]
+                object.__setattr__(self, name, Hypermatrix(leg.shape, data, dom))
 
     @property
     def ell(self):

@@ -7,18 +7,26 @@ went through ``bmalg.core.echelon``, the per-scalar ternary products
 that ``bmalg.products`` used before its array kernel, and the
 hand-expanded slice-reduction hypothesis check that ``bmalg.rank``
 used before it compared the products of the original and rewritten
-legs, and the inverse-pair layer of ``bmalg.inverse`` as it was before
+legs, the inverse-pair layer of ``bmalg.inverse`` as it was before
 its flattening blocks and inverse slices were read from the flat data
-(entry by entry through ``from_function``).  The bodies are kept as
-they were; the former ``Matrix`` methods take the matrix as an
-explicit first argument.
+(entry by entry through ``from_function``), and the via-rank nullity of
+``bmalg.nullity`` as it was before its transfer loop found the rank
+itself and its completions shared the direct search's block test.  The
+bodies are kept as they were; the former ``Matrix`` methods take the
+matrix as an explicit first argument, and the nullity copies import
+the rank pipeline from ``bmalg.rank`` instead of relatively.  The
+nullity copies run on the entry-wise inverse-pair layer above, which
+the inverse-layer tests hold equal to ``bmalg.inverse``.
 """
 
 import itertools
+import random
 
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.errors import (
     BudgetExceededError,
+    CertificateError,
+    CompletionError,
     ConformabilityError,
     FactorabilityError,
     ReductionHypothesisError,
@@ -30,7 +38,23 @@ from bmalg.inverse import (
     InvertibilityReport,
     OuterInversePair,
 )
-from bmalg.products import bm_product, conformability
+from bmalg.nullity import (
+    DEFAULT_COMPLETION_RETRIES,
+    DEFAULT_DECOMPOSITION_ATTEMPTS,
+    DEFAULT_EXHAUSTIVE_COMPLETIONS,
+    NullityCertificate,
+    _slice_is_zero,
+    _zero_pair_certificate,
+    nullity_direct_search,
+    orient_depth_min,
+)
+from bmalg.products import bm_product, conformability, identity_pair
+from bmalg.rank import (
+    DecompositionTriple,
+    bm_rank_exhaustive,
+    iter_bm_decompositions,
+    rank_upper_min,
+)
 
 
 # -- former Matrix elimination methods ----------------------------------------
@@ -680,3 +704,294 @@ def recover_outer_inverse(pair: HyperPair) -> OuterInversePair:
         (p, n, p), dom, lambda t, j, k: d_entries[(t, j, k)]
     )
     return OuterInversePair(c, d)
+
+
+# -- former via-rank nullity (nullity) ---------------------------------------
+
+
+def _pad_triple(d: DecompositionTriple, p) -> DecompositionTriple:
+    if d.ell == p:
+        return d
+    if d.ell > p:
+        raise ShapeError(
+            f"decomposition has contracted dimension {d.ell} above the depth "
+            f"extent {p}; transpose-reduce first"
+        )
+    dom = d.x0.domain
+    m = d.x0.shape[0]
+    n = d.x1.shape[1]
+    zero = dom.zero()
+    ell = d.ell
+    x0 = Hypermatrix.from_function(
+        (m, p, p), dom, lambda i, t, k: d.x0[i, t, k] if t < ell else zero
+    )
+    x1 = Hypermatrix.from_function(
+        (m, n, p), dom, lambda i, j, t: d.x1[i, j, t] if t < ell else zero
+    )
+    x2 = Hypermatrix.from_function(
+        (p, n, p), dom, lambda t, j, k: d.x2[t, j, k] if t < ell else zero
+    )
+    return DecompositionTriple(x0, x1, x2, d.support)
+
+
+def _completion_candidates(m, n, p, unused, domain, retries, exhaustive, seed):
+    """Yield (u_fill, w_fill) dictionaries: per unused slice index, the
+    column slice for the first leg (m x p values) and the row slice for
+    the third leg (n x p values).
+
+    Order: the identity pattern first (the given legs alone when no
+    slice is unused); with ``exhaustive`` every assignment over GF(q) in
+    lexicographic order; otherwise seeded uniform-style random slices
+    (constant along the free index), which keep the flattening inverse
+    factorable whenever anything does.
+    """
+    one, zero = domain.one(), domain.zero()
+    ident_u = {
+        t: [[one if t == k else zero for k in range(p)] for _ in range(m)]
+        for t in unused
+    }
+    ident_w = {
+        t: [[one if t == k else zero for k in range(p)] for _ in range(n)]
+        for t in unused
+    }
+    yield ident_u, ident_w
+    if not unused:
+        return
+    if exhaustive:
+        q = domain.q
+        per_u = m * p
+        per_w = n * p
+        for flat in itertools.product(range(q), repeat=len(unused) * (per_u + per_w)):
+            u_fill, w_fill = {}, {}
+            off = 0
+            for t in unused:
+                u_fill[t] = [
+                    list(flat[off + i * p : off + (i + 1) * p]) for i in range(m)
+                ]
+                off += per_u
+            for t in unused:
+                w_fill[t] = [
+                    list(flat[off + j * p : off + (j + 1) * p]) for j in range(n)
+                ]
+                off += per_w
+            yield u_fill, w_fill
+        return
+    rng = random.Random(seed)
+    for _ in range(retries):
+        u_fill, w_fill = {}, {}
+        for t in unused:
+            row = [domain.random_nonzero(rng) for _ in range(p)]
+            u_fill[t] = [list(row) for _ in range(m)]
+            row_w = [domain.random_nonzero(rng) for _ in range(p)]
+            w_fill[t] = [list(row_w) for _ in range(n)]
+        yield u_fill, w_fill
+
+
+def hyper_nullity_necessity(
+    a: Hypermatrix,
+    decomp: DecompositionTriple,
+    retries=DEFAULT_COMPLETION_RETRIES,
+    exhaustive_budget=DEFAULT_EXHAUSTIVE_COMPLETIONS,
+    seed=0,
+    strategy_label="via-rank",
+    transposes_applied=0,
+) -> NullityCertificate:
+    """From an r-term decomposition of ``a`` build a certificate pair
+    exhibiting p - r zero depth slices.
+
+    The unused column slices of the first leg and row slices of the
+    third leg are completed until the completed pair is invertible; its
+    recovered outer inverse is the certificate pair, which maps ``a``
+    to the (zero-padded) middle leg.  Completion failure is surfaced as
+    CompletionError, never silently accepted.
+    """
+    m, n, p = a.shape
+    if p != min(a.shape):
+        raise ShapeError(
+            f"necessity expects the depth extent to be minimal, shape {a.shape}"
+        )
+    dom = a.domain
+    d = _pad_triple(decomp, p)
+    rec = d.reconstruct()
+    tol_scale = 0.0 if dom.is_exact else dom.tol * (1.0 + a.norm()) * 1e3
+    if dom.is_exact:
+        if not rec.equals(a):
+            raise CertificateError("decomposition does not reconstruct the input")
+    elif rec.sub(a).norm() > tol_scale:
+        raise CertificateError(
+            f"decomposition residual {rec.sub(a).norm():.3e} too large"
+        )
+    s = d.support
+    for t in s:
+        term_zero = (
+            all(dom.is_zero(d.x1[i, j, t]) for i in range(m) for j in range(n))
+            or all(dom.is_zero(d.x0[i, t, k]) for i in range(m) for k in range(p))
+            or all(dom.is_zero(d.x2[t, j, k]) for j in range(n) for k in range(p))
+        )
+        if term_zero:
+            raise CertificateError(
+                f"support term {t} is degenerate (a zero slice); the "
+                "certificate overstates the rank"
+            )
+    unused = [t for t in range(p) if t not in s]
+    zero_set = tuple(unused)
+    # column t of flattening block (i, j) reads only slice t of both legs,
+    # so a zero support column can never be fixed by completing the
+    # unused slices: reject such decompositions early
+    for idx, block in enumerate(flatten(HyperPair(d.x0, d.x2)).blocks):
+        for t_sup in s:
+            if all(map(dom.is_zero, block.data[t_sup::p])):
+                i, j = divmod(idx, n)
+                raise CompletionError(
+                    f"flattening block ({i},{j}) has a structurally zero "
+                    f"support column {t_sup}; no completion is invertible"
+                )
+    exhaustive = (
+        dom.kind == "gf" and dom.q ** (len(unused) * p * (m + n)) <= exhaustive_budget
+    )
+    for u_fill, w_fill in _completion_candidates(
+        m, n, p, unused, dom, retries, exhaustive, seed
+    ):
+        u_data, w_data = list(d.x0.data), list(d.x2.data)
+        for t in unused:
+            for i in range(m):
+                u_data[(i * p + t) * p : (i * p + t + 1) * p] = u_fill[t][i]
+            for j in range(n):
+                w_data[(t * n + j) * p : (t * n + j + 1) * p] = w_fill[t][j]
+        u = Hypermatrix((m, p, p), u_data, dom)
+        w = Hypermatrix((p, n, p), w_data, dom)
+        candidate = HyperPair(u, w)
+        if not pair_invertible(candidate):
+            continue
+        certificate_pair_inv = recover_outer_inverse(candidate)
+        cert_pair = HyperPair(certificate_pair_inv.c, certificate_pair_inv.d)
+        if not pair_invertible(cert_pair):
+            continue
+        g = cert_pair.act(a)
+        bad = [
+            k for k in zero_set if not _slice_is_zero(g, k, max(tol_scale, dom.tol))
+        ]
+        if bad:
+            if dom.is_exact:
+                raise CertificateError(
+                    f"substitution broke the identity at slices {bad}"
+                )
+            continue
+        residual = None if dom.is_exact else g.sub(d.x1).norm() / (1.0 + a.norm())
+        return NullityCertificate(
+            pair=cert_pair,
+            outer_inverse=OuterInversePair(u, w, gauge="completed-legs"),
+            zero_set=zero_set,
+            nullity=len(zero_set),
+            strategy=strategy_label,
+            transposes_applied=transposes_applied,
+            residual=residual,
+        )
+    if not unused:
+        tried = "only the given legs, since no slice is unused"
+    elif exhaustive:
+        tried = "identity and every assignment of the unused slices"
+    else:
+        tried = f"identity and {retries} uniform-random completions"
+    raise CompletionError(
+        f"no invertible completion of the decomposition legs was found; tried {tried}"
+    )
+
+
+def nullity(
+    a: Hypermatrix,
+    strategy="via-rank",
+    budget=DEFAULT_EXHAUSTIVE_COMPLETIONS,
+    decomposition: DecompositionTriple | None = None,
+    attempts=DEFAULT_DECOMPOSITION_ATTEMPTS,
+    seed=0,
+    **pipeline_opts,
+) -> NullityCertificate:
+    """Compute a nullity certificate for ``a``.
+
+    "via-rank" converts a rank certificate: exhaustive exact rank over
+    GF(q) (retrying across decompositions until one admits an
+    invertible completion), the numeric reduction pipeline over complex
+    doubles (for any shape: it starts from the identity-pair
+    decomposition), or a caller-provided decomposition; over the rationals
+    without one, only the zero depth slices of the input itself are
+    certified (there is no exact rational rank oracle here, so this is
+    a lower bound).  "direct-search" is the exhaustive oracle over tiny
+    prime fields.  ``budget`` caps every exhaustive enumeration either
+    strategy runs over GF(q).
+    """
+    oriented, tcount = orient_depth_min(a)
+    m, n, p = oriented.shape
+    dom = a.domain
+    if strategy == "direct-search":
+        return nullity_direct_search(a, budget=budget)
+    if strategy != "via-rank":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if oriented.is_zero():
+        return _zero_pair_certificate(oriented, tcount)
+    if decomposition is not None:
+        return hyper_nullity_necessity(
+            oriented, decomposition, seed=seed, transposes_applied=tcount
+        )
+    if dom.kind == "gf":
+        cert = bm_rank_exhaustive(oriented, budget=budget)
+        r = cert.r
+        # The rank-to-nullity transfer needs a decomposition whose legs
+        # admit an invertible completion.  Over a tiny finite field that
+        # can fail at the exact rank (no genericity to lean on), in which
+        # case the true nullity is smaller: climb through the term counts
+        # until a completion exists.  A pair achieving z zero slices
+        # always yields a completable (p - z)-term decomposition, so the
+        # first level that completes matches the exhaustive oracle.
+        for r_level in range(max(r, 1), p + 1):
+            if r_level == p:
+                full = rank_upper_min(oriented)
+                out = hyper_nullity_necessity(
+                    oriented, full.triple, seed=seed, transposes_applied=tcount
+                )
+                out.strategy = f"via-rank (rank {r}, transfer level {r_level})"
+                return out
+            tried = 0
+            found = None
+            for triple in iter_bm_decompositions(
+                oriented, r_level, budget=budget, all_solutions=True
+            ):
+                tried += 1
+                if tried > attempts:
+                    break
+                try:
+                    found = hyper_nullity_necessity(
+                        oriented, triple, seed=seed, transposes_applied=tcount
+                    )
+                    break
+                except CompletionError:
+                    continue
+            if found is not None:
+                found.strategy = f"via-rank (rank {r}, transfer level {r_level})"
+                return found
+        raise CompletionError(
+            f"no decomposition at any term count r..{p} admitted an "
+            "invertible completion"
+        )
+    if dom.kind == "complex":
+        from bmalg.rank import generic_rank_pipeline
+
+        cert = generic_rank_pipeline(oriented, seed=seed, **pipeline_opts)
+        return hyper_nullity_necessity(
+            oriented, cert.triple, seed=seed, transposes_applied=tcount
+        )
+    # rational: certify the visible zero depth slices through the
+    # identity-pair decomposition restricted to the nonzero ones
+    j0, j1 = identity_pair(m, n, p, dom)
+    support = tuple(
+        k
+        for k in range(p)
+        if not all(
+            dom.is_zero(oriented[i, j, k]) for i in range(m) for j in range(n)
+        )
+    )
+    triple = DecompositionTriple(j0, oriented, j1, support)
+    return hyper_nullity_necessity(
+        oriented, triple, seed=seed, transposes_applied=tcount,
+        strategy_label="via-rank (zero-slice lower bound)",
+    )

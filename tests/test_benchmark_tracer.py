@@ -62,3 +62,17 @@ def test_tracer_spans_every_inverse_and_nullity_function():
     assert len(entries) == 7
     for entry in entries:
         assert tracer.entry(entry)[0] > 0, entry
+
+
+def test_traced_via_rank_runs_one_decomposition_search():
+    """Over GF(q) the via-rank transfer loop finds the rank itself: it
+    enumerates decompositions and runs no separate exact rank search."""
+    h = Hypermatrix((2, 2, 2), [1, 0, 0, 1, 1, 1, 0, 1], gf(2))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        nullity_module.nullity(h, strategy="via-rank")
+    finally:
+        tracer.uninstall()
+    assert tracer.entry("rank.iter_bm_decompositions")[0] > 0
+    assert tracer.entry("rank.bm_rank_exhaustive")[0] == 0

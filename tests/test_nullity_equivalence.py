@@ -1,0 +1,125 @@
+"""The via-rank nullity and the necessity transfer give the same
+certificates as the former code kept in ``reference``: the same
+sorted-key JSON, or the same exception type and message."""
+
+import importlib
+import itertools
+import json
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference as ref
+from bmalg import scalars
+from bmalg.core import Hypermatrix
+from bmalg.rank import DecompositionTriple
+
+nullity_module = importlib.import_module("bmalg.nullity")
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return json.dumps(fn(*args, **kwargs).to_json(), sort_keys=True)
+    except Exception as exc:  # the exception is part of the behaviour
+        return (type(exc).__name__, str(exc))
+
+
+def assert_same_nullity(a, **kwargs):
+    got = outcome(nullity_module.nullity, a, **kwargs)
+    assert got == outcome(ref.nullity, a, **kwargs)
+    return got
+
+
+def test_via_rank_matches_reference_on_every_gf2_2x2x2():
+    dom = scalars.gf(2)
+    for bits in itertools.product(range(2), repeat=8):
+        assert_same_nullity(Hypermatrix((2, 2, 2), list(bits), dom))
+
+
+SMALL_SHAPES = [
+    (1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 3, 2), (2, 2, 2), (2, 3, 2),
+    (3, 2, 2),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([3, 5]),
+    st.sampled_from(SMALL_SHAPES),
+    st.integers(0, 10**6),
+)
+def test_via_rank_matches_reference_over_gf3_and_gf5(q, shape, seed):
+    a = Hypermatrix.random(shape, scalars.gf(q), random.Random(seed))
+    assert_same_nullity(a, seed=seed % 5)
+
+
+def test_rational_zero_slice_path_matches_reference():
+    rat = scalars.rational()
+    rng = random.Random(21)
+    for shape, zero_slices in [
+        ((2, 2, 2), (1,)),
+        ((3, 3, 2), (0,)),
+        ((3, 3, 3), (0, 2)),
+        ((2, 3, 4), ()),
+        ((3, 2, 2), (1,)),
+    ]:
+        a = Hypermatrix.random(shape, rat, rng, nonzero=True)
+        p = shape[2]
+        data = [
+            rat.zero() if idx % p in zero_slices else v
+            for idx, v in enumerate(a.data)
+        ]
+        got = assert_same_nullity(Hypermatrix(shape, data, rat))
+        assert isinstance(got, str)
+
+
+def test_complex_nullity_matches_reference():
+    cplx = scalars.complex_doubles()
+    for shape, seed in [((2, 2, 2), 1), ((2, 2, 2), 2), ((2, 3, 4), 3)]:
+        a = Hypermatrix.random(shape, cplx, random.Random(seed))
+        assert_same_nullity(a, seed=seed)
+
+
+def random_triple(rng, q, shape, ell, support, nonzero):
+    m, n, p = shape
+    dom = scalars.gf(q)
+    return DecompositionTriple(
+        Hypermatrix.random((m, ell, p), dom, rng, nonzero=nonzero),
+        Hypermatrix.random((m, n, ell), dom, rng, nonzero=nonzero),
+        Hypermatrix.random((ell, n, p), dom, rng, nonzero=nonzero),
+        support,
+    )
+
+
+def test_necessity_matches_reference_on_random_gf_triples():
+    """One- and two-term triples over GF(3), where (2, 2, 2) completions
+    are swept exhaustively, and over GF(7), where they are random;
+    failures (CompletionError, CertificateError) must match too."""
+    necessity = nullity_module.hyper_nullity_necessity
+    rng = random.Random(17)
+    kinds = set()
+    for q in (3, 7):
+        for shape, ell, support in [
+            ((2, 2, 2), 2, (0,)),
+            ((2, 2, 2), 2, (1,)),
+            ((2, 2, 2), 1, (0,)),
+            ((2, 2, 2), 2, (0, 1)),
+            ((2, 3, 2), 2, (1,)),
+            ((3, 3, 3), 2, (0, 1)),
+            ((3, 3, 3), 3, (2,)),
+        ]:
+            for nonzero in (True, True, False, False):
+                d = random_triple(rng, q, shape, ell, support, nonzero)
+                a = d.reconstruct()
+                for seed in (0, 3):
+                    got = outcome(necessity, a, d, seed=seed)
+                    assert got == outcome(ref.hyper_nullity_necessity, a, d, seed=seed)
+                    kinds.add(got[0] if isinstance(got, tuple) else "certificate")
+    assert {"certificate", "CompletionError"} <= kinds
+
+
+def test_over_budget_matches_reference():
+    a = Hypermatrix((2, 2, 2), [1, 0, 0, 1, 0, 1, 1, 0], scalars.gf(2))
+    got = assert_same_nullity(a, budget=10)
+    assert got[0] == "BudgetExceededError"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmalg import scalars
 from bmalg.core import Hypermatrix, Matrix
@@ -78,6 +80,36 @@ def test_normalization_zeroes_unsupported_slices():
     assert all(d.x2[1, j, k] == 0 for j in range(2) for k in range(2))
     # the normalized full product equals the supported sum
     assert bm_product(d.x0, d.x1, d.x2).equals(d.reconstruct())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([RAT, scalars.gf(3), CPLX]),
+    st.tuples(*[st.integers(1, 3)] * 4),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_normalization_matches_entrywise_definition(dom, extents, seed, data):
+    """Each leg x is replaced by x[., t, .] if t in the support else 0,
+    t being the leg's contracted index."""
+    n0, n1, n2, ell = extents
+    support = data.draw(st.sets(st.integers(0, ell - 1)))
+    rng = random.Random(seed)
+    x0 = Hypermatrix.random((n0, ell, n2), dom, rng)
+    x1 = Hypermatrix.random((n0, n1, ell), dom, rng)
+    x2 = Hypermatrix.random((ell, n1, n2), dom, rng)
+    d = DecompositionTriple(x0, x1, x2, tuple(support))
+    zero = dom.zero()
+    for got, leg, t_axis in ((d.x0, x0, 1), (d.x1, x1, 2), (d.x2, x2, 0)):
+        want = Hypermatrix.from_function(
+            leg.shape,
+            dom,
+            lambda *index, leg=leg, t_axis=t_axis: (
+                leg[index] if index[t_axis] in support else zero
+            ),
+        )
+        assert got.shape == want.shape
+        assert got.data == want.data
 
 
 @pytest.mark.parametrize(
