@@ -48,6 +48,7 @@ from .rank import (
     DecompositionTriple,
     RankCertificate,
     bm_rank_exhaustive,
+    bm_rank_one,
     cp_rank_exhaustive,
     delta_sum,
     delta_sum_certificate,

@@ -4,9 +4,19 @@ The rank of a hypermatrix is the minimum number of outer products that
 sum to it.  This module builds and checks the certificates: trivial
 min-extent upper bounds through the identity pair, slice-reduction
 rewrites that lower a decomposition's contracted dimension by one,
-numeric witnesses for the generic cubic bound, the 2x2x2
-hyperdeterminant, and exhaustive exact rank search over tiny prime
-fields (plain and CP-constrained).
+numeric witnesses for the generic cubic bound, the BM-rank-one test
+(whose 2x2x2 case is the hyperdeterminant), and exhaustive exact rank
+search over tiny prime fields (plain and CP-constrained).
+
+An all-nonzero B has BM rank at most one iff every multiplicative
+third difference vanishes,
+B[i,j,k] B[i,0,0] B[0,j,0] B[0,0,k] = B[0,0,0] B[i,j,0] B[i,0,k] B[0,j,k].
+The numeric pipeline uses this to stop at a proven bound: it drops an
+ell = 2 -> 1 pivot when the worst relative third difference d of the
+current product P exceeds (1 - E / min |P|)^-8 - 1, where E is the
+largest deviation the reduction check accepts at that pivot, because
+then no rewrite the check accepts exists (see
+:func:`generic_rank_pipeline`).
 """
 
 from __future__ import annotations
@@ -27,6 +37,13 @@ from .errors import (
 from .products import bm_product, delta_t, identity_pair, outer_product_at
 
 DEFAULT_RANK_BUDGET = 10_000_000
+
+# Over C the reduction check accepts a rewrite whose product deviation
+# is at most REDUCTION_ACCEPT * tol * scale, and reports the first entry
+# above REDUCTION_ENTRY * tol * scale; the pipeline's rank-one bound
+# reads the same factor.
+REDUCTION_ACCEPT = 100
+REDUCTION_ENTRY = 10
 
 
 @dataclass
@@ -308,9 +325,9 @@ def check_reduction_hypothesis(legs, reduced, tau):
     lhs = outer_product_at(*legs, tau)
     dev = diff.norm()
     scale = 1.0 + lhs.norm() + lhs.sub(diff).norm()
-    if dev > dom.tol * scale * 100:
+    if dev > dom.tol * scale * REDUCTION_ACCEPT:
         for k, i, j in cells:
-            if abs(diff[i, j, k]) > dom.tol * scale * 10:
+            if abs(diff[i, j, k]) > dom.tol * scale * REDUCTION_ENTRY:
                 raise ReductionHypothesisError(
                     f"hypothesis fails at depth {k}, entry ({i},{j}), "
                     f"deviation {abs(diff[i, j, k]):.3e}",
@@ -345,25 +362,36 @@ def hyper_slice_reduce(x0, x1, x2, rewrite: SliceRewriteData):
     if not (0 <= tau < ell):
         raise ShapeError(f"tau {tau} out of range")
     others = [t for t in range(ell) if t != tau]
-    us, vs = rewrite.us, rewrite.vs
-    new_x0 = Hypermatrix.from_function(
+    us = {t: [dom.coerce(c) for c in rewrite.us[t][:m]] for t in others}
+    vs = {t: [dom.coerce(c) for c in rewrite.vs[t][:n]] for t in others}
+    d0, d1, d2 = x0.data, x1.data, x2.data
+    # flat (i, t, k) of x0 is (i*ell + t)*p + k, (i, j, t) of x1 is
+    # (i*n + j)*ell + t and (t, j, k) of x2 is (t*n + j)*p + k; GF(q)
+    # results are reduced by the constructor
+    new_x0 = Hypermatrix(
         (m, ell - 1, p),
+        [
+            us[t][i] * d0[(i * ell + tau) * p + k] + d0[(i * ell + t) * p + k]
+            for i in range(m)
+            for t in others
+            for k in range(p)
+        ],
         dom,
-        lambda i, tn, k: dom.add(
-            dom.mul(dom.coerce(us[others[tn]][i]), x0[i, tau, k]),
-            x0[i, others[tn], k],
-        ),
     )
-    new_x1 = Hypermatrix.from_function(
-        (m, n, ell - 1), dom, lambda i, j, tn: x1[i, j, others[tn]]
+    new_x1 = Hypermatrix(
+        (m, n, ell - 1),
+        [d1[ij * ell + t] for ij in range(m * n) for t in others],
+        dom,
     )
-    new_x2 = Hypermatrix.from_function(
+    new_x2 = Hypermatrix(
         (ell - 1, n, p),
+        [
+            d2[(t * n + j) * p + k] + d2[(tau * n + j) * p + k] * vs[t][j]
+            for t in others
+            for j in range(n)
+            for k in range(p)
+        ],
         dom,
-        lambda tn, j, k: dom.add(
-            x2[others[tn], j, k],
-            dom.mul(x2[tau, j, k], dom.coerce(vs[others[tn]][j])),
-        ),
     )
     reduced = (new_x0, new_x1, new_x2)
     check_reduction_hypothesis((x0, x1, x2), reduced, tau)
@@ -498,19 +526,69 @@ def two_slice_witness(b: Hypermatrix, tau=1):
     return u, v
 
 
+def _third_difference(b: Hypermatrix, i, j, k):
+    """The two sides of the multiplicative third difference at (i, j, k),
+    L = (B[0,0,k] B[0,j,0]) (B[i,0,0] B[i,j,k]) and
+    R = (B[i,0,k] B[i,j,0]) (B[0,0,0] B[0,j,k]); L = R whenever B has
+    BM rank at most one."""
+    mul = b.domain.mul
+    return (
+        mul(mul(b[0, 0, k], b[0, j, 0]), mul(b[i, 0, 0], b[i, j, k])),
+        mul(mul(b[i, 0, k], b[i, j, 0]), mul(b[0, 0, 0], b[0, j, k])),
+    )
+
+
 def hyperdet_2x2x2(b: Hypermatrix):
-    """b001 b010 b100 b111 - b101 b110 b000 b011; vanishing characterizes
-    depth-slice diagonal dependence of an all-nonzero 2x2x2."""
+    """b001 b010 b100 b111 - b101 b110 b000 b011, the (1,1,1) third
+    difference L - R; vanishing characterizes depth-slice diagonal
+    dependence of an all-nonzero 2x2x2 (and BM rank at most one)."""
     if b.shape != (2, 2, 2):
         raise ShapeError(f"need a 2x2x2 hypermatrix, found {b.shape}")
+    return b.domain.sub(*_third_difference(b, 1, 1, 1))
+
+
+def bm_rank_one(b: Hypermatrix):
+    """BM-rank-one test of an all-nonzero hypermatrix, with its legs.
+
+    Returns ``(d, legs)``: d = max |L/R - 1| over the third differences
+    (0 for an empty maximum), with the trivial absolute value over GF(q)
+    (0 when L = R, else 1).  The identity holds when d = 0, over C when
+    d <= tol; then ``legs`` is the ell = 1 triple
+    x0[i,0,k] = B[i,0,k] B[0,0,0] / (B[i,0,0] B[0,0,k]),
+    x1[i,j,0] = B[i,j,0] and x2[0,j,k] = B[0,j,k] / B[0,j,0],
+    whose product is B; otherwise ``legs`` is None.  Raises
+    ZeroDivisionError on a zero entry (within tolerance over C).
+    """
     dom = b.domain
-    pos = dom.mul(
-        dom.mul(b[0, 0, 1], b[0, 1, 0]), dom.mul(b[1, 0, 0], b[1, 1, 1])
+    m, n, p = b.shape
+    for idx, v in enumerate(b.data):
+        if dom.is_zero(v):
+            raise ZeroDivisionError(
+                f"entry {idx} is zero within tolerance; input must be all-nonzero"
+            )
+    # cells with an index 0 hold trivially
+    d = 0.0 if dom.kind == "complex" else dom.zero()
+    for i in range(1, m):
+        for j in range(1, n):
+            for k in range(1, p):
+                lhs, rhs = _third_difference(b, i, j, k)
+                if dom.kind == "gf":
+                    dev = int(lhs != rhs)
+                else:
+                    dev = abs(dom.sub(dom.div(lhs, rhs), dom.one()))
+                d = max(d, dev)
+    if d > dom.tol:
+        return d, None
+    div, mul = dom.div, dom.mul
+    x0 = Hypermatrix.from_function(
+        (m, 1, p), dom,
+        lambda i, _, k: div(mul(b[i, 0, k], b[0, 0, 0]), mul(b[i, 0, 0], b[0, 0, k])),
     )
-    neg = dom.mul(
-        dom.mul(b[1, 0, 1], b[1, 1, 0]), dom.mul(b[0, 0, 0], b[0, 1, 1])
+    x1 = Hypermatrix.from_function((m, n, 1), dom, lambda i, j, _: b[i, j, 0])
+    x2 = Hypermatrix.from_function(
+        (1, n, p), dom, lambda _, j, k: div(b[0, j, k], b[0, j, 0])
     )
-    return dom.sub(pos, neg)
+    return d, (x0, x1, x2)
 
 
 def generic_rank_bound(n) -> int:
@@ -880,6 +958,44 @@ def triple_reduction_witness(
     )
 
 
+def _rank_one_out_of_reach(legs):
+    """Pivots tau of an ell = 2 triple for which no rewrite to ell = 1
+    can pass :func:`check_reduction_hypothesis`.
+
+    The check accepts a rewrite only when its product P1 satisfies
+    ||P - P1||_F <= E_tau = A tol (1 + 2 ||outer_product_at(legs, tau)||)
+    / (1 - A tol), where P is the product of ``legs`` and A is
+    REDUCTION_ACCEPT.  With mu = min |P| and delta = E_tau / mu < 1,
+    every entry of P1 is P (1 + eps) with |eps| <= delta, so P1 is
+    all-nonzero; having ell = 1 it has BM rank one and satisfies the
+    third-difference identity exactly.  Hence P's worst relative third
+    difference d is at most (1 - delta)^-8 - 1, and a larger d rules
+    the pivot out.  ``slack`` covers the rounding: about one ulp per
+    entry in the check's norms, a few in the ell = 1 product and in
+    the eight-fold products of d.
+    """
+    accept = REDUCTION_ACCEPT * legs[0].domain.tol
+    prod = bm_product(*legs)
+    mu = min(abs(v) for v in prod.data)
+    if accept >= 1.0 or mu == 0.0:
+        return set()
+    slack = (len(prod.data) + 16) * np.finfo(float).eps
+    d = None
+    out = set()
+    for t in range(2):
+        lhs_norm = outer_product_at(*legs, t).norm()
+        bound = accept * (1.0 + 2.0 * lhs_norm) / (1.0 - accept)
+        delta = bound / mu * (1.0 + slack) + slack
+        if delta >= 1.0:
+            continue
+        if d is None:
+            d, _ = bm_rank_one(prod)
+        limit = (1.0 - delta) ** -8 - 1.0
+        if d > limit * (1.0 + slack) + slack:
+            out.add(t)
+    return out
+
+
 def generic_rank_pipeline(
     b: Hypermatrix, tau=None, tol=None, restarts=50, iters=500, seed=0
 ) -> RankCertificate:
@@ -891,6 +1007,16 @@ def generic_rank_pipeline(
     a depth-slice witness (first step) or a general reduction witness
     (later steps) is found; stalls return the best certificate so far,
     residual included.
+
+    Before an ell = 2 -> 1 step (the first step on a depth-2 input) it
+    stops at a proven bound: it drops every pivot tau for which no
+    rewrite that :func:`check_reduction_hypothesis` accepts can exist.
+    Such a rewrite has a BM-rank-one product within E_tau, the check's
+    largest accepted deviation, of the current product P, so the pivot
+    is dropped when E_tau < mu = min |P| and P's worst relative third
+    difference exceeds (1 - E_tau / mu)^-8 - 1 (see
+    :func:`_rank_one_out_of_reach`).  No search that could succeed is
+    skipped, so the certificate is the same as with every pivot tried.
     """
     dom = b.domain
     if dom.kind != "complex":
@@ -916,6 +1042,9 @@ def generic_rank_pipeline(
     step = 0
     while ell > 1:
         taus = [tau] if tau is not None else list(range(ell - 1, -1, -1))
+        if ell == 2:
+            out_of_reach = _rank_one_out_of_reach(legs)
+            taus = [t for t in taus if t not in out_of_reach]
         reduced = None
         for t_pick in taus:
             if step == 0:

@@ -11,12 +11,20 @@ legs, the inverse-pair layer of ``bmalg.inverse`` as it was before
 its flattening blocks and inverse slices were read from the flat data
 (entry by entry through ``from_function``), and the via-rank nullity of
 ``bmalg.nullity`` as it was before its transfer loop found the rank
-itself and its completions shared the direct search's block test.  The
-bodies are kept as they were; the former ``Matrix`` methods take the
-matrix as an explicit first argument, and the nullity copies import
-the rank pipeline from ``bmalg.rank`` instead of relatively.  The
-nullity copies run on the entry-wise inverse-pair layer above, which
-the inverse-layer tests hold equal to ``bmalg.inverse``.
+itself and its completions shared the direct search's block test, and
+the hyperdeterminant, the slice rewrite (its legs built entry by entry
+through ``from_function``) and the generic pipeline of ``bmalg.rank``
+as they were before the hyperdeterminant became a cell of the
+third-difference test and the pipeline dropped the ell = 2 -> 1 pivots
+that test rules out.  The bodies are kept as they were; the former
+``Matrix`` methods take the matrix as an explicit first argument, the
+nullity copies import the rank pipeline from ``bmalg.rank`` instead of
+relatively, and the slice-rewrite copy calls the current
+product-preservation check under the name
+``check_product_preservation``, because ``check_reduction_hypothesis``
+here is the hand-expanded check it replaced.  The nullity copies run
+on the entry-wise inverse-pair layer above, which the inverse-layer
+tests hold equal to ``bmalg.inverse``.
 """
 
 import itertools
@@ -51,10 +59,15 @@ from bmalg.nullity import (
 from bmalg.products import bm_product, conformability, identity_pair
 from bmalg.rank import (
     DecompositionTriple,
+    RankCertificate,
+    SliceRewriteData,
     bm_rank_exhaustive,
+    depth_slice_witness,
     iter_bm_decompositions,
     rank_upper_min,
+    triple_reduction_witness,
 )
+from bmalg.rank import check_reduction_hypothesis as check_product_preservation
 
 
 # -- former Matrix elimination methods ----------------------------------------
@@ -995,3 +1008,131 @@ def nullity(
         oriented, triple, seed=seed, transposes_applied=tcount,
         strategy_label="via-rank (zero-slice lower bound)",
     )
+
+
+# -- former hyperdeterminant, slice rewrite and pipeline (rank) ---------------
+
+
+def hyperdet_2x2x2(b: Hypermatrix):
+    """b001 b010 b100 b111 - b101 b110 b000 b011; vanishing characterizes
+    depth-slice diagonal dependence of an all-nonzero 2x2x2."""
+    if b.shape != (2, 2, 2):
+        raise ShapeError(f"need a 2x2x2 hypermatrix, found {b.shape}")
+    dom = b.domain
+    pos = dom.mul(
+        dom.mul(b[0, 0, 1], b[0, 1, 0]), dom.mul(b[1, 0, 0], b[1, 1, 1])
+    )
+    neg = dom.mul(
+        dom.mul(b[1, 0, 1], b[1, 1, 0]), dom.mul(b[0, 0, 0], b[0, 1, 1])
+    )
+    return dom.sub(pos, neg)
+
+
+def hyper_slice_reduce(x0, x1, x2, rewrite: SliceRewriteData):
+    """Rewrite a conformable triple into one with contracted dimension
+    ell - 1 and the same product.
+
+    The elementary slice operations fold the pivot slices into the
+    others:
+
+        x0'[:, t, k] = us[t] o x0[:, tau, k] + x0[:, t, k]
+        x2'[t, :, k] = x2[t, :, k] + x2[tau, :, k] o vs[t]
+
+    and leg 1 simply drops depth slice tau.  The hypothesis is checked
+    for every depth index before the rewritten legs are returned.
+    """
+    dom = x0.domain
+    m, ell, p = x0.shape
+    n = x1.shape[1]
+    if ell < 2:
+        raise ShapeError("cannot reduce a contracted dimension of 1")
+    tau = rewrite.tau
+    if not (0 <= tau < ell):
+        raise ShapeError(f"tau {tau} out of range")
+    others = [t for t in range(ell) if t != tau]
+    us, vs = rewrite.us, rewrite.vs
+    new_x0 = Hypermatrix.from_function(
+        (m, ell - 1, p),
+        dom,
+        lambda i, tn, k: dom.add(
+            dom.mul(dom.coerce(us[others[tn]][i]), x0[i, tau, k]),
+            x0[i, others[tn], k],
+        ),
+    )
+    new_x1 = Hypermatrix.from_function(
+        (m, n, ell - 1), dom, lambda i, j, tn: x1[i, j, others[tn]]
+    )
+    new_x2 = Hypermatrix.from_function(
+        (ell - 1, n, p),
+        dom,
+        lambda tn, j, k: dom.add(
+            x2[others[tn], j, k],
+            dom.mul(x2[tau, j, k], dom.coerce(vs[others[tn]][j])),
+        ),
+    )
+    reduced = (new_x0, new_x1, new_x2)
+    check_product_preservation((x0, x1, x2), reduced, tau)
+    return reduced
+
+
+def generic_rank_pipeline(
+    b: Hypermatrix, tau=None, tol=None, restarts=50, iters=500, seed=0
+) -> RankCertificate:
+    """Numeric upper-bound certificate for an entry-wise nonzero
+    hypermatrix of any shape (m, n, p).
+
+    Starts from the identity-pair decomposition with contracted
+    dimension p, which exists for every shape, and keeps reducing while
+    a depth-slice witness (first step) or a general reduction witness
+    (later steps) is found; stalls return the best certificate so far,
+    residual included.
+    """
+    dom = b.domain
+    if dom.kind != "complex":
+        raise ValueError("generic_rank_pipeline needs the complex domain")
+    if tol is None:
+        tol = dom.tol or 1e-9
+    m, n, p = b.shape
+    for idx, v in enumerate(b.data):
+        if abs(v) <= dom.tol:
+            raise ZeroDivisionError("entries must be nonzero (genericity proxy)")
+    j0, j1 = identity_pair(m, n, p, dom)
+    legs = (j0, b, j1)
+    ell = p
+    norm_b = b.norm()
+
+    def certificate(legs, ell):
+        triple = DecompositionTriple(legs[0], legs[1], legs[2], tuple(range(ell)))
+        res = triple.reconstruct().sub(b).norm() / (1.0 + norm_b)
+        return RankCertificate(
+            kind="upper-bound", r=ell, triple=triple, residual=res
+        )
+
+    step = 0
+    while ell > 1:
+        taus = [tau] if tau is not None else list(range(ell - 1, -1, -1))
+        reduced = None
+        for t_pick in taus:
+            if step == 0:
+                witness = depth_slice_witness(
+                    b, t_pick, tol=tol, restarts=restarts, iters=iters, seed=seed
+                )
+                rewrite = witness.rewrite() if witness else None
+            else:
+                rewrite = triple_reduction_witness(
+                    *legs, t_pick, tol=tol, restarts=max(restarts // 2, 5),
+                    iters=max(iters // 2, 50), seed=seed + step,
+                )
+            if rewrite is None:
+                continue
+            try:
+                reduced = hyper_slice_reduce(*legs, rewrite)
+                break
+            except ReductionHypothesisError:
+                continue
+        if reduced is None:
+            break
+        legs = reduced
+        ell -= 1
+        step += 1
+    return certificate(legs, ell)

@@ -9,9 +9,9 @@ import random
 import sys
 from pathlib import Path
 
-from bmalg import core, inverse
+from bmalg import core, inverse, rank
 from bmalg.core import Hypermatrix, Matrix
-from bmalg.scalars import gf, rational
+from bmalg.scalars import complex_doubles, gf, rational
 
 nullity_module = importlib.import_module("bmalg.nullity")
 
@@ -76,3 +76,27 @@ def test_traced_via_rank_runs_one_decomposition_search():
         tracer.uninstall()
     assert tracer.entry("rank.iter_bm_decompositions")[0] > 0
     assert tracer.entry("rank.bm_rank_exhaustive")[0] == 0
+
+
+def test_traced_pipeline_stops_at_the_rank_one_bound():
+    """A generic 3x3x3 reaches ell = 2 through a depth-slice witness;
+    its third differences rule out every 2 -> 1 rewrite, so no general
+    reduction witness runs.  A BM-rank-one 3x3x2 still reaches r = 1."""
+    dom = complex_doubles()
+    rng = random.Random(733)
+    generic = Hypermatrix.random((3, 3, 3), dom, rng, nonzero=True)
+    vals = [[[dom.random_nonzero(rng) for _ in range(3)] for _ in range(3)]
+            for _ in range(3)]
+    rank_one = Hypermatrix.from_function(
+        (3, 3, 2), dom,
+        lambda i, j, k: vals[0][i][k] * vals[1][i][j] * vals[2][j][k],
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert rank.generic_rank_pipeline(generic, seed=0).r == 2
+        assert tracer.entry("rank.depth_slice_witness")[0] > 0
+        assert tracer.entry("rank.triple_reduction_witness")[0] == 0
+        assert rank.generic_rank_pipeline(rank_one, seed=0).r == 1
+    finally:
+        tracer.uninstall()
