@@ -22,6 +22,7 @@ then no rewrite the check accepts exists (see
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -566,6 +567,9 @@ def bm_rank_one(b: Hypermatrix):
             raise ZeroDivisionError(
                 f"entry {idx} is zero within tolerance; input must be all-nonzero"
             )
+    # Outside GF(q) divide plainly: the divisors are products of nonzero
+    # entries, which over C may lie below the zero tolerance.
+    div = dom.div if dom.kind == "gf" else operator.truediv
     # cells with an index 0 hold trivially
     d = 0.0 if dom.kind == "complex" else dom.zero()
     for i in range(1, m):
@@ -575,18 +579,26 @@ def bm_rank_one(b: Hypermatrix):
                 if dom.kind == "gf":
                     dev = int(lhs != rhs)
                 else:
-                    dev = abs(dom.sub(dom.div(lhs, rhs), dom.one()))
+                    dev = abs(lhs / rhs - 1)
                 d = max(d, dev)
     if d > dom.tol:
         return d, None
-    div, mul = dom.div, dom.mul
-    x0 = Hypermatrix.from_function(
-        (m, 1, p), dom,
-        lambda i, _, k: div(mul(b[i, 0, k], b[0, 0, 0]), mul(b[i, 0, 0], b[0, 0, k])),
+    mul, data = dom.mul, b.data
+    # flat (i, j, k) is (i*n + j)*p + k
+    x0 = Hypermatrix(
+        (m, 1, p),
+        [
+            div(mul(data[i * n * p + k], data[0]), mul(data[i * n * p], data[k]))
+            for i in range(m)
+            for k in range(p)
+        ],
+        dom,
     )
-    x1 = Hypermatrix.from_function((m, n, 1), dom, lambda i, j, _: b[i, j, 0])
-    x2 = Hypermatrix.from_function(
-        (1, n, p), dom, lambda _, j, k: div(b[0, j, k], b[0, j, 0])
+    x1 = Hypermatrix((m, n, 1), data[::p], dom)
+    x2 = Hypermatrix(
+        (1, n, p),
+        [div(data[j * p + k], data[j * p]) for j in range(n) for k in range(p)],
+        dom,
     )
     return d, (x0, x1, x2)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from bmalg import core, inverse, rank
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.scalars import complex_doubles, gf, rational
+from test_rank_one import rank_one
 
 nullity_module = importlib.import_module("bmalg.nullity")
 
@@ -85,18 +86,13 @@ def test_traced_pipeline_stops_at_the_rank_one_bound():
     dom = complex_doubles()
     rng = random.Random(733)
     generic = Hypermatrix.random((3, 3, 3), dom, rng, nonzero=True)
-    vals = [[[dom.random_nonzero(rng) for _ in range(3)] for _ in range(3)]
-            for _ in range(3)]
-    rank_one = Hypermatrix.from_function(
-        (3, 3, 2), dom,
-        lambda i, j, k: vals[0][i][k] * vals[1][i][j] * vals[2][j][k],
-    )
+    rank_one_input = rank_one(rng, dom, (3, 3, 2))
     tracer = tracing.Tracer()
     try:
         tracer.install()
         assert rank.generic_rank_pipeline(generic, seed=0).r == 2
         assert tracer.entry("rank.depth_slice_witness")[0] > 0
         assert tracer.entry("rank.triple_reduction_witness")[0] == 0
-        assert rank.generic_rank_pipeline(rank_one, seed=0).r == 1
+        assert rank.generic_rank_pipeline(rank_one_input, seed=0).r == 1
     finally:
         tracer.uninstall()

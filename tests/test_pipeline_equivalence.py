@@ -6,7 +6,9 @@ equal those of the copy kept in ``reference.py``, which searches every
 pivot: on generic 3x3x3 inputs (the acceptance c07 draws), a 4x4x4, a
 complex nullity with depth 2, and BM-rank-one 3x3x2 and 2x3x2 inputs
 perturbed from far below the witness tolerance to far above the
-check's acceptance bound.
+check's acceptance bound, and inputs whose entries are about 1e-3, so
+that the products of four entries in the third differences lie below
+the zero tolerance of C.
 """
 
 import json
@@ -15,6 +17,7 @@ import random
 import pytest
 
 import reference as ref
+from test_rank_one import rank_one
 from bmalg import rank, scalars
 from bmalg.core import Hypermatrix
 from bmalg.nullity import nullity
@@ -48,16 +51,6 @@ def test_depth_two_nullity_matches_reference(monkeypatch):
     assert got == canonical(nullity(odd, seed=0))
 
 
-def rank_one(rng, shape):
-    m, n, p = shape
-    a = [[CPLX.random_nonzero(rng) for _ in range(p)] for _ in range(m)]
-    b = [[CPLX.random_nonzero(rng) for _ in range(n)] for _ in range(m)]
-    c = [[CPLX.random_nonzero(rng) for _ in range(p)] for _ in range(n)]
-    return Hypermatrix.from_function(
-        shape, CPLX, lambda i, j, k: a[i][k] * b[i][j] * c[j][k]
-    )
-
-
 SIZES = [0.0, 1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-2]
 
 
@@ -66,7 +59,7 @@ def test_perturbed_rank_one_inputs_match_reference(shape):
     """One entry scaled by 1 + size: r = 1 while the depth-slice witness
     still fits, r = 2 above, and the stop sets in at the bound."""
     rng = random.Random(sum(shape))
-    b = rank_one(rng, shape)
+    b = rank_one(rng, CPLX, shape)
     idx = rng.randrange(len(b.data))
     reached, stopped = set(), set()
     for size in SIZES:
@@ -84,3 +77,19 @@ def test_perturbed_rank_one_inputs_match_reference(shape):
             assert bm_rank_one(bent)[1] is not None
     assert reached == {1, 2}
     assert stopped == {False, True}
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 3, 2)])
+@pytest.mark.parametrize("kind", ["generic", "rank-one"])
+def test_small_entries_match_reference(kind, shape):
+    rng = random.Random(31)
+    if kind == "generic":
+        b = Hypermatrix.random(shape, CPLX, rng, nonzero=True)
+    else:
+        b = rank_one(rng, CPLX, shape)
+    small = Hypermatrix(shape, [1e-3 * v for v in b.data], CPLX)
+    mags = sorted(abs(v) for v in small.data)
+    assert mags[0] > CPLX.tol
+    assert mags[-1] ** 4 < CPLX.tol
+    cert = generic_rank_pipeline(small, seed=2)
+    assert canonical(cert) == canonical(ref.generic_rank_pipeline(small, seed=2))

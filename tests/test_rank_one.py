@@ -2,8 +2,9 @@
 
 ``bm_rank_one`` accepts constructed all-nonzero rank-one inputs with
 legs that rebuild them, rejects single-entry perturbations and zero
-entries, and agrees with the exhaustive rank on every all-nonzero 2x2x2
-over GF(3).  ``hyperdet_2x2x2``, now its (1,1,1) cell, and
+entries, also on complex entries too small for products of four of
+them to clear the zero tolerance, and agrees with the exhaustive rank
+on every all-nonzero 2x2x2 over GF(3).  ``hyperdet_2x2x2``, now its (1,1,1) cell, and
 ``hyper_slice_reduce``, now built from the flat data, give the same
 values as the copies kept in ``reference.py``, bit for bit over C.
 """
@@ -114,6 +115,24 @@ def test_a_zero_entry_raises(dom, shape, seed):
     data[rng.randrange(len(data))] = dom.zero()
     with pytest.raises(ZeroDivisionError):
         bm_rank_one(Hypermatrix(shape, data, dom))
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_shapes, st.integers(0, 10_000), st.floats(1e-4, 5e-3))
+def test_small_complex_entries_are_tested_not_rejected(shape, seed, scale):
+    """Entries of size 1e-4..5e-3 are nonzero, but the products of four
+    of them in L and R lie below the zero tolerance of C."""
+    rng = random.Random(seed)
+    b = rank_one(rng, CPLX, shape)
+    small = Hypermatrix(shape, [scale * v for v in b.data], CPLX)
+    d, legs = bm_rank_one(small)
+    assert d <= 1e-12
+    assert bm_product(*legs).sub(small).norm() <= 1e-12 * small.norm()
+    data = list(small.data)
+    data[rng.randrange(len(data))] *= 1.01
+    d, legs = bm_rank_one(Hypermatrix(shape, data, CPLX))
+    assert legs is None
+    assert d >= 0.005
 
 
 def test_agrees_with_exhaustive_rank_on_every_nonzero_gf3_2x2x2():
