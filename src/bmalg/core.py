@@ -17,19 +17,29 @@ indexing and their constructors, plus transposes and slices
 the exhaustive rank search (``rank._fiber_solutions``).  Flattening
 blocks of inverse pairs, those of the direct-search nullity included,
 are inverted through ``Matrix.inverse``.
+
+:func:`lex_filter` is the batched candidate scan the exhaustive GF(q)
+searches share: it hands blocks of at most ``BATCH_ENTRIES`` array
+entries to a numpy test and yields the survivors in lexicographic order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ShapeError
 from .scalars import ScalarDomain
 
 AXIS_NAMES = {"row": 0, "column": 1, "depth": 2}
+
+# Most int64 entries per candidate block of :func:`lex_filter` (512 KiB).
+BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -521,3 +531,32 @@ def complete_to_basis(rows, n, domain):
     if len(pivots) < len(rows):
         raise ValueError("given rows are linearly dependent")
     return [c for c in range(n) if c not in pivots]
+
+
+def lex_filter(q, outer_len, inner_len, per_candidate, test):
+    """Yield the pairs (outer, inner) of digit tuples over ``range(q)``,
+    of lengths ``outer_len`` and ``inner_len``, for which
+    ``test(outer, block)`` passes ``inner``, in lexicographic order of
+    ``outer + inner``.
+
+    ``test`` gets ``outer`` as an int64 vector and a block of inner
+    candidates, one per column of an int64 array, and returns a boolean
+    mask over the columns.  A block holds the q^k candidates that share
+    all but their last k digits, k as large as keeps ``per_candidate``
+    entries each within ``BATCH_ENTRIES`` (one candidate when a single
+    one exceeds it), so memory stays bounded however long the inner leg
+    is.
+    """
+    k = 0
+    while k < inner_len and q ** (k + 1) * per_candidate <= BATCH_ENTRIES:
+        k += 1
+    cut = inner_len - k
+    tails = list(itertools.product(range(q), repeat=k))
+    block = np.empty((inner_len, len(tails)), dtype=np.int64)
+    block.T[:, cut:] = np.reshape(tails, (len(tails), k))
+    for outer in itertools.product(range(q), repeat=outer_len):
+        row = np.array(outer, dtype=np.int64)
+        for prefix in itertools.product(range(q), repeat=cut):
+            block.T[:, :cut] = prefix
+            for idx in test(row, block).nonzero()[0].tolist():
+                yield outer, prefix + tails[idx]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Hypermatrix, Matrix
+from .core import Hypermatrix, Matrix, lex_filter
 from .errors import BudgetExceededError, ShapeError
 from .scalars import ScalarDomain
 
@@ -109,6 +109,11 @@ def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
     lexicographic assignment order, or None, which over a finite field
     proves the family independent.  Families of size one are independent
     by definition (the single term must itself vanish).
+
+    For each assignment of the x vectors, a numpy test checks the y
+    assignments in lexicographic blocks of at most ``core.BATCH_ENTRIES``
+    array entries (zero residual and some nonzero term) and the first
+    hit is returned, the one a one-by-one scan would find.
     """
     (m, n), dom = check_family(family)
     if dom.kind != "gf":
@@ -122,28 +127,19 @@ def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
         raise BudgetExceededError(
             f"search space q^(p(m+n)) = {q}^{digits} exceeds budget {budget}"
         )
-    slices = [[fam[i, j] for i in range(m) for j in range(n)] for fam in family]
-    for assignment in itertools.product(range(q), repeat=digits):
-        xs = [list(assignment[t * m : (t + 1) * m]) for t in range(p)]
-        off = p * m
-        ys = [list(assignment[off + t * n : off + (t + 1) * n]) for t in range(p)]
-        nontrivial = False
-        ok = True
-        for i in range(m):
-            if not ok:
-                break
-            for j in range(n):
-                acc = 0
-                for t in range(p):
-                    v = xs[t][i] * slices[t][i * n + j] * ys[t][j]
-                    if v % q:
-                        nontrivial = True
-                    acc += v
-                if acc % q:
-                    ok = False
-                    break
-        if ok and nontrivial:
-            return DiagonalWitness(xs, ys, residual=0.0)
+    mats = np.array([fam.data for fam in family], dtype=np.int64).reshape(p, m, n)
+
+    def witnesses(flat_x, block):
+        # terms[t, i, j, c] of candidate c; reductions run across candidates
+        left = flat_x.reshape(p, m, 1, 1) * mats[..., None]
+        terms = left * block.reshape(p, 1, n, -1) % q
+        ok = ~(terms.sum(axis=0) % q).any(axis=(0, 1))
+        return ok & terms.any(axis=(0, 1, 2))
+
+    for flat_x, flat_y in lex_filter(q, p * m, p * n, p * m * n, witnesses):
+        xs = [list(flat_x[t * m : (t + 1) * m]) for t in range(p)]
+        ys = [list(flat_y[t * n : (t + 1) * n]) for t in range(p)]
+        return DiagonalWitness(xs, ys, residual=0.0)
     return None
 
 

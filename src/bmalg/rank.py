@@ -17,6 +17,17 @@ current product P exceeds (1 - E / min |P|)^-8 - 1, where E is the
 largest deviation the reduction check accepts at that pivot, because
 then no rewrite the check accepts exists (see
 :func:`generic_rank_pipeline`).
+
+The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
+serves :func:`bm_rank_exhaustive` and via-rank nullity, and
+:func:`cp_rank_exhaustive`) enumerate two legs in lexicographic order
+and solve for the third fiber by fiber.  For each value of the outer
+enumerated leg, a numpy filter tests blocks of inner candidates (at
+most ``core.BATCH_ENTRIES`` array entries each) against all q^r values
+of a fiber's unknowns and drops exactly the candidates with an
+inconsistent fiber; the survivors keep their order and go through the
+scalar solver, so the decompositions found are those of a
+candidate-by-candidate scan.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Hypermatrix, Matrix, echelon
+from .core import Hypermatrix, Matrix, echelon, lex_filter
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -646,6 +657,47 @@ def _fiber_solutions(rows, rhs, domain, r, all_solutions):
     return out
 
 
+def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
+    """Yield (outer, inner, per-fiber solution lists) for every pair of
+    enumerated legs whose fiber systems are all consistent, in
+    lexicographic order of (outer, inner).
+
+    Fiber f's system in the solved leg s has rows
+    sum_t outer[ia[f, row, t]] * inner[ib[f, row, t]] * s[t] = rhs[f, row]
+    (``ia``/``ib`` may broadcast over f).  For one outer value a numpy
+    filter tries all q^r values of s on a block of inner candidates at
+    once (see :func:`bmalg.core.lex_filter`); only the survivors go
+    through the scalar solver :func:`_fiber_solutions`, which gives the
+    solutions.
+    """
+    q = domain.q
+    values = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)
+    want = rhs[..., None, None]
+    per_candidate = rhs.size * len(values)
+    ia_rows, ib_rows = (np.broadcast_to(x, rhs.shape + (r,)).tolist() for x in (ia, ib))
+    rhs_rows = rhs.tolist()
+
+    # candidates run along the last axis, so every reduction below is
+    # elementwise across them
+    def consistent(outer, block):
+        hits = values @ (block[ib] * outer[ia][..., None]) % q == want
+        return hits.all(axis=1).any(axis=1).all(axis=0)
+
+    for outer, inner in lex_filter(q, outer_len, inner_len, per_candidate, consistent):
+        options = []
+        for fa, fb, frhs in zip(ia_rows, ib_rows, rhs_rows):
+            rows = [
+                [outer[x] * inner[y] % q for x, y in zip(ra, rb)]
+                for ra, rb in zip(fa, fb)
+            ]
+            sols = _fiber_solutions(rows, frhs, domain, r, all_solutions)
+            if sols is None:
+                break
+            options.append(sols)
+        else:
+            yield outer, inner, options
+
+
 def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
                            all_solutions=False):
     """Yield contracted-dimension-r decompositions of ``a`` over GF(q),
@@ -658,6 +710,13 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
     every solution of the solved leg is yielded.  Either way the scan
     visits a decomposition iff one exists for the enumerated prefix, so
     rank detection is complete.
+
+    For each value of the first enumerated leg, a numpy filter tests
+    the second leg's candidates in blocks of at most
+    ``core.BATCH_ENTRIES`` array entries against every value of each
+    fiber's unknowns, and skips exactly the inconsistent ones; the
+    survivors keep their lexicographic order and are solved by
+    :func:`_fiber_solutions` as before (see :func:`_fiber_search`).
     """
     dom = a.domain
     if dom.kind != "gf":
@@ -672,86 +731,32 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
         raise BudgetExceededError(
             f"enumeration q^{total_digits} exceeds budget {budget}"
         )
-    av = a.data  # ints mod q, flat (i, j, k)
+    # flat position of each leg's entry on the grid (i, j, k, t), laid
+    # out as (fiber, row, t): a fiber fixes the two axes of a that the
+    # solved leg shares, and its rows run over the third
+    i, j, k, t = np.ogrid[:m, :n, :p, :r]
+    pos = {0: (i * r + t) * p + k, 1: (i * n + j) * r + t, 2: (t * n + j) * p + k}
+    order = {0: (0, 2, 1, 3), 1: (0, 1, 2, 3), 2: (1, 2, 0, 3)}[solve_leg]
 
-    def entry(i, j, k):
-        return av[(i * n + j) * p + k]
+    def layout(idx):
+        grid = np.broadcast_to(idx, (m, n, p, r)).transpose(order)
+        return grid.reshape(grid.shape[0] * grid.shape[1], grid.shape[2], r)
 
-    # fiber layouts per solved leg: (fiber keys, row builder, rhs builder,
-    # flat assembler)
-    if solve_leg == 2:
-        fiber_keys = [(j, k) for j in range(n) for k in range(p)]
-
-        def fiber(legs, key):
-            j, k = key
-            x0, x1 = legs[0], legs[1]
-            rows = [
-                [(x0[(i * r + t) * p + k] * x1[(i * n + j) * r + t]) % q
-                 for t in range(r)]
-                for i in range(m)
-            ]
-            return rows, [entry(i, j, k) for i in range(m)]
-
-        def assemble(legs, sol):
-            flat = tuple(
-                sol[(j, k)][t] for t in range(r) for j in range(n) for k in range(p)
-            )
-            return _assemble_triple(a, r, legs[0], legs[1], flat)
-
-    elif solve_leg == 1:
-        fiber_keys = [(i, j) for i in range(m) for j in range(n)]
-
-        def fiber(legs, key):
-            i, j = key
-            x0, x2 = legs[0], legs[2]
-            rows = [
-                [(x0[(i * r + t) * p + k] * x2[(t * n + j) * p + k]) % q
-                 for t in range(r)]
-                for k in range(p)
-            ]
-            return rows, [entry(i, j, k) for k in range(p)]
-
-        def assemble(legs, sol):
-            flat = tuple(
-                sol[(i, j)][t] for i in range(m) for j in range(n) for t in range(r)
-            )
-            return _assemble_triple(a, r, legs[0], flat, legs[2])
-
-    else:
-        fiber_keys = [(i, k) for i in range(m) for k in range(p)]
-
-        def fiber(legs, key):
-            i, k = key
-            x1, x2 = legs[1], legs[2]
-            rows = [
-                [(x1[(i * n + j) * r + t] * x2[(t * n + j) * p + k]) % q
-                 for t in range(r)]
-                for j in range(n)
-            ]
-            return rows, [entry(i, j, k) for j in range(n)]
-
-        def assemble(legs, sol):
-            flat = tuple(
-                sol[(i, k)][t] for i in range(m) for t in range(r) for k in range(p)
-            )
-            return _assemble_triple(a, r, flat, legs[1], legs[2])
-
-    for flat_a in itertools.product(range(q), repeat=sizes[enum_legs[0]]):
-        for flat_b in itertools.product(range(q), repeat=sizes[enum_legs[1]]):
-            legs = {enum_legs[0]: flat_a, enum_legs[1]: flat_b}
-            options = []
-            ok = True
-            for key in fiber_keys:
-                rows, rhs = fiber(legs, key)
-                sols = _fiber_solutions(rows, rhs, dom, r, all_solutions)
-                if sols is None:
-                    ok = False
-                    break
-                options.append([(key, s) for s in sols])
-            if not ok:
-                continue
-            for combo in itertools.product(*options):
-                yield assemble(legs, dict(combo))
+    rhs = np.array(a.data, dtype=np.int64).reshape(m, n, p).transpose(order[:3])
+    rhs = rhs.reshape(-1, rhs.shape[2])
+    solved_at = layout(pos[solve_leg])[:, 0, :].tolist()
+    found = _fiber_search(
+        sizes[enum_legs[0]], sizes[enum_legs[1]], layout(pos[enum_legs[0]]),
+        layout(pos[enum_legs[1]]), rhs, dom, r, all_solutions,
+    )
+    for flat_a, flat_b, options in found:
+        for combo in itertools.product(*options):
+            flat = [0] * sizes[solve_leg]
+            for at, sol in zip(solved_at, combo):
+                for x, v in zip(at, sol):
+                    flat[x] = v
+            legs = {enum_legs[0]: flat_a, enum_legs[1]: flat_b, solve_leg: flat}
+            yield _assemble_triple(a, r, legs[0], legs[1], legs[2])
 
 
 def _assemble_triple(a, r, flat0, flat1, flat2):
@@ -803,7 +808,14 @@ def bm_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
 
 def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertificate:
     """Exact CP-constrained rank over GF(q): the slice legs are pinned to
-    the rank-one Kronecker form, so this exhausts vector triples."""
+    the rank-one Kronecker form, so this exhausts vector triples.
+
+    At each r the x vectors are enumerated in lexicographic order and,
+    for each, the y vectors in blocks that the numpy filter of
+    :func:`_fiber_search` tests against every value of the depth
+    fibers' unknowns z_k; the first consistent (x, y) is solved by the
+    scalar path and certified, as by a candidate-by-candidate scan.
+    """
     dom = a.domain
     if dom.kind != "gf":
         raise ValueError("exhaustive rank search needs a GF(q) domain")
@@ -811,50 +823,35 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
     m, n, p = a.shape
     if a.is_zero():
         return RankCertificate(kind="exact", r=0, params={"q": q, "cp": True})
-    av = a.data
     cap = p * min(m, n)
+    # fiber k has one row per (i, j): coefficient xs[t*m + i] * ys[t*n + j]
+    # on z_k[t], right side a[i, j, k]
+    rhs = np.array(a.data, dtype=np.int64).reshape(m * n, p).T
     for r in range(1, cap + 1):
         digits = r * (m + n)
         if q**digits > budget:
             raise BudgetExceededError(
                 f"CP enumeration q^{digits} exceeds budget {budget}"
             )
-        for xs in itertools.product(range(q), repeat=r * m):
-            for ys in itertools.product(range(q), repeat=r * n):
-                zsol = {}
-                ok = True
-                for k in range(p):
-                    rows = [
-                        [(xs[t * m + i] * ys[t * n + j]) % q for t in range(r)]
-                        for i in range(m)
-                        for j in range(n)
-                    ]
-                    rhs = [av[(i * n + j) * p + k] for i in range(m) for j in range(n)]
-                    sols = _fiber_solutions(rows, rhs, dom, r, False)
-                    if sols is None:
-                        ok = False
-                        break
-                    zsol[k] = sols[0]
-                if not ok:
-                    continue
-                x0 = Hypermatrix.from_function(
-                    (m, r, p), dom, lambda i, t, k: xs[t * m + i]
-                )
-                x1 = Hypermatrix.from_function(
-                    (m, n, r), dom, lambda i, j, t: ys[t * n + j]
-                )
-                x2 = Hypermatrix.from_function(
-                    (r, n, p), dom, lambda t, j, k: zsol[k][t]
-                )
-                triple = DecompositionTriple(x0, x1, x2, tuple(range(r)))
-                if not triple.reconstruct().equals(a):
-                    raise CertificateError("CP search returned a bad decomposition")
-                return RankCertificate(
-                    kind="exact",
-                    r=r,
-                    triple=triple,
-                    params={"q": q, "cp": True, "exhausted_below": r},
-                )
+        gi, gj, gt = np.ogrid[:m, :n, :r]
+        ia = np.broadcast_to(gt * m + gi, (m, n, r)).reshape(1, m * n, r)
+        ib = np.broadcast_to(gt * n + gj, (m, n, r)).reshape(1, m * n, r)
+        for xs, ys, zsol in _fiber_search(r * m, r * n, ia, ib, rhs, dom, r, False):
+            triple = _assemble_triple(
+                a,
+                r,
+                [xs[t * m + i] for i in range(m) for t in range(r) for _ in range(p)],
+                [ys[t * n + j] for _ in range(m) for j in range(n) for t in range(r)],
+                [zsol[k][0][t] for t in range(r) for _ in range(n) for k in range(p)],
+            )
+            if not triple.reconstruct().equals(a):
+                raise CertificateError("CP search returned a bad decomposition")
+            return RankCertificate(
+                kind="exact",
+                r=r,
+                triple=triple,
+                params={"q": q, "cp": True, "exhausted_below": r},
+            )
     raise CertificateError("CP search exhausted its rank cap without success")
 
 

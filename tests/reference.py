@@ -16,21 +16,29 @@ the hyperdeterminant, the slice rewrite (its legs built entry by entry
 through ``from_function``) and the generic pipeline of ``bmalg.rank``
 as they were before the hyperdeterminant became a cell of the
 third-difference test and the pipeline dropped the ell = 2 -> 1 pivots
-that test rules out.  The bodies are kept as they were; the former
+that test rules out, and the exhaustive GF(q) searches
+(``iter_bm_decompositions`` and ``cp_rank_exhaustive`` of
+``bmalg.rank``, ``is_dependent_exact`` of ``bmalg.dependence``) as they
+were before a numpy filter screened their candidates in blocks.  The
+bodies are kept as they were; the former
 ``Matrix`` methods take the matrix as an explicit first argument, the
 nullity copies import the rank pipeline from ``bmalg.rank`` instead of
 relatively, and the slice-rewrite copy calls the current
 product-preservation check under the name
 ``check_product_preservation``, because ``check_reduction_hypothesis``
-here is the hand-expanded check it replaced.  The nullity copies run
-on the entry-wise inverse-pair layer above, which the inverse-layer
-tests hold equal to ``bmalg.inverse``.
+here is the hand-expanded check it replaced.  Likewise the search
+copies call the current fiber solver under the name
+``fiber_solutions``, because ``_fiber_solutions`` here is the former
+one.  The nullity copies run on the entry-wise inverse-pair layer
+above, which the inverse-layer tests hold equal to ``bmalg.inverse``,
+and the via-rank copy on the scalar ``iter_bm_decompositions`` copy.
 """
 
 import itertools
 import random
 
 from bmalg.core import Hypermatrix, Matrix
+from bmalg.dependence import DEFAULT_SEARCH_BUDGET, DiagonalWitness, check_family
 from bmalg.errors import (
     BudgetExceededError,
     CertificateError,
@@ -58,15 +66,17 @@ from bmalg.nullity import (
 )
 from bmalg.products import bm_product, conformability, identity_pair
 from bmalg.rank import (
+    DEFAULT_RANK_BUDGET,
     DecompositionTriple,
     RankCertificate,
     SliceRewriteData,
     bm_rank_exhaustive,
     depth_slice_witness,
-    iter_bm_decompositions,
     rank_upper_min,
     triple_reduction_witness,
 )
+from bmalg.rank import _assemble_triple
+from bmalg.rank import _fiber_solutions as fiber_solutions
 from bmalg.rank import check_reduction_hypothesis as check_product_preservation
 
 
@@ -1136,3 +1146,216 @@ def generic_rank_pipeline(
         ell -= 1
         step += 1
     return certificate(legs, ell)
+
+
+# -- former scalar exhaustive searches (rank, dependence) -----------------------
+
+
+def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
+                           all_solutions=False):
+    """Yield contracted-dimension-r decompositions of ``a`` over GF(q),
+    in lexicographic order of the two enumerated legs.
+
+    The two smaller legs are enumerated entry by entry; for each
+    candidate the remaining leg is solved fiber-wise (the constraints
+    are linear in it).  By default each consistent candidate yields one
+    decomposition (free entries pinned to zero); with ``all_solutions``
+    every solution of the solved leg is yielded.  Either way the scan
+    visits a decomposition iff one exists for the enumerated prefix, so
+    rank detection is complete.
+    """
+    dom = a.domain
+    if dom.kind != "gf":
+        raise ValueError("exhaustive rank search needs a GF(q) domain")
+    q = dom.q
+    m, n, p = a.shape
+    sizes = {0: m * r * p, 1: m * n * r, 2: r * n * p}
+    solve_leg = max(sizes, key=lambda leg: (sizes[leg], leg))
+    enum_legs = [leg for leg in (0, 1, 2) if leg != solve_leg]
+    total_digits = sum(sizes[leg] for leg in enum_legs)
+    if q**total_digits > budget:
+        raise BudgetExceededError(
+            f"enumeration q^{total_digits} exceeds budget {budget}"
+        )
+    av = a.data  # ints mod q, flat (i, j, k)
+
+    def entry(i, j, k):
+        return av[(i * n + j) * p + k]
+
+    # fiber layouts per solved leg: (fiber keys, row builder, rhs builder,
+    # flat assembler)
+    if solve_leg == 2:
+        fiber_keys = [(j, k) for j in range(n) for k in range(p)]
+
+        def fiber(legs, key):
+            j, k = key
+            x0, x1 = legs[0], legs[1]
+            rows = [
+                [(x0[(i * r + t) * p + k] * x1[(i * n + j) * r + t]) % q
+                 for t in range(r)]
+                for i in range(m)
+            ]
+            return rows, [entry(i, j, k) for i in range(m)]
+
+        def assemble(legs, sol):
+            flat = tuple(
+                sol[(j, k)][t] for t in range(r) for j in range(n) for k in range(p)
+            )
+            return _assemble_triple(a, r, legs[0], legs[1], flat)
+
+    elif solve_leg == 1:
+        fiber_keys = [(i, j) for i in range(m) for j in range(n)]
+
+        def fiber(legs, key):
+            i, j = key
+            x0, x2 = legs[0], legs[2]
+            rows = [
+                [(x0[(i * r + t) * p + k] * x2[(t * n + j) * p + k]) % q
+                 for t in range(r)]
+                for k in range(p)
+            ]
+            return rows, [entry(i, j, k) for k in range(p)]
+
+        def assemble(legs, sol):
+            flat = tuple(
+                sol[(i, j)][t] for i in range(m) for j in range(n) for t in range(r)
+            )
+            return _assemble_triple(a, r, legs[0], flat, legs[2])
+
+    else:
+        fiber_keys = [(i, k) for i in range(m) for k in range(p)]
+
+        def fiber(legs, key):
+            i, k = key
+            x1, x2 = legs[1], legs[2]
+            rows = [
+                [(x1[(i * n + j) * r + t] * x2[(t * n + j) * p + k]) % q
+                 for t in range(r)]
+                for j in range(n)
+            ]
+            return rows, [entry(i, j, k) for j in range(n)]
+
+        def assemble(legs, sol):
+            flat = tuple(
+                sol[(i, k)][t] for i in range(m) for t in range(r) for k in range(p)
+            )
+            return _assemble_triple(a, r, flat, legs[1], legs[2])
+
+    for flat_a in itertools.product(range(q), repeat=sizes[enum_legs[0]]):
+        for flat_b in itertools.product(range(q), repeat=sizes[enum_legs[1]]):
+            legs = {enum_legs[0]: flat_a, enum_legs[1]: flat_b}
+            options = []
+            ok = True
+            for key in fiber_keys:
+                rows, rhs = fiber(legs, key)
+                sols = fiber_solutions(rows, rhs, dom, r, all_solutions)
+                if sols is None:
+                    ok = False
+                    break
+                options.append([(key, s) for s in sols])
+            if not ok:
+                continue
+            for combo in itertools.product(*options):
+                yield assemble(legs, dict(combo))
+
+
+def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertificate:
+    """Exact CP-constrained rank over GF(q): the slice legs are pinned to
+    the rank-one Kronecker form, so this exhausts vector triples."""
+    dom = a.domain
+    if dom.kind != "gf":
+        raise ValueError("exhaustive rank search needs a GF(q) domain")
+    q = dom.q
+    m, n, p = a.shape
+    if a.is_zero():
+        return RankCertificate(kind="exact", r=0, params={"q": q, "cp": True})
+    av = a.data
+    cap = p * min(m, n)
+    for r in range(1, cap + 1):
+        digits = r * (m + n)
+        if q**digits > budget:
+            raise BudgetExceededError(
+                f"CP enumeration q^{digits} exceeds budget {budget}"
+            )
+        for xs in itertools.product(range(q), repeat=r * m):
+            for ys in itertools.product(range(q), repeat=r * n):
+                zsol = {}
+                ok = True
+                for k in range(p):
+                    rows = [
+                        [(xs[t * m + i] * ys[t * n + j]) % q for t in range(r)]
+                        for i in range(m)
+                        for j in range(n)
+                    ]
+                    rhs = [av[(i * n + j) * p + k] for i in range(m) for j in range(n)]
+                    sols = fiber_solutions(rows, rhs, dom, r, False)
+                    if sols is None:
+                        ok = False
+                        break
+                    zsol[k] = sols[0]
+                if not ok:
+                    continue
+                x0 = Hypermatrix.from_function(
+                    (m, r, p), dom, lambda i, t, k: xs[t * m + i]
+                )
+                x1 = Hypermatrix.from_function(
+                    (m, n, r), dom, lambda i, j, t: ys[t * n + j]
+                )
+                x2 = Hypermatrix.from_function(
+                    (r, n, p), dom, lambda t, j, k: zsol[k][t]
+                )
+                triple = DecompositionTriple(x0, x1, x2, tuple(range(r)))
+                if not triple.reconstruct().equals(a):
+                    raise CertificateError("CP search returned a bad decomposition")
+                return RankCertificate(
+                    kind="exact",
+                    r=r,
+                    triple=triple,
+                    params={"q": q, "cp": True, "exhausted_below": r},
+                )
+    raise CertificateError("CP search exhausted its rank cap without success")
+
+
+def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
+    """Exhaustive witness search over GF(q).
+
+    Returns the first nontrivial witness with zero residual in
+    lexicographic assignment order, or None, which over a finite field
+    proves the family independent.  Families of size one are independent
+    by definition (the single term must itself vanish).
+    """
+    (m, n), dom = check_family(family)
+    if dom.kind != "gf":
+        raise ValueError("exhaustive dependence search needs a GF(q) domain")
+    p = len(family)
+    if p == 1:
+        return None
+    q = dom.q
+    digits = p * (m + n)
+    if q**digits > budget:
+        raise BudgetExceededError(
+            f"search space q^(p(m+n)) = {q}^{digits} exceeds budget {budget}"
+        )
+    slices = [[fam[i, j] for i in range(m) for j in range(n)] for fam in family]
+    for assignment in itertools.product(range(q), repeat=digits):
+        xs = [list(assignment[t * m : (t + 1) * m]) for t in range(p)]
+        off = p * m
+        ys = [list(assignment[off + t * n : off + (t + 1) * n]) for t in range(p)]
+        nontrivial = False
+        ok = True
+        for i in range(m):
+            if not ok:
+                break
+            for j in range(n):
+                acc = 0
+                for t in range(p):
+                    v = xs[t][i] * slices[t][i * n + j] * ys[t][j]
+                    if v % q:
+                        nontrivial = True
+                    acc += v
+                if acc % q:
+                    ok = False
+                    break
+        if ok and nontrivial:
+            return DiagonalWitness(xs, ys, residual=0.0)
+    return None
