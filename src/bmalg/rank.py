@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import Hypermatrix, Matrix, echelon, lex_filter
 from .errors import (
     BudgetExceededError,
@@ -860,6 +861,20 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
 # ---------------------------------------------------------------------------
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _stacked_lstsq(a, b):
+    """Min-norm least-squares solutions x[s] of the stacked systems
+    a[s] x = b[s], with ``np.linalg.lstsq``'s default cutoff: singular
+    values at most eps * max(M, N) * sigma_max count as zero."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > _EPS * max(a.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    ub = (u.conj().transpose(0, 2, 1) @ b[:, :, None])[:, :, 0]
+    return (vh.conj().transpose(0, 2, 1) @ (inv * ub)[:, :, None])[:, :, 0]
+
+
 def triple_reduction_witness(
     x0, x1, x2, tau, tol=None, restarts=20, iters=200, seed=0
 ):
@@ -868,7 +883,22 @@ def triple_reduction_witness(
 
     The right side is linear in the u-family for fixed v (decoupled by
     row) and linear in the v-family for fixed u (decoupled by column).
-    Returns SliceRewriteData or None.
+    The restarts run side by side: each u half-sweep stacks the systems
+    of all m rows of every live restart and each v half-sweep those of
+    the n columns, and one stacked min-norm least-squares solve (SVD,
+    with ``np.linalg.lstsq``'s cutoff) answers them all.  Every restart
+    starts from v drawn from ``random.Random(seed)`` in restart order
+    and u = 0, and stops on its own when its residual reaches
+    tol * (1 + ||lhs||_F), or after sweep 21 when a sweep improves it
+    by less than 1e-4 relative, or after ``iters`` sweeps.
+
+    Returns the SliceRewriteData of the first converged restart in
+    index order, or None when none converges.  Restart 0 runs alone
+    first, since it usually converges when any does; the rest run in
+    chunks of at most ``core.BATCH_ENTRIES`` stacked coefficients
+    (m n p (ell - 1) per restart).  No chunk runs after one that
+    converged, and a restart stops as soon as an earlier one has
+    converged, so neither can change the result.
     """
     dom = x0.domain
     if dom.kind != "complex":
@@ -877,6 +907,8 @@ def triple_reduction_witness(
         tol = dom.tol or 1e-9
     m, ell, p = x0.shape
     n = x1.shape[1]
+    if not (0 <= tau < ell):
+        raise ShapeError(f"tau {tau} out of range")
     if ell < 2:
         return None
     others = [t for t in range(ell) if t != tau]
@@ -885,81 +917,59 @@ def triple_reduction_witness(
     ay = x1.to_numpy()
     az = x2.to_numpy()
     lhs = np.einsum("ik,ij,jk->ijk", ax[:, tau, :], ay[:, :, tau], az[tau, :, :])
-    scale = 1.0 + float(np.linalg.norm(lhs))
+    goal = tol * (1.0 + float(np.linalg.norm(lhs)))
+    # broadcast over (restart, i, j, k, index of t in others)
+    y = ay[None, :, :, None, others]
+    x_tau = ax[None, :, None, tau, :, None]
+    x_t = ax[:, others, :].transpose(0, 2, 1)[None, :, None]
+    z_tau = az[None, None, tau, :, :, None]
+    z_t = az[others].transpose(1, 2, 0)[None, None]
     rng = random.Random(seed)
-
-    def residual_of(u, v):
-        acc = np.zeros((m, n, p), dtype=complex)
-        for idx, t in enumerate(others):
-            term = (
-                u[:, idx, None, None] * ax[:, None, tau, :] * az[None, tau, :, :]
-                * v[None, idx, :, None]
-                + u[:, idx, None, None] * ax[:, None, tau, :] * az[None, t, :, :]
-                + ax[:, None, t, :] * az[None, tau, :, :] * v[None, idx, :, None]
-            )
-            acc += ay[:, :, t, None] * term
-        return float(np.linalg.norm(lhs - acc))
-
-    best = None
-    for _ in range(max(1, restarts)):
-        v = np.array(
-            [[dom.random(rng) for _ in range(n)] for _ in others], dtype=complex
-        )
-        u = np.zeros((m, no), dtype=complex)
-        prev = None
+    inits = [
+        [[dom.random(rng) for _ in range(n)] for _ in others]
+        for _ in range(max(1, restarts))
+    ]
+    cap = max(1, core.BATCH_ENTRIES // (m * n * p * no))
+    edges = [0, *range(1, len(inits), cap), len(inits)]
+    for start, end in zip(edges, edges[1:]):
+        v = np.array(inits[start:end], dtype=complex)  # (R, no, n)
+        u = np.zeros((len(v), m, no), dtype=complex)
+        res = np.full(len(v), np.inf)
+        prev = np.full(len(v), np.nan)
+        live = np.arange(len(v))
         for it in range(max(1, iters)):
-            for i in range(m):
-                cols = []
-                for idx, t in enumerate(others):
-                    coef = ay[i, :, t, None] * ax[i, tau, None, :] * (
-                        az[tau, :, :] * v[idx, :, None] + az[t, :, :]
-                    )
-                    cols.append(coef.ravel())
-                const = np.zeros((n, p), dtype=complex)
-                for idx, t in enumerate(others):
-                    const += (
-                        ay[i, :, t, None]
-                        * ax[i, t, None, :]
-                        * az[tau, :, :]
-                        * v[idx, :, None]
-                    )
-                g = np.column_stack(cols)
-                u[i], *_ = np.linalg.lstsq(
-                    g, (lhs[i] - const).ravel(), rcond=None
-                )
-            for j in range(n):
-                cols = []
-                for idx, t in enumerate(others):
-                    coef = ay[:, j, t, None] * az[None, tau, j, :] * (
-                        u[:, idx, None] * ax[:, tau, :] + ax[:, t, :]
-                    )
-                    cols.append(coef.ravel())
-                const = np.zeros((m, p), dtype=complex)
-                for idx, t in enumerate(others):
-                    const += (
-                        ay[:, j, t, None]
-                        * u[:, idx, None]
-                        * ax[:, tau, :]
-                        * az[None, t, j, :]
-                    )
-                h = np.column_stack(cols)
-                v[:, j], *_ = np.linalg.lstsq(
-                    h, (lhs[:, j, :] - const).ravel(), rcond=None
-                )
-            res = residual_of(u, v)
-            if res <= tol * scale:
+            if not live.size:
                 break
-            if prev is not None and prev - res < 1e-4 * prev and it > 20:
-                break
-            prev = res
-        res = residual_of(u, v)
-        if best is None or res < best[0]:
-            best = (res, u.copy(), v.copy())
-        if res <= tol * scale:
+            # u half-sweep: row i's system has equations (j, k)
+            vb = v[live].transpose(0, 2, 1)[:, None, :, None, :]
+            g = y * x_tau * (z_tau * vb + z_t)
+            rhs = lhs - (y * x_t * z_tau * vb).sum(-1)
+            ul = _stacked_lstsq(
+                g.reshape(-1, n * p, no), rhs.reshape(-1, n * p)
+            ).reshape(-1, m, no)
+            # v half-sweep: column j's system has equations (i, k)
+            ub = ul[:, :, None, None, :]
+            h = y * z_tau * (ub * x_tau + x_t)
+            const = (y * ub * x_tau * z_t).sum(-1)
+            vl = _stacked_lstsq(
+                h.transpose(0, 2, 1, 3, 4).reshape(-1, m * p, no),
+                (lhs - const).transpose(0, 2, 1, 3).reshape(-1, m * p),
+            ).reshape(-1, n, no)
+            acc = (h * vl[:, None, :, None, :]).sum(-1) + const
+            rl = np.linalg.norm((lhs - acc).reshape(len(live), -1), axis=1)
+            u[live], v[live], res[live] = ul, vl.transpose(0, 2, 1), rl
+            stall = (it > 20) & (prev[live] - rl < 1e-4 * prev[live])
+            prev[live] = rl
+            live = live[~((rl <= goal) | stall)]
+            hits = np.flatnonzero(res <= goal)
+            if hits.size:  # a later restart can no longer be chosen
+                live = live[live < hits[0]]
+        hits = np.flatnonzero(res <= goal)
+        if hits.size:
             break
-    res, u, v = best
-    if res > tol * scale:
+    else:
         return None
+    u, v = u[hits[0]], v[hits[0]]
     return SliceRewriteData(
         tau=tau,
         us={t: [complex(x) for x in u[:, idx]] for idx, t in enumerate(others)},
@@ -1026,6 +1036,10 @@ def generic_rank_pipeline(
     difference exceeds (1 - E_tau / mu)^-8 - 1 (see
     :func:`_rank_one_out_of_reach`).  No search that could succeed is
     skipped, so the certificate is the same as with every pivot tried.
+
+    A pinned ``tau`` must index a depth slice of ``b`` (else
+    ShapeError); once ell has shrunk to ``tau`` or below, the pinned
+    pivot names no slice, and reducing stops as when no pivot succeeds.
     """
     dom = b.domain
     if dom.kind != "complex":
@@ -1050,6 +1064,8 @@ def generic_rank_pipeline(
 
     step = 0
     while ell > 1:
+        if step and tau is not None and tau >= ell:
+            break  # the pinned pivot no longer names a slice
         taus = [tau] if tau is not None else list(range(ell - 1, -1, -1))
         if ell == 2:
             out_of_reach = _rank_one_out_of_reach(legs)

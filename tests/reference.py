@@ -16,7 +16,10 @@ the hyperdeterminant, the slice rewrite (its legs built entry by entry
 through ``from_function``) and the generic pipeline of ``bmalg.rank``
 as they were before the hyperdeterminant became a cell of the
 third-difference test and the pipeline dropped the ell = 2 -> 1 pivots
-that test rules out, and the exhaustive GF(q) searches
+that test rules out, the general reduction witness of ``bmalg.rank``
+as it was before its restarts ran side by side through one stacked
+least-squares solve per half-sweep (the reference pipeline calls this
+copy), and the exhaustive GF(q) searches
 (``iter_bm_decompositions`` and ``cp_rank_exhaustive`` of
 ``bmalg.rank``, ``is_dependent_exact`` of ``bmalg.dependence``) as they
 were before a numpy filter screened their candidates in blocks.  The
@@ -36,6 +39,8 @@ and the via-rank copy on the scalar ``iter_bm_decompositions`` copy.
 
 import itertools
 import random
+
+import numpy as np
 
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.dependence import DEFAULT_SEARCH_BUDGET, DiagonalWitness, check_family
@@ -73,7 +78,6 @@ from bmalg.rank import (
     bm_rank_exhaustive,
     depth_slice_witness,
     rank_upper_min,
-    triple_reduction_witness,
 )
 from bmalg.rank import _assemble_triple
 from bmalg.rank import _fiber_solutions as fiber_solutions
@@ -1083,6 +1087,113 @@ def hyper_slice_reduce(x0, x1, x2, rewrite: SliceRewriteData):
     reduced = (new_x0, new_x1, new_x2)
     check_product_preservation((x0, x1, x2), reduced, tau)
     return reduced
+
+
+def triple_reduction_witness(
+    x0, x1, x2, tau, tol=None, restarts=20, iters=200, seed=0
+):
+    """Alternating least squares for the general reduction hypothesis of
+    an arbitrary conformable triple (not just the identity-pair form).
+
+    The right side is linear in the u-family for fixed v (decoupled by
+    row) and linear in the v-family for fixed u (decoupled by column).
+    Returns SliceRewriteData or None.
+    """
+    dom = x0.domain
+    if dom.kind != "complex":
+        raise ValueError("triple_reduction_witness needs the complex domain")
+    if tol is None:
+        tol = dom.tol or 1e-9
+    m, ell, p = x0.shape
+    n = x1.shape[1]
+    if ell < 2:
+        return None
+    others = [t for t in range(ell) if t != tau]
+    no = len(others)
+    ax = x0.to_numpy()
+    ay = x1.to_numpy()
+    az = x2.to_numpy()
+    lhs = np.einsum("ik,ij,jk->ijk", ax[:, tau, :], ay[:, :, tau], az[tau, :, :])
+    scale = 1.0 + float(np.linalg.norm(lhs))
+    rng = random.Random(seed)
+
+    def residual_of(u, v):
+        acc = np.zeros((m, n, p), dtype=complex)
+        for idx, t in enumerate(others):
+            term = (
+                u[:, idx, None, None] * ax[:, None, tau, :] * az[None, tau, :, :]
+                * v[None, idx, :, None]
+                + u[:, idx, None, None] * ax[:, None, tau, :] * az[None, t, :, :]
+                + ax[:, None, t, :] * az[None, tau, :, :] * v[None, idx, :, None]
+            )
+            acc += ay[:, :, t, None] * term
+        return float(np.linalg.norm(lhs - acc))
+
+    best = None
+    for _ in range(max(1, restarts)):
+        v = np.array(
+            [[dom.random(rng) for _ in range(n)] for _ in others], dtype=complex
+        )
+        u = np.zeros((m, no), dtype=complex)
+        prev = None
+        for it in range(max(1, iters)):
+            for i in range(m):
+                cols = []
+                for idx, t in enumerate(others):
+                    coef = ay[i, :, t, None] * ax[i, tau, None, :] * (
+                        az[tau, :, :] * v[idx, :, None] + az[t, :, :]
+                    )
+                    cols.append(coef.ravel())
+                const = np.zeros((n, p), dtype=complex)
+                for idx, t in enumerate(others):
+                    const += (
+                        ay[i, :, t, None]
+                        * ax[i, t, None, :]
+                        * az[tau, :, :]
+                        * v[idx, :, None]
+                    )
+                g = np.column_stack(cols)
+                u[i], *_ = np.linalg.lstsq(
+                    g, (lhs[i] - const).ravel(), rcond=None
+                )
+            for j in range(n):
+                cols = []
+                for idx, t in enumerate(others):
+                    coef = ay[:, j, t, None] * az[None, tau, j, :] * (
+                        u[:, idx, None] * ax[:, tau, :] + ax[:, t, :]
+                    )
+                    cols.append(coef.ravel())
+                const = np.zeros((m, p), dtype=complex)
+                for idx, t in enumerate(others):
+                    const += (
+                        ay[:, j, t, None]
+                        * u[:, idx, None]
+                        * ax[:, tau, :]
+                        * az[None, t, j, :]
+                    )
+                h = np.column_stack(cols)
+                v[:, j], *_ = np.linalg.lstsq(
+                    h, (lhs[:, j, :] - const).ravel(), rcond=None
+                )
+            res = residual_of(u, v)
+            if res <= tol * scale:
+                break
+            if prev is not None and prev - res < 1e-4 * prev and it > 20:
+                break
+            prev = res
+        res = residual_of(u, v)
+        if best is None or res < best[0]:
+            best = (res, u.copy(), v.copy())
+        if res <= tol * scale:
+            break
+    res, u, v = best
+    if res > tol * scale:
+        return None
+    return SliceRewriteData(
+        tau=tau,
+        us={t: [complex(x) for x in u[:, idx]] for idx, t in enumerate(others)},
+        vs={t: [complex(x) for x in v[idx, :]] for idx, t in enumerate(others)},
+    )
 
 
 def generic_rank_pipeline(

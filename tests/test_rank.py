@@ -453,6 +453,7 @@ def brute_force_has_rank_one(a):
     dom = a.domain
     q = dom.q
     m, n, p = a.shape
+    data = a.data  # flat (i, j, k) at (i * n + j) * p + k
     for f0 in itertools.product(range(q), repeat=m * p):
         for f1 in itertools.product(range(q), repeat=m * n):
             for f2 in itertools.product(range(q), repeat=n * p):
@@ -465,7 +466,7 @@ def brute_force_has_rank_one(a):
                             break
                         for k in range(p):
                             v = (f0[i * p + k] * f1[i * n + j] * f2[j * p + k]) % q
-                            if v != a[i, j, k]:
+                            if v != data[(i * n + j) * p + k]:
                                 ok = False
                                 break
                 if ok:
