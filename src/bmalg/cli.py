@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 from .core import Hypermatrix, Matrix
 from .dependence import (
@@ -34,9 +35,9 @@ from .inverse import (
     sandwich_check,
     unit_probe_basis,
 )
-from .nullity import nullity
+from .nullity import _slice_is_zero, nullity, orient_depth_min
 from .products import bm_product, general_bm_product
-from .scalars import complex_doubles
+from .scalars import DEFAULT_COMPLEX_TOL, ScalarDomain, complex_doubles
 from .rank import (
     bm_rank_exhaustive,
     generic_rank_pipeline,
@@ -74,8 +75,6 @@ def _load_json(path):
 
 def _parse_domain_flag(spec, tol):
     """Parse --domain values: rational | gf:q | complex."""
-    from .scalars import DEFAULT_COMPLEX_TOL, ScalarDomain
-
     if spec == "rational":
         return ScalarDomain("rational")
     if spec.startswith("gf:"):
@@ -105,8 +104,6 @@ def _cast_scalar(value, src, dst):
     if dst.kind == "rational":
         return dst.coerce(value)
     # rational or gf source into GF(q'): p * q^{-1} mod q'
-    from fractions import Fraction
-
     frac = Fraction(value)
     if frac.denominator % dst.q == 0:
         raise CliError(
@@ -122,8 +119,6 @@ def _cast_hyper(h: Hypermatrix, args) -> Hypermatrix:
     tol = getattr(args, "tol", None)
     if domain_flag is None:
         if tol is not None and h.domain.kind == "complex":
-            from .scalars import ScalarDomain
-
             return Hypermatrix(h.shape, h.data, ScalarDomain("complex", tol=tol))
         return h
     dst = _parse_domain_flag(domain_flag, tol)
@@ -140,7 +135,7 @@ def _load_hyper(path, args=None) -> Hypermatrix:
     obj = _load_json(path)
     try:
         h = Hypermatrix.from_json(obj)
-    except (KeyError, ValueError, ShapeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
         raise CliError(f"bad hypermatrix file {path}: {exc}", EXIT_PARSE) from exc
     return h if args is None else _cast_hyper(h, args)
 
@@ -209,7 +204,7 @@ def _family_from_file(path):
     obj = _load_json(path)
     try:
         mats = [Matrix.from_json(m) for m in obj["matrices"]]
-    except (KeyError, ValueError, ShapeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
         raise CliError(f"bad family file {path}: {exc}", EXIT_PARSE) from exc
     if not mats:
         raise CliError("family file holds no matrices", EXIT_PARSE)
@@ -226,7 +221,8 @@ def _two_slice_report(a, dom):
     ys = [list(v), [dom.one()] * n]
     w = DiagonalWitness(xs, ys, residual=0.0)
     fam = [a.mat_of_depth(0), a.mat_of_depth(1)]
-    assert combination_residual(fam, w).is_zero()
+    if not combination_residual(fam, w).is_zero():
+        raise CliError("two-slice witness failed re-verification", EXIT_VERIFICATION)
     return {
         "dependent": True,
         "method": "exact-ratio",
@@ -290,7 +286,7 @@ def cmd_inverse_pair(args):
     obj = _load_json(args.input)
     try:
         pair = HyperPair.from_json(obj)
-    except (KeyError, ValueError, ShapeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
         raise CliError(f"bad pair file {args.input}: {exc}", EXIT_PARSE) from exc
     report = pair_invertible(pair)
     if not report:
@@ -334,8 +330,6 @@ def cmd_nullity(args):
         a, strategy=args.strategy, budget=args.budget, seed=args.seed
     )
     # re-verify the claimed zero slices under the certificate pair
-    from .nullity import orient_depth_min, _slice_is_zero
-
     oriented, _ = orient_depth_min(a)
     g = cert.pair.act(oriented)
     dom = a.domain

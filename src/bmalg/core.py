@@ -157,8 +157,6 @@ class _Dense:
     # -- interop -----------------------------------------------------------------
 
     def to_numpy(self):
-        import numpy as np
-
         return np.array([complex(a) for a in self.data], dtype=complex).reshape(
             self.shape
         )

@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import Hypermatrix, Matrix, lex_filter
 from .errors import BudgetExceededError, ShapeError
-from .scalars import ScalarDomain
+from .rank import DecompositionTriple
+from .scalars import ScalarDomain, complex_doubles
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -58,15 +59,25 @@ class DiagonalWitness:
         }
 
 
+def _sandwich(left, mat: Matrix, right) -> Matrix:
+    """diag(left) . mat . diag(right), entry (l_i M_ij) r_j."""
+    dom = mat.domain
+    mul, coerce, data = dom.mul, dom.coerce, mat.data
+    rows, cols = mat.shape
+    return Matrix(
+        mat.shape,
+        [
+            coerce(mul(mul(left[i], data[i * cols + j]), right[j]))
+            for i in range(rows)
+            for j in range(cols)
+        ],
+        dom,
+    )
+
+
 def term(family, witness, t) -> Matrix:
     """diag(x_t) . M_t . diag(y_t), computed entry-wise."""
-    m = family[t]
-    dom = m.domain
-    rows, cols = m.shape
-    x, y = witness.xs[t], witness.ys[t]
-    return Matrix.from_function(
-        rows, cols, dom, lambda i, j: dom.mul(dom.mul(x[i], m[i, j]), y[j])
-    )
+    return _sandwich(witness.xs[t], family[t], witness.ys[t])
 
 
 def combination_residual(family, witness) -> Matrix:
@@ -266,8 +277,6 @@ def find_dependence(family, budget=DEFAULT_SEARCH_BUDGET, **numeric_opts):
     if dom.kind == "gf":
         return is_dependent_exact(family, budget=budget)
     if dom.kind == "rational":
-        from .scalars import complex_doubles
-
         cdom = complex_doubles()
         cast = [
             Matrix.from_function(
@@ -440,35 +449,17 @@ def eliminate_round(system: DiagonalSystem, pivot=(0, 0)) -> DiagonalSystem:
 
 def eval_row_lhs(system: DiagonalSystem, row: SystemRow, xs) -> Matrix:
     """Evaluate the left side of a row at concrete unknown matrices."""
-    dom = system.domain
-    acc = Matrix.zeros(system.m, system.n, dom)
+    acc = Matrix.zeros(system.m, system.n, system.domain)
     for t, pairs in enumerate(row.coeffs):
         for l, r in pairs:
-            x = xs[t]
-            acc = acc.add(
-                Matrix.from_function(
-                    system.m,
-                    system.n,
-                    dom,
-                    lambda i, j, l=l, r=r, x=x: dom.mul(dom.mul(l[i], x[i, j]), r[j]),
-                )
-            )
+            acc = acc.add(_sandwich(l, xs[t], r))
     return acc
 
 
 def eval_row_rhs(system: DiagonalSystem, row: SystemRow, cs) -> Matrix:
-    dom = system.domain
-    acc = Matrix.zeros(system.m, system.n, dom)
+    acc = Matrix.zeros(system.m, system.n, system.domain)
     for l, r, src in row.rhs:
-        c = cs[src]
-        acc = acc.add(
-            Matrix.from_function(
-                system.m,
-                system.n,
-                dom,
-                lambda i, j, l=l, r=r, c=c: dom.mul(dom.mul(l[i], c[i, j]), r[j]),
-            )
-        )
+        acc = acc.add(_sandwich(l, cs[src], r))
     return acc
 
 
@@ -501,8 +492,6 @@ def dependent_slice_family(h: Hypermatrix, decomposition, budget=DEFAULT_SEARCH_
     None when no subset yields a witness within budget; existence is
     only guaranteed when ell is the exact rank.
     """
-    from .rank import DecompositionTriple  # local to avoid an import cycle
-
     if not isinstance(decomposition, DecompositionTriple):
         raise TypeError("expected a DecompositionTriple")
     m, n, p = h.shape

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .core import Hypermatrix, Matrix
 from .errors import FactorabilityError, ShapeError
-from .products import bm_product
+from .products import bm_product, identity_pair
 
 SCALING_PATTERN = "scaling"
 RECOVERED_GAUGE = "first-nonzero-d-entry-is-one"
@@ -310,8 +310,7 @@ def pair_invertible(pair: HyperPair) -> InvertibilityReport:
             reason=f"flattening block {bad} is singular",
             singular_block=bad,
         )
-    dom = pair.domain
-    tol = dom.tol if not dom.is_exact else 0.0
+    tol = pair.domain.tol
     for (t, k), g in _factor_slices(inv_blocks, flat.m, flat.n).items():
         violation = _rank_one_violation(g, tol)
         if violation is not None:
@@ -372,12 +371,11 @@ def recover_outer_inverse(pair: HyperPair) -> OuterInversePair:
         raise FactorabilityError(
             f"flattening block {bad} is singular; pair not invertible", block=bad
         )
-    tol = dom.tol if not dom.is_exact else 0.0
     c_data = [None] * (m * p * p)
     d_data = [None] * (p * n * p)
     for (t, k), g in _factor_slices(inv_blocks, m, n).items():
         try:
-            c_vec, d_vec = _factor_rank_one(g, tol)
+            c_vec, d_vec = _factor_rank_one(g, dom.tol)
         except FactorabilityError as exc:
             raise FactorabilityError(
                 f"slice (t={t}, k={k}) is not rank one; pair not invertible",
@@ -429,8 +427,6 @@ def random_pair(m, n, p, domain, rng: random.Random, kind="scaling") -> HyperPai
         beta = Matrix.random(p, n, domain, rng, nonzero=True)
         return scaling_pair(alpha, beta)
     if kind == "identity":
-        from .products import identity_pair as _ip
-
-        j0, j1 = _ip(m, n, p, domain)
+        j0, j1 = identity_pair(m, n, p, domain)
         return HyperPair(j0, j1)
     raise ValueError(f"unknown pair kind {kind!r}")

@@ -41,6 +41,7 @@ from .inverse import (
 from .products import identity_pair
 from .rank import (
     DecompositionTriple,
+    generic_rank_pipeline,
     iter_bm_decompositions,
     rank_upper_min,
 )
@@ -417,13 +418,12 @@ def hyper_nullity_necessity(
         dom.kind == "gf"
         and dom.q ** (len(unused) * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
     )
-    tol = 0.0 if dom.is_exact else dom.tol
     memo = {}
     for u_data, w_data in _completion_candidates(d.x0, d.x2, unused, exhaustive, seed):
         rows = [tuple(u_data[i * p * p : (i + 1) * p * p]) for i in range(m)]
         found = _invertible_blocks(rows, _col_slices(w_data, n, p), memo, dom)
         if found is None or any(
-            _rank_one_violation(g, tol) is not None
+            _rank_one_violation(g, dom.tol) is not None
             for g in _factor_slices(found[1], m, n).values()
         ):
             continue
@@ -646,8 +646,6 @@ def nullity(
         found.strategy = f"via-rank (rank {r or p}, transfer level {p})"
         return found
     if dom.kind == "complex":
-        from .rank import generic_rank_pipeline
-
         cert = generic_rank_pipeline(oriented, seed=seed)
         return hyper_nullity_necessity(
             oriented, cert.triple, seed=seed, transposes_applied=tcount
@@ -655,13 +653,7 @@ def nullity(
     # rational: certify the visible zero depth slices through the
     # identity-pair decomposition restricted to the nonzero ones
     j0, j1 = identity_pair(m, n, p, dom)
-    support = tuple(
-        k
-        for k in range(p)
-        if not all(
-            dom.is_zero(oriented[i, j, k]) for i in range(m) for j in range(n)
-        )
-    )
+    support = tuple(k for k in range(p) if not _slice_is_zero(oriented, k))
     triple = DecompositionTriple(j0, oriented, j1, support)
     return hyper_nullity_necessity(
         oriented, triple, seed=seed, transposes_applied=tcount,

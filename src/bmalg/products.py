@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Hypermatrix
+from .core import Hypermatrix, SliceSpec
 from .errors import ConformabilityError
 from .scalars import COMPLEX_KIND
 
@@ -236,8 +236,6 @@ def outer_product_at(
     a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix, t: int
 ) -> Hypermatrix:
     """The t-th outer product of a triple: slices extracted at index t."""
-    from .core import SliceSpec
-
     return outer_product(
         a0.slice(SliceSpec.column(t)),
         a1.slice(SliceSpec.depth(t)),

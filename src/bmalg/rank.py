@@ -11,11 +11,15 @@ search over tiny prime fields (plain and CP-constrained).
 An all-nonzero B has BM rank at most one iff every multiplicative
 third difference vanishes,
 B[i,j,k] B[i,0,0] B[0,j,0] B[0,0,k] = B[0,0,0] B[i,j,0] B[i,0,k] B[0,j,k].
-The numeric pipeline uses this to stop at a proven bound: it drops an
-ell = 2 -> 1 pivot when the worst relative third difference d of the
-current product P exceeds (1 - E / min |P|)^-8 - 1, where E is the
-largest deviation the reduction check accepts at that pivot, because
-then no rewrite the check accepts exists (see
+The exact two-slice dependence test is this identity on two depth
+slices: B[:,:,1] = diag(u) . B[:,:,0] . diag(v) holds for an
+all-nonzero m x n x 2 input iff B has BM rank one, and u and v are
+read off its ell = 1 legs (see :func:`two_slice_witness`).
+The numeric pipeline uses the identity to stop at a proven bound: it
+drops an ell = 2 -> 1 pivot when the worst relative third difference d
+of the current product P exceeds (1 - E / min |P|)^-8 - 1, where E is
+the largest deviation the reduction check accepts at that pivot,
+because then no rewrite the check accepts exists (see
 :func:`generic_rank_pipeline`).
 
 The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
@@ -217,45 +221,41 @@ def delta_sum(n, r, domain) -> Hypermatrix:
     return acc
 
 
-def delta_sum_certificate(n, r, domain) -> RankCertificate:
-    """Single-outer-product certificate for sum_{t<r} delta_t: the column
-    slice [i==k][i<r], depth slice [i==j], row slice [j==k]."""
+def _delta_sum_certificate(n, r, domain, column, depth) -> RankCertificate:
+    """Single-term certificate for sum_{t<r} delta_t with the column
+    slice x[i,0,k] = [column(i, k)], the depth slice
+    y[i,j,0] = [depth(i, j)] and the row slice z[0,j,k] = [j == k]."""
     if not (0 < r <= n):
         raise ShapeError(f"need 0 < r <= n, got r={r}, n={n}")
     one, zero = domain.one(), domain.zero()
-    x = Hypermatrix.from_function(
-        (n, 1, n), domain, lambda i, _, k: one if (i == k and i < r) else zero
-    )
-    y = Hypermatrix.from_function(
-        (n, n, 1), domain, lambda i, j, _: one if i == j else zero
-    )
-    z = Hypermatrix.from_function(
-        (1, n, n), domain, lambda _, j, k: one if j == k else zero
-    )
-    triple = DecompositionTriple(x, y, z, (0,))
+
+    def leg(shape, mask):
+        cells = itertools.product(range(n), repeat=2)
+        return Hypermatrix(shape, [one if mask(*c) else zero for c in cells], domain)
+
+    legs = [leg((n, 1, n), column), leg((n, n, 1), depth), leg((1, n, n), operator.eq)]
+    triple = DecompositionTriple(*legs, (0,))
     cert = RankCertificate(kind="upper-bound", r=1, triple=triple)
     if not triple.reconstruct().equals(delta_sum(n, r, domain)):
         raise CertificateError("delta-sum reconstruction failed")
     return cert
+
+
+def delta_sum_certificate(n, r, domain) -> RankCertificate:
+    """Single-outer-product certificate for sum_{t<r} delta_t: the column
+    slice [i==k][i<r], depth slice [i==j], row slice [j==k]."""
+    return _delta_sum_certificate(
+        n, r, domain, lambda i, k: i == k and i < r, operator.eq
+    )
 
 
 def delta_sum_certificate_ones(n, r, domain) -> RankCertificate:
     """Equivalent single-term certificate for the same target whose first
     leg is all ones.  Unlike the canonical certificate its legs admit an
     invertible completion, which the rank-nullity construction needs."""
-    one, zero = domain.one(), domain.zero()
-    x = Hypermatrix.from_function((n, 1, n), domain, lambda i, _, k: one)
-    y = Hypermatrix.from_function(
-        (n, n, 1), domain, lambda i, j, _: one if (i == j and i < r) else zero
+    return _delta_sum_certificate(
+        n, r, domain, lambda i, k: True, lambda i, j: i == j and i < r
     )
-    z = Hypermatrix.from_function(
-        (1, n, n), domain, lambda _, j, k: one if j == k else zero
-    )
-    triple = DecompositionTriple(x, y, z, (0,))
-    cert = RankCertificate(kind="upper-bound", r=1, triple=triple)
-    if not triple.reconstruct().equals(delta_sum(n, r, domain)):
-        raise CertificateError("delta-sum reconstruction failed")
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +437,9 @@ def depth_slice_witness(
 
     With V fixed the relation is linear in each row of U and decouples
     row by row; with U fixed it decouples column by column.  Random
-    restarts with fresh V initializations; None when no candidate
-    reaches residual below tol * ||B||_F within the budget.
+    restarts with fresh V initializations; the first restart whose
+    residual reaches tol * ||B||_F is the witness, None when none does
+    within the budget.
 
     Requires the complex domain and entry-wise nonzero input (the
     genericity proxy; zero entries break the Hadamard-inverse step in
@@ -467,9 +468,8 @@ def depth_slice_witness(
         acc = np.zeros((m, n), dtype=complex)
         for idx, t in enumerate(others):
             acc += u[:, idx, None] * arr[:, :, t] * v[None, idx, :]
-        return float(np.linalg.norm(target - acc)), acc
+        return float(np.linalg.norm(target - acc))
 
-    best = None
     for restart in range(max(1, restarts)):
         v = np.array(
             [[dom.random_nonzero(rng) for _ in range(n)] for _ in others],
@@ -484,59 +484,36 @@ def depth_slice_witness(
             for j in range(n):
                 h = (arr[:, j, :][:, others] * u).astype(complex)  # (m, len(others))
                 v[:, j], *_ = np.linalg.lstsq(h, target[:, j], rcond=None)
-            res, _ = residual_of(u, v)
+            res = residual_of(u, v)
             if res <= tol * target_norm:
-                break
+                us, vs = dict(zip(others, u.T.tolist())), dict(zip(others, v.tolist()))
+                return DepthSliceWitness(tau=tau, u_cols=us, v_rows=vs, residual=res)
             if prev is not None and prev - res < 1e-4 * prev and it > 20:
                 break
             prev = res
-        res, _ = residual_of(u, v)
-        if best is None or res < best[0]:
-            best = (res, u.copy(), v.copy())
-        if res <= tol * target_norm:
-            break
-    res, u, v = best
-    if res > tol * target_norm:
-        return None
-    return DepthSliceWitness(
-        tau=tau,
-        u_cols={t: [complex(x) for x in u[:, idx]] for idx, t in enumerate(others)},
-        v_rows={t: [complex(x) for x in v[idx, :]] for idx, t in enumerate(others)},
-        residual=res,
-    )
+    return None
 
 
 def two_slice_witness(b: Hypermatrix, tau=1):
     """Exact depth-slice dependence test for two slices.
 
     For all-nonzero B of shape m x n x 2 the relation
-    B[:,:,tau] = diag(u) . B[:,:,other] . diag(v) holds iff the
-    entry-wise ratio matrix is rank one; returns (u, v) or None.
+    B[:,:,tau] = diag(u) . B[:,:,other] . diag(v) holds iff B with its
+    slices ordered (other, tau) has BM rank one (:func:`bm_rank_one`);
+    then u[i] = x0[i,0,1] and v[j] = x2[0,j,1] from its legs.  Returns
+    (u, v) or None.
     """
-    m, n, p = b.shape
-    if p != 2:
+    if b.shape[2] != 2:
         raise ShapeError("two_slice_witness needs exactly two depth slices")
-    dom = b.domain
-    other = 1 - tau
-    for i in range(m):
-        for j in range(n):
-            if dom.is_zero(b[i, j, 0]) or dom.is_zero(b[i, j, 1]):
-                raise ZeroDivisionError(
-                    f"entries must be nonzero; ({i},{j}) has a zero"
-                )
-    ratio = Matrix.from_function(
-        m, n, dom, lambda i, j: dom.div(b[i, j, tau], b[i, j, other])
-    )
-    anchor = ratio[0, 0]
-    for i in range(m):
-        for j in range(n):
-            if not dom.eq(
-                dom.mul(ratio[i, j], anchor), dom.mul(ratio[i, 0], ratio[0, j])
-            ):
-                return None
-    u = [dom.div(ratio[i, 0], anchor) for i in range(m)]
-    v = [ratio[0, j] for j in range(n)]
-    return u, v
+    if tau not in (0, 1):
+        raise ShapeError(f"tau must be 0 or 1, got {tau}")
+    data = b.data
+    ordered = [data[ij + k] for ij in range(0, len(data), 2) for k in (1 - tau, tau)]
+    _, legs = bm_rank_one(Hypermatrix(b.shape, ordered, b.domain))
+    if legs is None:
+        return None
+    x0, _, x2 = legs
+    return x0.data[1::2], x2.data[1::2]
 
 
 def _third_difference(b: Hypermatrix, i, j, k):
@@ -1053,15 +1030,6 @@ def generic_rank_pipeline(
     j0, j1 = identity_pair(m, n, p, dom)
     legs = (j0, b, j1)
     ell = p
-    norm_b = b.norm()
-
-    def certificate(legs, ell):
-        triple = DecompositionTriple(legs[0], legs[1], legs[2], tuple(range(ell)))
-        res = triple.reconstruct().sub(b).norm() / (1.0 + norm_b)
-        return RankCertificate(
-            kind="upper-bound", r=ell, triple=triple, residual=res
-        )
-
     step = 0
     while ell > 1:
         if step and tau is not None and tau >= ell:
@@ -1094,4 +1062,8 @@ def generic_rank_pipeline(
         legs = reduced
         ell -= 1
         step += 1
-    return certificate(legs, ell)
+    cert = RankCertificate(
+        kind="upper-bound", r=ell, triple=DecompositionTriple(*legs, tuple(range(ell)))
+    )
+    cert.residual = cert.verify(b)
+    return cert

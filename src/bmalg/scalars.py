@@ -9,6 +9,7 @@ relative tolerance ``|a - b| <= tol * (1 + max(|a|, |b|))``.
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +75,6 @@ class ScalarDomain:
     def coerce(self, value):
         """Bring an int/str/float/Fraction/complex into this domain."""
         if self.kind == RATIONAL_KIND:
-            if isinstance(value, str):
-                return Fraction(value)
             return Fraction(value)
         if self.kind == GF_KIND:
             return int(value) % self.q
@@ -160,8 +159,6 @@ class ScalarDomain:
         if self.kind == GF_KIND:
             return rng.randrange(1, self.q)
         # modulus in [0.5, 1.5] keeps entries bounded away from zero
-        import cmath
-
         r = 0.5 + rng.random()
         theta = rng.uniform(0.0, 6.283185307179586)
         return r * cmath.exp(1j * theta)

@@ -7,7 +7,6 @@ run against a shared RNG seed so runs are reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import scalars
 from .core import Hypermatrix, Matrix, reassemble_depth

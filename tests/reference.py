@@ -22,8 +22,11 @@ least-squares solve per half-sweep (the reference pipeline calls this
 copy), and the exhaustive GF(q) searches
 (``iter_bm_decompositions`` and ``cp_rank_exhaustive`` of
 ``bmalg.rank``, ``is_dependent_exact`` of ``bmalg.dependence``) as they
-were before a numpy filter screened their candidates in blocks.  The
-bodies are kept as they were; the former
+were before a numpy filter screened their candidates in blocks, and the
+depth-slice and two-slice witnesses of ``bmalg.rank`` as they were
+before the depth-slice witness returned at its first converged restart
+and the two-slice test ran on ``bm_rank_one`` (the reference pipeline
+calls this depth-slice copy).  The bodies are kept as they were; the former
 ``Matrix`` methods take the matrix as an explicit first argument, the
 nullity copies import the rank pipeline from ``bmalg.rank`` instead of
 relatively, and the slice-rewrite copy calls the current
@@ -73,10 +76,10 @@ from bmalg.products import bm_product, conformability, identity_pair
 from bmalg.rank import (
     DEFAULT_RANK_BUDGET,
     DecompositionTriple,
+    DepthSliceWitness,
     RankCertificate,
     SliceRewriteData,
     bm_rank_exhaustive,
-    depth_slice_witness,
     rank_upper_min,
 )
 from bmalg.rank import _assemble_triple
@@ -1470,3 +1473,115 @@ def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
         if ok and nontrivial:
             return DiagonalWitness(xs, ys, residual=0.0)
     return None
+
+
+# -- former depth-slice and two-slice witnesses (rank) -------------------------
+
+
+def depth_slice_witness(
+    b: Hypermatrix, tau, tol=None, restarts=50, iters=500, seed=0
+):
+    """Alternating least squares for the affine depth-slice dependence.
+
+    With V fixed the relation is linear in each row of U and decouples
+    row by row; with U fixed it decouples column by column.  Random
+    restarts with fresh V initializations; None when no candidate
+    reaches residual below tol * ||B||_F within the budget.
+
+    Requires the complex domain and entry-wise nonzero input (the
+    genericity proxy; zero entries break the Hadamard-inverse step in
+    the analysis and empirically strand the solver).
+    """
+    dom = b.domain
+    if dom.kind != "complex":
+        raise ValueError("depth_slice_witness needs the complex domain")
+    if tol is None:
+        tol = dom.tol or 1e-9
+    m, n, p = b.shape
+    if not (0 <= tau < p):
+        raise ShapeError(f"tau {tau} out of range")
+    for idx, v in enumerate(b.data):
+        if abs(v) <= dom.tol:
+            raise ZeroDivisionError(
+                f"entry {idx} is zero within tolerance; input must be generic"
+            )
+    arr = b.to_numpy()
+    target = arr[:, :, tau]
+    target_norm = float(np.linalg.norm(arr))
+    others = [t for t in range(p) if t != tau]
+    rng = random.Random(seed)
+
+    def residual_of(u, v):
+        acc = np.zeros((m, n), dtype=complex)
+        for idx, t in enumerate(others):
+            acc += u[:, idx, None] * arr[:, :, t] * v[None, idx, :]
+        return float(np.linalg.norm(target - acc)), acc
+
+    best = None
+    for restart in range(max(1, restarts)):
+        v = np.array(
+            [[dom.random_nonzero(rng) for _ in range(n)] for _ in others],
+            dtype=complex,
+        )
+        u = np.zeros((m, len(others)), dtype=complex)
+        prev = None
+        for it in range(max(1, iters)):
+            for i in range(m):
+                g = (arr[i, :, :][:, others] * v.T).astype(complex)  # (n, len(others))
+                u[i], *_ = np.linalg.lstsq(g, target[i], rcond=None)
+            for j in range(n):
+                h = (arr[:, j, :][:, others] * u).astype(complex)  # (m, len(others))
+                v[:, j], *_ = np.linalg.lstsq(h, target[:, j], rcond=None)
+            res, _ = residual_of(u, v)
+            if res <= tol * target_norm:
+                break
+            if prev is not None and prev - res < 1e-4 * prev and it > 20:
+                break
+            prev = res
+        res, _ = residual_of(u, v)
+        if best is None or res < best[0]:
+            best = (res, u.copy(), v.copy())
+        if res <= tol * target_norm:
+            break
+    res, u, v = best
+    if res > tol * target_norm:
+        return None
+    return DepthSliceWitness(
+        tau=tau,
+        u_cols={t: [complex(x) for x in u[:, idx]] for idx, t in enumerate(others)},
+        v_rows={t: [complex(x) for x in v[idx, :]] for idx, t in enumerate(others)},
+        residual=res,
+    )
+
+
+def two_slice_witness(b: Hypermatrix, tau=1):
+    """Exact depth-slice dependence test for two slices.
+
+    For all-nonzero B of shape m x n x 2 the relation
+    B[:,:,tau] = diag(u) . B[:,:,other] . diag(v) holds iff the
+    entry-wise ratio matrix is rank one; returns (u, v) or None.
+    """
+    m, n, p = b.shape
+    if p != 2:
+        raise ShapeError("two_slice_witness needs exactly two depth slices")
+    dom = b.domain
+    other = 1 - tau
+    for i in range(m):
+        for j in range(n):
+            if dom.is_zero(b[i, j, 0]) or dom.is_zero(b[i, j, 1]):
+                raise ZeroDivisionError(
+                    f"entries must be nonzero; ({i},{j}) has a zero"
+                )
+    ratio = Matrix.from_function(
+        m, n, dom, lambda i, j: dom.div(b[i, j, tau], b[i, j, other])
+    )
+    anchor = ratio[0, 0]
+    for i in range(m):
+        for j in range(n):
+            if not dom.eq(
+                dom.mul(ratio[i, j], anchor), dom.mul(ratio[i, 0], ratio[0, j])
+            ):
+                return None
+    u = [dom.div(ratio[i, 0], anchor) for i in range(m)]
+    v = [ratio[0, j] for j in range(n)]
+    return u, v

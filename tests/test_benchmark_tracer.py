@@ -2,7 +2,9 @@
 library as it stands: it patches the methods it lists in each class's
 own namespace, the JSON codec included, and it rebinds the functions
 it lists in the module namespaces that hold them, so each traced layer
-keeps a span.  The tracer is only imported."""
+keeps a span.  Its scalar counter patches the arithmetic methods it
+lists in ``ScalarDomain``'s own namespace.  The tracer is only
+imported."""
 
 import importlib
 import random
@@ -11,7 +13,7 @@ from pathlib import Path
 
 from bmalg import core, inverse, rank
 from bmalg.core import Hypermatrix, Matrix
-from bmalg.scalars import complex_doubles, gf, rational
+from bmalg.scalars import ScalarDomain, complex_doubles, gf, rational
 from test_rank_one import rank_one
 
 nullity_module = importlib.import_module("bmalg.nullity")
@@ -96,3 +98,21 @@ def test_traced_pipeline_stops_at_the_rank_one_bound():
         assert rank.generic_rank_pipeline(rank_one_input, seed=0).r == 1
     finally:
         tracer.uninstall()
+
+
+def test_scalar_counter_counts_elimination_and_restores_every_method():
+    originals = {attr: ScalarDomain.__dict__[attr] for attr in tracing.SCALAR_METHODS}
+    rng = random.Random(4)
+    mats = [Matrix.random(3, 3, dom, rng, nonzero=True)
+            for dom in (rational(), gf(7), complex_doubles())]
+    counter = tracing.ScalarCounter()
+    try:
+        counter.install()
+        for mat in mats:
+            before = counter.calls
+            mat.det()
+            assert counter.calls > before, mat.domain.kind
+    finally:
+        counter.uninstall()
+    for attr, func in originals.items():
+        assert ScalarDomain.__dict__[attr] is func, attr

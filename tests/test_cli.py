@@ -222,3 +222,37 @@ def test_domain_cast_flag(tmp_path):
 
     # bad domain strings are parse errors
     assert main(["rank", f, "--strategy", "min-bound", "--domain", "gf:6"]) == 2
+
+
+GOOD_HYPER = {"domain": {"kind": "rational"}, "shape": [1, 1, 1], "data": ["1/1"]}
+MALFORMED_HYPERS = {
+    "int-data": {**GOOD_HYPER, "data": 5},
+    "string-modulus": {"domain": {"kind": "gf", "q": "7"}, "shape": [1, 1, 1],
+                       "data": [1]},
+    "null-shape": {**GOOD_HYPER, "shape": None},
+    "top-level-list": [1, 2],
+    "short-complex-entry": {"domain": {"kind": "complex"}, "shape": [1, 1, 1],
+                            "data": [[1]]},
+    "null-rational-entry": {**GOOD_HYPER, "data": [None]},
+}
+MALFORMED_RUNS = [
+    *(pytest.param(cmd, payload, id=f"{cmd}-{name}")
+      for cmd in ("rank", "prod", "nullity")
+      for name, payload in MALFORMED_HYPERS.items()),
+    pytest.param("dependence", {"matrices": 5}, id="dependence-int-family"),
+    pytest.param("inverse-pair", {"A": 5, "B": 6}, id="inverse-pair-int-legs"),
+]
+
+
+@pytest.mark.parametrize("command, payload", MALFORMED_RUNS)
+def test_malformed_input_exits_2_with_one_json_line(tmp_path, capsys, command, payload):
+    """A malformed file is a parse error: exit 2, nothing on stdout and
+    one JSON diagnostic line on stderr, not a traceback."""
+    f = write_json(tmp_path, "bad.json", payload)
+    args = {"prod": [f, f, f], "dependence": ["--family", f]}.get(command, [f])
+    assert main([command, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "cli"

@@ -1,0 +1,114 @@
+"""The two-slice and depth-slice witnesses find what the former code did.
+
+``rank.two_slice_witness`` now runs ``bm_rank_one`` on the two slices
+and reads u and v off its legs; the copy in ``reference.py`` built its
+own ratio matrix.  Over Q and GF(q) both must return the same u and v,
+or both None.  ``rank.depth_slice_witness`` now returns at its first
+converged restart instead of keeping the best restart so far; its u, v
+and residual must have the same float bits as the copy's, or both be
+None.
+"""
+
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference as ref
+from test_rank_one import rank_one
+from bmalg import scalars
+from bmalg.core import Hypermatrix
+from bmalg.errors import ShapeError
+from bmalg.rank import depth_slice_witness, two_slice_witness
+
+EXACT = [scalars.rational(), scalars.gf(3), scalars.gf(7)]
+CPLX = scalars.complex_doubles()
+SHAPES = [(2, 2, 2), (3, 3, 3), (2, 3, 4), (3, 2, 3), (4, 4, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(EXACT),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([0, 1]),
+    st.booleans(),
+)
+def test_two_slice_witness_matches_reference(seed, dom, m, n, tau, planted):
+    rng = random.Random(seed)
+    if planted:
+        b = rank_one(rng, dom, (m, n, 2))
+    else:
+        b = Hypermatrix.random((m, n, 2), dom, rng, nonzero=True)
+    got = two_slice_witness(b, tau)
+    want = ref.two_slice_witness(b, tau)
+    assert got == want
+    if planted:
+        assert got is not None
+
+
+@pytest.mark.parametrize(
+    "shape, tau", [((2, 2, 3), 1), ((2, 2, 2), 2), ((2, 2, 2), -1)]
+)
+def test_two_slice_witness_shape_errors_match_reference(shape, tau):
+    b = Hypermatrix.random(shape, EXACT[0], random.Random(5), nonzero=True)
+    for witness in (two_slice_witness, ref.two_slice_witness):
+        with pytest.raises(ShapeError):
+            witness(b, tau)
+
+
+def bits(w):
+    """The witness as the float bits of its u, v and residual."""
+    if w is None:
+        return None
+
+    def pack(vec):
+        return b"".join(struct.pack("<dd", v.real, v.imag) for v in vec)
+
+    return (
+        w.tau,
+        {t: pack(vec) for t, vec in w.u_cols.items()},
+        {t: pack(vec) for t, vec in w.v_rows.items()},
+        struct.pack("<d", w.residual),
+    )
+
+
+def same_depth_witness(b, tau, **kw):
+    got = bits(depth_slice_witness(b, tau, **kw))
+    assert got == bits(ref.depth_slice_witness(b, tau, **kw))
+    return got is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(SHAPES),
+    st.integers(0, 4),
+    st.integers(1, 120),
+    st.sampled_from([None, 1e-3, 1e-6]),
+)
+def test_depth_slice_witness_matches_reference(seed, shape, restarts, iters, tol):
+    b = Hypermatrix.random(shape, CPLX, random.Random(seed), nonzero=True)
+    tau = seed % shape[2]
+    same_depth_witness(b, tau, restarts=restarts, iters=iters, tol=tol, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "shape, seed, kw, found",
+    [
+        ((3, 3, 3), 2, {}, True),
+        ((2, 3, 4), 0, {"restarts": 3, "iters": 40}, True),
+        ((2, 2, 2), 1, {"restarts": 4, "iters": 30}, False),
+        ((4, 4, 3), 1, {"restarts": 2, "iters": 30}, False),
+        # the first restart stalls and a later one converges
+        ((3, 3, 3), 18, {"restarts": 1, "iters": 40}, False),
+        ((3, 3, 3), 18, {"restarts": 4, "iters": 40}, True),
+        ((3, 3, 3), 20, {"restarts": 4, "iters": 10, "tol": 1e-3}, True),
+    ],
+)
+def test_depth_slice_witness_outcomes_match_reference(shape, seed, kw, found):
+    b = Hypermatrix.random(shape, CPLX, random.Random(seed), nonzero=True)
+    assert same_depth_witness(b, seed % shape[2], seed=seed, **kw) is found
