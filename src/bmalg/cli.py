@@ -113,13 +113,13 @@ def _cast_scalar(value, src, dst):
     return dst.mul(dst.coerce(frac.numerator), dst.inv(dst.coerce(frac.denominator)))
 
 
-def _cast_hyper(h: Hypermatrix, args) -> Hypermatrix:
-    """Apply the --domain / --tol overrides to a parsed hypermatrix."""
+def _cast(h, args):
+    """Apply the --domain / --tol overrides to a parsed (hyper)matrix."""
     domain_flag = getattr(args, "domain", None)
     tol = getattr(args, "tol", None)
     if domain_flag is None:
         if tol is not None and h.domain.kind == "complex":
-            return Hypermatrix(h.shape, h.data, ScalarDomain("complex", tol=tol))
+            return type(h)(h.shape, h.data, ScalarDomain("complex", tol=tol))
         return h
     dst = _parse_domain_flag(domain_flag, tol)
     if dst == h.domain:
@@ -128,7 +128,7 @@ def _cast_hyper(h: Hypermatrix, args) -> Hypermatrix:
         data = [_cast_scalar(v, h.domain, dst) for v in h.data]
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot cast input to {domain_flag}: {exc}", EXIT_PARSE) from exc
-    return Hypermatrix(h.shape, data, dst)
+    return type(h)(h.shape, data, dst)
 
 
 def _load_hyper(path, args=None) -> Hypermatrix:
@@ -137,7 +137,7 @@ def _load_hyper(path, args=None) -> Hypermatrix:
         h = Hypermatrix.from_json(obj)
     except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
         raise CliError(f"bad hypermatrix file {path}: {exc}", EXIT_PARSE) from exc
-    return h if args is None else _cast_hyper(h, args)
+    return h if args is None else _cast(h, args)
 
 
 def _write(obj, out):
@@ -200,7 +200,7 @@ def cmd_rank(args):
     return EXIT_OK
 
 
-def _family_from_file(path):
+def _family_from_file(path, args):
     obj = _load_json(path)
     try:
         mats = [Matrix.from_json(m) for m in obj["matrices"]]
@@ -208,7 +208,7 @@ def _family_from_file(path):
         raise CliError(f"bad family file {path}: {exc}", EXIT_PARSE) from exc
     if not mats:
         raise CliError("family file holds no matrices", EXIT_PARSE)
-    return mats
+    return [_cast(m, args) for m in mats]
 
 
 def _two_slice_report(a, dom):
@@ -257,7 +257,7 @@ def cmd_dependence(args):
         )
 
     if args.family:
-        fam = _family_from_file(args.family)
+        fam = _family_from_file(args.family, args)
         _write(_dependence_report(fam[0].domain, search(fam)), args.out)
         return EXIT_OK
     a = _load_hyper(args.hyper, args)

@@ -18,8 +18,8 @@ the exhaustive rank search (``rank._fiber_solutions``).  Flattening
 blocks of inverse pairs, those of the direct-search nullity included,
 are inverted through ``Matrix.inverse``.
 
-:func:`lex_filter` is the batched candidate scan the exhaustive GF(q)
-searches share: it hands blocks of at most ``BATCH_ENTRIES`` array
+:func:`lex_filter` is the batched candidate scan of the exhaustive GF(q)
+rank searches: it hands blocks of at most ``BATCH_ENTRIES`` array
 entries to a numpy test and yields the survivors in lexicographic order.
 """
 
@@ -35,8 +35,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .scalars import ScalarDomain
-
-AXIS_NAMES = {"row": 0, "column": 1, "depth": 2}
 
 # Most int64 entries per candidate block of :func:`lex_filter` (512 KiB).
 BATCH_ENTRIES = 1 << 16

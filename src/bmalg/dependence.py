@@ -5,22 +5,24 @@ A family {M_t} is diagonally dependent when some diagonal matrices
 
     0 = sum_t diag(x_t) . M_t . diag(y_t)
 
-with at least one term nonzero.  This module provides the residual of a
-candidate witness, an exhaustive exact solver over GF(q), a numeric
-solver over complex doubles, the single division-free elimination round
-for diagonal-coefficient systems, the determinantal residuals of the
-rank-(r+1) feasibility analysis, and the feasibility inequality itself.
+with at least one term nonzero.  A nonzero term must cancel against
+another member's term at the same entry, and two members nonzero at one
+entry always cancel there, so a family is dependent exactly when two of
+its members share a nonzero entry.  This module provides the residual of
+a candidate witness, the witness that such a shared entry gives (over
+GF(q) the first one an exhaustive scan would find, over complex doubles
+the first one that passes the numeric acceptance test), the single
+division-free elimination round for diagonal-coefficient systems, the
+determinantal residuals of the rank-(r+1) feasibility analysis, and the
+feasibility inequality itself.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import Hypermatrix, Matrix, lex_filter
+from .core import Hypermatrix, Matrix
 from .errors import BudgetExceededError, ShapeError
 from .rank import DecompositionTriple
 from .scalars import ScalarDomain, complex_doubles
@@ -109,22 +111,51 @@ def witness_is_nontrivial(family, witness, tol=0.0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact exhaustive solver over GF(q)
+# two-member witnesses: the exact and the numeric search
 # ---------------------------------------------------------------------------
 
 
+def _shared_entry_witnesses(family):
+    """Yield a witness for every two members that share a nonzero entry.
+
+    A nonzero term at entry (i, j) cancels only against another member
+    nonzero at (i, j), and members t1 < t2 that are both nonzero there
+    cancel with x_t1 = x_t2 = e_i, y_t1 = e_j and
+    y_t2 = -(M_t1[i,j] / M_t2[i,j]) e_j.  So a family is dependent
+    exactly when this generator yields something.  Candidates come with
+    t1*m + i descending, then t2, then j descending: over GF(q) the first
+    one is the lexicographically first witness of the assignment order
+    (all x entries, then all y entries, member by member).
+    """
+    (m, n), dom = check_family(family)
+    p = len(family)
+    for t1 in reversed(range(p)):
+        for i in reversed(range(m)):
+            for t2 in reversed(range(t1 + 1, p)):
+                for j in reversed(range(n)):
+                    a, b = family[t1][i, j], family[t2][i, j]
+                    if dom.is_zero(a) or dom.is_zero(b):
+                        continue
+                    xs = [[dom.zero()] * m for _ in range(p)]
+                    ys = [[dom.zero()] * n for _ in range(p)]
+                    xs[t1][i] = xs[t2][i] = dom.one()
+                    ys[t1][j] = dom.one()
+                    ys[t2][j] = dom.neg(dom.div(a, b))
+                    yield DiagonalWitness(xs, ys)
+
+
 def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
-    """Exhaustive witness search over GF(q).
+    """Witness search over GF(q).
 
-    Returns the first nontrivial witness with zero residual in
-    lexicographic assignment order, or None, which over a finite field
-    proves the family independent.  Families of size one are independent
-    by definition (the single term must itself vanish).
-
-    For each assignment of the x vectors, a numpy test checks the y
-    assignments in lexicographic blocks of at most ``core.BATCH_ENTRIES``
-    array entries (zero residual and some nonzero term) and the first
-    hit is returned, the one a one-by-one scan would find.
+    Returns the lexicographically first nontrivial witness with zero
+    residual in the assignment order (all x entries, then all y entries),
+    or None, which over a finite field proves the family independent.
+    Families of size one are independent by definition (the single term
+    must itself vanish).  The witness is read off the last shared
+    nonzero entry (:func:`_shared_entry_witnesses`), so ``budget`` no
+    longer bounds any work: it only refuses, with
+    :class:`BudgetExceededError`, the families whose q^(p(m+n))
+    assignments exceed it, as the exhaustive scan did.
     """
     (m, n), dom = check_family(family)
     if dom.kind != "gf":
@@ -138,135 +169,37 @@ def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
         raise BudgetExceededError(
             f"search space q^(p(m+n)) = {q}^{digits} exceeds budget {budget}"
         )
-    mats = np.array([fam.data for fam in family], dtype=np.int64).reshape(p, m, n)
-
-    def witnesses(flat_x, block):
-        # terms[t, i, j, c] of candidate c; reductions run across candidates
-        left = flat_x.reshape(p, m, 1, 1) * mats[..., None]
-        terms = left * block.reshape(p, 1, n, -1) % q
-        ok = ~(terms.sum(axis=0) % q).any(axis=(0, 1))
-        return ok & terms.any(axis=(0, 1, 2))
-
-    for flat_x, flat_y in lex_filter(q, p * m, p * n, p * m * n, witnesses):
-        xs = [list(flat_x[t * m : (t + 1) * m]) for t in range(p)]
-        ys = [list(flat_y[t * n : (t + 1) * n]) for t in range(p)]
-        return DiagonalWitness(xs, ys, residual=0.0)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# numeric solver over complex doubles
-# ---------------------------------------------------------------------------
-
-
-def _null_vector(row):
-    """A unit vector orthogonal to a single complex row (len >= 2)."""
-    p = len(row)
-    nrm = np.linalg.norm(row)
-    if nrm == 0.0:
-        e = np.zeros(p, dtype=complex)
-        e[0] = 1.0
-        return e
-    # complete the normalized row to an orthonormal basis and take any
-    # later column
-    q_mat, _ = np.linalg.qr(
-        np.column_stack([np.conj(row) / nrm, np.eye(p, dtype=complex)])
-    )
-    return q_mat[:, 1]
+    witness = next(_shared_entry_witnesses(family), None)
+    if witness is not None:
+        witness.residual = 0.0
+    return witness
 
 
 def is_dependent_numeric(family, tol=None, restarts=50, iters=500, seed=0):
-    """Numeric witness search over complex doubles.
+    """Witness search over complex doubles.
 
-    Strategy: anchor the x-block on one row of the family (unit-norm
-    gauge on the x-block excludes the all-zero witness), then each
-    column constraint becomes a single homogeneous equation in the p
-    unknowns y_t[j], solved exactly by a null vector; random restarts
-    vary the anchor row and the anchor coefficients.  A general
-    alternating smallest-singular-vector refinement handles families
-    whose zero patterns defeat the anchored construction.
-
-    None means no witness was found within the budget; it is NOT a
-    proof of independence.
+    Returns the first two-member witness of :func:`_shared_entry_witnesses`
+    whose residual is at most tol * (1 + max |entry|) * sqrt(mn) and whose
+    terms are nontrivial beyond ``tol``, or None.  Entries within the
+    domain tolerance count as zero, so None says that no two members
+    share an entry above it whose witness passes that test.
+    ``restarts``, ``iters`` and ``seed`` no longer change the result;
+    they are kept for the callers that pass them.
     """
     (m, n), dom = check_family(family)
     if dom.kind != "complex":
         raise ValueError("numeric dependence search needs the complex domain")
     if tol is None:
         tol = dom.tol or 1e-9
-    p = len(family)
-    if p == 1:
+    if len(family) == 1:
         return None
-    rng = random.Random(seed)
-    mats = np.stack([fam.to_numpy() for fam in family])  # (p, m, n)
-    scale = 1.0 + float(np.max(np.abs(mats)))
-
-    def package(xs_arr, ys_arr):
-        xs = [[complex(v) for v in xs_arr[t]] for t in range(p)]
-        ys = [[complex(v) for v in ys_arr[t]] for t in range(p)]
-        w = DiagonalWitness(xs, ys)
-        res = combination_residual(family, w)
-        w.residual = res.norm()
-        if w.residual <= tol * scale * (m * n) ** 0.5 and witness_is_nontrivial(
-            family, w, tol
+    scale = 1.0 + max(abs(v) for mat in family for v in mat.data)
+    for witness in _shared_entry_witnesses(family):
+        witness.residual = combination_residual(family, witness).norm()
+        if witness.residual <= tol * scale * (m * n) ** 0.5 and witness_is_nontrivial(
+            family, witness, tol
         ):
-            return w
-        return None
-
-    # anchored construction: witness supported on a single row
-    anchors = list(range(m))
-    for attempt in range(max(1, restarts)):
-        if attempt:
-            rng.shuffle(anchors)
-        for i_star in anchors:
-            if attempt == 0:
-                coeff = np.ones(p, dtype=complex)
-            else:
-                coeff = np.array(
-                    [dom.random_nonzero(rng) for _ in range(p)], dtype=complex
-                )
-            coeff /= np.linalg.norm(coeff)
-            xs_arr = np.zeros((p, m), dtype=complex)
-            xs_arr[:, i_star] = coeff
-            ys_arr = np.zeros((p, n), dtype=complex)
-            for j in range(n):
-                row = coeff * mats[:, i_star, j]
-                ys_arr[:, j] = _null_vector(row)
-            w = package(xs_arr, ys_arr)
-            if w is not None:
-                return w
-
-    # alternating refinement for zero-pattern families
-    for _ in range(max(1, restarts)):
-        ys_arr = np.array(
-            [[dom.random(rng) for _ in range(n)] for _ in range(p)], dtype=complex
-        )
-        xs_arr = np.zeros((p, m), dtype=complex)
-        for _ in range(iters):
-            # x-step: per-row smallest singular vector, gauge on the best row
-            best = None
-            for i in range(m):
-                g = (mats[:, i, :] * ys_arr).T  # (n, p)
-                _, s, vh = np.linalg.svd(g)
-                sv = s[-1] if len(s) >= g.shape[1] else 0.0
-                if best is None or sv < best[0]:
-                    best = (sv, i, np.conj(vh[-1]))
-            xs_arr[:] = 0.0
-            xs_arr[:, best[1]] = best[2]
-            # y-step: per-column null vector where achievable, zero otherwise
-            new_ys = np.zeros((p, n), dtype=complex)
-            for j in range(n):
-                h = (mats[:, :, j] * xs_arr).T  # (m, p)
-                u, s, vh = np.linalg.svd(h)
-                if s[-1] <= tol * scale * 10 or h.shape[0] < h.shape[1]:
-                    new_ys[:, j] = np.conj(vh[-1])
-            if np.allclose(new_ys, ys_arr, atol=tol):
-                ys_arr = new_ys
-                break
-            ys_arr = new_ys
-        w = package(xs_arr, ys_arr)
-        if w is not None:
-            return w
+            return witness
     return None
 
 

@@ -10,6 +10,7 @@ relative tolerance ``|a - b| <= tol * (1 + max(|a|, |b|))``.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,8 +58,10 @@ class ScalarDomain:
         elif self.kind == COMPLEX_KIND:
             if self.q is not None:
                 raise ValueError("complex domain takes no modulus")
-            if self.tol < 0.0:
-                raise ValueError("tolerance must be nonnegative")
+            if not 0.0 <= self.tol < math.inf:
+                raise ValueError(
+                    f"non-finite or negative complex tolerance {self.tol!r}"
+                )
         else:
             raise ValueError(f"unknown scalar domain kind {self.kind!r}")
 
@@ -190,7 +193,11 @@ class ScalarDomain:
         return [a.real, a.imag]
 
     def decode(self, obj):
-        return self.coerce(obj)
+        """Decode one JSON scalar; complex entries must be finite."""
+        value = self.coerce(obj)
+        if self.kind == COMPLEX_KIND and not cmath.isfinite(value):
+            raise ValueError(f"non-finite complex entry {obj!r}")
+        return value
 
 
 def rational() -> ScalarDomain:

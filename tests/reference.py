@@ -26,7 +26,11 @@ were before a numpy filter screened their candidates in blocks, and the
 depth-slice and two-slice witnesses of ``bmalg.rank`` as they were
 before the depth-slice witness returned at its first converged restart
 and the two-slice test ran on ``bm_rank_one`` (the reference pipeline
-calls this depth-slice copy).  The bodies are kept as they were; the former
+calls this depth-slice copy), and the batched exhaustive GF(q) and the
+numeric dependence searches of ``bmalg.dependence`` as they were before
+both read their witness off a shared nonzero entry (the batched copy is
+named ``is_dependent_exact_batched`` here, because ``is_dependent_exact``
+is the scalar one).  The bodies are kept as they were; the former
 ``Matrix`` methods take the matrix as an explicit first argument, the
 nullity copies import the rank pipeline from ``bmalg.rank`` instead of
 relatively, and the slice-rewrite copy calls the current
@@ -45,8 +49,14 @@ import random
 
 import numpy as np
 
-from bmalg.core import Hypermatrix, Matrix
-from bmalg.dependence import DEFAULT_SEARCH_BUDGET, DiagonalWitness, check_family
+from bmalg.core import Hypermatrix, Matrix, lex_filter
+from bmalg.dependence import (
+    DEFAULT_SEARCH_BUDGET,
+    DiagonalWitness,
+    check_family,
+    combination_residual,
+    witness_is_nontrivial,
+)
 from bmalg.errors import (
     BudgetExceededError,
     CertificateError,
@@ -1585,3 +1595,158 @@ def two_slice_witness(b: Hypermatrix, tau=1):
     u = [dom.div(ratio[i, 0], anchor) for i in range(m)]
     v = [ratio[0, j] for j in range(n)]
     return u, v
+
+
+# -- former batched GF(q) and numeric dependence searches (dependence) ----------
+
+
+def is_dependent_exact_batched(family, budget=DEFAULT_SEARCH_BUDGET):
+    """Exhaustive witness search over GF(q).
+
+    Returns the first nontrivial witness with zero residual in
+    lexicographic assignment order, or None, which over a finite field
+    proves the family independent.  Families of size one are independent
+    by definition (the single term must itself vanish).
+
+    For each assignment of the x vectors, a numpy test checks the y
+    assignments in lexicographic blocks of at most ``core.BATCH_ENTRIES``
+    array entries (zero residual and some nonzero term) and the first
+    hit is returned, the one a one-by-one scan would find.
+    """
+    (m, n), dom = check_family(family)
+    if dom.kind != "gf":
+        raise ValueError("exhaustive dependence search needs a GF(q) domain")
+    p = len(family)
+    if p == 1:
+        return None
+    q = dom.q
+    digits = p * (m + n)
+    if q**digits > budget:
+        raise BudgetExceededError(
+            f"search space q^(p(m+n)) = {q}^{digits} exceeds budget {budget}"
+        )
+    mats = np.array([fam.data for fam in family], dtype=np.int64).reshape(p, m, n)
+
+    def witnesses(flat_x, block):
+        # terms[t, i, j, c] of candidate c; reductions run across candidates
+        left = flat_x.reshape(p, m, 1, 1) * mats[..., None]
+        terms = left * block.reshape(p, 1, n, -1) % q
+        ok = ~(terms.sum(axis=0) % q).any(axis=(0, 1))
+        return ok & terms.any(axis=(0, 1, 2))
+
+    for flat_x, flat_y in lex_filter(q, p * m, p * n, p * m * n, witnesses):
+        xs = [list(flat_x[t * m : (t + 1) * m]) for t in range(p)]
+        ys = [list(flat_y[t * n : (t + 1) * n]) for t in range(p)]
+        return DiagonalWitness(xs, ys, residual=0.0)
+    return None
+
+
+def _null_vector(row):
+    """A unit vector orthogonal to a single complex row (len >= 2)."""
+    p = len(row)
+    nrm = np.linalg.norm(row)
+    if nrm == 0.0:
+        e = np.zeros(p, dtype=complex)
+        e[0] = 1.0
+        return e
+    # complete the normalized row to an orthonormal basis and take any
+    # later column
+    q_mat, _ = np.linalg.qr(
+        np.column_stack([np.conj(row) / nrm, np.eye(p, dtype=complex)])
+    )
+    return q_mat[:, 1]
+
+
+def is_dependent_numeric(family, tol=None, restarts=50, iters=500, seed=0):
+    """Numeric witness search over complex doubles.
+
+    Strategy: anchor the x-block on one row of the family (unit-norm
+    gauge on the x-block excludes the all-zero witness), then each
+    column constraint becomes a single homogeneous equation in the p
+    unknowns y_t[j], solved exactly by a null vector; random restarts
+    vary the anchor row and the anchor coefficients.  A general
+    alternating smallest-singular-vector refinement handles families
+    whose zero patterns defeat the anchored construction.
+
+    None means no witness was found within the budget; it is NOT a
+    proof of independence.
+    """
+    (m, n), dom = check_family(family)
+    if dom.kind != "complex":
+        raise ValueError("numeric dependence search needs the complex domain")
+    if tol is None:
+        tol = dom.tol or 1e-9
+    p = len(family)
+    if p == 1:
+        return None
+    rng = random.Random(seed)
+    mats = np.stack([fam.to_numpy() for fam in family])  # (p, m, n)
+    scale = 1.0 + float(np.max(np.abs(mats)))
+
+    def package(xs_arr, ys_arr):
+        xs = [[complex(v) for v in xs_arr[t]] for t in range(p)]
+        ys = [[complex(v) for v in ys_arr[t]] for t in range(p)]
+        w = DiagonalWitness(xs, ys)
+        res = combination_residual(family, w)
+        w.residual = res.norm()
+        if w.residual <= tol * scale * (m * n) ** 0.5 and witness_is_nontrivial(
+            family, w, tol
+        ):
+            return w
+        return None
+
+    # anchored construction: witness supported on a single row
+    anchors = list(range(m))
+    for attempt in range(max(1, restarts)):
+        if attempt:
+            rng.shuffle(anchors)
+        for i_star in anchors:
+            if attempt == 0:
+                coeff = np.ones(p, dtype=complex)
+            else:
+                coeff = np.array(
+                    [dom.random_nonzero(rng) for _ in range(p)], dtype=complex
+                )
+            coeff /= np.linalg.norm(coeff)
+            xs_arr = np.zeros((p, m), dtype=complex)
+            xs_arr[:, i_star] = coeff
+            ys_arr = np.zeros((p, n), dtype=complex)
+            for j in range(n):
+                row = coeff * mats[:, i_star, j]
+                ys_arr[:, j] = _null_vector(row)
+            w = package(xs_arr, ys_arr)
+            if w is not None:
+                return w
+
+    # alternating refinement for zero-pattern families
+    for _ in range(max(1, restarts)):
+        ys_arr = np.array(
+            [[dom.random(rng) for _ in range(n)] for _ in range(p)], dtype=complex
+        )
+        xs_arr = np.zeros((p, m), dtype=complex)
+        for _ in range(iters):
+            # x-step: per-row smallest singular vector, gauge on the best row
+            best = None
+            for i in range(m):
+                g = (mats[:, i, :] * ys_arr).T  # (n, p)
+                _, s, vh = np.linalg.svd(g)
+                sv = s[-1] if len(s) >= g.shape[1] else 0.0
+                if best is None or sv < best[0]:
+                    best = (sv, i, np.conj(vh[-1]))
+            xs_arr[:] = 0.0
+            xs_arr[:, best[1]] = best[2]
+            # y-step: per-column null vector where achievable, zero otherwise
+            new_ys = np.zeros((p, n), dtype=complex)
+            for j in range(n):
+                h = (mats[:, :, j] * xs_arr).T  # (m, p)
+                u, s, vh = np.linalg.svd(h)
+                if s[-1] <= tol * scale * 10 or h.shape[0] < h.shape[1]:
+                    new_ys[:, j] = np.conj(vh[-1])
+            if np.allclose(new_ys, ys_arr, atol=tol):
+                ys_arr = new_ys
+                break
+            ys_arr = new_ys
+        w = package(xs_arr, ys_arr)
+        if w is not None:
+            return w
+    return None

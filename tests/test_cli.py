@@ -140,6 +140,26 @@ def test_dependence_family_gf(tmp_path):
     assert report["method"] == "exhaustive"
 
 
+def test_dependence_family_honours_domain_and_tol(tmp_path):
+    gf7 = scalars.gf(7)
+    fam = [Matrix.from_rows([[1, 2], [3, 4]], gf7),
+           Matrix.from_rows([[5, 6], [0, 1]], gf7)]
+    f = write_json(tmp_path, "fam.json", {"matrices": [m.to_json() for m in fam]})
+    out = str(tmp_path / "out.json")
+    assert main(["dependence", "--family", f, "--domain", "complex", "--out", out]) == 0
+    report = read_json(out)
+    assert report["method"] == "numeric"
+    assert report["dependent"] is True
+
+    # the members share only entries of modulus 1e-3, which --tol 1e-2 zeroes
+    small = Matrix.from_rows([[1e-3, 0], [0, 1e-3]], scalars.complex_doubles())
+    f2 = write_json(tmp_path, "small.json", {"matrices": [small.to_json()] * 2})
+    assert main(["dependence", "--family", f2, "--out", out]) == 0
+    assert read_json(out)["dependent"] is True
+    assert main(["dependence", "--family", f2, "--tol", "1e-2", "--out", out]) == 0
+    assert read_json(out)["dependent"] is None
+
+
 def test_inverse_pair_roundtrip(tmp_path):
     rng = random.Random(5)
     pair = random_pair(2, 2, 2, RAT, rng)
@@ -256,3 +276,35 @@ def test_malformed_input_exits_2_with_one_json_line(tmp_path, capsys, command, p
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "cli"
+
+
+def complex_file(tmp_path, bad_entry):
+    b = Hypermatrix.random((3, 3, 3), scalars.complex_doubles(), random.Random(6),
+                           nonzero=True).to_json()
+    b["data"][4] = bad_entry
+    return write_json(tmp_path, "c.json", b)
+
+
+NAN = float("nan")
+NON_FINITE_RUNS = [
+    pytest.param([NAN, 0.0], ["rank", "--strategy", "generic-pipeline"],
+                 id="rank-pipeline-nan-entry"),
+    pytest.param([NAN, 0.0], ["rank", "--strategy", "min-bound"],
+                 id="rank-min-bound-nan-entry"),
+    pytest.param([1.0, float("-inf")], ["rank", "--strategy", "min-bound"],
+                 id="rank-min-bound-inf-entry"),
+    pytest.param([NAN, 0.0], ["nullity"], id="nullity-nan-entry"),
+    pytest.param([1.0, 0.0], ["rank", "--strategy", "generic-pipeline", "--tol", "nan"],
+                 id="rank-pipeline-nan-tol"),
+]
+
+
+@pytest.mark.parametrize("entry, argv", NON_FINITE_RUNS)
+def test_non_finite_input_exits_2_with_one_json_line(tmp_path, capsys, entry, argv):
+    f = complex_file(tmp_path, entry)
+    assert main([argv[0], f, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "non-finite" in json.loads(lines[0])["message"]

@@ -380,6 +380,8 @@ def test_exact_numeric_agreement_on_cast_families():
         # unique nonzero entries at distinct positions: independent
         ([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], False),
         ([[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 0]]], False),
+        # 1x2 members sharing only entry (0, 1)
+        ([[[0, 0]], [[0, 1]], [[1, 1]]], True),
     ]
     for rows_list, expect_dependent in families:
         exact = is_dependent_exact(cast(rows_list, dom2))
