@@ -248,13 +248,7 @@ def _dependence_report(dom, witness, **extra):
 
 def cmd_dependence(args):
     def search(fam):
-        return find_dependence(
-            fam,
-            budget=args.budget,
-            restarts=args.restarts,
-            iters=args.iters,
-            seed=args.seed,
-        )
+        return find_dependence(fam, budget=args.budget)
 
     if args.family:
         fam = _family_from_file(args.family, args)
@@ -401,9 +395,6 @@ def build_parser():
     p_dep.add_argument("--domain", help="cast input: rational | gf:q | complex")
     p_dep.add_argument("--tol", type=float, default=None)
     p_dep.add_argument("--budget", type=int, default=10_000_000)
-    p_dep.add_argument("--restarts", type=int, default=50)
-    p_dep.add_argument("--iters", type=int, default=500)
-    p_dep.add_argument("--seed", type=int, default=0)
     p_dep.add_argument("--out", default="-")
     p_dep.set_defaults(func=cmd_dependence)
 

@@ -115,17 +115,19 @@ def witness_is_nontrivial(family, witness, tol=0.0) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _shared_entry_witnesses(family):
+def _shared_entry_witnesses(family, term=None):
     """Yield a witness for every two members that share a nonzero entry.
 
     A nonzero term at entry (i, j) cancels only against another member
-    nonzero at (i, j), and members t1 < t2 that are both nonzero there
-    cancel with x_t1 = x_t2 = e_i, y_t1 = e_j and
-    y_t2 = -(M_t1[i,j] / M_t2[i,j]) e_j.  So a family is dependent
-    exactly when this generator yields something.  Candidates come with
-    t1*m + i descending, then t2, then j descending: over GF(q) the first
-    one is the lexicographically first witness of the assignment order
-    (all x entries, then all y entries, member by member).
+    nonzero at (i, j), and members t1 < t2 with entries a and b there
+    cancel with x_t1 = x_t2 = e_i, y_t1 = (c / a) e_j and
+    y_t2 = -(c / b) e_j, which makes both terms +-c at (i, j).  So a
+    family is dependent exactly when this generator yields something.
+    ``term`` is c; by default c = a, so y_t1 = e_j.  Candidates come
+    with t1*m + i descending, then t2, then j descending: over GF(q) the
+    first default one is the lexicographically first witness of the
+    assignment order (all x entries, then all y entries, member by
+    member).
     """
     (m, n), dom = check_family(family)
     p = len(family)
@@ -139,8 +141,9 @@ def _shared_entry_witnesses(family):
                     xs = [[dom.zero()] * m for _ in range(p)]
                     ys = [[dom.zero()] * n for _ in range(p)]
                     xs[t1][i] = xs[t2][i] = dom.one()
-                    ys[t1][j] = dom.one()
-                    ys[t2][j] = dom.neg(dom.div(a, b))
+                    c = a if term is None else term
+                    ys[t1][j] = dom.div(c, a)
+                    ys[t2][j] = dom.neg(dom.div(c, b))
                     yield DiagonalWitness(xs, ys)
 
 
@@ -175,16 +178,17 @@ def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
     return witness
 
 
-def is_dependent_numeric(family, tol=None, restarts=50, iters=500, seed=0):
+def is_dependent_numeric(family, tol=None, seed=0):
     """Witness search over complex doubles.
 
     Returns the first two-member witness of :func:`_shared_entry_witnesses`
     whose residual is at most tol * (1 + max |entry|) * sqrt(mn) and whose
-    terms are nontrivial beyond ``tol``, or None.  Entries within the
-    domain tolerance count as zero, so None says that no two members
-    share an entry above it whose witness passes that test.
-    ``restarts``, ``iters`` and ``seed`` no longer change the result;
-    they are kept for the callers that pass them.
+    terms are nontrivial beyond ``tol``, or None.  Each witness is scaled
+    so that both of its terms have norm 1 + max ||M_t||, the scale the
+    nontriviality test measures against, so for 2 eps <= tol < 1 a
+    witness is found exactly when two members share an entry above the
+    domain tolerance.  ``seed`` no longer changes the result; it is kept
+    for the callers that pass it.
     """
     (m, n), dom = check_family(family)
     if dom.kind != "complex":
@@ -194,7 +198,8 @@ def is_dependent_numeric(family, tol=None, restarts=50, iters=500, seed=0):
     if len(family) == 1:
         return None
     scale = 1.0 + max(abs(v) for mat in family for v in mat.data)
-    for witness in _shared_entry_witnesses(family):
+    term_norm = dom.coerce(1.0 + max(mat.norm() for mat in family))
+    for witness in _shared_entry_witnesses(family, term=term_norm):
         witness.residual = combination_residual(family, witness).norm()
         if witness.residual <= tol * scale * (m * n) ** 0.5 and witness_is_nontrivial(
             family, witness, tol

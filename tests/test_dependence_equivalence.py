@@ -97,3 +97,51 @@ def test_numeric_witness_exists_iff_an_entry_is_shared(p, m, n, density, seed):
         assert found.residual < 1e-8
         assert combination_residual(family, found).norm() < 1e-8
         assert witness_is_nontrivial(family, found, tol=1e-9)
+
+
+def test_numeric_witness_on_mixed_scales():
+    # a shared entry far below the largest entry, or a family far above
+    # unit size, still gives a witness whose terms pass the nontriviality
+    # test, which is measured against the largest member
+    families = [
+        [[[100, 1e-8]], [[0, 1e-8]]],
+        [[[1e12, 1]], [[0, 1]]],
+        [[[1e-6, 1e6], [0, 1]], [[1e-6, 0], [3, 0]]],
+    ]
+    for rows_list in families:
+        family = [Matrix.from_rows(rows, CPLX) for rows in rows_list]
+        found = is_dependent_numeric(family)
+        assert found is not None
+        size = 1.0 + max(mat.norm() for mat in family)
+        assert combination_residual(family, found).norm() < 1e-12 * size
+        assert witness_is_nontrivial(family, found, tol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(DENSITIES),
+    st.integers(0, 10**6),
+)
+def test_numeric_witness_exists_iff_an_entry_is_shared_across_scales(
+    p, m, n, density, seed
+):
+    # entry moduli spread over 5e-9 .. 1.5e8, all above the tolerance
+    rng = random.Random(seed)
+    family = [
+        Matrix.from_function(
+            m, n, CPLX,
+            lambda i, j: CPLX.random_nonzero(rng) * 10 ** rng.uniform(-8, 8)
+            if rng.random() < density
+            else 0,
+        )
+        for _ in range(p)
+    ]
+    found = is_dependent_numeric(family)
+    assert (found is not None) == shares_an_entry(family)
+    if found is not None:
+        size = 1.0 + max(mat.norm() for mat in family)
+        assert combination_residual(family, found).norm() < 1e-12 * size
+        assert witness_is_nontrivial(family, found, tol=1e-9)
