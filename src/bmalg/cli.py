@@ -37,7 +37,7 @@ from .inverse import (
 )
 from .nullity import _slice_is_zero, nullity, orient_depth_min
 from .products import bm_product, general_bm_product
-from .scalars import DEFAULT_COMPLEX_TOL, ScalarDomain, complex_doubles
+from .scalars import DEFAULT_COMPLEX_TOL, ScalarDomain
 from .rank import (
     bm_rank_exhaustive,
     generic_rank_pipeline,
@@ -232,17 +232,15 @@ def _two_slice_report(a, dom):
 
 
 def _dependence_report(dom, witness, **extra):
-    """The dependence verdict: exhaustive over GF(q), numeric otherwise,
-    where "not found" is no proof and reads as ``null``."""
-    exhaustive = dom.kind == "gf"
+    """The dependence verdict: exhaustive over GF(q) and the rationals,
+    numeric over C, where "not found" is no proof and reads as ``null``."""
     report = {
-        "dependent": False if exhaustive else None,
-        "method": "exhaustive" if exhaustive else "numeric",
+        "dependent": False if dom.is_exact else None,
+        "method": "exhaustive" if dom.is_exact else "numeric",
         "witness": None,
     }
     if witness is not None:
-        enc_dom = dom if dom.kind != "rational" else complex_doubles()
-        report.update(dependent=True, witness=witness.to_json(enc_dom), **extra)
+        report.update(dependent=True, witness=witness.to_json(dom), **extra)
     return report
 
 

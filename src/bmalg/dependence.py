@@ -9,9 +9,10 @@ with at least one term nonzero.  A nonzero term must cancel against
 another member's term at the same entry, and two members nonzero at one
 entry always cancel there, so a family is dependent exactly when two of
 its members share a nonzero entry.  This module provides the residual of
-a candidate witness, the witness that such a shared entry gives (over
-GF(q) the first one an exhaustive scan would find, over complex doubles
-the first one that passes the numeric acceptance test), the single
+a candidate witness, the witness that such a shared entry gives (exact
+over GF(q) and the rationals, over GF(q) the first one an exhaustive
+scan would find, over complex doubles the first one that passes the
+numeric acceptance test), the single
 division-free elimination round for diagonal-coefficient systems, the
 determinantal residuals of the rank-(r+1) feasibility analysis, and the
 feasibility inequality itself.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from .core import Hypermatrix, Matrix
 from .errors import BudgetExceededError, ShapeError
 from .rank import DecompositionTriple
-from .scalars import ScalarDomain, complex_doubles
+from .scalars import ScalarDomain
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -148,27 +149,27 @@ def _shared_entry_witnesses(family, term=None):
 
 
 def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
-    """Witness search over GF(q).
+    """Witness search over an exact domain (GF(q) or the rationals).
 
-    Returns the lexicographically first nontrivial witness with zero
-    residual in the assignment order (all x entries, then all y entries),
-    or None, which over a finite field proves the family independent.
-    Families of size one are independent by definition (the single term
-    must itself vanish).  The witness is read off the last shared
-    nonzero entry (:func:`_shared_entry_witnesses`), so ``budget`` no
-    longer bounds any work: it only refuses, with
-    :class:`BudgetExceededError`, the families whose q^(p(m+n))
-    assignments exceed it, as the exhaustive scan did.
+    Returns a nontrivial witness with zero residual, or None, which
+    proves the family independent.  Families of size one are
+    independent by definition (the single term must itself vanish).
+    The witness is read off the last shared nonzero entry
+    (:func:`_shared_entry_witnesses`); over GF(q) it is the
+    lexicographically first witness in the assignment order (all x
+    entries, then all y entries).  ``budget`` bounds no work: it only
+    refuses, with :class:`BudgetExceededError`, the GF(q) families whose
+    q^(p(m+n)) assignments exceed it, as the exhaustive scan did.
     """
     (m, n), dom = check_family(family)
-    if dom.kind != "gf":
-        raise ValueError("exhaustive dependence search needs a GF(q) domain")
+    if not dom.is_exact:
+        raise ValueError("exact dependence search needs an exact domain")
     p = len(family)
     if p == 1:
         return None
     q = dom.q
     digits = p * (m + n)
-    if q**digits > budget:
+    if dom.kind == "gf" and q**digits > budget:
         raise BudgetExceededError(
             f"search space q^(p(m+n)) = {q}^{digits} exceeds budget {budget}"
         )
@@ -209,20 +210,11 @@ def is_dependent_numeric(family, tol=None, seed=0):
 
 
 def find_dependence(family, budget=DEFAULT_SEARCH_BUDGET, **numeric_opts):
-    """Dispatch on the family's domain: exhaustive for GF(q), numeric for
-    complex; rational families are searched numerically after casting."""
+    """Dispatch on the family's domain: exact for GF(q) and the
+    rationals, numeric for complex."""
     (_, _), dom = check_family(family)
-    if dom.kind == "gf":
+    if dom.is_exact:
         return is_dependent_exact(family, budget=budget)
-    if dom.kind == "rational":
-        cdom = complex_doubles()
-        cast = [
-            Matrix.from_function(
-                m.shape[0], m.shape[1], cdom, lambda i, j, mm=m: complex(mm[i, j])
-            )
-            for m in family
-        ]
-        return is_dependent_numeric(cast, **numeric_opts)
     return is_dependent_numeric(family, **numeric_opts)
 
 

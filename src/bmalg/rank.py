@@ -15,12 +15,8 @@ The exact two-slice dependence test is this identity on two depth
 slices: B[:,:,1] = diag(u) . B[:,:,0] . diag(v) holds for an
 all-nonzero m x n x 2 input iff B has BM rank one, and u and v are
 read off its ell = 1 legs (see :func:`two_slice_witness`).
-The numeric pipeline uses the identity to stop at a proven bound: it
-drops an ell = 2 -> 1 pivot when the worst relative third difference d
-of the current product P exceeds (1 - E / min |P|)^-8 - 1, where E is
-the largest deviation the reduction check accepts at that pivot,
-because then no rewrite the check accepts exists (see
-:func:`generic_rank_pipeline`).
+The numeric pipeline decides r = 1 by the same test and reduces other
+inputs only down to ell = 2 (see :func:`generic_rank_pipeline`).
 
 The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
 serves :func:`bm_rank_exhaustive` and via-rank nullity, and
@@ -57,8 +53,7 @@ DEFAULT_RANK_BUDGET = 10_000_000
 
 # Over C the reduction check accepts a rewrite whose product deviation
 # is at most REDUCTION_ACCEPT * tol * scale, and reports the first entry
-# above REDUCTION_ENTRY * tol * scale; the pipeline's rank-one bound
-# reads the same factor.
+# above REDUCTION_ENTRY * tol * scale.
 REDUCTION_ACCEPT = 100
 REDUCTION_ENTRY = 10
 
@@ -954,65 +949,20 @@ def triple_reduction_witness(
     )
 
 
-def _rank_one_out_of_reach(legs):
-    """Pivots tau of an ell = 2 triple for which no rewrite to ell = 1
-    can pass :func:`check_reduction_hypothesis`.
-
-    The check accepts a rewrite only when its product P1 satisfies
-    ||P - P1||_F <= E_tau = A tol (1 + 2 ||outer_product_at(legs, tau)||)
-    / (1 - A tol), where P is the product of ``legs`` and A is
-    REDUCTION_ACCEPT.  With mu = min |P| and delta = E_tau / mu < 1,
-    every entry of P1 is P (1 + eps) with |eps| <= delta, so P1 is
-    all-nonzero; having ell = 1 it has BM rank one and satisfies the
-    third-difference identity exactly.  Hence P's worst relative third
-    difference d is at most (1 - delta)^-8 - 1, and a larger d rules
-    the pivot out.  ``slack`` covers the rounding: about one ulp per
-    entry in the check's norms, a few in the ell = 1 product and in
-    the eight-fold products of d.
-    """
-    accept = REDUCTION_ACCEPT * legs[0].domain.tol
-    prod = bm_product(*legs)
-    mu = min(abs(v) for v in prod.data)
-    if accept >= 1.0 or mu == 0.0:
-        return set()
-    slack = (len(prod.data) + 16) * np.finfo(float).eps
-    d = None
-    out = set()
-    for t in range(2):
-        lhs_norm = outer_product_at(*legs, t).norm()
-        bound = accept * (1.0 + 2.0 * lhs_norm) / (1.0 - accept)
-        delta = bound / mu * (1.0 + slack) + slack
-        if delta >= 1.0:
-            continue
-        if d is None:
-            d, _ = bm_rank_one(prod)
-        limit = (1.0 - delta) ** -8 - 1.0
-        if d > limit * (1.0 + slack) + slack:
-            out.add(t)
-    return out
-
-
 def generic_rank_pipeline(
     b: Hypermatrix, tau=None, tol=None, restarts=50, iters=500, seed=0
 ) -> RankCertificate:
     """Numeric upper-bound certificate for an entry-wise nonzero
     hypermatrix of any shape (m, n, p).
 
-    Starts from the identity-pair decomposition with contracted
-    dimension p, which exists for every shape, and keeps reducing while
+    When ``b`` has BM rank one (:func:`bm_rank_one` at the domain
+    tolerance) the certificate is its ell = 1 legs.  Otherwise it starts
+    from the identity-pair decomposition with contracted dimension p,
+    which exists for every shape, and keeps reducing while ell > 2 and
     a depth-slice witness (first step) or a general reduction witness
     (later steps) is found; stalls return the best certificate so far,
-    residual included.
-
-    Before an ell = 2 -> 1 step (the first step on a depth-2 input) it
-    stops at a proven bound: it drops every pivot tau for which no
-    rewrite that :func:`check_reduction_hypothesis` accepts can exist.
-    Such a rewrite has a BM-rank-one product within E_tau, the check's
-    largest accepted deviation, of the current product P, so the pivot
-    is dropped when E_tau < mu = min |P| and P's worst relative third
-    difference exceeds (1 - E_tau / mu)^-8 - 1 (see
-    :func:`_rank_one_out_of_reach`).  No search that could succeed is
-    skipped, so the certificate is the same as with every pivot tried.
+    residual included.  It stops at ell = 2: an ell = 1 rewrite would
+    give ``b`` BM rank one, which the test has ruled out.
 
     A pinned ``tau`` must index a depth slice of ``b`` (else
     ShapeError); once ell has shrunk to ``tau`` or below, the pinned
@@ -1024,20 +974,18 @@ def generic_rank_pipeline(
     if tol is None:
         tol = dom.tol or 1e-9
     m, n, p = b.shape
-    for idx, v in enumerate(b.data):
-        if abs(v) <= dom.tol:
-            raise ZeroDivisionError("entries must be nonzero (genericity proxy)")
-    j0, j1 = identity_pair(m, n, p, dom)
-    legs = (j0, b, j1)
-    ell = p
+    if tau is not None and not 0 <= tau < p:
+        raise ShapeError(f"tau {tau} out of range")
+    _, legs = bm_rank_one(b)
+    if legs is None:
+        j0, j1 = identity_pair(m, n, p, dom)
+        legs = (j0, b, j1)
+    ell = legs[0].shape[1]
     step = 0
-    while ell > 1:
-        if step and tau is not None and tau >= ell:
+    while ell > 2:
+        if tau is not None and tau >= ell:
             break  # the pinned pivot no longer names a slice
         taus = [tau] if tau is not None else list(range(ell - 1, -1, -1))
-        if ell == 2:
-            out_of_reach = _rank_one_out_of_reach(legs)
-            taus = [t for t in taus if t not in out_of_reach]
         reduced = None
         for t_pick in taus:
             if step == 0:

@@ -49,8 +49,8 @@ class ScalarDomain:
             if self.q is not None or self.tol != 0.0:
                 raise ValueError("rational domain takes no modulus and tol 0")
         elif self.kind == GF_KIND:
-            if self.q is None or not _is_prime(self.q):
-                raise ValueError(f"GF modulus must be prime, got {self.q}")
+            if not isinstance(self.q, int) or not _is_prime(self.q):
+                raise ValueError(f"GF modulus must be a prime int, got {self.q!r}")
             if self.q > MAX_PRIME_FIELD:
                 raise ValueError(f"GF modulus limited to {MAX_PRIME_FIELD}")
             if self.tol != 0.0:
@@ -182,7 +182,9 @@ class ScalarDomain:
             return rational()
         if kind == GF_KIND:
             return gf(obj["q"])
-        return complex_doubles(obj.get("tol", DEFAULT_COMPLEX_TOL))
+        if kind == COMPLEX_KIND:
+            return complex_doubles(obj.get("tol", DEFAULT_COMPLEX_TOL))
+        raise ValueError(f"unknown scalar domain kind {kind!r}")
 
     def encode(self, a):
         """Encode one scalar value for JSON transport."""

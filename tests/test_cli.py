@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from helpers import hyperdet_zero_instance
@@ -101,6 +102,18 @@ def test_rank_pipeline_and_domain_guard(tmp_path):
     assert main(["rank", rational_file, "--strategy", "generic-pipeline"]) == 2
 
 
+def test_rank_pipeline_rejects_a_pinned_tau_beyond_the_depth(tmp_path, capsys):
+    b = Hypermatrix.random((3, 3, 2), scalars.complex_doubles(), random.Random(8),
+                           nonzero=True)
+    f = write_json(tmp_path, "b.json", b.to_json())
+    assert main(["rank", f, "--strategy", "generic-pipeline", "--tau", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ShapeError"
+
+
 def test_rank_budget_exit(tmp_path):
     a = Hypermatrix.random((3, 3, 3), scalars.gf(5), random.Random(3))
     f = write_json(tmp_path, "a.json", a.to_json())
@@ -158,6 +171,28 @@ def test_dependence_family_honours_domain_and_tol(tmp_path):
     assert read_json(out)["dependent"] is True
     assert main(["dependence", "--family", f2, "--tol", "1e-2", "--out", out]) == 0
     assert read_json(out)["dependent"] is None
+
+
+def test_dependence_family_rational_is_exact(tmp_path):
+    """Rational families are answered exactly: a shared nonzero entry
+    gives a witness with rational coefficients, none proves independence."""
+    shared = [Matrix.from_rows([[1, 0], [Fraction(2, 3), 0]], RAT),
+              Matrix.from_rows([[0, 0], [5, 7]], RAT)]
+    f = write_json(tmp_path, "fam.json", {"matrices": [m.to_json() for m in shared]})
+    out = str(tmp_path / "out.json")
+    assert main(["dependence", "--family", f, "--out", out]) == 0
+    report = read_json(out)
+    assert report["dependent"] is True
+    assert report["method"] == "exhaustive"
+    assert report["witness"]["x"] == [["0/1", "1/1"], ["0/1", "1/1"]]
+    assert report["witness"]["y"] == [["1/1", "0/1"], ["-2/15", "0/1"]]
+    assert report["witness"]["residual"] == 0.0
+
+    disjoint = [Matrix.from_rows([[1, 0], [0, 0]], RAT),
+                Matrix.from_rows([[0, Fraction(1, 2)], [3, 0]], RAT)]
+    f2 = write_json(tmp_path, "fam2.json", {"matrices": [m.to_json() for m in disjoint]})
+    assert main(["dependence", "--family", f2, "--out", out]) == 0
+    assert read_json(out) == {"dependent": False, "method": "exhaustive", "witness": None}
 
 
 def test_inverse_pair_roundtrip(tmp_path):
@@ -254,6 +289,10 @@ MALFORMED_HYPERS = {
     "short-complex-entry": {"domain": {"kind": "complex"}, "shape": [1, 1, 1],
                             "data": [[1]]},
     "null-rational-entry": {**GOOD_HYPER, "data": [None]},
+    "unknown-domain-kind": {"domain": {"kind": "quaternion"}, "shape": [1, 1, 1],
+                            "data": [[1, 0]]},
+    "float-modulus": {"domain": {"kind": "gf", "q": 7.0}, "shape": [1, 1, 1],
+                      "data": [1]},
 }
 MALFORMED_RUNS = [
     *(pytest.param(cmd, payload, id=f"{cmd}-{name}")

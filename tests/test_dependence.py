@@ -260,6 +260,21 @@ def test_dependent_slice_family_zero_slice_short_circuit():
     assert found.witness.residual == 0.0
 
 
+def test_dependent_slice_family_rational_exact():
+    """Rational slices are searched exactly, not through complex floats:
+    the witness keeps rational coefficients and cancels exactly."""
+    rng = random.Random(14)
+    triple, h = random_triple_product(rng, RAT, 3, 3, 3, 2)
+    found = dependent_slice_family(h, triple)
+    assert found is not None
+    assert len(found.slice_indices) == 3
+    fam = [h.mat_of_depth(k) for k in found.slice_indices]
+    assert all(isinstance(v, Fraction) for vec in found.witness.ys for v in vec)
+    assert found.witness.residual == 0.0
+    assert combination_residual(fam, found.witness).is_zero()
+    assert witness_is_nontrivial(fam, found.witness)
+
+
 def test_dependent_slice_family_gf2_exhaustive():
     rng = random.Random(13)
     dom = scalars.gf(2)

@@ -14,6 +14,7 @@ from bmalg.errors import (
 )
 from bmalg.products import bm_product, delta_t, identity_pair, kronecker_delta
 from helpers import hyperdet_zero_instance
+from test_rank_one import rank_one
 
 from bmalg.rank import (
     DecompositionTriple,
@@ -428,6 +429,23 @@ def test_pipeline_n2_hyperdet_zero_reaches_one():
     cert = generic_rank_pipeline(b, seed=1)
     assert cert.r == 1
     assert cert.residual < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["rank-one-3x3x3", "generic-3x3x2"])
+def test_pipeline_checks_a_pinned_tau_on_every_input(kind):
+    """Neither input runs a witness: the BM-rank-one one is certified by
+    its legs and the depth-2 one stops at ell = 2.  Both still reject a
+    pinned tau that names no depth slice."""
+    rng = random.Random(23)
+    if kind == "rank-one-3x3x3":
+        b, r = rank_one(rng, CPLX, (3, 3, 3)), 1
+    else:
+        b, r = Hypermatrix.random((3, 3, 2), CPLX, rng, nonzero=True), 2
+    p = b.shape[2]
+    for tau in (p, -1):
+        with pytest.raises(ShapeError):
+            generic_rank_pipeline(b, tau=tau)
+    assert generic_rank_pipeline(b, tau=p - 1).r == r
 
 
 def test_triple_reduction_witness_matches_forward_construction():
