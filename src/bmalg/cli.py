@@ -35,7 +35,7 @@ from .inverse import (
     sandwich_check,
     unit_probe_basis,
 )
-from .nullity import _slice_is_zero, nullity, orient_depth_min
+from .nullity import first_nonzero_slice, nullity, orient_depth_min
 from .products import bm_product, general_bm_product
 from .scalars import DEFAULT_COMPLEX_TOL, ScalarDomain
 from .rank import (
@@ -181,7 +181,6 @@ def cmd_rank(args):
         cert = generic_rank_pipeline(
             a,
             tau=args.tau,
-            tol=args.tol,
             restarts=args.restarts,
             iters=args.iters,
             seed=args.seed,
@@ -323,15 +322,12 @@ def cmd_nullity(args):
     )
     # re-verify the claimed zero slices under the certificate pair
     oriented, _ = orient_depth_min(a)
-    g = cert.pair.act(oriented)
-    dom = a.domain
-    tol_scale = 0.0 if dom.is_exact else dom.tol * (1.0 + a.norm()) * 100
-    for k in cert.zero_set:
-        if not _slice_is_zero(g, k, tol_scale):
-            raise CliError(
-                f"certificate zero slice {k} failed re-verification",
-                EXIT_VERIFICATION,
-            )
+    bad = first_nonzero_slice(cert.pair.act(oriented), a, cert.zero_set)
+    if bad is not None:
+        raise CliError(
+            f"certificate zero slice {bad} failed re-verification",
+            EXIT_VERIFICATION,
+        )
     _write(cert.to_json(), args.out)
     return EXIT_OK
 
@@ -441,7 +437,7 @@ def main(argv=None):
     except ZeroDivisionError as exc:
         _diag(str(exc), "degenerate-input")
         return EXIT_PARSE
-    except (ShapeError, BMAlgError, ValueError) as exc:
+    except (ShapeError, BMAlgError, ValueError, OverflowError) as exc:
         _diag(str(exc), type(exc).__name__)
         return EXIT_PARSE
 

@@ -179,8 +179,8 @@ def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
     return witness
 
 
-def is_dependent_numeric(family, tol=None, seed=0):
-    """Witness search over complex doubles.
+def is_dependent_numeric(family, seed=0):
+    """Witness search over complex doubles at tol = dom.tol or 1e-9.
 
     Returns the first two-member witness of :func:`_shared_entry_witnesses`
     whose residual is at most tol * (1 + max |entry|) * sqrt(mn) and whose
@@ -194,8 +194,7 @@ def is_dependent_numeric(family, tol=None, seed=0):
     (m, n), dom = check_family(family)
     if dom.kind != "complex":
         raise ValueError("numeric dependence search needs the complex domain")
-    if tol is None:
-        tol = dom.tol or 1e-9
+    tol = dom.tol or 1e-9
     if len(family) == 1:
         return None
     scale = 1.0 + max(abs(v) for mat in family for v in mat.data)

@@ -5,18 +5,16 @@ every (m, n, p) hypermatrix X through the sandwich Prod(A, X, B).  The
 pair is invertible when some (C, D) of the same shapes undoes the
 action: Prod(C, Prod(A, X, B), D) = X for all X.  Flattening the
 composed action gives a block-diagonal matrix with one p x p block per
-position (i, j); invertibility of every block plus rank-one
-factorability of the inverse blocks is necessary and sufficient, and
-the factorization recovers (C, D) explicitly.
+position (i, j).  The pair is invertible exactly when every block
+inverts and every slice G_{t,k} of the inverse blocks factors as a
+column times a row; the factors are (C, D).
 
-This module is the one statement of that criterion: :func:`flatten`
+This module states that test once, in :func:`_recover`: :func:`flatten`
 builds the blocks, :func:`_inverse_blocks` inverts them and
-:func:`_rank_one_violation` tests the inverse slices of
-:func:`_factor_slices`.  The nullity module tests its candidate pairs
-(the direct-search actions and the necessity completions) through one
-memoised block test, ``nullity._invertible_blocks``, which calls the
-same block construction and inversion, followed by the same rank-one
-test.
+:func:`_outer_inverse` factors the inverse slices (at the domain
+tolerance over C).  :func:`pair_invertible`, :func:`recover_outer_inverse`
+and the nullity module's candidate pairs all decide through it; a 2x2
+minor (:func:`_rank_one_violation`) only names a slice that fails.
 """
 
 from __future__ import annotations
@@ -280,51 +278,6 @@ def _inverse_blocks(flat: FlatteningMatrix):
     return inv, None
 
 
-def _factor_slices(inv_blocks, m, n):
-    """The m x n matrices G_{t,k}[i,j] = block(i,j)^{-1}[k, t], keyed by
-    (t, k) in row-major order; ``inv_blocks`` is row-major over (i, j)."""
-    p = inv_blocks[0].shape[0]
-    dom = inv_blocks[0].domain
-    datas = [blk.data for blk in inv_blocks]
-    return {
-        (t, k): Matrix((m, n), [d[k * p + t] for d in datas], dom)
-        for t in range(p)
-        for k in range(p)
-    }
-
-
-def pair_invertible(pair: HyperPair) -> InvertibilityReport:
-    """Decide membership in the hypermatrix general linear set.
-
-    True iff every flattening block has nonzero determinant and, for
-    every (t, k), the m x n matrix of inverse-block entries
-    G_{t,k}[i,j] = F^{-1}_{(i,j)}[k,t] is rank one or zero.  The
-    diagnostics name the first singular block or the first nonzero
-    2x2 minor of a failing G_{t,k}.
-    """
-    flat = flatten(pair)
-    inv_blocks, bad = _inverse_blocks(flat)
-    if inv_blocks is None:
-        return InvertibilityReport(
-            invertible=False,
-            reason=f"flattening block {bad} is singular",
-            singular_block=bad,
-        )
-    tol = pair.domain.tol
-    for (t, k), g in _factor_slices(inv_blocks, flat.m, flat.n).items():
-        violation = _rank_one_violation(g, tol)
-        if violation is not None:
-            return InvertibilityReport(
-                invertible=False,
-                reason=(
-                    f"inverse-block slice (t={t}, k={k}) is not rank one: "
-                    f"nonzero minor at rows {violation[:2]}, cols {violation[2:]}"
-                ),
-                bad_minor={"t": t, "k": k, "indices": list(violation)},
-            )
-    return InvertibilityReport(invertible=True)
-
-
 def _factor_rank_one(g: Matrix, tol):
     """Factor a rank-<=1 matrix as (c_i) x (d_j), d gauge-normalized so
     its first nonzero entry (scanning columns ascending) is one."""
@@ -355,39 +308,92 @@ def _factor_rank_one(g: Matrix, tol):
     return c, d
 
 
+def _outer_inverse(inv_blocks, m, n, dom):
+    """Factor each slice G_{t,k}[i,j] = block(i,j)^{-1}[k, t] of the
+    inverse blocks (row-major over (i, j)) as C[:,t,k] x D[t,:,k]:
+    ((C, D), None), or (None, (t, k, G_{t,k}, failing (i, j))) at the
+    first slice in row-major (t, k) order that does not factor."""
+    p = inv_blocks[0].shape[0]
+    datas = [blk.data for blk in inv_blocks]
+    c_data, d_data = [None] * (m * p * p), [None] * (p * n * p)
+    for t in range(p):
+        for k in range(p):
+            g = Matrix((m, n), [d[k * p + t] for d in datas], dom)
+            try:
+                c_vec, d_vec = _factor_rank_one(g, dom.tol)
+            except FactorabilityError as exc:
+                return None, (t, k, g, exc.minor)
+            c_data[t * p + k :: p * p] = c_vec  # C[i, t, k] over i
+            d_data[t * n * p + k : (t + 1) * n * p : p] = d_vec  # D[t, j, k] over j
+    return OuterInversePair(
+        Hypermatrix((m, p, p), c_data, dom), Hypermatrix((p, n, p), d_data, dom)
+    ), None
+
+
+def _recover(pair: HyperPair):
+    """The one invertibility test: (inverse, None), or (None, the first
+    singular block (i, j) or the failure of :func:`_outer_inverse`)."""
+    flat = flatten(pair)
+    inv_blocks, bad = _inverse_blocks(flat)
+    if inv_blocks is None:
+        return None, bad
+    return _outer_inverse(inv_blocks, flat.m, flat.n, pair.domain)
+
+
+def pair_invertible(pair: HyperPair) -> InvertibilityReport:
+    """Decide membership in the hypermatrix general linear set.
+
+    True iff every flattening block has nonzero determinant and, for
+    every (t, k), the m x n matrix of inverse-block entries
+    G_{t,k}[i,j] = F^{-1}_{(i,j)}[k,t] factors as a column times a row:
+    exactly when :func:`recover_outer_inverse` returns.  The diagnostics
+    name the first singular block or the first slice that does not
+    factor, with its first nonzero 2x2 minor, which decides nothing.
+    """
+    _, failure = _recover(pair)
+    if failure is None:
+        return InvertibilityReport(invertible=True)
+    if len(failure) == 2:
+        return InvertibilityReport(
+            invertible=False,
+            reason=f"flattening block {failure} is singular",
+            singular_block=failure,
+        )
+    t, k, g, position = failure
+    # the first minor above the tolerance, else (over C) the first nonzero
+    # one; none when only rounding fails a zero tolerance
+    found = _rank_one_violation(g, pair.domain.tol) or _rank_one_violation(g, 0.0)
+    return InvertibilityReport(
+        invertible=False,
+        reason=f"inverse-block slice (t={t}, k={k}) is not rank one: " + (
+            f"nonzero minor at rows {found[:2]}, cols {found[2:]}" if found
+            else f"entries do not factor at position {position}"
+        ),
+        bad_minor={"t": t, "k": k, "indices": found and list(found)},
+    )
+
+
 def recover_outer_inverse(pair: HyperPair) -> OuterInversePair:
     """Recover (C, D) from the inverse flattening blocks.
 
     Each slice G_{t,k} factors as C[:,t,k] x D[t,:,k]; the gauge scale
     cancels in every product C[i,t,k] D[t,j,k], which is all the
     sandwich identity sees, so the fixed first-nonzero-d convention is
-    harmless.  Raises FactorabilityError when a slice is not rank one.
+    harmless.  Raises FactorabilityError when the pair is not invertible.
     """
-    m, n, p = pair.dims
-    dom = pair.domain
-    flat = flatten(pair)
-    inv_blocks, bad = _inverse_blocks(flat)
-    if inv_blocks is None:
+    inverse, failure = _recover(pair)
+    if failure is None:
+        return inverse
+    if len(failure) == 2:
         raise FactorabilityError(
-            f"flattening block {bad} is singular; pair not invertible", block=bad
+            f"flattening block {failure} is singular; pair not invertible",
+            block=failure,
         )
-    c_data = [None] * (m * p * p)
-    d_data = [None] * (p * n * p)
-    for (t, k), g in _factor_slices(inv_blocks, m, n).items():
-        try:
-            c_vec, d_vec = _factor_rank_one(g, dom.tol)
-        except FactorabilityError as exc:
-            raise FactorabilityError(
-                f"slice (t={t}, k={k}) is not rank one; pair not invertible",
-                block=(t, k),
-                minor=exc.minor,
-            ) from exc
-        for i in range(m):
-            c_data[(i * p + t) * p + k] = c_vec[i]
-        for j in range(n):
-            d_data[(t * n + j) * p + k] = d_vec[j]
-    return OuterInversePair(
-        Hypermatrix((m, p, p), c_data, dom), Hypermatrix((p, n, p), d_data, dom)
+    t, k, _, position = failure
+    raise FactorabilityError(
+        f"slice (t={t}, k={k}) is not rank one; pair not invertible",
+        block=(t, k),
+        minor=position,
     )
 
 

@@ -9,8 +9,9 @@ a certificate pair exhibiting p - r zero slices, completing the unused
 leg slices until the completed pair is invertible.  Over GF(q) the
 via-rank nullity climbs the term counts once: the first level with a
 decomposition is the rank, the first that completes gives the nullity.
-Completions and the direct-search candidates share one memoised
-flattening-block test, :func:`_invertible_blocks`.
+Completions and direct-search candidates share one memoised block
+inversion, :func:`_invertible_blocks`; a pair is invertible exactly when
+its inverse slices then factor (``inverse._outer_inverse``).
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from .errors import (
     BudgetExceededError,
     CertificateError,
     CompletionError,
+    FactorabilityError,
     ShapeError,
 )
 from .inverse import (
     HyperPair,
     OuterInversePair,
-    _factor_slices,
     _inverse_blocks,
-    _rank_one_violation,
+    _outer_inverse,
     flatten,
     pair_invertible,
     recover_outer_inverse,
@@ -206,6 +207,14 @@ def _slice_is_zero(g: Hypermatrix, k, tol_scale=0.0):
     return sum(abs(v) ** 2 for v in depth) ** 0.5 <= tol_scale
 
 
+def first_nonzero_slice(g: Hypermatrix, a: Hypermatrix, zero_set):
+    """The first k of ``zero_set`` whose depth slice of ``g`` (a pair's
+    action on ``a``) has norm above tol * (1 + ||a||) * 100, or None."""
+    dom = a.domain
+    tol_scale = 0.0 if dom.is_exact else dom.tol * (1.0 + a.norm()) * 100
+    return next((k for k in zero_set if not _slice_is_zero(g, k, tol_scale)), None)
+
+
 def hyper_nullity_sufficiency(
     a: Hypermatrix, pair: HyperPair, zero_set
 ) -> DecompositionTriple:
@@ -213,18 +222,15 @@ def hyper_nullity_sufficiency(
     decomposition of ``a`` with p - |Z| terms."""
     m, n, p = a.shape
     zero_set = tuple(sorted(set(zero_set)))
-    report = pair_invertible(pair)
-    if not report:
-        raise CertificateError(f"pair is not invertible: {report.reason}")
-    g = pair.act(a)
-    if g.shape != a.shape:
-        raise ShapeError(f"pair acts with shape {g.shape}, expected {a.shape}")
+    try:
+        inv = recover_outer_inverse(pair)
+    except FactorabilityError as exc:
+        raise CertificateError(str(exc)) from exc
+    g = pair.act(a)  # of a's shape, or ConformabilityError
     dom = a.domain
-    tol_scale = 0.0 if dom.is_exact else dom.tol * (1.0 + a.norm()) * 100
-    for k in zero_set:
-        if not _slice_is_zero(g, k, tol_scale):
-            raise CertificateError(f"claimed zero depth slice {k} is not zero")
-    inv = recover_outer_inverse(pair)
+    bad = first_nonzero_slice(g, a, zero_set)
+    if bad is not None:
+        raise CertificateError(f"claimed zero depth slice {bad} is not zero")
     support = tuple(t for t in range(p) if t not in zero_set)
     triple = DecompositionTriple(inv.c, g, inv.d, support)
     rec = triple.reconstruct()
@@ -367,11 +373,11 @@ def hyper_nullity_necessity(
     The unused column slices of the first leg and row slices of the
     third leg are completed until the completed pair is invertible,
     each completion tested by the memoised block test
-    :func:`_invertible_blocks` and the rank-one test of its inverse
-    slices; the recovered outer inverse of the first invertible
-    completion is the certificate pair, which maps ``a`` to the
-    (zero-padded) middle leg.  Completion failure is surfaced as
-    CompletionError, never silently accepted.
+    :func:`_invertible_blocks` and the factorization of its inverse
+    slices; the factors (C, D) of the first invertible completion are
+    the certificate pair, which maps ``a`` to the (zero-padded) middle
+    leg.  Completion failure is surfaced as CompletionError, never
+    silently accepted.
     """
     m, n, p = a.shape
     if p != min(a.shape):
@@ -422,15 +428,12 @@ def hyper_nullity_necessity(
     for u_data, w_data in _completion_candidates(d.x0, d.x2, unused, exhaustive, seed):
         rows = [tuple(u_data[i * p * p : (i + 1) * p * p]) for i in range(m)]
         found = _invertible_blocks(rows, _col_slices(w_data, n, p), memo, dom)
-        if found is None or any(
-            _rank_one_violation(g, dom.tol) is not None
-            for g in _factor_slices(found[1], m, n).values()
-        ):
+        factored = found and _outer_inverse(found[1], m, n, dom)[0]
+        if not factored:
             continue
         u = Hypermatrix((m, p, p), u_data, dom)
         w = Hypermatrix((p, n, p), w_data, dom)
-        certificate_pair_inv = recover_outer_inverse(HyperPair(u, w))
-        cert_pair = HyperPair(certificate_pair_inv.c, certificate_pair_inv.d)
+        cert_pair = HyperPair(factored.c, factored.d)
         if not pair_invertible(cert_pair):
             continue
         g = cert_pair.act(a)
@@ -488,10 +491,10 @@ def _invertible_actions(m, n, p, domain, budget):
 
     Enumerates every (X0, X1) candidate in integer form and keeps those
     that pass the test of ``inverse.pair_invertible``: every flattening
-    block inverts (:func:`_invertible_blocks`, memoised per call) and no
-    inverse slice has a nonzero 2x2 minor
-    (``inverse._rank_one_violation``).  Accepted candidates are deduped
-    by the block tuple (which determines the action).  Returns a list of
+    block inverts (:func:`_invertible_blocks`, memoised per call) and
+    every inverse slice factors (``inverse._outer_inverse``).  Candidates
+    are deduped by the block tuple (which determines the action) before
+    the factorization.  Returns a list of
     (blocks, flat0, flat1); cached per signature.
     """
     q = domain.q
@@ -516,10 +519,7 @@ def _invertible_actions(m, n, p, domain, budget):
             if found is None or found[0] in actions:
                 continue
             blocks, inv_blocks = found
-            if all(
-                _rank_one_violation(g, 0.0) is None
-                for g in _factor_slices(inv_blocks, m, n).values()
-            ):
+            if _outer_inverse(inv_blocks, m, n, domain)[0] is not None:
                 actions[blocks] = (flat0, flat1)
     out = [(blocks, f0, f1) for blocks, (f0, f1) in actions.items()]
     _ACTION_CACHE[key] = out

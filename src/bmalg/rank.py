@@ -610,14 +610,11 @@ def _fiber_solutions(rows, rhs, domain, r, all_solutions):
         if row[r]:
             return None
     free = [c for c in range(r) if c not in pivots]
-    if not all_solutions or not free:
-        sol = [0] * r
-        for pc, row in zip(pivots, aug):
-            sol[pc] = row[r] * pow(row[pc], q - 2, q) % q
-        return [sol]
     solved = [(pc, row, pow(row[pc], q - 2, q)) for pc, row in zip(pivots, aug)]
     out = []
-    for assign in itertools.product(range(q), repeat=len(free)):
+    # the free-variables-zero solution is the first of the enumeration
+    values = range(q) if all_solutions else [0]
+    for assign in itertools.product(values, repeat=len(free)):
         sol = [0] * r
         for fc, v in zip(free, assign):
             sol[fc] = v
@@ -950,7 +947,7 @@ def triple_reduction_witness(
 
 
 def generic_rank_pipeline(
-    b: Hypermatrix, tau=None, tol=None, restarts=50, iters=500, seed=0
+    b: Hypermatrix, tau=None, restarts=50, iters=500, seed=0
 ) -> RankCertificate:
     """Numeric upper-bound certificate for an entry-wise nonzero
     hypermatrix of any shape (m, n, p).
@@ -964,15 +961,15 @@ def generic_rank_pipeline(
     residual included.  It stops at ell = 2: an ell = 1 rewrite would
     give ``b`` BM rank one, which the test has ruled out.
 
-    A pinned ``tau`` must index a depth slice of ``b`` (else
-    ShapeError); once ell has shrunk to ``tau`` or below, the pinned
-    pivot names no slice, and reducing stops as when no pivot succeeds.
+    Everything reads the domain tolerance (1e-9 when it is zero).  A
+    pinned ``tau`` must index a depth slice of ``b`` (else ShapeError);
+    once ell has shrunk to ``tau`` or below, the pinned pivot names no
+    slice, and reducing stops as when no pivot succeeds.
     """
     dom = b.domain
     if dom.kind != "complex":
         raise ValueError("generic_rank_pipeline needs the complex domain")
-    if tol is None:
-        tol = dom.tol or 1e-9
+    tol = dom.tol or 1e-9
     m, n, p = b.shape
     if tau is not None and not 0 <= tau < p:
         raise ShapeError(f"tau {tau} out of range")

@@ -195,7 +195,9 @@ class ScalarDomain:
         return [a.real, a.imag]
 
     def decode(self, obj):
-        """Decode one JSON scalar; complex entries must be finite."""
+        """Decode one JSON scalar; complex entries must be finite [re, im]."""
+        if self.kind == COMPLEX_KIND and not (isinstance(obj, list) and len(obj) == 2):
+            raise ValueError(f"complex entry must be [re, im], got {obj!r}")
         value = self.coerce(obj)
         if self.kind == COMPLEX_KIND and not cmath.isfinite(value):
             raise ValueError(f"non-finite complex entry {obj!r}")

@@ -1,9 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmalg import scalars
+from bmalg.cli import main
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.errors import FactorabilityError, ShapeError
 from bmalg.inverse import (
@@ -289,3 +293,71 @@ def test_identity_pair_is_its_own_inverse():
     self_inverse = OuterInversePair(j0, j1)
     probes = unit_probe_basis(2, 3, 2, RAT)
     assert sandwich_check(pair, self_inverse, probes) == 0.0
+
+
+# -- one test of invertibility: the factorization that recovers (C, D) -------
+
+CLI_SANDWICH_LIMIT = 1e-5  # max(tol, 1e-12) * 1e4 at the default complex tol
+
+
+def sample_pair(rng, kind, dom, m, n, p, scale):
+    if kind == "dense":
+        # slices of a pair with m or n equal to one are always rank one
+        m, n = max(m, 2), max(n, 2)
+        pair = HyperPair(Hypermatrix.random((m, p, p), dom, rng),
+                         Hypermatrix.random((p, n, p), dom, rng))
+    else:
+        pair = random_pair(m, n, p, dom, rng, kind=kind)
+    if scale == 1:
+        return pair
+    return HyperPair(pair.a.scale(scale), pair.b.scale(scale))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(
+        [(dom, 1) for dom in (RAT, scalars.gf(2), scalars.gf(3), GF7)]
+        + [(scalars.complex_doubles(), scale) for scale in (1, 1e-3, 1e3)]
+    ),
+    st.sampled_from(["scaling", "identity", "dense"]),
+    st.tuples(*[st.integers(1, 3)] * 3),
+    st.integers(0, 10**6),
+)
+def test_invertible_exactly_when_recoverable(dom_scale, kind, shape, seed):
+    """``pair_invertible`` holds exactly when ``recover_outer_inverse``
+    returns, and a returned inverse undoes the action on every unit
+    probe; complex pairs are also scaled by 1e-3 and 1e3."""
+    dom, scale = dom_scale
+    pair = sample_pair(random.Random(seed), kind, dom, *shape, scale)
+    m, n, p = pair.dims
+    try:
+        inverse = recover_outer_inverse(pair)
+    except FactorabilityError:
+        inverse = None
+    assert bool(pair_invertible(pair)) == (inverse is not None)
+    if inverse is not None:
+        residual = sandwich_check(pair, inverse, unit_probe_basis(m, n, p, dom))
+        assert residual == 0.0 if dom.is_exact else residual <= CLI_SANDWICH_LIMIT
+
+
+def test_scaled_random_complex_pairs_read_not_invertible(tmp_path, capsys):
+    """200 random complex 2x2x2 pairs with both legs scaled by 1e3: the
+    inverse blocks shrink by 1e-6, so every 2x2 minor of an inverse
+    slice lies below the absolute tolerance, yet no slice factors."""
+    dom = scalars.complex_doubles()
+    rng = random.Random(0)
+    pairs = [
+        HyperPair(Hypermatrix.random((2, 2, 2), dom, rng).scale(1e3),
+                  Hypermatrix.random((2, 2, 2), dom, rng).scale(1e3))
+        for _ in range(200)
+    ]
+    for pair in pairs:
+        report = pair_invertible(pair)
+        assert not report
+        assert report.bad_minor is not None
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pairs[0].to_json()))
+    assert main(["inverse-pair", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["invertible"] is False
+    assert out["diagnostics"]["bad_minor"] is not None

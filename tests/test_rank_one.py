@@ -7,6 +7,8 @@ them to clear the zero tolerance, and agrees with the exhaustive rank
 on every all-nonzero 2x2x2 over GF(3).  ``hyperdet_2x2x2``, now its (1,1,1) cell, and
 ``hyper_slice_reduce``, now built from the flat data, give the same
 values as the copies kept in ``reference.py``, bit for bit over C.
+``generic_rank_pipeline`` decides r = 1 at the domain tolerance, the
+only one it reads.
 """
 
 import cmath
@@ -26,6 +28,7 @@ from bmalg.products import bm_product
 from bmalg.rank import (
     bm_rank_exhaustive,
     bm_rank_one,
+    generic_rank_pipeline,
     hyper_slice_reduce,
     hyperdet_2x2x2,
 )
@@ -177,3 +180,17 @@ def test_slice_rewrite_matches_reference(dom, kind, seed):
     assert outcome(hyper_slice_reduce, legs, rewrite) == want
     if kind == "reducible":
         assert want[0] == "accept"
+
+
+def test_pipeline_reads_the_domain_tolerance_only():
+    """``generic_rank_pipeline`` decides r = 1 and runs its witnesses at
+    one tolerance, the domain's: a rank-one input with one entry moved
+    by a relative 1e-8 is rank one at tolerance 1e-6, not at 1e-9."""
+    b = rank_one(random.Random(5), CPLX, (3, 3, 3))
+    data = list(b.data)
+    data[13] *= 1 + 1e-8
+    loose = Hypermatrix(b.shape, data, scalars.complex_doubles(1e-6))
+    assert generic_rank_pipeline(loose, seed=0).r == 1
+    assert generic_rank_pipeline(Hypermatrix(b.shape, data, CPLX), seed=0).r == 2
+    with pytest.raises(TypeError):
+        generic_rank_pipeline(loose, tol=1e-6)
