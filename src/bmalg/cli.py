@@ -10,10 +10,13 @@ and seeds produce byte-identical output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .core import Hypermatrix, Matrix
 from .dependence import (
@@ -26,6 +29,7 @@ from .errors import (
     BudgetExceededError,
     CompletionError,
     ConformabilityError,
+    FactorabilityError,
     ShapeError,
 )
 from .inverse import (
@@ -151,11 +155,19 @@ def _write(obj, out):
 
 def cmd_prod(args):
     legs = [_load_hyper(p, args) for p in (args.a0, args.a1, args.a2)]
-    if args.background:
-        bg = _load_hyper(args.background, args)
-        result = general_bm_product(*legs, bg)
-    else:
-        result = bm_product(*legs)
+    bg = _load_hyper(args.background, args) if args.background else None
+    # complex products may overflow; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = bm_product(*legs) if bg is None else general_bm_product(*legs, bg)
+    if not result.domain.is_exact:
+        _, n, p = result.shape
+        for idx, v in enumerate(result.data):
+            if not cmath.isfinite(v):
+                i, jk = divmod(idx, n * p)
+                raise OverflowError(
+                    f"product entry ({i}, {jk // p}, {jk % p}) is not finite "
+                    f"({v}); the inputs overflow complex doubles"
+                )
     _write(result.to_json(), args.out)
     return EXIT_OK
 
@@ -279,19 +291,20 @@ def cmd_inverse_pair(args):
         pair = HyperPair.from_json(obj)
     except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
         raise CliError(f"bad pair file {args.input}: {exc}", EXIT_PARSE) from exc
-    report = pair_invertible(pair)
-    if not report:
+    try:
+        inverse = recover_outer_inverse(pair)
+    except FactorabilityError:
+        # the pass is repeated only to name the failing block or slice
         _write(
             {
                 "invertible": False,
                 "C": None,
                 "D": None,
-                "diagnostics": report.to_json(),
+                "diagnostics": pair_invertible(pair).to_json(),
             },
             args.out,
         )
         return EXIT_OK
-    inverse = recover_outer_inverse(pair)
     m, n, p = pair.dims
     residual = sandwich_check(pair, inverse, unit_probe_basis(m, n, p, pair.domain))
     limit = 0.0 if pair.domain.is_exact else max(pair.domain.tol, 1e-12) * 1e4

@@ -38,6 +38,7 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq as _gelsd  # numpy >= 2.0
 
 from . import core
 from .core import Hypermatrix, Matrix, echelon, lex_filter
@@ -56,6 +57,8 @@ DEFAULT_RANK_BUDGET = 10_000_000
 # above REDUCTION_ENTRY * tol * scale.
 REDUCTION_ACCEPT = 100
 REDUCTION_ENTRY = 10
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -425,20 +428,48 @@ class DepthSliceWitness:
         return SliceRewriteData(tau=self.tau, us=self.u_cols, vs=self.v_rows)
 
 
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _batched_lstsq(a, b):
+    """Min-norm least-squares solutions x[s] of the complex systems
+    a[s] x = b[s] in one call of the gufunc behind ``np.linalg.lstsq``,
+    with its default cutoff.  Each system goes through the same gelsd
+    call with the same inputs as ``np.linalg.lstsq(a[s], b[s],
+    rcond=None)``, so x[s] has the same bits.  Call it under
+    :func:`_lstsq_errstate`, which raises LinAlgError when gelsd does
+    not converge, as ``np.linalg.lstsq`` does."""
+    rcond = _EPS * max(a.shape[1:])
+    x, _, _, _ = _gelsd(a, b[..., None], rcond, signature="DDd->Ddid")
+    return x[..., 0]
+
+
+def _lstsq_errstate():
+    """The floating-point error state ``np.linalg.lstsq`` solves under."""
+    return np.errstate(
+        call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore",
+        under="ignore",
+    )
+
+
 def depth_slice_witness(
     b: Hypermatrix, tau, tol=None, restarts=50, iters=500, seed=0
 ):
     """Alternating least squares for the affine depth-slice dependence.
 
     With V fixed the relation is linear in each row of U and decouples
-    row by row; with U fixed it decouples column by column.  Random
-    restarts with fresh V initializations; the first restart whose
-    residual reaches tol * ||B||_F is the witness, None when none does
-    within the budget.
+    row by row; with U fixed it decouples column by column.  Each
+    half-sweep solves its m row systems, or its n column systems, in
+    one batched gelsd call (:func:`_batched_lstsq`), bit for bit what
+    ``np.linalg.lstsq`` returns system by system.  Random restarts with
+    fresh V initializations; the first restart whose residual reaches
+    tol * ||B||_F is the witness, None when none does within the budget.
 
-    Requires the complex domain and entry-wise nonzero input (the
-    genericity proxy; zero entries break the Hadamard-inverse step in
-    the analysis and empirically strand the solver).
+    Requires the complex domain, at least two depth slices and
+    entry-wise nonzero input (the genericity proxy; zero entries break
+    the Hadamard-inverse step in the analysis and empirically strand
+    the solver).
     """
     dom = b.domain
     if dom.kind != "complex":
@@ -448,6 +479,8 @@ def depth_slice_witness(
     m, n, p = b.shape
     if not (0 <= tau < p):
         raise ShapeError(f"tau {tau} out of range")
+    if p < 2:
+        raise ShapeError("depth_slice_witness needs at least two depth slices")
     for idx, v in enumerate(b.data):
         if abs(v) <= dom.tol:
             raise ZeroDivisionError(
@@ -457,6 +490,7 @@ def depth_slice_witness(
     target = arr[:, :, tau]
     target_norm = float(np.linalg.norm(arr))
     others = [t for t in range(p) if t != tau]
+    sub = arr[:, :, others]  # (m, n, len(others))
     rng = random.Random(seed)
 
     def residual_of(u, v):
@@ -465,27 +499,27 @@ def depth_slice_witness(
             acc += u[:, idx, None] * arr[:, :, t] * v[None, idx, :]
         return float(np.linalg.norm(target - acc))
 
-    for restart in range(max(1, restarts)):
-        v = np.array(
-            [[dom.random_nonzero(rng) for _ in range(n)] for _ in others],
-            dtype=complex,
-        )
-        u = np.zeros((m, len(others)), dtype=complex)
-        prev = None
-        for it in range(max(1, iters)):
-            for i in range(m):
-                g = (arr[i, :, :][:, others] * v.T).astype(complex)  # (n, len(others))
-                u[i], *_ = np.linalg.lstsq(g, target[i], rcond=None)
-            for j in range(n):
-                h = (arr[:, j, :][:, others] * u).astype(complex)  # (m, len(others))
-                v[:, j], *_ = np.linalg.lstsq(h, target[:, j], rcond=None)
-            res = residual_of(u, v)
-            if res <= tol * target_norm:
-                us, vs = dict(zip(others, u.T.tolist())), dict(zip(others, v.tolist()))
-                return DepthSliceWitness(tau=tau, u_cols=us, v_rows=vs, residual=res)
-            if prev is not None and prev - res < 1e-4 * prev and it > 20:
-                break
-            prev = res
+    with _lstsq_errstate():
+        for restart in range(max(1, restarts)):
+            v = np.array(
+                [[dom.random_nonzero(rng) for _ in range(n)] for _ in others],
+                dtype=complex,
+            )
+            prev = None
+            for it in range(max(1, iters)):
+                # row i's system: (n, len(others)); column j's: (m, len(others))
+                u = _batched_lstsq(sub * v.T[None], target)
+                v = _batched_lstsq(sub.transpose(1, 0, 2) * u[None], target.T).T
+                res = residual_of(u, v)
+                if res <= tol * target_norm:
+                    us = dict(zip(others, u.T.tolist()))
+                    vs = dict(zip(others, v.tolist()))
+                    return DepthSliceWitness(
+                        tau=tau, u_cols=us, v_rows=vs, residual=res
+                    )
+                if prev is not None and prev - res < 1e-4 * prev and it > 20:
+                    break
+                prev = res
     return None
 
 
@@ -828,9 +862,6 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
 # ---------------------------------------------------------------------------
 # generic numeric pipeline
 # ---------------------------------------------------------------------------
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _stacked_lstsq(a, b):

@@ -22,11 +22,12 @@ least-squares solve per half-sweep (the reference pipeline calls this
 copy), and the exhaustive GF(q) searches
 (``iter_bm_decompositions`` and ``cp_rank_exhaustive`` of
 ``bmalg.rank``, ``is_dependent_exact`` of ``bmalg.dependence``) as they
-were before a numpy filter screened their candidates in blocks, and the
-depth-slice and two-slice witnesses of ``bmalg.rank`` as they were
-before the depth-slice witness returned at its first converged restart
-and the two-slice test ran on ``bm_rank_one`` (the reference pipeline
-calls this depth-slice copy), and the batched exhaustive GF(q) and the
+were before a numpy filter screened their candidates in blocks, the
+depth-slice witness of ``bmalg.rank`` as it was before each half-sweep
+solved its row or column systems in one batched gelsd call (one
+``np.linalg.lstsq`` call per row and per column here; the reference
+pipeline calls this copy), the two-slice witness as it was before it
+ran on ``bm_rank_one``, and the batched exhaustive GF(q) and the
 numeric dependence searches of ``bmalg.dependence`` as they were before
 both read their witness off a shared nonzero entry (the batched copy is
 named ``is_dependent_exact_batched`` here, because ``is_dependent_exact``
@@ -1495,8 +1496,9 @@ def depth_slice_witness(
 
     With V fixed the relation is linear in each row of U and decouples
     row by row; with U fixed it decouples column by column.  Random
-    restarts with fresh V initializations; None when no candidate
-    reaches residual below tol * ||B||_F within the budget.
+    restarts with fresh V initializations; the first restart whose
+    residual reaches tol * ||B||_F is the witness, None when none does
+    within the budget.
 
     Requires the complex domain and entry-wise nonzero input (the
     genericity proxy; zero entries break the Hadamard-inverse step in
@@ -1525,9 +1527,8 @@ def depth_slice_witness(
         acc = np.zeros((m, n), dtype=complex)
         for idx, t in enumerate(others):
             acc += u[:, idx, None] * arr[:, :, t] * v[None, idx, :]
-        return float(np.linalg.norm(target - acc)), acc
+        return float(np.linalg.norm(target - acc))
 
-    best = None
     for restart in range(max(1, restarts)):
         v = np.array(
             [[dom.random_nonzero(rng) for _ in range(n)] for _ in others],
@@ -1542,26 +1543,14 @@ def depth_slice_witness(
             for j in range(n):
                 h = (arr[:, j, :][:, others] * u).astype(complex)  # (m, len(others))
                 v[:, j], *_ = np.linalg.lstsq(h, target[:, j], rcond=None)
-            res, _ = residual_of(u, v)
+            res = residual_of(u, v)
             if res <= tol * target_norm:
-                break
+                us, vs = dict(zip(others, u.T.tolist())), dict(zip(others, v.tolist()))
+                return DepthSliceWitness(tau=tau, u_cols=us, v_rows=vs, residual=res)
             if prev is not None and prev - res < 1e-4 * prev and it > 20:
                 break
             prev = res
-        res, _ = residual_of(u, v)
-        if best is None or res < best[0]:
-            best = (res, u.copy(), v.copy())
-        if res <= tol * target_norm:
-            break
-    res, u, v = best
-    if res > tol * target_norm:
-        return None
-    return DepthSliceWitness(
-        tau=tau,
-        u_cols={t: [complex(x) for x in u[:, idx]] for idx, t in enumerate(others)},
-        v_rows={t: [complex(x) for x in v[idx, :]] for idx, t in enumerate(others)},
-        residual=res,
-    )
+    return None
 
 
 def two_slice_witness(b: Hypermatrix, tau=1):

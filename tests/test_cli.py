@@ -1,11 +1,12 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 from helpers import hyperdet_zero_instance
 
-from bmalg import scalars
+from bmalg import inverse, scalars
 from bmalg.cli import main
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.inverse import random_pair
@@ -217,6 +218,22 @@ def test_inverse_pair_roundtrip(tmp_path):
     assert report2["diagnostics"]["singular_block"] == [0, 0]
 
 
+def test_inverse_pair_flattens_an_invertible_pair_once(tmp_path, monkeypatch, capsys):
+    pair = random_pair(2, 2, 2, scalars.gf(7), random.Random(3))
+    f = write_json(tmp_path, "pair.json", pair.to_json())
+    calls = []
+    flatten = inverse.flatten
+
+    def counted(p):
+        calls.append(p)
+        return flatten(p)
+
+    monkeypatch.setattr(inverse, "flatten", counted)
+    assert main(["inverse-pair", f]) == 0
+    assert json.loads(capsys.readouterr().out)["invertible"] is True
+    assert len(calls) == 1
+
+
 def test_nullity_command(tmp_path):
     target = delta_sum(2, 1, GF2)
     f = write_json(tmp_path, "t.json", target.to_json())
@@ -347,3 +364,26 @@ def test_non_finite_input_exits_2_with_one_json_line(tmp_path, capsys, entry, ar
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "non-finite" in json.loads(lines[0])["message"]
+
+
+@pytest.mark.parametrize("background", [False, True])
+def test_prod_overflow_exits_2_naming_the_first_non_finite_entry(
+    tmp_path, capsys, background
+):
+    """Products that overflow complex doubles are not printed as
+    ``Infinity``/``NaN``, which is not strict JSON and which bmalg
+    itself refuses on input."""
+    big = Hypermatrix.random((3, 3, 3), scalars.complex_doubles(), random.Random(6),
+                             nonzero=True).to_json()
+    big["data"][0] = [1e200, 0.0]
+    f = write_json(tmp_path, "big.json", big)
+    argv = ["prod", f, f, f] + (["--background", f] if background else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["message"]
+    assert message.startswith("product entry (0, 0, 0) is not finite")

@@ -1,10 +1,10 @@
 """Fuzz the CLI through ``main`` with small structured inputs: valid
 domains and shapes whose files carry a corrupted entry, a wrong data
 length or an extreme value.  Whatever the input, the command exits with
-a documented code; on success stdout holds one JSON document, otherwise
-stderr holds exactly one JSON line.  An entry that no domain can decode
-is a parse error.  ``verify`` reads no input file and is not fuzzed
-here."""
+a documented code; on success stdout holds one strict JSON document (no
+``NaN`` or ``Infinity``), otherwise stderr holds exactly one JSON line.
+An entry that no domain can decode is a parse error.  ``verify`` reads
+no input file and is not fuzzed here."""
 
 import contextlib
 import io
@@ -82,6 +82,10 @@ def cli_runs(draw):
     return command, {"hyper": hyper, "family": family, "pair": pair}, malformed
 
 
+def reject_non_finite(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @settings(max_examples=150, deadline=None)
 @given(cli_runs())
 def test_every_command_exits_with_a_documented_code(run):
@@ -98,7 +102,7 @@ def test_every_command_exits_with_a_documented_code(run):
     assert code in {0, 2, 3, 4, 5, 6}
     assert code == 2 or not malformed
     if code == 0:
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=reject_non_finite)
     else:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, lines

@@ -3,15 +3,17 @@
 ``rank.two_slice_witness`` now runs ``bm_rank_one`` on the two slices
 and reads u and v off its legs; the copy in ``reference.py`` built its
 own ratio matrix.  Over Q and GF(q) both must return the same u and v,
-or both None.  ``rank.depth_slice_witness`` now returns at its first
-converged restart instead of keeping the best restart so far; its u, v
-and residual must have the same float bits as the copy's, or both be
-None.
+or both None.  ``rank.depth_slice_witness`` now solves each half-sweep's
+row or column systems in one batched gelsd call; the copy called
+``np.linalg.lstsq`` once per row and per column.  Its u, v and residual
+must have the same float bits as the copy's, or both be None, and the
+batched solve must give ``np.linalg.lstsq``'s bits system by system.
 """
 
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,12 @@ from test_rank_one import rank_one
 from bmalg import scalars
 from bmalg.core import Hypermatrix
 from bmalg.errors import ShapeError
-from bmalg.rank import depth_slice_witness, two_slice_witness
+from bmalg.rank import (
+    _batched_lstsq,
+    _lstsq_errstate,
+    depth_slice_witness,
+    two_slice_witness,
+)
 
 EXACT = [scalars.rational(), scalars.gf(3), scalars.gf(7)]
 CPLX = scalars.complex_doubles()
@@ -112,3 +119,70 @@ def test_depth_slice_witness_matches_reference(seed, shape, restarts, iters, tol
 def test_depth_slice_witness_outcomes_match_reference(shape, seed, kw, found):
     b = Hypermatrix.random(shape, CPLX, random.Random(seed), nonzero=True)
     assert same_depth_witness(b, seed % shape[2], seed=seed, **kw) is found
+
+
+# single row or column, two slices, and underdetermined row systems
+# (n < p - 1), column systems (m < p - 1) or both
+EDGE_SHAPES = [
+    (1, 3, 3), (3, 1, 4), (1, 1, 3), (3, 3, 2), (2, 4, 2), (2, 2, 5),
+    (4, 2, 3), (4, 4, 4), (3, 4, 5),
+]
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_depth_slice_witness_edge_shapes_match_reference(shape, seed):
+    b = Hypermatrix.random(shape, CPLX, random.Random(seed), nonzero=True)
+    kw = [{}, {"restarts": 3, "iters": 60}][seed % 2]
+    same_depth_witness(b, seed % shape[2], seed=seed, **kw)
+
+
+def test_depth_slice_witness_needs_two_slices():
+    b = Hypermatrix.random((2, 3, 1), CPLX, random.Random(0), nonzero=True)
+    with pytest.raises(ShapeError):
+        depth_slice_witness(b, 0)
+
+
+def test_depth_slice_witness_does_not_call_numpy_lstsq(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    b = Hypermatrix.random((3, 3, 3), CPLX, random.Random(2), nonzero=True)
+    assert depth_slice_witness(b, 2, seed=2) is not None
+
+
+def complex_systems(rng, count, rows, cols, deficiency):
+    a = rng.standard_normal((count, rows, cols, 2)) @ [1, 1j]
+    if deficiency == "zero-column":
+        a[:, :, -1] = 0
+    elif deficiency == "repeated-column":
+        a[:, :, -1] = a[:, :, 0]
+    b = rng.standard_normal((count, rows, 2)) @ [1, 1j]
+    return a, b
+
+
+def pack(x):
+    return b"".join(struct.pack("dd", z.real, z.imag) for z in np.ravel(x))
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 2), (5, 3), (4, 4), (2, 4), (1, 3), (3, 1)])
+@pytest.mark.parametrize("deficiency", [None, "zero-column", "repeated-column"])
+def test_batched_lstsq_matches_numpy_system_by_system(rows, cols, deficiency):
+    rng = np.random.default_rng(rows * 10 + cols)
+    a, b = complex_systems(rng, 25, rows, cols, deficiency)
+    with _lstsq_errstate():
+        got = _batched_lstsq(a, b)
+    assert got.shape == (25, cols)
+    for s in range(len(a)):
+        want, *_ = np.linalg.lstsq(a[s], b[s], rcond=None)
+        assert pack(got[s]) == pack(want)
+
+
+def test_batched_lstsq_raises_as_numpy_does_when_gelsd_fails():
+    a, b = complex_systems(np.random.default_rng(0), 3, 3, 2, None)
+    a[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(a[1], b[1], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError), _lstsq_errstate():
+        _batched_lstsq(a, b)
