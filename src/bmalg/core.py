@@ -144,13 +144,32 @@ class _Dense:
     def max_deviation(self, other) -> float:
         self._check_binary(other)
         magnitude = self.domain.magnitude
+        # Equal exact entries deviate by 0.0 without a subtraction; the
+        # zero stays in the sequence, so max() sees what it saw before.
+        # Complex entries always subtract: inf == inf, but inf - inf is nan.
+        exact = self.domain.is_exact
         return max(
-            (magnitude(a - b) for a, b in zip(self.data, other.data)), default=0.0
+            (0.0 if exact and a == b else magnitude(a - b)
+             for a, b in zip(self.data, other.data)),
+            default=0.0,
         )
 
     def norm(self) -> float:
         magnitude = self.domain.magnitude
-        return sum(magnitude(a) ** 2 for a in self.data) ** 0.5
+        try:
+            return sum(magnitude(a) ** 2 for a in self.data) ** 0.5
+        except OverflowError:
+            for idx, a in enumerate(self.data):
+                size = magnitude(a)
+                try:
+                    size ** 2
+                except OverflowError:
+                    raise OverflowError(
+                        f"{type(self).__name__} of shape {self.shape}: the square "
+                        f"of entry {idx} (magnitude {size:.3e}) overflows the "
+                        f"Frobenius norm"
+                    ) from None
+            raise
 
     # -- interop -----------------------------------------------------------------
 

@@ -19,12 +19,14 @@ minor (:func:`_rank_one_violation`) only names a slice that fails.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
+from . import core
 from .core import Hypermatrix, Matrix
 from .errors import FactorabilityError, ShapeError
-from .products import bm_product, identity_pair
+from .products import bm_product, conformability, identity_pair
 
 SCALING_PATTERN = "scaling"
 RECOVERED_GAUGE = "first-nonzero-d-entry-is-one"
@@ -413,16 +415,45 @@ def unit_probe_basis(m, n, p, domain):
 def sandwich_check(pair: HyperPair, inverse: OuterInversePair, probes) -> float:
     """Max deviation over probes of Prod(C, Prod(A, X, B), D) from X.
 
+    The probes run in stacks of as many as fit in ``core.BATCH_ENTRIES``
+    entries, at least one: the P probes of a stack fill one (P*m, n, p)
+    hypermatrix along axis 0, A and C are tiled P times along axis 0,
+    and two ternary products give probe q's Prod(C, Prod(A, X, B), D) as
+    the flat block [q*m*n*p, (q+1)*m*n*p).  The product kernel computes
+    every entry on its own, in term order, so each block has the bits of
+    the probe's own products, and the deviations fold in probe order.
+    Each probe is checked for conformability, in order, as its own
+    products would check it.
+
     The transpose conjugates of this identity need no probe of their
     own: T(Prod(A, B, C)) = Prod(T(B), T(C), T(A)), so they re-index the
     same equations.
     """
     a, b = pair.a, pair.b
     c, d = inverse.c, inverse.d
+    m, n, p = pair.dims
+    dom = pair.domain
+    size = m * n * p
+    per_stack = max(1, core.BATCH_ENTRIES // size)
+    probes = iter(probes)
     worst = 0.0
-    for x in probes:
-        worst = max(worst, bm_product(c, bm_product(a, x, b), d).max_deviation(x))
+    while stack := list(itertools.islice(probes, per_stack)):
+        for x in stack:
+            conformability(a, x, b)
+            conformability(c, x, d)  # Prod(A, X, B) has the shape and domain of X
+        k = len(stack)
+        xs = Hypermatrix((k * m, n, p), [v for x in stack for v in x.data], dom)
+        z = bm_product(_tiled(c, k), bm_product(_tiled(a, k), xs, b), d).data
+        for q, x in enumerate(stack):
+            block = Hypermatrix(x.shape, z[q * size : (q + 1) * size], dom)
+            worst = max(worst, block.max_deviation(x))
     return worst
+
+
+def _tiled(h: Hypermatrix, k) -> Hypermatrix:
+    """h repeated k times along axis 0."""
+    n0, n1, n2 = h.shape
+    return Hypermatrix((k * n0, n1, n2), h.data * k, h.domain)
 
 
 def random_pair(m, n, p, domain, rng: random.Random, kind="scaling") -> HyperPair:

@@ -110,7 +110,9 @@ def _contract(a0, a1, a2, shape, terms):
     leaves the reduction mod q to the ``Hypermatrix`` constructor: each
     term is below 251^4 < 2^32 (q <= 251), so the sum overflows only
     past 2^31 terms.  Q works on Python-int numerators over one common denominator
-    per leg, in object arrays, so nothing can overflow.  C works on
+    per leg, in object arrays, so nothing can overflow; every zero entry
+    of the result is one shared ``Fraction(0)``, which skips the gcd of
+    ``Fraction(0, den)``.  C works on
     separate float64 real and imaginary arrays with CPython's complex
     product and accumulates from +0.0 in term order, so every entry has
     the bits of the per-scalar sum; complex128 ufuncs and einsum round
@@ -156,7 +158,10 @@ def _contract(a0, a1, a2, shape, terms):
     if q is not None:
         return Hypermatrix(shape, acc.ravel().tolist(), dom)
     den = d0 * d1 * d2 * dw
-    return Hypermatrix(shape, [Fraction(v, den) for v in acc.ravel().tolist()], dom)
+    zero = Fraction(0)
+    return Hypermatrix(
+        shape, [Fraction(v, den) if v else zero for v in acc.ravel().tolist()], dom
+    )
 
 
 def _cmul(ar, ai, br, bi):
@@ -167,8 +172,9 @@ def _cmul(ar, ai, br, bi):
 def _numerators(values):
     """Integer numerators of ``values`` over their least common
     denominator, and that denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def kronecker_delta(n, domain) -> Hypermatrix:

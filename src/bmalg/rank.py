@@ -469,7 +469,7 @@ def depth_slice_witness(
     Requires the complex domain, at least two depth slices and
     entry-wise nonzero input (the genericity proxy; zero entries break
     the Hadamard-inverse step in the analysis and empirically strand
-    the solver).
+    the solver).  Raises OverflowError when ||B||_F is not finite.
     """
     dom = b.domain
     if dom.kind != "complex":
@@ -488,7 +488,14 @@ def depth_slice_witness(
             )
     arr = b.to_numpy()
     target = arr[:, :, tau]
-    target_norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        target_norm = float(np.linalg.norm(arr))
+        if not np.isfinite(target_norm):
+            raise OverflowError(
+                f"||B||_F of the {b.shape} input overflows floats (largest entry "
+                f"magnitude {np.abs(arr).max():.3e}); the residual test cannot "
+                f"be scaled"
+            )
     others = [t for t in range(p) if t != tau]
     sub = arr[:, :, others]  # (m, n, len(others))
     rng = random.Random(seed)

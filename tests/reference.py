@@ -27,11 +27,15 @@ depth-slice witness of ``bmalg.rank`` as it was before each half-sweep
 solved its row or column systems in one batched gelsd call (one
 ``np.linalg.lstsq`` call per row and per column here; the reference
 pipeline calls this copy), the two-slice witness as it was before it
-ran on ``bm_rank_one``, and the batched exhaustive GF(q) and the
+ran on ``bm_rank_one``, the batched exhaustive GF(q) and the
 numeric dependence searches of ``bmalg.dependence`` as they were before
 both read their witness off a shared nonzero entry (the batched copy is
 named ``is_dependent_exact_batched`` here, because ``is_dependent_exact``
-is the scalar one).  The bodies are kept as they were; the former
+is the scalar one), and the one-probe-at-a-time sandwich check of
+``bmalg.inverse`` (``sandwich_check_per_probe``, because
+``sandwich_check`` here is the three-identity one) and the dense
+``max_deviation`` as they were before the probes ran stacked and equal
+exact entries skipped their subtraction.  The bodies are kept as they were; the former
 ``Matrix`` methods take the matrix as an explicit first argument, the
 nullity copies import the rank pipeline from ``bmalg.rank`` instead of
 relatively, and the slice-rewrite copy calls the current
@@ -420,6 +424,32 @@ def sandwich_check(pair, inverse, probes) -> float:
         )
         worst = max(worst, right.max_deviation(xt2))
     return worst
+
+
+# -- former per-probe sandwich check and deviation (inverse, core) -------------
+
+
+def sandwich_check_per_probe(pair, inverse, probes) -> float:
+    """Max deviation over probes of Prod(C, Prod(A, X, B), D) from X.
+
+    The transpose conjugates of this identity need no probe of their
+    own: T(Prod(A, B, C)) = Prod(T(B), T(C), T(A)), so they re-index the
+    same equations.
+    """
+    a, b = pair.a, pair.b
+    c, d = inverse.c, inverse.d
+    worst = 0.0
+    for x in probes:
+        worst = max(worst, bm_product(c, bm_product(a, x, b), d).max_deviation(x))
+    return worst
+
+
+def max_deviation(self, other) -> float:
+    self._check_binary(other)
+    magnitude = self.domain.magnitude
+    return max(
+        (magnitude(a - b) for a, b in zip(self.data, other.data)), default=0.0
+    )
 
 
 # -- former per-scalar ternary products (products) ----------------------------

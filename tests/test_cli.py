@@ -387,3 +387,40 @@ def test_prod_overflow_exits_2_naming_the_first_non_finite_entry(
     assert len(lines) == 1
     message = json.loads(lines[0])["message"]
     assert message.startswith("product entry (0, 0, 0) is not finite")
+
+
+def scaled_json(h, factor):
+    return Hypermatrix(h.shape, [v * factor for v in h.data], h.domain).to_json()
+
+
+OVERFLOW_RUNS = [
+    pytest.param(["rank", "--strategy", "generic-pipeline"], "Hypermatrix",
+                 id="rank-pipeline"),
+    pytest.param(["nullity"], "Hypermatrix", id="nullity"),
+    pytest.param(["inverse-pair"], "Matrix", id="inverse-pair"),
+]
+
+
+@pytest.mark.parametrize("argv, cls", OVERFLOW_RUNS)
+def test_norm_overflow_exits_2_naming_the_entry(tmp_path, capsys, argv, cls):
+    """Finite entries whose squares overflow: the one JSON line names the
+    class, the shape, the entry and its magnitude instead of
+    ``(34, 'Numerical result out of range')``."""
+    dom = scalars.complex_doubles()
+    rng = random.Random(3)
+    if argv[0] == "inverse-pair":
+        pair = random_pair(2, 2, 2, dom, rng)
+        obj = {"A": scaled_json(pair.a, 1e150), "B": scaled_json(pair.b, 1e150)}
+    else:
+        obj = scaled_json(Hypermatrix.random((3, 3, 3), dom, rng, nonzero=True), 1e160)
+    f = write_json(tmp_path, "huge.json", obj)
+    assert main([argv[0], f, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["error"] == "OverflowError"
+    assert report["message"].startswith(f"{cls} of shape (")
+    assert "entry 0 (magnitude " in report["message"]
+    assert "overflows the Frobenius norm" in report["message"]

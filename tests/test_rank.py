@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,20 @@ def test_depth_slice_witness_rejects_zero_entries():
     b = Hypermatrix.zeros((2, 2, 2), CPLX)
     with pytest.raises(ZeroDivisionError):
         depth_slice_witness(b, 0)
+
+
+def test_depth_slice_witness_rejects_an_overflowing_norm():
+    """Entries of about 1e160 are finite but ||B||_F is not: the witness
+    used to come back with residual inf, accepted as inf <= tol * inf."""
+    b = Hypermatrix.random((3, 3, 3), CPLX, random.Random(3), nonzero=True)
+    huge = Hypermatrix(b.shape, [v * 1e160 for v in b.data], CPLX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"\|\|B\|\|_F .* overflows"):
+            depth_slice_witness(huge, 2)
+    scaled = Hypermatrix(b.shape, [v * 1e150 for v in b.data], CPLX)
+    w = depth_slice_witness(scaled, 2)
+    assert w is not None and w.residual < 1e-8 * 1e150
 
 
 def test_hyperdet_values():
