@@ -39,12 +39,13 @@ from .inverse import (
     sandwich_check,
     unit_probe_basis,
 )
-from .nullity import first_nonzero_slice, nullity, orient_depth_min
+from .nullity import first_nonzero_slice, nullity
 from .products import bm_product, general_bm_product
 from .scalars import DEFAULT_COMPLEX_TOL, ScalarDomain
 from .rank import (
     bm_rank_exhaustive,
     generic_rank_pipeline,
+    orient_depth_min,
     rank_upper_min,
     two_slice_witness,
 )
@@ -266,7 +267,10 @@ def cmd_dependence(args):
     a = _load_hyper(args.hyper, args)
     dom = a.domain
     m, n, p = a.shape
-    size = args.subset_size or p
+    size = p if args.subset_size is None else args.subset_size
+    if not 1 <= size <= p:
+        # no subset of that size exists, so "not dependent" would prove nothing
+        raise ShapeError(f"--subset-size {size} outside [1, {p}]")
     if (
         dom.is_exact
         and p == 2

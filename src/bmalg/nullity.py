@@ -44,6 +44,7 @@ from .rank import (
     DecompositionTriple,
     generic_rank_pipeline,
     iter_bm_decompositions,
+    orient_depth_min,
     rank_upper_min,
 )
 
@@ -472,17 +473,6 @@ def hyper_nullity_necessity(
 # ---------------------------------------------------------------------------
 
 
-def orient_depth_min(a: Hypermatrix):
-    """Transpose 0, 1 or 2 times so the depth extent is minimal."""
-    m, n, p = a.shape
-    mn = min(a.shape)
-    if p == mn:
-        return a, 0
-    if m == mn:
-        return a.transpose(), 1
-    return a.transpose().transpose(), 2
-
-
 _ACTION_CACHE = {}
 
 
@@ -590,14 +580,16 @@ def nullity(
 ) -> NullityCertificate:
     """Compute a nullity certificate for ``a``.
 
+    Either strategy works on ``a`` oriented by ``rank.orient_depth_min``
+    (the certificate's ``transposes_applied``), whose depth extent is
+    min(m, n, p), and counts that input's zero depth slices.
     "via-rank" converts a rank certificate: over GF(q) the exhaustive
     decompositions of each term count from one up, whose first level is
     the exact rank (retrying across decompositions and levels until one
     admits an invertible completion); over complex doubles the numeric
-    reduction pipeline (for any shape: it starts from the identity-pair
-    decomposition); over the rationals only the zero depth slices of the
-    input itself are certified (there is no exact rational rank oracle
-    here, so this is a lower bound).  "direct-search" is the exhaustive
+    reduction pipeline; over the rationals only the zero depth slices of
+    the input itself are certified (there is no exact rational rank
+    oracle here, so this is a lower bound).  "direct-search" is the exhaustive
     oracle over tiny prime fields.  ``budget`` caps every exhaustive
     enumeration either strategy runs over GF(q).  A caller that already
     holds a decomposition calls :func:`hyper_nullity_necessity`.

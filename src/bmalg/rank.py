@@ -178,34 +178,40 @@ class RankCertificate:
 # ---------------------------------------------------------------------------
 
 
+def orient_depth_min(a: Hypermatrix):
+    """Transpose 0, 1 or 2 times so the depth extent is minimal; ties
+    keep the depth axis, then prefer the row axis."""
+    m, n, p = a.shape
+    mn = min(a.shape)
+    if p == mn:
+        return a, 0
+    if m == mn:
+        return a.transpose(), 1
+    return a.transpose().transpose(), 2
+
+
+def _untransposed(legs, times):
+    """Map legs of ``a.transpose_times(times)`` back to legs of ``a``: by
+    T(Prod(A, B, C)) = Prod(T(B), T(C), T(A)), k = -times % 3 more
+    transposes rotate the legs by k and transpose each one k times."""
+    k = -times % 3
+    return tuple(leg.transpose_times(k) for leg in legs[k:] + legs[:k])
+
+
 def rank_upper_min(a: Hypermatrix) -> RankCertificate:
     """The min-extent upper bound: a decomposition of ``a`` itself with
-    r = min(m, n, p) terms, built from the identity pair, routed through
-    the transpose identities when the minimum is not the depth extent."""
-    m, n, p = a.shape
-    dom = a.domain
-    r = min(m, n, p)
-    if p == r:
-        j0, j1 = identity_pair(m, n, p, dom)
-        triple = DecompositionTriple(j0, a, j1, tuple(range(p)))
-    elif n == r:
-        # a is the transpose of some hypermatrix whose depth extent is minimal
-        j0, j1 = identity_pair(p, m, n, dom)
-        triple = DecompositionTriple(
-            a, j1.transpose(), j0.transpose(), tuple(range(r))
-        )
-    else:
-        j0, j1 = identity_pair(n, p, m, dom)
-        triple = DecompositionTriple(
-            j1.transpose().transpose(),
-            j0.transpose().transpose(),
-            a,
-            tuple(range(r)),
-        )
+    r = min(m, n, p) terms, the identity pair around ``a`` oriented by
+    :func:`orient_depth_min`, mapped back through the transpose
+    identities."""
+    oriented, times = orient_depth_min(a)
+    m, n, r = oriented.shape
+    j0, j1 = identity_pair(m, n, r, a.domain)
+    legs = _untransposed((j0, oriented, j1), times)
+    triple = DecompositionTriple(*legs, tuple(range(r)))
     cert = RankCertificate(kind="upper-bound", r=r, triple=triple)
     if not triple.reconstruct().equals(a):
         raise CertificateError("identity-pair reconstruction failed")
-    cert.residual = None if dom.is_exact else 0.0
+    cert.residual = None if a.domain.is_exact else 0.0
     return cert
 
 
@@ -871,17 +877,6 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
 # ---------------------------------------------------------------------------
 
 
-def _stacked_lstsq(a, b):
-    """Min-norm least-squares solutions x[s] of the stacked systems
-    a[s] x = b[s], with ``np.linalg.lstsq``'s default cutoff: singular
-    values at most eps * max(M, N) * sigma_max count as zero."""
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = s > _EPS * max(a.shape[1:]) * s[:, :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    ub = (u.conj().transpose(0, 2, 1) @ b[:, :, None])[:, :, 0]
-    return (vh.conj().transpose(0, 2, 1) @ (inv * ub)[:, :, None])[:, :, 0]
-
-
 def triple_reduction_witness(
     x0, x1, x2, tau, tol=None, restarts=20, iters=200, seed=0
 ):
@@ -892,8 +887,9 @@ def triple_reduction_witness(
     row) and linear in the v-family for fixed u (decoupled by column).
     The restarts run side by side: each u half-sweep stacks the systems
     of all m rows of every live restart and each v half-sweep those of
-    the n columns, and one stacked min-norm least-squares solve (SVD,
-    with ``np.linalg.lstsq``'s cutoff) answers them all.  Every restart
+    the n columns, and one batched gelsd call (:func:`_batched_lstsq`)
+    answers them all, bit for bit what ``np.linalg.lstsq`` returns
+    system by system, under one :func:`_lstsq_errstate`.  Every restart
     starts from v drawn from ``random.Random(seed)`` in restart order
     and u = 0, and stops on its own when its residual reaches
     tol * (1 + ||lhs||_F), or after sweep 21 when a sweep improves it
@@ -938,44 +934,45 @@ def triple_reduction_witness(
     ]
     cap = max(1, core.BATCH_ENTRIES // (m * n * p * no))
     edges = [0, *range(1, len(inits), cap), len(inits)]
-    for start, end in zip(edges, edges[1:]):
-        v = np.array(inits[start:end], dtype=complex)  # (R, no, n)
-        u = np.zeros((len(v), m, no), dtype=complex)
-        res = np.full(len(v), np.inf)
-        prev = np.full(len(v), np.nan)
-        live = np.arange(len(v))
-        for it in range(max(1, iters)):
-            if not live.size:
-                break
-            # u half-sweep: row i's system has equations (j, k)
-            vb = v[live].transpose(0, 2, 1)[:, None, :, None, :]
-            g = y * x_tau * (z_tau * vb + z_t)
-            rhs = lhs - (y * x_t * z_tau * vb).sum(-1)
-            ul = _stacked_lstsq(
-                g.reshape(-1, n * p, no), rhs.reshape(-1, n * p)
-            ).reshape(-1, m, no)
-            # v half-sweep: column j's system has equations (i, k)
-            ub = ul[:, :, None, None, :]
-            h = y * z_tau * (ub * x_tau + x_t)
-            const = (y * ub * x_tau * z_t).sum(-1)
-            vl = _stacked_lstsq(
-                h.transpose(0, 2, 1, 3, 4).reshape(-1, m * p, no),
-                (lhs - const).transpose(0, 2, 1, 3).reshape(-1, m * p),
-            ).reshape(-1, n, no)
-            acc = (h * vl[:, None, :, None, :]).sum(-1) + const
-            rl = np.linalg.norm((lhs - acc).reshape(len(live), -1), axis=1)
-            u[live], v[live], res[live] = ul, vl.transpose(0, 2, 1), rl
-            stall = (it > 20) & (prev[live] - rl < 1e-4 * prev[live])
-            prev[live] = rl
-            live = live[~((rl <= goal) | stall)]
+    with _lstsq_errstate():
+        for start, end in zip(edges, edges[1:]):
+            v = np.array(inits[start:end], dtype=complex)  # (R, no, n)
+            u = np.zeros((len(v), m, no), dtype=complex)
+            res = np.full(len(v), np.inf)
+            prev = np.full(len(v), np.nan)
+            live = np.arange(len(v))
+            for it in range(max(1, iters)):
+                if not live.size:
+                    break
+                # u half-sweep: row i's system has equations (j, k)
+                vb = v[live].transpose(0, 2, 1)[:, None, :, None, :]
+                g = y * x_tau * (z_tau * vb + z_t)
+                rhs = lhs - (y * x_t * z_tau * vb).sum(-1)
+                ul = _batched_lstsq(
+                    g.reshape(-1, n * p, no), rhs.reshape(-1, n * p)
+                ).reshape(-1, m, no)
+                # v half-sweep: column j's system has equations (i, k)
+                ub = ul[:, :, None, None, :]
+                h = y * z_tau * (ub * x_tau + x_t)
+                const = (y * ub * x_tau * z_t).sum(-1)
+                vl = _batched_lstsq(
+                    h.transpose(0, 2, 1, 3, 4).reshape(-1, m * p, no),
+                    (lhs - const).transpose(0, 2, 1, 3).reshape(-1, m * p),
+                ).reshape(-1, n, no)
+                acc = (h * vl[:, None, :, None, :]).sum(-1) + const
+                rl = np.linalg.norm((lhs - acc).reshape(len(live), -1), axis=1)
+                u[live], v[live], res[live] = ul, vl.transpose(0, 2, 1), rl
+                stall = (it > 20) & (prev[live] - rl < 1e-4 * prev[live])
+                prev[live] = rl
+                live = live[~((rl <= goal) | stall)]
+                hits = np.flatnonzero(res <= goal)
+                if hits.size:  # a later restart can no longer be chosen
+                    live = live[live < hits[0]]
             hits = np.flatnonzero(res <= goal)
-            if hits.size:  # a later restart can no longer be chosen
-                live = live[live < hits[0]]
-        hits = np.flatnonzero(res <= goal)
-        if hits.size:
-            break
-    else:
-        return None
+            if hits.size:
+                break
+        else:
+            return None
     u, v = u[hits[0]], v[hits[0]]
     return SliceRewriteData(
         tau=tau,
@@ -988,33 +985,36 @@ def generic_rank_pipeline(
     b: Hypermatrix, tau=None, restarts=50, iters=500, seed=0
 ) -> RankCertificate:
     """Numeric upper-bound certificate for an entry-wise nonzero
-    hypermatrix of any shape (m, n, p).
+    hypermatrix of any shape (m, n, p), with r <= min(m, n, p).
 
     When ``b`` has BM rank one (:func:`bm_rank_one` at the domain
-    tolerance) the certificate is its ell = 1 legs.  Otherwise it starts
-    from the identity-pair decomposition with contracted dimension p,
-    which exists for every shape, and keeps reducing while ell > 2 and
-    a depth-slice witness (first step) or a general reduction witness
+    tolerance) the certificate is its ell = 1 legs.  Otherwise it
+    orients ``b`` by :func:`orient_depth_min` and starts from the
+    identity-pair decomposition of the oriented input, with contracted
+    dimension min(m, n, p), and keeps reducing while ell > 2 and a
+    depth-slice witness (first step) or a general reduction witness
     (later steps) is found; stalls return the best certificate so far,
-    residual included.  It stops at ell = 2: an ell = 1 rewrite would
+    residual included, its legs mapped back to ``b`` through the
+    transpose identities.  It stops at ell = 2: an ell = 1 rewrite would
     give ``b`` BM rank one, which the test has ruled out.
 
     Everything reads the domain tolerance (1e-9 when it is zero).  A
-    pinned ``tau`` must index a depth slice of ``b`` (else ShapeError);
-    once ell has shrunk to ``tau`` or below, the pinned pivot names no
-    slice, and reducing stops as when no pivot succeeds.
+    pinned ``tau`` must index a depth slice of the oriented input, i.e.
+    lie below min(m, n, p) (else ShapeError); once ell has shrunk to
+    ``tau`` or below, the pinned pivot names no slice, and reducing
+    stops as when no pivot succeeds.
     """
     dom = b.domain
     if dom.kind != "complex":
         raise ValueError("generic_rank_pipeline needs the complex domain")
-    tol = dom.tol or 1e-9
-    m, n, p = b.shape
-    if tau is not None and not 0 <= tau < p:
+    if tau is not None and not 0 <= tau < min(b.shape):
         raise ShapeError(f"tau {tau} out of range")
     _, legs = bm_rank_one(b)
+    oriented, times = b, 0
     if legs is None:
-        j0, j1 = identity_pair(m, n, p, dom)
-        legs = (j0, b, j1)
+        oriented, times = orient_depth_min(b)
+        j0, j1 = identity_pair(*oriented.shape, dom)
+        legs = (j0, oriented, j1)
     ell = legs[0].shape[1]
     step = 0
     while ell > 2:
@@ -1025,12 +1025,12 @@ def generic_rank_pipeline(
         for t_pick in taus:
             if step == 0:
                 witness = depth_slice_witness(
-                    b, t_pick, tol=tol, restarts=restarts, iters=iters, seed=seed
+                    oriented, t_pick, restarts=restarts, iters=iters, seed=seed
                 )
                 rewrite = witness.rewrite() if witness else None
             else:
                 rewrite = triple_reduction_witness(
-                    *legs, t_pick, tol=tol, restarts=max(restarts // 2, 5),
+                    *legs, t_pick, restarts=max(restarts // 2, 5),
                     iters=max(iters // 2, 50), seed=seed + step,
                 )
             if rewrite is None:
@@ -1045,8 +1045,7 @@ def generic_rank_pipeline(
         legs = reduced
         ell -= 1
         step += 1
-    cert = RankCertificate(
-        kind="upper-bound", r=ell, triple=DecompositionTriple(*legs, tuple(range(ell)))
-    )
+    triple = DecompositionTriple(*_untransposed(legs, times), tuple(range(ell)))
+    cert = RankCertificate(kind="upper-bound", r=ell, triple=triple)
     cert.residual = cert.verify(b)
     return cert

@@ -35,7 +35,12 @@ is the scalar one), and the one-probe-at-a-time sandwich check of
 ``bmalg.inverse`` (``sandwich_check_per_probe``, because
 ``sandwich_check`` here is the three-identity one) and the dense
 ``max_deviation`` as they were before the probes ran stacked and equal
-exact entries skipped their subtraction.  The bodies are kept as they were; the former
+exact entries skipped their subtraction, and the min-extent bound
+``rank_upper_min`` of ``bmalg.rank`` as it was before it built the
+identity pair of the input oriented by ``orient_depth_min`` (three
+hand-expanded transpose branches here, which break the tie m == n < p
+by the column axis; the via-rank nullity copy calls it on oriented
+inputs only).  The bodies are kept as they were; the former
 ``Matrix`` methods take the matrix as an explicit first argument, the
 nullity copies import the rank pipeline from ``bmalg.rank`` instead of
 relatively, and the slice-rewrite copy calls the current
@@ -95,11 +100,44 @@ from bmalg.rank import (
     RankCertificate,
     SliceRewriteData,
     bm_rank_exhaustive,
-    rank_upper_min,
 )
 from bmalg.rank import _assemble_triple
 from bmalg.rank import _fiber_solutions as fiber_solutions
 from bmalg.rank import check_reduction_hypothesis as check_product_preservation
+
+
+# -- former min-extent upper bound (rank) -------------------------------------
+
+
+def rank_upper_min(a: Hypermatrix) -> RankCertificate:
+    """The min-extent upper bound: a decomposition of ``a`` itself with
+    r = min(m, n, p) terms, built from the identity pair, routed through
+    the transpose identities when the minimum is not the depth extent."""
+    m, n, p = a.shape
+    dom = a.domain
+    r = min(m, n, p)
+    if p == r:
+        j0, j1 = identity_pair(m, n, p, dom)
+        triple = DecompositionTriple(j0, a, j1, tuple(range(p)))
+    elif n == r:
+        # a is the transpose of some hypermatrix whose depth extent is minimal
+        j0, j1 = identity_pair(p, m, n, dom)
+        triple = DecompositionTriple(
+            a, j1.transpose(), j0.transpose(), tuple(range(r))
+        )
+    else:
+        j0, j1 = identity_pair(n, p, m, dom)
+        triple = DecompositionTriple(
+            j1.transpose().transpose(),
+            j0.transpose().transpose(),
+            a,
+            tuple(range(r)),
+        )
+    cert = RankCertificate(kind="upper-bound", r=r, triple=triple)
+    if not triple.reconstruct().equals(a):
+        raise CertificateError("identity-pair reconstruction failed")
+    cert.residual = None if dom.is_exact else 0.0
+    return cert
 
 
 # -- former Matrix elimination methods ----------------------------------------

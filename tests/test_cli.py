@@ -143,6 +143,26 @@ def test_dependence_two_slice_exact(tmp_path):
     assert read_json(out2)["dependent"] is False
 
 
+def test_dependence_subset_size_outside_the_depth_is_rejected(tmp_path, capsys):
+    """A subset size above p (or below 1) names no subset of depth
+    slices; reporting "not dependent" for it would be a false proof."""
+    b = Hypermatrix.from_function((3, 3, 3), GF2, lambda i, j, k: int(k < 2 and i == j))
+    f = write_json(tmp_path, "b.json", b.to_json())
+    out = tmp_path / "dep.json"
+
+    def run(size):
+        argv = ["dependence", "--hyper", f, "--subset-size", size, "--out", str(out)]
+        return main(argv)
+
+    assert run("2") == 0
+    assert read_json(out)["subset"] == [0, 1]
+    out.unlink()
+    for size in ("0", "4", "5"):
+        assert run(size) == 2
+        assert not out.exists()
+        assert "ShapeError" in capsys.readouterr().err
+
+
 def test_dependence_family_gf(tmp_path):
     m = Matrix.from_function(2, 2, GF2, lambda *_: 1)
     fam = {"matrices": [m.to_json(), m.to_json()]}

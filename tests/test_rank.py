@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -14,6 +16,7 @@ from bmalg.errors import (
     ShapeError,
 )
 from bmalg.products import bm_product, delta_t, identity_pair, kronecker_delta
+import reference as ref
 from helpers import hyperdet_zero_instance
 from test_rank_one import rank_one
 
@@ -21,6 +24,7 @@ from bmalg.rank import (
     DecompositionTriple,
     SliceRewriteData,
     bm_rank_exhaustive,
+    bm_rank_one,
     cp_rank_exhaustive,
     delta_sum,
     delta_sum_certificate,
@@ -124,6 +128,26 @@ def test_rank_upper_min_reconstructs(shape, expected_r):
     assert cert.r == expected_r == min(shape)
     assert cert.triple.reconstruct().equals(a)
     assert cert.verify(a) == 0.0
+
+
+@pytest.mark.parametrize("dom", [RAT, GF2, CPLX], ids=["Q", "GF2", "C"])
+def test_rank_upper_min_matches_reference_bytes(dom):
+    """Every shape with extents <= 4 keeps the former certificate bytes,
+    except the six with m == n < p: there the orientation breaks the tie
+    by the row axis where the former branches took the column axis, and
+    both certificates reconstruct."""
+    ties = 0
+    for shape in itertools.product(range(1, 5), repeat=3):
+        a = rand_hyper(shape, sum(shape), dom)
+        got, want = rank_upper_min(a), ref.rank_upper_min(a)
+        m, n, p = shape
+        if m == n < p:
+            ties += 1
+            assert got.r == want.r == m
+            assert got.verify(a) == want.verify(a) == 0.0
+        else:
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert ties == 6
 
 
 def test_delta_sum_certificate_positions():
@@ -461,6 +485,38 @@ def test_pipeline_checks_a_pinned_tau_on_every_input(kind):
         with pytest.raises(ShapeError):
             generic_rank_pipeline(b, tau=tau)
     assert generic_rank_pipeline(b, tau=p - 1).r == r
+
+
+PERMUTED_SHAPES = sorted(
+    {shape for base in ((2, 3, 4), (3, 4, 5)) for shape in itertools.permutations(base)}
+)
+
+
+@pytest.mark.parametrize("shape", PERMUTED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_pipeline_stays_within_the_min_extent_bound(shape):
+    """Whichever axis is shortest, the pipeline reduces the input
+    oriented to a minimal depth, so r <= min(m, n, p); a BM-rank-one
+    input of the same shape keeps the legs of ``bm_rank_one``."""
+    seed = 100 * shape[0] + 10 * shape[1] + shape[2]
+    b = rand_hyper(shape, seed, CPLX, nonzero=True)
+    cert = generic_rank_pipeline(b, seed=1, restarts=10, iters=100)
+    assert cert.r <= min(shape)
+    assert cert.verify(b) < 1e-8
+    b1 = rank_one(random.Random(seed), CPLX, shape)
+    _, legs = bm_rank_one(b1)
+    got = generic_rank_pipeline(b1).triple.legs()
+    assert [leg.data for leg in got] == [leg.data for leg in legs]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (4, 3, 5)])
+def test_pipeline_pins_tau_on_the_oriented_depth(shape):
+    b = rand_hyper(shape, 7, CPLX, nonzero=True)
+    low = min(shape)
+    cert = generic_rank_pipeline(b, tau=low - 1, seed=1, restarts=10, iters=100)
+    assert cert.r <= low
+    assert cert.verify(b) < 1e-8
+    with pytest.raises(ShapeError):
+        generic_rank_pipeline(b, tau=low)
 
 
 def test_triple_reduction_witness_matches_forward_construction():

@@ -2,13 +2,12 @@
 solver did.
 
 ``rank.triple_reduction_witness`` runs its restarts side by side through
-one stacked least-squares solve per half-sweep; the copy in
+one batched least-squares solve per half-sweep; the copy in
 ``reference.py`` runs them one after another with one ``lstsq`` per row
 and column.  Both must agree on whether a rewrite is found, and a found
-rewrite must pass ``hyper_slice_reduce`` with coefficients within 1e-9
-relative of the copy's (the stacked SVD and per-row ``gelsd`` differ in
-the last digits).  Warnings raised while either solver runs are
-errors, so a division by a zero singular value fails.  (A module-wide
+rewrite must pass ``hyper_slice_reduce`` with the copy's coefficients
+bit for bit: both solve each system by the same ``gelsd`` call.
+Warnings raised while either solver runs are errors.  (A module-wide
 ``filterwarnings("error")`` would also catch the DeprecationWarning
 that Hypothesis's failure report triggers on import and abort the
 session instead of reporting the failing example.)
@@ -43,13 +42,13 @@ SHAPES = [(3, 3, 3), (2, 3, 4), (4, 4, 4)]
 
 
 def assert_same_witness(legs, tau, **kw):
-    """Same outcome as the reference copy; a found rewrite matches the
-    copy's coefficients and, at the default tolerance, reduces the legs.
-    When none is found, every restart ran, and both solved the same
-    number of row and column systems, so each restart stopped after the
-    same sweep.  Returns the outcome."""
+    """Same outcome as the reference copy; a found rewrite has the
+    copy's coefficients bit for bit and, at the default tolerance,
+    reduces the legs.  When none is found, every restart ran, and both
+    solved the same number of row and column systems, so each restart
+    stopped after the same sweep.  Returns the outcome."""
     solved = {"got": 0, "want": 0}
-    stacked, lstsq = rank._stacked_lstsq, np.linalg.lstsq
+    batched, lstsq = rank._batched_lstsq, np.linalg.lstsq
 
     def count(key, solve, rows):
         def spy(a, *args, **kwargs):
@@ -59,7 +58,7 @@ def assert_same_witness(legs, tau, **kw):
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")
-        mp.setattr(rank, "_stacked_lstsq", count("got", stacked, len))
+        mp.setattr(rank, "_batched_lstsq", count("got", batched, len))
         got = triple_reduction_witness(*legs, tau, **kw)
         mp.setattr(np.linalg, "lstsq", count("want", lstsq, lambda a: 1))
         want = ref.triple_reduction_witness(*legs, tau, **kw)
@@ -73,8 +72,7 @@ def assert_same_witness(legs, tau, **kw):
     assert sorted(got.us) == sorted(want.us) and sorted(got.vs) == sorted(want.vs)
     for fam_got, fam_want in ((got.us, want.us), (got.vs, want.vs)):
         for t in fam_want:
-            a, b = np.array(fam_got[t]), np.array(fam_want[t])
-            assert np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+            assert np.array(fam_got[t]).tobytes() == np.array(fam_want[t]).tobytes()
     return True
 
 
@@ -160,13 +158,13 @@ def test_chunked_restarts_match_reference(monkeypatch, chunk):
     same rewrite, and no stacked system exceeds the patched bound."""
     monkeypatch.setattr(core, "BATCH_ENTRIES", chunk * 3 * 3 * 3 * 2)
     stacks = []
-    solve = rank._stacked_lstsq
+    solve = rank._batched_lstsq
 
     def spy(a, b):
         stacks.append(a.size)
         return solve(a, b)
 
-    monkeypatch.setattr(rank, "_stacked_lstsq", spy)
+    monkeypatch.setattr(rank, "_batched_lstsq", spy)
     for legs, seed in later_restart_cases():
         assert assert_same_witness(legs, 2, restarts=6, iters=40, seed=seed)
     assert max(stacks) == chunk * 3 * 3 * 3 * 2
