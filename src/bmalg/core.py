@@ -16,7 +16,10 @@ indexing and their constructors, plus transposes and slices
 :func:`complete_to_basis` call it, as does the GF(q) fiber solver of
 the exhaustive rank search (``rank._fiber_solutions``).  Flattening
 blocks of inverse pairs, those of the direct-search nullity included,
-are inverted through ``Matrix.inverse``.
+are inverted through ``Matrix.inverse``.  Over Q it eliminates
+fraction-free on integer rows (Bareiss, Math. Comp. 22, 1968), so its
+loop does Python-int arithmetic only; the kernels read ratios of those
+integers and return the same Fractions as elimination over Fractions.
 
 :func:`lex_filter` is the batched candidate scan of the exhaustive GF(q)
 rank searches: it hands blocks of at most ``BATCH_ENTRIES`` array
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .scalars import ScalarDomain
+from .scalars import RATIONAL_KIND, ScalarDomain
 
 # Most int64 entries per candidate block of :func:`lex_filter` (512 KiB).
 BATCH_ENTRIES = 1 << 16
@@ -321,6 +325,14 @@ def reassemble_depth(matrices, domain=None) -> Hypermatrix:
     )
 
 
+def numerators(values):
+    """Integer numerators of the rationals ``values`` over their least
+    common denominator, and that denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
 def echelon(rows, ncols, domain: ScalarDomain):
     """Gauss-Jordan elimination of ``rows`` in place over ``domain``.
 
@@ -331,15 +343,32 @@ def echelon(rows, ncols, domain: ScalarDomain):
     ends with a nonzero ``rows[r][pivot_cols[r]]``, zero (within
     ``tol`` over C) above and below it, and rows past
     ``len(pivot_cols)`` are zero in the first ``ncols`` columns.
-    Returns (pivot_cols, swap_parity).
+    Returns (pivot_cols, sign).
+
+    Over GF(q) and C, ``sign`` is the swap parity, +1 or -1.  Over Q
+    the elimination is fraction-free (Bareiss): each row, augmentation
+    included, is first multiplied by the lcm of its denominators, and
+    every update ``(p * row - f * pivot_row) // previous_pivot`` divides
+    exactly, since the entries stay minors of the scaled rows.  The
+    rows come back as ints, each a nonzero multiple of the row that
+    Fraction elimination would leave, and every pivot equals the last
+    one.  ``sign`` is the swap parity times the product of the row
+    scales, so a nonsingular square input with no augmentation has
+    determinant ``rows[-1][-1] / sign``.
     """
     m = len(rows)
     q = domain.q  # None outside GF(q)
     exact = domain.is_exact
+    rational = domain.kind == RATIONAL_KIND
     # exact zeros are falsy, so the exact test needs no method call
     is_zero = operator.not_ if exact else domain.is_zero
     pivot_cols = []
-    parity = 1
+    sign = 1
+    if rational:
+        for i, row in enumerate(rows):
+            rows[i], scale = numerators(row)
+            sign *= scale
+        prev = 1
     pr = 0
     for pc in range(ncols):
         best = None
@@ -358,22 +387,31 @@ def echelon(rows, ncols, domain: ScalarDomain):
             continue
         if best != pr:
             rows[pr], rows[best] = rows[best], rows[pr]
-            parity = -parity
+            sign = -sign
         pivot = rows[pr]
-        inv_p = domain.inv(pivot[pc])
-        for i in range(m):
-            if i == pr or is_zero(rows[i][pc]):
-                continue
-            f = rows[i][pc] * inv_p
-            if q is None:
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
-            else:
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], pivot)]
+        if rational:
+            # every row moves to the next minors, those with f == 0 too
+            p = pivot[pc]
+            for i in range(m):
+                if i != pr:
+                    f = rows[i][pc]
+                    rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], pivot)]
+            prev = p
+        else:
+            inv_p = domain.inv(pivot[pc])
+            for i in range(m):
+                if i == pr or is_zero(rows[i][pc]):
+                    continue
+                f = rows[i][pc] * inv_p
+                if q is None:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+                else:
+                    rows[i] = [(a - f * b) % q for a, b in zip(rows[i], pivot)]
         pivot_cols.append(pc)
         pr += 1
         if pr == m:
             break
-    return pivot_cols, parity
+    return pivot_cols, sign
 
 
 class Matrix(_Dense):
@@ -453,10 +491,12 @@ class Matrix(_Dense):
             raise ShapeError("determinant needs a square matrix")
         dom = self.domain
         rows = self.to_rows()
-        pivots, parity = echelon(rows, n, dom)
+        pivots, sign = echelon(rows, n, dom)
         if len(pivots) < n:
             return dom.zero()
-        d = dom.one() if parity == 1 else dom.neg(dom.one())
+        if dom.kind == RATIONAL_KIND:
+            return dom.div(rows[-1][-1], sign)
+        d = dom.one() if sign == 1 else dom.neg(dom.one())
         for r, c in enumerate(pivots):
             d = dom.mul(d, rows[r][c])
         return d
@@ -490,6 +530,11 @@ class Matrix(_Dense):
         """
         dom = self.domain
         m, n = self.shape
+        for col in rhs_cols:
+            if len(col) != m:
+                raise ShapeError(
+                    f"rhs column of length {len(col)} for a matrix of shape {self.shape}"
+                )
         rows = [self.row(i) + [col[i] for col in rhs_cols] for i in range(m)]
         pivots, _ = echelon(rows, n, dom)
         nrhs = len(rhs_cols)
@@ -539,10 +584,13 @@ def complete_to_basis(rows, n, domain):
     The returned column indices are the non-pivot columns of the row
     matrix, so appending those unit rows always restores full rank.
     """
+    for row in rows:
+        if len(row) != n:
+            raise ShapeError(f"row of length {len(row)} in a basis of length {n}")
     if not rows:
         return list(range(n))
     mat = Matrix.from_rows(rows, domain)
-    pivots, _ = echelon(mat.to_rows(), mat.shape[1], domain)
+    pivots, _ = echelon(mat.to_rows(), n, domain)
     if len(pivots) < len(rows):
         raise ValueError("given rows are linearly dependent")
     return [c for c in range(n) if c not in pivots]

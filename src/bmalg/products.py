@@ -18,12 +18,11 @@ every entry is bit-identical to the per-scalar sum.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Hypermatrix, SliceSpec
+from .core import Hypermatrix, SliceSpec, numerators
 from .errors import ConformabilityError
 from .scalars import COMPLEX_KIND
 
@@ -139,8 +138,8 @@ def _contract(a0, a1, a2, shape, terms):
     q = dom.q  # None over Q
     weights = [w for *_, w in terms if w is not None]
     if q is None:
-        (x0, d0), (x1, d1), (x2, d2) = (_numerators(a.data) for a in legs)
-        weights, dw = _numerators(weights)
+        (x0, d0), (x1, d1), (x2, d2) = (numerators(a.data) for a in legs)
+        weights, dw = numerators(weights)
         dtype = object
     else:
         # stored GF(q) entries are already canonical
@@ -167,14 +166,6 @@ def _contract(a0, a1, a2, shape, terms):
 def _cmul(ar, ai, br, bi):
     """CPython's complex product on split real and imaginary parts."""
     return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _numerators(values):
-    """Integer numerators of ``values`` over their least common
-    denominator, and that denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
 
 
 def kronecker_delta(n, domain) -> Hypermatrix:

@@ -202,6 +202,21 @@ def test_complete_to_basis():
         complete_to_basis([[1, 1], [2, 2]], 2, RAT)
 
 
+@pytest.mark.parametrize("col", [[1, 2, 3], [1]])
+def test_solve_rejects_an_rhs_column_of_the_wrong_length(col):
+    m = Matrix((2, 2), [1, 2, 3, 4], RAT)
+    with pytest.raises(ShapeError):
+        m.solve([col])
+    with pytest.raises(ShapeError):
+        m.solve([[1, 2], col])
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 5]], [[1]], [[1, 0], [0]]])
+def test_complete_to_basis_rejects_a_row_of_the_wrong_length(rows):
+    with pytest.raises(ShapeError):
+        complete_to_basis(rows, 2, RAT)
+
+
 def test_hypermatrix_json_round_trip():
     for dom in (RAT, scalars.gf(5), scalars.complex_doubles()):
         a = Hypermatrix.random((2, 3, 2), dom, random.Random(4))

@@ -1,11 +1,15 @@
 """The one elimination routine against the per-caller routines it
 replaced (kept in ``reference.py``): equal results, bit for bit over the
-complex doubles, and the same fiber-solution order."""
+complex doubles, and the same fiber-solution order.  Over Q the routine
+eliminates fraction-free on integer rows, where the reference divides
+Fractions: the kernels must still return the same Fractions, and every
+integer row must be a nonzero multiple of the reference's row."""
 
 import importlib
 import itertools
 import random
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from bmalg import scalars
-from bmalg.core import Hypermatrix, Matrix, complete_to_basis
+from bmalg.core import Hypermatrix, Matrix, complete_to_basis, echelon
 from bmalg.inverse import (
     OuterInversePair,
     random_pair,
@@ -32,6 +36,7 @@ DOMAINS = (
     + [scalars.complex_doubles()]
 )
 EXACT_DOMAINS = DOMAINS[:-1]
+Q = DOMAINS[0]
 
 
 def sample_matrix(rng, m, n, dom):
@@ -93,6 +98,100 @@ def test_matrix_kernels_match_oracle(seed, dom, m, n):
         assert got.data == want.data
     else:
         assert got is want is ZeroDivisionError
+
+
+def rational_entries(rng, count, zeros=0.0):
+    """Q entries: raw ints, or Fractions with denominators up to 9 or
+    up to 10**6, a share ``zeros`` of them zero."""
+    den = rng.choice([None, 9, 10**6])
+    def entry():
+        if rng.random() < zeros:
+            return 0 if den is None else Fraction(0)
+        if den is None:
+            return rng.randint(-50, 50)
+        return Fraction(rng.randint(-den, den), rng.randint(1, den))
+    return [entry() for _ in range(count)]
+
+
+def sample_rational_matrix(rng, m, n, kind=None):
+    """Dense, sparse or low-rank; the low-rank factors are sparse too, so
+    that elimination swaps rows and skips pivot columns."""
+    kind = kind or rng.choice(["dense", "sparse", "low-rank"])
+    if kind != "low-rank":
+        zeros = 0.0 if kind == "dense" else 0.6
+        return Matrix((m, n), rational_entries(rng, m * n, zeros), Q)
+    k = rng.randint(1, max(1, min(m, n) - 1))
+    left = Matrix((m, k), rational_entries(rng, m * k, 0.4), Q)
+    return left.matmul(Matrix((k, n), rational_entries(rng, k * n, 0.4), Q))
+
+
+def all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 12))
+def test_rational_kernels_match_oracle_at_benchmark_sizes(seed, m, n):
+    """Up to the 12x12 systems of the dense-products benchmark, with
+    denominators up to 10**6, int-valued data and up to 2n right-hand
+    sides; every returned entry is a Fraction, so JSON reads "n/d"."""
+    rng = random.Random(seed)
+    a = sample_rational_matrix(rng, m, n)
+    assert a.rank() == ref.rank(a)
+    basis = a.nullspace()
+    assert basis == ref.nullspace(a)
+    assert all(all_fractions(x) for x in basis)
+    rhs = [a.matmul(Matrix((n, 1), rational_entries(rng, n), Q)).col(0)
+           for _ in range(rng.randint(0, n))]
+    rhs += [rational_entries(rng, m) for _ in range(rng.randint(1, n))]
+    for cols in (rhs, rhs[:1]):
+        sols = a.solve(cols)
+        assert sols == ref.solve(a, cols)
+        if sols is not None:
+            assert all(all_fractions(x) for x in sols)
+    rows = a.to_rows()
+    assert outcome(complete_to_basis, rows, n, Q) == outcome(
+        oracle_complete_to_basis, rows, n, Q
+    )
+    sq = sample_rational_matrix(rng, n, n)
+    det = sq.det()
+    assert det == ref.det(sq)
+    assert type(det) is Fraction
+    got, want = outcome(sq.inverse), outcome(ref.inverse, sq)
+    if isinstance(want, Matrix):
+        assert got.data == want.data
+        assert all_fractions(got.data)
+    else:
+        assert got is want is ZeroDivisionError
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8), st.integers(0, 4)
+)
+def test_rational_echelon_rows_are_multiples_of_the_fraction_rows(seed, m, n, extra):
+    """On rank-deficient inputs: the same pivot columns and swap parity,
+    and each integer row, augmentation included, a nonzero multiple of
+    the reference's Fraction row (the same zeros, equal ratios), so rows
+    past the rank are zero in the first ``n`` columns.  A division that
+    was not exact would break the ratios."""
+    rng = random.Random(seed)
+    a = sample_rational_matrix(rng, m, n, kind="low-rank")
+    aug = [rational_entries(rng, extra, 0.3) for _ in range(m)]
+    rows = [a.row(i) + aug[i] for i in range(m)]
+    pivots, sign = echelon(rows, n, Q)
+    want_rows, want_aug, want_pivots, parity = ref._echelon(a, augment=aug)
+    assert pivots == want_pivots
+    assert (sign > 0) == (parity > 0)
+    for got, head, tail in zip(rows, want_rows, want_aug):
+        want = head + tail
+        assert all(type(v) is int for v in got)
+        assert [v == 0 for v in got] == [v == 0 for v in want]
+        j = next((j for j, v in enumerate(want) if v), None)
+        if j is not None:
+            assert all(g * want[j] == w * got[j] for g, w in zip(got, want))
+    for row in rows[len(pivots):]:
+        assert not any(row[:n])
 
 
 @settings(max_examples=150, deadline=None)
