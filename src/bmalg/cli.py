@@ -1,10 +1,14 @@
 """Command-line surface: products, rank certificates, dependence checks,
 inverse pairs, nullity, and the invariant suites.
 
-All results are emitted as JSON with sorted keys, so identical inputs
-and seeds produce byte-identical output.  Exit codes: 0 success,
-2 parse/domain error, 3 conformability error, 4 budget exceeded,
-5 verification failed (internal), 6 no invertible completion.
+The CLI parses arguments, loads files, calls the library, re-verifies
+what it is about to emit, writes JSON and maps errors to exit codes.
+Scalar casts (``ScalarDomain.coerce``), domains (the ``scalars``
+factories), strategy domain guards and numeric defaults are the
+library's.  All results are emitted as JSON with sorted keys, so
+identical inputs and seeds produce byte-identical output.  Exit codes:
+0 success, 2 parse/domain error, 3 conformability error, 4 budget
+exceeded, 5 verification failed (internal), 6 no invertible completion.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ import cmath
 import itertools
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from .core import Hypermatrix, Matrix
 from .dependence import (
+    DEFAULT_SEARCH_BUDGET,
     DiagonalWitness,
     combination_residual,
     find_dependence,
@@ -39,10 +43,13 @@ from .inverse import (
     sandwich_check,
     unit_probe_basis,
 )
-from .nullity import first_nonzero_slice, nullity
+from .nullity import DEFAULT_EXHAUSTIVE_COMPLETIONS, first_nonzero_slice, nullity
 from .products import bm_product, general_bm_product
-from .scalars import DEFAULT_COMPLEX_TOL, ScalarDomain
+from .scalars import DEFAULT_COMPLEX_TOL, complex_doubles, gf, rational
 from .rank import (
+    DEFAULT_PIPELINE_ITERS,
+    DEFAULT_PIPELINE_RESTARTS,
+    DEFAULT_RANK_BUDGET,
     bm_rank_exhaustive,
     generic_rank_pipeline,
     orient_depth_min,
@@ -70,79 +77,64 @@ def _diag(message, kind):
           file=sys.stderr)
 
 
-def _load_json(path):
+def _decode(path, from_json, what):
+    """Build ``from_json`` of a JSON file; unreadable or malformed files exit 2."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+    try:
+        return from_json(obj)
+    except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
+        raise CliError(f"bad {what} file {path}: {exc}", EXIT_PARSE) from exc
 
 
-def _parse_domain_flag(spec, tol):
-    """Parse --domain values: rational | gf:q | complex."""
+def _domain_from_flag(spec, tol):
+    """Build the --domain value: rational | gf:q | complex."""
     if spec == "rational":
-        return ScalarDomain("rational")
+        return rational()
+    if spec == "complex":
+        return complex_doubles(DEFAULT_COMPLEX_TOL if tol is None else tol)
     if spec.startswith("gf:"):
         try:
-            q = int(spec.split(":", 1)[1])
-            return ScalarDomain("gf", q=q)
+            return gf(int(spec[3:]))
         except ValueError as exc:
             raise CliError(f"bad --domain value {spec!r}: {exc}", EXIT_PARSE) from exc
-    if spec == "complex":
-        return ScalarDomain(
-            "complex", tol=DEFAULT_COMPLEX_TOL if tol is None else tol
-        )
     raise CliError(
         f"bad --domain value {spec!r}; use rational, gf:q or complex", EXIT_PARSE
     )
 
 
-def _cast_scalar(value, src, dst):
-    if dst.kind == "complex":
-        return complex(value)
-    if src.kind == "complex":
-        raise CliError(
-            "cannot cast complex entries to an exact domain", EXIT_PARSE
-        )
-    if src.kind == "gf":
-        value = int(value)  # canonical representative in [0, q)
-    if dst.kind == "rational":
-        return dst.coerce(value)
-    # rational or gf source into GF(q'): p * q^{-1} mod q'
-    frac = Fraction(value)
-    if frac.denominator % dst.q == 0:
-        raise CliError(
-            f"denominator {frac.denominator} not invertible mod {dst.q}",
-            EXIT_PARSE,
-        )
-    return dst.mul(dst.coerce(frac.numerator), dst.inv(dst.coerce(frac.denominator)))
-
-
 def _cast(h, args):
     """Apply the --domain / --tol overrides to a parsed (hyper)matrix."""
-    domain_flag = getattr(args, "domain", None)
-    tol = getattr(args, "tol", None)
-    if domain_flag is None:
-        if tol is not None and h.domain.kind == "complex":
-            return type(h)(h.shape, h.data, ScalarDomain("complex", tol=tol))
+    src = h.domain
+    if args.domain is not None:
+        dst = _domain_from_flag(args.domain, args.tol)
+    elif args.tol is not None and not src.is_exact:
+        dst = complex_doubles(args.tol)
+    else:
         return h
-    dst = _parse_domain_flag(domain_flag, tol)
-    if dst == h.domain:
+    if dst == src:
         return h
+    if dst.is_exact and not src.is_exact:
+        raise CliError("cannot cast complex entries to an exact domain", EXIT_PARSE)
     try:
-        data = [_cast_scalar(v, h.domain, dst) for v in h.data]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"cannot cast input to {domain_flag}: {exc}", EXIT_PARSE) from exc
+        data = [dst.coerce(v) for v in h.data]
+    except ValueError as exc:
+        raise CliError(f"cannot cast input to {args.domain}: {exc}", EXIT_PARSE) from exc
     return type(h)(h.shape, data, dst)
 
 
-def _load_hyper(path, args=None) -> Hypermatrix:
-    obj = _load_json(path)
-    try:
-        h = Hypermatrix.from_json(obj)
-    except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
-        raise CliError(f"bad hypermatrix file {path}: {exc}", EXIT_PARSE) from exc
-    return h if args is None else _cast(h, args)
+def _load_hyper(path, args) -> Hypermatrix:
+    return _cast(_decode(path, Hypermatrix.from_json, "hypermatrix"), args)
+
+
+def _check_deviation(deviation, dom, failure):
+    """Exit 5 when a re-verified result deviates: exact domains allow
+    none, complex ones 1e4 times the tolerance (floored at 1e-12)."""
+    if deviation > (0.0 if dom.is_exact else max(dom.tol, 1e-12) * 1e4):
+        raise CliError(f"{failure} (deviation {deviation:.3e})", EXIT_VERIFICATION)
 
 
 def _write(obj, out):
@@ -173,51 +165,28 @@ def cmd_prod(args):
     return EXIT_OK
 
 
+# rank --strategy -> library call; the library refuses domains it does not cover
+RANK_STRATEGIES = {
+    "min-bound": lambda a, args: rank_upper_min(a),
+    "exhaustive-gf": lambda a, args: bm_rank_exhaustive(a, budget=args.budget),
+    "generic-pipeline": lambda a, args: generic_rank_pipeline(
+        a, tau=args.tau, restarts=args.restarts, iters=args.iters, seed=args.seed
+    ),
+}
+
+
 def cmd_rank(args):
     a = _load_hyper(args.input, args)
-    dom = a.domain
-    if args.strategy == "min-bound":
-        cert = rank_upper_min(a)
-    elif args.strategy == "exhaustive-gf":
-        if dom.kind != "gf":
-            raise CliError(
-                "exhaustive-gf needs a GF(q) input domain", EXIT_PARSE
-            )
-        cert = bm_rank_exhaustive(a, budget=args.budget)
-    elif args.strategy == "generic-pipeline":
-        if dom.kind != "complex":
-            raise CliError(
-                "generic-pipeline is numeric-only; input must use the "
-                "complex domain",
-                EXIT_PARSE,
-            )
-        cert = generic_rank_pipeline(
-            a,
-            tau=args.tau,
-            restarts=args.restarts,
-            iters=args.iters,
-            seed=args.seed,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown strategy {args.strategy}", EXIT_PARSE)
-    # re-verify before emitting
-    dev = cert.verify(a)
-    limit = 0.0 if dom.is_exact else max(dom.tol, 1e-12) * 1e4
-    if dev > limit:
-        raise CliError(
-            f"certificate failed re-verification (deviation {dev:.3e})",
-            EXIT_VERIFICATION,
-        )
+    cert = RANK_STRATEGIES[args.strategy](a, args)
+    _check_deviation(cert.verify(a), a.domain, "certificate failed re-verification")
     _write(cert.to_json(), args.out)
     return EXIT_OK
 
 
 def _family_from_file(path, args):
-    obj = _load_json(path)
-    try:
-        mats = [Matrix.from_json(m) for m in obj["matrices"]]
-    except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
-        raise CliError(f"bad family file {path}: {exc}", EXIT_PARSE) from exc
+    mats = _decode(
+        path, lambda obj: [Matrix.from_json(m) for m in obj["matrices"]], "family"
+    )
     if not mats:
         raise CliError("family file holds no matrices", EXIT_PARSE)
     return [_cast(m, args) for m in mats]
@@ -257,12 +226,10 @@ def _dependence_report(dom, witness, **extra):
 
 
 def cmd_dependence(args):
-    def search(fam):
-        return find_dependence(fam, budget=args.budget)
-
     if args.family:
         fam = _family_from_file(args.family, args)
-        _write(_dependence_report(fam[0].domain, search(fam)), args.out)
+        witness = find_dependence(fam, budget=args.budget)
+        _write(_dependence_report(fam[0].domain, witness), args.out)
         return EXIT_OK
     a = _load_hyper(args.hyper, args)
     dom = a.domain
@@ -281,7 +248,7 @@ def cmd_dependence(args):
         return EXIT_OK
     slices = a.depth_matrices()
     for subset in itertools.combinations(range(p), size):
-        witness = search([slices[k] for k in subset])
+        witness = find_dependence([slices[k] for k in subset], budget=args.budget)
         if witness is not None:
             _write(_dependence_report(dom, witness, subset=list(subset)), args.out)
             return EXIT_OK
@@ -290,11 +257,7 @@ def cmd_dependence(args):
 
 
 def cmd_inverse_pair(args):
-    obj = _load_json(args.input)
-    try:
-        pair = HyperPair.from_json(obj)
-    except (KeyError, IndexError, TypeError, ValueError, ShapeError) as exc:
-        raise CliError(f"bad pair file {args.input}: {exc}", EXIT_PARSE) from exc
+    pair = _decode(args.input, HyperPair.from_json, "pair")
     try:
         inverse = recover_outer_inverse(pair)
     except FactorabilityError:
@@ -309,14 +272,8 @@ def cmd_inverse_pair(args):
             args.out,
         )
         return EXIT_OK
-    m, n, p = pair.dims
-    residual = sandwich_check(pair, inverse, unit_probe_basis(m, n, p, pair.domain))
-    limit = 0.0 if pair.domain.is_exact else max(pair.domain.tol, 1e-12) * 1e4
-    if residual > limit:
-        raise CliError(
-            f"recovered inverse failed the sandwich check ({residual:.3e})",
-            EXIT_VERIFICATION,
-        )
+    residual = sandwich_check(pair, inverse, unit_probe_basis(*pair.dims, pair.domain))
+    _check_deviation(residual, pair.domain, "recovered inverse failed the sandwich check")
     _write(
         {
             "invertible": True,
@@ -354,11 +311,9 @@ def cmd_verify(args):
         results = run_suite(args.suite, seed=args.seed)
     except KeyError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    ok = True
     for res in results:
         print(json.dumps(res, sort_keys=True))
-        ok = ok and res["passed"]
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK if all(res["passed"] for res in results) else EXIT_VERIFICATION
 
 
 def build_parser():
@@ -368,75 +323,64 @@ def build_parser():
         "hypermatrices under the ternary (BM) product.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-")
+    domain = argparse.ArgumentParser(add_help=False)
+    domain.add_argument("--domain", help="cast input: rational | gf:q | complex")
+    domain.add_argument("--tol", type=float, default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
 
-    p_prod = sub.add_parser("prod", help="ternary product of three hypermatrix files")
+    p_prod = sub.add_parser("prod", parents=[domain, out],
+                            help="ternary product of three hypermatrix files")
     p_prod.add_argument("a0")
     p_prod.add_argument("a1")
     p_prod.add_argument("a2")
     p_prod.add_argument("--background", help="cubic background hypermatrix file")
-    p_prod.add_argument("--domain", help="cast inputs: rational | gf:q | complex")
-    p_prod.add_argument("--tol", type=float, default=None)
-    p_prod.add_argument("--out", default="-")
     p_prod.set_defaults(func=cmd_prod)
 
-    p_rank = sub.add_parser("rank", help="rank certificate for a hypermatrix file")
+    p_rank = sub.add_parser("rank", parents=[domain, seed, out],
+                            help="rank certificate for a hypermatrix file")
     p_rank.add_argument("input")
-    p_rank.add_argument(
-        "--strategy",
-        choices=["min-bound", "exhaustive-gf", "generic-pipeline"],
-        default="min-bound",
-    )
-    p_rank.add_argument("--domain", help="cast input: rational | gf:q | complex")
-    p_rank.add_argument("--budget", type=int, default=10_000_000)
+    p_rank.add_argument("--strategy", choices=list(RANK_STRATEGIES), default="min-bound")
+    p_rank.add_argument("--budget", type=int, default=DEFAULT_RANK_BUDGET)
     p_rank.add_argument("--tau", type=int, default=None)
-    p_rank.add_argument("--tol", type=float, default=None)
-    p_rank.add_argument("--restarts", type=int, default=50)
-    p_rank.add_argument("--iters", type=int, default=500)
-    p_rank.add_argument("--seed", type=int, default=0)
-    p_rank.add_argument("--out", default="-")
+    p_rank.add_argument("--restarts", type=int, default=DEFAULT_PIPELINE_RESTARTS)
+    p_rank.add_argument("--iters", type=int, default=DEFAULT_PIPELINE_ITERS)
     p_rank.set_defaults(func=cmd_rank)
 
-    p_dep = sub.add_parser(
-        "dependence", help="left-right diagonal dependence of a matrix family"
-    )
+    p_dep = sub.add_parser("dependence", parents=[domain, out],
+                           help="left-right diagonal dependence of a matrix family")
     group = p_dep.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="JSON file with a matrix family")
     group.add_argument("--hyper", help="hypermatrix file; its depth slices form the family")
     p_dep.add_argument("--subset-size", type=int, default=None)
-    p_dep.add_argument("--domain", help="cast input: rational | gf:q | complex")
-    p_dep.add_argument("--tol", type=float, default=None)
-    p_dep.add_argument("--budget", type=int, default=10_000_000)
-    p_dep.add_argument("--out", default="-")
+    p_dep.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p_dep.set_defaults(func=cmd_dependence)
 
-    p_inv = sub.add_parser("inverse-pair", help="recover the outer inverse of a pair")
+    p_inv = sub.add_parser("inverse-pair", parents=[out],
+                           help="recover the outer inverse of a pair")
     p_inv.add_argument("input")
-    p_inv.add_argument("--out", default="-")
     p_inv.set_defaults(func=cmd_inverse_pair)
 
-    p_nul = sub.add_parser("nullity", help="nullity certificate for a hypermatrix")
+    p_nul = sub.add_parser("nullity", parents=[domain, seed, out],
+                           help="nullity certificate for a hypermatrix")
     p_nul.add_argument("input")
     p_nul.add_argument(
         "--strategy", choices=["via-rank", "direct-search"], default="via-rank"
     )
-    p_nul.add_argument("--domain", help="cast input: rational | gf:q | complex")
-    p_nul.add_argument("--tol", type=float, default=None)
-    p_nul.add_argument("--budget", type=int, default=65536)
-    p_nul.add_argument("--seed", type=int, default=0)
-    p_nul.add_argument("--out", default="-")
+    p_nul.add_argument("--budget", type=int, default=DEFAULT_EXHAUSTIVE_COMPLETIONS)
     p_nul.set_defaults(func=cmd_nullity)
 
-    p_ver = sub.add_parser("verify", help="run an invariant suite")
+    p_ver = sub.add_parser("verify", parents=[seed], help="run an invariant suite")
     p_ver.add_argument("suite")
-    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

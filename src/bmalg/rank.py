@@ -51,6 +51,9 @@ from .errors import (
 from .products import bm_product, delta_t, identity_pair, outer_product_at
 
 DEFAULT_RANK_BUDGET = 10_000_000
+# generic_rank_pipeline's first-step ALS budget; later steps take half
+DEFAULT_PIPELINE_RESTARTS = 50
+DEFAULT_PIPELINE_ITERS = 500
 
 # Over C the reduction check accepts a rewrite whose product deviation
 # is at most REDUCTION_ACCEPT * tol * scale, and reports the first entry
@@ -981,9 +984,8 @@ def triple_reduction_witness(
     )
 
 
-def generic_rank_pipeline(
-    b: Hypermatrix, tau=None, restarts=50, iters=500, seed=0
-) -> RankCertificate:
+def generic_rank_pipeline(b: Hypermatrix, tau=None, restarts=DEFAULT_PIPELINE_RESTARTS,
+                          iters=DEFAULT_PIPELINE_ITERS, seed=0) -> RankCertificate:
     """Numeric upper-bound certificate for an entry-wise nonzero
     hypermatrix of any shape (m, n, p), with r <= min(m, n, p).
 

@@ -5,6 +5,9 @@ Scalar values are plain Python objects (``Fraction``, ``int`` in
 the equality policy and the JSON encoding for those values.  Exact
 domains compare by canonical representation; the complex domain uses a
 relative tolerance ``|a - b| <= tol * (1 + max(|a|, |b|))``.
+
+:meth:`ScalarDomain.coerce` is the one cast rule: a rational p/d lands in
+GF(q) as p * d^{-1} mod q and a float only when integral, else ValueError.
 """
 
 from __future__ import annotations
@@ -76,10 +79,20 @@ class ScalarDomain:
             raise DomainMismatchError(f"domain mismatch: {self} vs {other}")
 
     def coerce(self, value):
-        """Bring an int/str/float/Fraction/complex into this domain."""
+        """Bring an int/str/float/Fraction/complex into this domain; ValueError when
+        GF(q) has no image: a denominator divisible by q, or a non-integral float."""
         if self.kind == RATIONAL_KIND:
             return Fraction(value)
         if self.kind == GF_KIND:
+            if isinstance(value, int):
+                return value % self.q
+            if isinstance(value, Fraction):
+                d = value.denominator
+                if d % self.q == 0:
+                    raise ValueError(f"denominator {d} not invertible mod {self.q}")
+                return value.numerator * pow(d, -1, self.q) % self.q
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"GF({self.q}) needs an integral entry, got {value!r}")
             return int(value) % self.q
         if isinstance(value, (list, tuple)):
             return complex(value[0], value[1])

@@ -316,6 +316,23 @@ def test_domain_cast_flag(tmp_path):
     assert main(["rank", f, "--strategy", "min-bound", "--domain", "gf:6"]) == 2
 
 
+def test_domain_cast_of_rationals_into_gf_is_p_times_the_inverse_of_d(tmp_path, capsys):
+    half, one, seventh = (
+        write_json(tmp_path, f"{name}.json", Hypermatrix((1, 1, 1), [v], RAT).to_json())
+        for name, v in [("half", Fraction(1, 2)), ("one", 1), ("seventh", Fraction(1, 7))]
+    )
+    out = str(tmp_path / "out.json")
+    assert main(["prod", half, one, one, "--domain", "gf:7", "--out", out]) == 0
+    assert read_json(out)["data"] == [4]
+    capsys.readouterr()
+    assert main(["prod", seventh, one, one, "--domain", "gf:7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "not invertible mod 7" in json.loads(lines[0])["message"]
+
+
 GOOD_HYPER = {"domain": {"kind": "rational"}, "shape": [1, 1, 1], "data": ["1/1"]}
 MALFORMED_HYPERS = {
     "int-data": {**GOOD_HYPER, "data": 5},
@@ -330,6 +347,8 @@ MALFORMED_HYPERS = {
                             "data": [[1, 0]]},
     "float-modulus": {"domain": {"kind": "gf", "q": 7.0}, "shape": [1, 1, 1],
                       "data": [1]},
+    "non-integral-gf-entry": {"domain": {"kind": "gf", "q": 7}, "shape": [1, 1, 1],
+                              "data": [1.5]},
 }
 MALFORMED_RUNS = [
     *(pytest.param(cmd, payload, id=f"{cmd}-{name}")

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmalg import scalars
+from bmalg.core import Hypermatrix
 from bmalg.errors import DomainMismatchError
 
 
@@ -89,3 +92,49 @@ def test_rational_encoding_format():
     assert dom.encode(Fraction(-3, 4)) == "-3/4"
     assert dom.encode(Fraction(5)) == "5/1"
     assert dom.decode("7") == Fraction(7)
+
+
+# -- the cast rule into GF(q) --------------------------------------------------
+
+PRIME_FIELDS = st.sampled_from([scalars.gf(q) for q in (2, 3, 7, 251)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(PRIME_FIELDS, st.integers(-10**30, 10**30), st.integers(1, 10**6), st.booleans())
+def test_gf_coerce_maps_p_over_d_to_p_times_the_inverse_of_d(dom, a, d, q_divides_d):
+    q = dom.q
+    d = d * q if q_divides_d else d
+    frac = Fraction(a, d)
+    if frac.denominator % q == 0:
+        with pytest.raises(ValueError, match="not invertible"):
+            dom.coerce(frac)
+    else:
+        value = dom.coerce(frac)
+        assert 0 <= value < q
+        assert value * d % q == a % q
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIME_FIELDS, st.floats())
+def test_gf_coerce_refuses_non_integral_floats(dom, x):
+    if x.is_integer():
+        assert dom.coerce(x) == int(x) % dom.q
+    else:
+        with pytest.raises(ValueError, match="integral"):
+            dom.coerce(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIME_FIELDS, st.integers(-10**400, 10**400))
+def test_gf_coerce_keeps_int_values(dom, k):
+    assert dom.coerce(k) == k % dom.q
+    assert dom.coerce(str(k)) == k % dom.q
+    assert dom.coerce(Fraction(k)) == k % dom.q
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=8, max_size=8))
+def test_gf7_scale_by_one_half_is_scale_by_four(data):
+    h = Hypermatrix((2, 2, 2), data, scalars.gf(7))
+    assert h.scale(Fraction(1, 2)).equals(h.scale(4))
+    assert h.scale(Fraction(1, 2)).scale(2).equals(h)
