@@ -10,16 +10,18 @@ inverts and every slice G_{t,k} of the inverse blocks factors as a
 column times a row; the factors are (C, D).
 
 This module states that test once, in :func:`_recover`: :func:`flatten`
-builds the blocks, :func:`_inverse_blocks` inverts them and
-:func:`_outer_inverse` factors the inverse slices (at the domain
-tolerance over C).  :func:`pair_invertible`, :func:`recover_outer_inverse`
-and the nullity module's candidate pairs all decide through it; a 2x2
-minor (:func:`_rank_one_violation`) only names a slice that fails.
+builds the blocks (:func:`_flattening_block`), :func:`_invert_block`
+inverts each and :func:`_outer_inverse` factors the inverse slices (at the
+domain tolerance over C).  :func:`pair_invertible`,
+:func:`recover_outer_inverse` and the nullity module's candidate pairs all
+decide through these helpers; a 2x2 minor (:func:`_rank_one_violation`)
+only names a slice that fails.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -200,22 +202,29 @@ class FlatteningMatrix:
         return self.blocks[blk_r][t, s]
 
 
+def _col_slices(flat1, n, p):
+    """The slices B[:, j, :] of a (p, n, p) leg's flat data, as tuples in
+    (s, t) order: B[s, j, :] is the (s n + j)-th run of p entries."""
+    runs = [flat1[at : at + p] for at in range(0, len(flat1), p)]
+    return [tuple(itertools.chain.from_iterable(runs[j::n])) for j in range(n)]
+
+
+def _flattening_block(row, col, dom) -> Matrix:
+    """Block (i, j) from row = A[i, :, :] and col = B[:, j, :], both flat
+    in (s, t) order: entry [t, s] is A[i, s, t] * B[s, j, t], reduced
+    by the constructor over GF(q)."""
+    p = math.isqrt(len(row))
+    return Matrix(
+        (p, p), [row[at] * col[at] for t in range(p) for at in range(t, p * p, p)], dom
+    )
+
+
 def flatten(pair: HyperPair) -> FlatteningMatrix:
     m, n, p = pair.dims
-    dom = pair.domain
-    a, b = pair.a.data, pair.b.data
-    # entry [t, s] of block (i, j) is A[i, s, t] * B[s, j, t]; GF(q)
-    # entries are reduced by the constructor
-    blocks = [
-        Matrix(
-            (p, p),
-            [a[(i * p + s) * p + t] * b[(s * n + j) * p + t]
-             for t in range(p) for s in range(p)],
-            dom,
-        )
-        for i in range(m)
-        for j in range(n)
-    ]
+    dom, a = pair.domain, pair.a.data
+    rows = [a[at : at + p * p] for at in range(0, len(a), p * p)]  # A[i, :, :]
+    cols = _col_slices(pair.b.data, n, p)
+    blocks = [_flattening_block(row, col, dom) for row in rows for col in cols]
     return FlatteningMatrix(m=m, n=n, p=p, blocks=blocks)
 
 
@@ -261,23 +270,21 @@ def _rank_one_violation(g: Matrix, tol):
     return None
 
 
-def _inverse_blocks(flat: FlatteningMatrix):
-    """Per-block inverses; (None, (i, j)) on the first singular block."""
-    inv = []
-    for idx, blk in enumerate(flat.blocks):
-        dom = blk.domain
-        try:
-            candidate = blk.inverse()
-        except ZeroDivisionError:
-            return None, divmod(idx, flat.n)
-        if not dom.is_exact:
-            check = blk.matmul(candidate)
-            if check.max_deviation(Matrix.identity(flat.p, dom)) > max(
-                dom.tol, 1e-12
-            ) * 1e3 * (1.0 + blk.norm()):
-                return None, divmod(idx, flat.n)
-        inv.append(candidate)
-    return inv, None
+def _invert_block(blk: Matrix):
+    """The inverse of a flattening block, or None when it is singular;
+    over C also when ||blk inv - I|| > max(tol, 1e-12) 1e3 (1 + ||blk||)."""
+    dom = blk.domain
+    try:
+        inv = blk.inverse()
+    except ZeroDivisionError:
+        return None
+    if not dom.is_exact:
+        check = blk.matmul(inv)
+        if check.max_deviation(Matrix.identity(blk.shape[0], dom)) > max(
+            dom.tol, 1e-12
+        ) * 1e3 * (1.0 + blk.norm()):
+            return None
+    return inv
 
 
 def _factor_rank_one(g: Matrix, tol):
@@ -336,9 +343,12 @@ def _recover(pair: HyperPair):
     """The one invertibility test: (inverse, None), or (None, the first
     singular block (i, j) or the failure of :func:`_outer_inverse`)."""
     flat = flatten(pair)
-    inv_blocks, bad = _inverse_blocks(flat)
-    if inv_blocks is None:
-        return None, bad
+    inv_blocks = []
+    for idx, blk in enumerate(flat.blocks):
+        inv = _invert_block(blk)
+        if inv is None:
+            return None, divmod(idx, flat.n)
+        inv_blocks.append(inv)
     return _outer_inverse(inv_blocks, flat.m, flat.n, pair.domain)
 
 

@@ -9,18 +9,19 @@ a certificate pair exhibiting p - r zero slices, completing the unused
 leg slices until the completed pair is invertible.  Over GF(q) the
 via-rank nullity climbs the term counts once: the first level with a
 decomposition is the rank, the first that completes gives the nullity.
-Completions and direct-search candidates share one memoised block
-inversion, :func:`_invertible_blocks`; a pair is invertible exactly when
-its inverse slices then factor (``inverse._outer_inverse``).
+Completions and direct-search candidates share one memoised block test,
+:func:`_invertible_blocks`, over the block helpers of ``inverse``; a pair
+is invertible exactly when its inverse slices then factor
+(``inverse._outer_inverse``).  Only :func:`nullity` labels via-rank
+certificates with their strategy and transpose count.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Hypermatrix, Matrix, complete_to_basis
 from .errors import (
@@ -33,7 +34,9 @@ from .errors import (
 from .inverse import (
     HyperPair,
     OuterInversePair,
-    _inverse_blocks,
+    _col_slices,
+    _flattening_block,
+    _invert_block,
     _outer_inverse,
     flatten,
     pair_invertible,
@@ -216,42 +219,44 @@ def first_nonzero_slice(g: Hypermatrix, a: Hypermatrix, zero_set):
     return next((k for k in zero_set if not _slice_is_zero(g, k, tol_scale)), None)
 
 
+def _check_reconstruction(rec: Hypermatrix, a: Hypermatrix, what):
+    """Raise CertificateError unless ``rec`` reconstructs ``a``: equal
+    over exact domains, ||rec - a|| <= tol (1 + ||a||) 1e3 over C.
+    Returns that scale, 0.0 over exact domains."""
+    dom = a.domain
+    if dom.is_exact:
+        if not rec.equals(a):
+            raise CertificateError(f"{what} does not reconstruct the input")
+        return 0.0
+    tol_scale = dom.tol * (1.0 + a.norm()) * 1e3
+    if rec.sub(a).norm() > tol_scale:
+        raise CertificateError(f"{what} residual {rec.sub(a).norm():.3e} too large")
+    return tol_scale
+
+
 def hyper_nullity_sufficiency(
     a: Hypermatrix, pair: HyperPair, zero_set
 ) -> DecompositionTriple:
     """Convert an invertible pair exhibiting zero depth slices into a
-    decomposition of ``a`` with p - |Z| terms."""
+    decomposition of ``a`` with p - |Z| terms.  Every index of
+    ``zero_set`` must name a depth slice (else ShapeError)."""
     m, n, p = a.shape
     zero_set = tuple(sorted(set(zero_set)))
+    for k in zero_set:
+        if not 0 <= k < p:
+            raise ShapeError(f"zero slice index {k} out of range for depth {p}")
     try:
         inv = recover_outer_inverse(pair)
     except FactorabilityError as exc:
         raise CertificateError(str(exc)) from exc
     g = pair.act(a)  # of a's shape, or ConformabilityError
-    dom = a.domain
     bad = first_nonzero_slice(g, a, zero_set)
     if bad is not None:
         raise CertificateError(f"claimed zero depth slice {bad} is not zero")
     support = tuple(t for t in range(p) if t not in zero_set)
     triple = DecompositionTriple(inv.c, g, inv.d, support)
-    rec = triple.reconstruct()
-    if dom.is_exact:
-        if not rec.equals(a):
-            raise CertificateError("sufficiency reconstruction failed")
-    elif rec.sub(a).norm() > dom.tol * (1.0 + a.norm()) * 1e3:
-        raise CertificateError(
-            f"sufficiency reconstruction residual {rec.sub(a).norm():.3e} too large"
-        )
+    _check_reconstruction(triple.reconstruct(), a, "sufficiency decomposition")
     return triple
-
-
-def _col_slices(flat1, n, p):
-    """The slices X1[:, j, :] of a (p, n, p) leg's flat data, each in
-    (s, t) order, one tuple per j."""
-    return [
-        tuple(flat1[(s * n + j) * p + t] for s in range(p) for t in range(p))
-        for j in range(n)
-    ]
 
 
 def _invertible_blocks(rows, cols, memo, domain):
@@ -259,24 +264,17 @@ def _invertible_blocks(rows, cols, memo, domain):
     inverses; None at the first singular block.
 
     ``rows`` holds the flat slices X0[i, :, :] and ``cols`` the slices
-    X1[:, j, :] of :func:`_col_slices`, as tuples.  Block (i, j) depends
-    only on rows[i] and cols[j], so each distinct pair of them is
-    flattened and inverted once per ``memo``.
+    X1[:, j, :] of ``inverse._col_slices``, as tuples.  Block (i, j)
+    depends only on rows[i] and cols[j], so each distinct pair of them is
+    built and inverted once per ``memo``.
     """
     blocks, inv_blocks = [], []
     for row in rows:
         for col in cols:
             found = memo.get((row, col))
             if found is None:
-                p = math.isqrt(len(row))
-                flat = flatten(HyperPair(
-                    Hypermatrix((1, p, p), row, domain),
-                    Hypermatrix((p, 1, p), col, domain),
-                ))
-                inv, _ = _inverse_blocks(flat)
-                found = memo[row, col] = (
-                    tuple(flat.blocks[0].data), inv[0] if inv else None
-                )
+                blk = _flattening_block(row, col, domain)
+                found = memo[row, col] = (tuple(blk.data), _invert_block(blk))
             if found[1] is None:
                 return None
             blocks.append(found[0])
@@ -361,13 +359,8 @@ def _completion_candidates(x0, x2, unused, exhaustive, seed):
         yield splice(u_rows + w_rows)
 
 
-def hyper_nullity_necessity(
-    a: Hypermatrix,
-    decomp: DecompositionTriple,
-    seed=0,
-    strategy_label="via-rank",
-    transposes_applied=0,
-) -> NullityCertificate:
+def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
+                            seed=0) -> NullityCertificate:
     """From an r-term decomposition of ``a`` build a certificate pair
     exhibiting p - r zero depth slices.
 
@@ -378,7 +371,8 @@ def hyper_nullity_necessity(
     slices; the factors (C, D) of the first invertible completion are
     the certificate pair, which maps ``a`` to the (zero-padded) middle
     leg.  Completion failure is surfaced as CompletionError, never
-    silently accepted.
+    silently accepted.  The certificate reads strategy "via-rank" with no
+    transposes applied; :func:`nullity` relabels its own.
     """
     m, n, p = a.shape
     if p != min(a.shape):
@@ -387,15 +381,7 @@ def hyper_nullity_necessity(
         )
     dom = a.domain
     d = _pad_triple(decomp, p)
-    rec = d.reconstruct()
-    tol_scale = 0.0 if dom.is_exact else dom.tol * (1.0 + a.norm()) * 1e3
-    if dom.is_exact:
-        if not rec.equals(a):
-            raise CertificateError("decomposition does not reconstruct the input")
-    elif rec.sub(a).norm() > tol_scale:
-        raise CertificateError(
-            f"decomposition residual {rec.sub(a).norm():.3e} too large"
-        )
+    tol_scale = _check_reconstruction(d.reconstruct(), a, "decomposition")
     s = d.support
     for t in s:
         term_zero = (
@@ -438,9 +424,7 @@ def hyper_nullity_necessity(
         if not pair_invertible(cert_pair):
             continue
         g = cert_pair.act(a)
-        bad = [
-            k for k in zero_set if not _slice_is_zero(g, k, max(tol_scale, dom.tol))
-        ]
+        bad = [k for k in zero_set if not _slice_is_zero(g, k, tol_scale)]
         if bad:
             if dom.is_exact:
                 raise CertificateError(
@@ -453,8 +437,7 @@ def hyper_nullity_necessity(
             outer_inverse=OuterInversePair(u, w, gauge="completed-legs"),
             zero_set=zero_set,
             nullity=len(zero_set),
-            strategy=strategy_label,
-            transposes_applied=transposes_applied,
+            strategy="via-rank",
             residual=residual,
         )
     if not unused:
@@ -545,31 +528,51 @@ def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS)
         Hypermatrix((m, p, p), list(flat0), dom),
         Hypermatrix((p, n, p), list(flat1), dom),
     )
-    inv = recover_outer_inverse(pair)
+    return _pair_certificate(pair, zero_slices, "direct-search", tcount)
+
+
+def _pair_certificate(pair, zero_set, strategy, tcount):
+    """The certificate of ``pair`` with its recovered outer inverse."""
     return NullityCertificate(
-        pair=pair,
-        outer_inverse=inv,
-        zero_set=tuple(zero_slices),
-        nullity=len(zero_slices),
-        strategy="direct-search",
-        transposes_applied=tcount,
+        pair=pair, outer_inverse=recover_outer_inverse(pair), zero_set=tuple(zero_set),
+        nullity=len(zero_set), strategy=strategy, transposes_applied=tcount,
     )
 
 
 def _zero_pair_certificate(a, tcount):
-    m, n, p = a.shape
-    dom = a.domain
-    j0, j1 = identity_pair(m, n, p, dom)
-    pair = HyperPair(j0, j1)
-    inv = recover_outer_inverse(pair)
-    return NullityCertificate(
-        pair=pair,
-        outer_inverse=inv,
-        zero_set=tuple(range(p)),
-        nullity=p,
-        strategy="zero-input",
-        transposes_applied=tcount,
-    )
+    pair = HyperPair(*identity_pair(*a.shape, a.domain))
+    return _pair_certificate(pair, range(a.shape[2]), "zero-input", tcount)
+
+
+def _via_rank_over_gf(oriented, budget, seed):
+    """The GF(q) rank-to-nullity transfer and its strategy label.  It
+    needs a decomposition whose legs admit an invertible completion; over
+    a tiny field that can fail at the exact rank (no genericity to lean
+    on), and then the true nullity is smaller: climb the term counts
+    until a completion exists.  A pair with z zero slices always yields a
+    completable (p - z)-term decomposition, so the first level that
+    completes matches the exhaustive oracle.  The climb also finds the
+    rank: the first level with a decomposition, p when none below p has.
+    """
+    p = oriented.shape[2]
+    r = None
+    for r_level in range(1, p):
+        decompositions = iter_bm_decompositions(
+            oriented, r_level, budget=budget, all_solutions=True
+        )
+        for tried, triple in enumerate(decompositions, 1):
+            if r is None:
+                r = r_level
+            if tried > DEFAULT_DECOMPOSITION_ATTEMPTS:
+                break
+            try:
+                found = hyper_nullity_necessity(oriented, triple, seed=seed)
+            except CompletionError:
+                continue
+            return found, f"via-rank (rank {r}, transfer level {r_level})"
+    triple = rank_upper_min(oriented).triple
+    found = hyper_nullity_necessity(oriented, triple, seed=seed)
+    return found, f"via-rank (rank {r or p}, transfer level {p})"
 
 
 def nullity(
@@ -603,51 +606,18 @@ def nullity(
         raise ValueError(f"unknown strategy {strategy!r}")
     if oriented.is_zero():
         return _zero_pair_certificate(oriented, tcount)
+    label = "via-rank"
     if dom.kind == "gf":
-        # The rank-to-nullity transfer needs a decomposition whose legs
-        # admit an invertible completion.  Over a tiny finite field that
-        # can fail at the exact rank (no genericity to lean on), in which
-        # case the true nullity is smaller: climb through the term counts
-        # until a completion exists.  A pair achieving z zero slices
-        # always yields a completable (p - z)-term decomposition, so the
-        # first level that completes matches the exhaustive oracle.  The
-        # same climb finds the rank: it is the first level that yields a
-        # decomposition at all, and p when no level below p does.
-        r = None
-        for r_level in range(1, p):
-            decompositions = iter_bm_decompositions(
-                oriented, r_level, budget=budget, all_solutions=True
-            )
-            for tried, triple in enumerate(decompositions, 1):
-                if r is None:
-                    r = r_level
-                if tried > DEFAULT_DECOMPOSITION_ATTEMPTS:
-                    break
-                try:
-                    found = hyper_nullity_necessity(
-                        oriented, triple, seed=seed, transposes_applied=tcount
-                    )
-                except CompletionError:
-                    continue
-                found.strategy = f"via-rank (rank {r}, transfer level {r_level})"
-                return found
-        found = hyper_nullity_necessity(
-            oriented, rank_upper_min(oriented).triple, seed=seed,
-            transposes_applied=tcount,
-        )
-        found.strategy = f"via-rank (rank {r or p}, transfer level {p})"
-        return found
-    if dom.kind == "complex":
-        cert = generic_rank_pipeline(oriented, seed=seed)
-        return hyper_nullity_necessity(
-            oriented, cert.triple, seed=seed, transposes_applied=tcount
-        )
-    # rational: certify the visible zero depth slices through the
-    # identity-pair decomposition restricted to the nonzero ones
-    j0, j1 = identity_pair(m, n, p, dom)
-    support = tuple(k for k in range(p) if not _slice_is_zero(oriented, k))
-    triple = DecompositionTriple(j0, oriented, j1, support)
-    return hyper_nullity_necessity(
-        oriented, triple, seed=seed, transposes_applied=tcount,
-        strategy_label="via-rank (zero-slice lower bound)",
-    )
+        found, label = _via_rank_over_gf(oriented, budget, seed)
+    elif dom.kind == "complex":
+        triple = generic_rank_pipeline(oriented, seed=seed).triple
+        found = hyper_nullity_necessity(oriented, triple, seed=seed)
+    else:
+        # rational: certify the visible zero depth slices through the
+        # identity-pair decomposition restricted to the nonzero ones
+        j0, j1 = identity_pair(m, n, p, dom)
+        support = tuple(k for k in range(p) if not _slice_is_zero(oriented, k))
+        triple = DecompositionTriple(j0, oriented, j1, support)
+        found = hyper_nullity_necessity(oriented, triple, seed=seed)
+        label = "via-rank (zero-slice lower bound)"
+    return replace(found, strategy=label, transposes_applied=tcount)

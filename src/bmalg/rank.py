@@ -48,7 +48,8 @@ from .errors import (
     ReductionHypothesisError,
     ShapeError,
 )
-from .products import bm_product, delta_t, identity_pair, outer_product_at
+from .products import (bm_product, conformability, delta_t, identity_pair,
+                       outer_product_at)
 
 DEFAULT_RANK_BUDGET = 10_000_000
 # generic_rank_pipeline's first-step ALS budget; later steps take half
@@ -80,12 +81,7 @@ class DecompositionTriple:
     support: tuple
 
     def __post_init__(self):
-        n0, ell, n2 = self.x0.shape
-        if self.x1.shape != (n0, self.x1.shape[1], ell):
-            raise ShapeError(f"leg 1 shape {self.x1.shape} not conformable")
-        n1 = self.x1.shape[1]
-        if self.x2.shape != (ell, n1, n2):
-            raise ShapeError(f"leg 2 shape {self.x2.shape} not conformable")
+        _, n1, n2, ell = conformability(self.x0, self.x1, self.x2)
         support = tuple(sorted(set(self.support)))
         if support and not (0 <= support[0] and support[-1] < ell):
             raise ShapeError(f"support {support} out of range for ell={ell}")
@@ -788,6 +784,15 @@ def _assemble_triple(a, r, flat0, flat1, flat2):
     return DecompositionTriple(x0, x1, x2, tuple(range(r)))
 
 
+def _exact_certificate(a, triple, **params) -> RankCertificate:
+    """The "exact" certificate of ``triple``, found after every term count
+    below its r was exhausted; raises when it does not reconstruct ``a``."""
+    if not triple.reconstruct().equals(a):
+        raise CertificateError("search returned a bad decomposition")
+    params["exhausted_below"] = triple.r
+    return RankCertificate(kind="exact", r=triple.r, triple=triple, params=params)
+
+
 def bm_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertificate:
     """Exact rank over GF(q) by exhausting contracted dimensions from
     below.
@@ -803,27 +808,11 @@ def bm_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
         return RankCertificate(
             kind="exact", r=0, triple=None, params={"q": dom.q, "budget": budget}
         )
-    cap = min(a.shape)
-    for r in range(1, cap + 1):
-        if r == cap:
-            cert = rank_upper_min(a)
-            return RankCertificate(
-                kind="exact",
-                r=r,
-                triple=cert.triple,
-                params={"q": dom.q, "budget": budget, "exhausted_below": r},
-            )
+    for r in range(1, min(a.shape)):
         found = next(iter_bm_decompositions(a, r, budget=budget), None)
         if found is not None:
-            if not found.reconstruct().equals(a):
-                raise CertificateError("search returned a bad decomposition")
-            return RankCertificate(
-                kind="exact",
-                r=r,
-                triple=found,
-                params={"q": dom.q, "budget": budget, "exhausted_below": r},
-            )
-    raise AssertionError("unreachable: identity-pair level always succeeds")
+            return _exact_certificate(a, found, q=dom.q, budget=budget)
+    return _exact_certificate(a, rank_upper_min(a).triple, q=dom.q, budget=budget)
 
 
 def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertificate:
@@ -864,14 +853,7 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
                 [ys[t * n + j] for _ in range(m) for j in range(n) for t in range(r)],
                 [zsol[k][0][t] for t in range(r) for _ in range(n) for k in range(p)],
             )
-            if not triple.reconstruct().equals(a):
-                raise CertificateError("CP search returned a bad decomposition")
-            return RankCertificate(
-                kind="exact",
-                r=r,
-                triple=triple,
-                params={"q": q, "cp": True, "exhausted_below": r},
-            )
+            return _exact_certificate(a, triple, q=q, cp=True)
     raise CertificateError("CP search exhausted its rank cap without success")
 
 

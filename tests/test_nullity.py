@@ -1,13 +1,19 @@
 import importlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from bmalg import scalars
 from bmalg.core import Hypermatrix, Matrix
-from bmalg.errors import BudgetExceededError, CertificateError, CompletionError
-from bmalg.inverse import pair_invertible, random_pair, scaling_inverse
+from bmalg.errors import (
+    BudgetExceededError,
+    CertificateError,
+    CompletionError,
+    ShapeError,
+)
+from bmalg.inverse import HyperPair, pair_invertible, random_pair, scaling_inverse
 from bmalg.nullity import (
     MatrixDecomposition,
     hyper_nullity_necessity,
@@ -19,7 +25,12 @@ from bmalg.nullity import (
     orient_depth_min,
 )
 from bmalg.products import identity_pair
-from bmalg.rank import DecompositionTriple, delta_sum, delta_sum_certificate_ones
+from bmalg.rank import (
+    DecompositionTriple,
+    delta_sum,
+    delta_sum_certificate_ones,
+    rank_upper_min,
+)
 
 RAT = scalars.rational()
 GF2 = scalars.gf(2)
@@ -161,6 +172,16 @@ def test_hyper_sufficiency_rejects_nonzero_claim():
     a = Hypermatrix.random((2, 2, 2), RAT, rng, nonzero=True)
     with pytest.raises(CertificateError):
         hyper_nullity_sufficiency(a, pair, zero_set=(0,))
+
+
+@pytest.mark.parametrize("k", [3, 5, -1])
+def test_hyper_sufficiency_refuses_zero_slices_outside_the_depth_range(k):
+    # k >= p would read a shifted tail of other slices, k < 0 the last
+    # entries, so the claim must be refused before any slice is read
+    a = Hypermatrix((2, 2, 2), [1, 1, 1, 0, 1, 0, 1, 0], scalars.gf(7))
+    pair = HyperPair(*identity_pair(2, 2, 2, scalars.gf(7)))
+    with pytest.raises(ShapeError, match=f"index {k} "):
+        hyper_nullity_sufficiency(a, pair, zero_set=(k,))
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +418,43 @@ def test_nullity_orientation():
     oriented, t = orient_depth_min(a)
     assert t == 1
     assert oriented.shape == (3, 3, 2)
+
+
+# shapes whose depth extent is not minimal, with the transposes that
+# orient them; direct search needs the two smaller ones
+TRANSPOSES = {(2, 2, 3): 1, (3, 2, 3): 2, (1, 2, 2): 1, (2, 1, 2): 2}
+LABEL_BRANCHES = [
+    # (strategy, domain, zero input, label pattern, shapes)
+    ("via-rank", GF2, False, r"via-rank \(rank \d+, transfer level \d+\)",
+     [(2, 2, 3), (3, 2, 3)]),
+    ("direct-search", GF2, False, r"direct-search", [(1, 2, 2), (2, 1, 2)]),
+    ("via-rank", RAT, True, r"zero-input", [(2, 2, 3), (3, 2, 3)]),
+    ("via-rank", GF2, True, r"zero-input", [(2, 2, 3), (3, 2, 3)]),
+    ("via-rank", CPLX, True, r"zero-input", [(2, 2, 3), (3, 2, 3)]),
+    ("via-rank", RAT, False, r"via-rank \(zero-slice lower bound\)",
+     [(2, 2, 3), (3, 2, 3)]),
+    ("via-rank", CPLX, False, r"via-rank", [(2, 2, 3), (3, 2, 3)]),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, dom, zero, label, shape",
+    [(*branch[:4], shape) for branch in LABEL_BRANCHES for shape in branch[4]],
+)
+def test_every_nullity_branch_labels_its_strategy_and_transposes(
+    strategy, dom, zero, label, shape
+):
+    rng = random.Random(7)
+    a = Hypermatrix.zeros(shape, dom)
+    while not zero and a.is_zero():
+        a = Hypermatrix.random(shape, dom, rng, nonzero=dom is CPLX)
+    cert = nullity(a, strategy=strategy)
+    assert re.fullmatch(label, cert.strategy)
+    assert cert.transposes_applied == orient_depth_min(a)[1] == TRANSPOSES[shape]
+
+
+@pytest.mark.parametrize("dom", [RAT, GF2, CPLX])
+def test_direct_necessity_reports_via_rank_and_no_transposes(dom):
+    a = Hypermatrix.random((3, 3, 2), dom, random.Random(8), nonzero=True)
+    cert = hyper_nullity_necessity(a, rank_upper_min(a).triple)
+    assert (cert.strategy, cert.transposes_applied) == ("via-rank", 0)

@@ -12,6 +12,8 @@ from bmalg import scalars
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.errors import (
     BudgetExceededError,
+    ConformabilityError,
+    DomainMismatchError,
     ReductionHypothesisError,
     ShapeError,
 )
@@ -86,6 +88,26 @@ def test_normalization_zeroes_unsupported_slices():
     assert all(d.x2[1, j, k] == 0 for j in range(2) for k in range(2))
     # the normalized full product equals the supported sum
     assert bm_product(d.x0, d.x1, d.x2).equals(d.reconstruct())
+
+
+def test_triple_with_legs_in_two_domains_is_refused_on_construction():
+    rng = random.Random(3)
+    x0 = Hypermatrix.random((2, 3, 2), RAT, rng)
+    x1 = Hypermatrix.random((2, 2, 3), scalars.gf(3), rng)
+    x2 = Hypermatrix.random((3, 2, 2), RAT, rng)
+    with pytest.raises(DomainMismatchError):
+        DecompositionTriple(x0, x1, x2, (0, 1, 2))
+
+
+def test_triple_names_a_leg_1_of_the_wrong_extent():
+    rng = random.Random(4)
+    x0 = Hypermatrix.random((2, 3, 2), RAT, rng)
+    x2 = Hypermatrix.random((3, 2, 2), RAT, rng)
+    for shape in ((3, 2, 3), (2, 2, 2)):  # extent 0, then the contracted extent
+        x1 = Hypermatrix.random(shape, RAT, rng)
+        with pytest.raises(ConformabilityError) as info:
+            DecompositionTriple(x0, x1, x2, (0,))
+        assert info.value.leg == 1
 
 
 @settings(max_examples=40, deadline=None)
