@@ -7,9 +7,11 @@ index ``i0*n1*n2 + i1*n2 + i2``.  The base constructor checks the
 extents and the data length and stores GF(q) entries as canonical
 representatives in ``[0, q)``; the base also states the entry-wise
 algebra, the comparisons and the JSON codec once.  The subclasses add
-indexing and their constructors, plus transposes and slices
-(``Hypermatrix``) or the product and the elimination kernels
-(``Matrix``).  All values are immutable; slicing copies.
+indexing and their constructors, plus transposes and
+``Hypermatrix.restack``, which cuts, pads, drops and reorders the slices
+along one axis by copying runs of the flat data (``Hypermatrix``), or
+the product and the elimination kernels (``Matrix``).  All values are
+immutable; slicing copies.
 
 :func:`echelon` is the one elimination routine in the package.  The
 ``Matrix`` rank, determinant, inverse, solve and nullspace kernels and
@@ -280,26 +282,29 @@ class Hypermatrix(_Dense):
             out = out.transpose()
         return out
 
+    def restack(self, axis, picks):
+        """Slice s along ``axis`` of the result is slice ``picks[s]`` of
+        self, or a zero slice where the pick is None; the other extents
+        are unchanged.  Copies contiguous runs, outer x picks x inner."""
+        extent = self.shape[axis] if axis in (0, 1, 2) else 0
+        if not extent or not picks or set(picks).difference([None], range(extent)):
+            raise ShapeError(f"restack of shape {self.shape} needs axis 0, 1 or 2 and "
+                             f"nonempty picks, each None or in range({extent}); got "
+                             f"axis {axis}, picks {picks}")
+        inner = math.prod(self.shape[axis + 1:])
+        zeros, data, out = [self.domain.zero()] * inner, self.data, []
+        for base in range(0, len(data), extent * inner):
+            for t in picks:
+                out += zeros if t is None else data[base + t * inner : base + (t + 1) * inner]
+        shape = self.shape[:axis] + (len(picks),) + self.shape[axis + 1:]
+        return Hypermatrix(shape, out, self.domain)
+
     def slice(self, spec: SliceSpec):
         """Copy out a degenerate-axis sub-hypermatrix with one index pinned."""
-        n0, n1, n2 = self.shape
         axis, idx = spec.axis, spec.index
-        extent = self.shape[axis]
-        if not (0 <= idx < extent):
+        if not (0 <= idx < self.shape[axis]):
             raise ShapeError(f"slice index {idx} out of range for axis {axis}")
-        data = self.data
-        if axis == 0:
-            return Hypermatrix(
-                (1, n1, n2), data[idx * n1 * n2 : (idx + 1) * n1 * n2], self.domain
-            )
-        if axis == 1:
-            return Hypermatrix(
-                (n0, 1, n2),
-                [v for a in range(n0)
-                 for v in data[(a * n1 + idx) * n2 : (a * n1 + idx + 1) * n2]],
-                self.domain,
-            )
-        return Hypermatrix((n0, n1, 1), data[idx::n2], self.domain)
+        return self.restack(axis, [idx])
 
     def mat_of_depth(self, k) -> "Matrix":
         """The depth matrix slice: rows x cols = n0 x n1, entry [i,j] = A[i,j,k]."""

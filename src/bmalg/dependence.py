@@ -284,29 +284,28 @@ def _vec_eq(dom, a, b):
 
 
 def _cancel_pairs(dom, pairs):
-    """Drop pairs that are exact negatives of each other (either side)."""
+    """Drop pairs that are exact negatives of each other (either side).
+
+    One pass: after a deletion the scan goes on at the same index, since
+    the entries before it had no partner and deleting creates none."""
     out = list(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(out)):
-            for b in range(a + 1, len(out)):
-                la, ra = out[a][:2]
-                lb, rb = out[b][:2]
-                if len(out[a]) != len(out[b]):
-                    continue
-                same_src = len(out[a]) == 2 or out[a][2] == out[b][2]
-                if not same_src:
-                    continue
-                if (_vec_eq(dom, la, _vec_neg(dom, lb)) and _vec_eq(dom, ra, rb)) or (
-                    _vec_eq(dom, la, lb) and _vec_eq(dom, ra, _vec_neg(dom, rb))
-                ):
-                    del out[b]
-                    del out[a]
-                    changed = True
-                    break
-            if changed:
+    a = 0
+    while a < len(out):
+        la, ra = out[a][:2]
+        for b in range(a + 1, len(out)):
+            lb, rb = out[b][:2]
+            if len(out[a]) != len(out[b]):
+                continue
+            same_src = len(out[a]) == 2 or out[a][2] == out[b][2]
+            if not same_src:
+                continue
+            if (_vec_eq(dom, la, _vec_neg(dom, lb)) and _vec_eq(dom, ra, rb)) or (
+                _vec_eq(dom, la, lb) and _vec_eq(dom, ra, _vec_neg(dom, rb))
+            ):
+                del out[b], out[a]
                 break
+        else:
+            a += 1
     return out
 
 
@@ -364,7 +363,6 @@ def eliminate_round(system: DiagonalSystem, pivot=(0, 0)) -> DiagonalSystem:
         for t in range(nvars):
             pairs = sandwich_pairs(pivot_row.coeffs[t], lk, rk, negate=True)
             pairs += sandwich_pairs(row.coeffs[t], lp, rp, negate=False)
-            pairs = [(l, r) for (l, r, *_) in pairs]
             pairs = _cancel_pairs(dom, pairs)
             if t == t_star and pairs:
                 raise AssertionError("pivot variable failed to cancel")

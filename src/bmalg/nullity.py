@@ -42,7 +42,7 @@ from .inverse import (
     pair_invertible,
     recover_outer_inverse,
 )
-from .products import identity_pair
+from .products import CONTRACTED_AXES, identity_pair
 from .rank import (
     DecompositionTriple,
     generic_rank_pipeline,
@@ -283,6 +283,8 @@ def _invertible_blocks(rows, cols, memo, domain):
 
 
 def _pad_triple(d: DecompositionTriple, p) -> DecompositionTriple:
+    """``d`` with contracted dimension p: each leg is restacked along its
+    contracted axis with zero slices ell..p-1 after its own."""
     if d.ell == p:
         return d
     if d.ell > p:
@@ -290,25 +292,9 @@ def _pad_triple(d: DecompositionTriple, p) -> DecompositionTriple:
             f"decomposition has contracted dimension {d.ell} above the depth "
             f"extent {p}; transpose-reduce first"
         )
-    dom = d.x0.domain
-    m = d.x0.shape[0]
-    n = d.x1.shape[1]
-    zero = dom.zero()
-    ell = d.ell
-
-    def pad(leg, shape, run):
-        # each run of entries over slices 0..ell-1 is followed by the
-        # zero entries of slices ell..p-1
-        data = []
-        for start in range(0, len(leg.data), run):
-            data += leg.data[start : start + run]
-            data += [zero] * (run // ell * (p - ell))
-        return Hypermatrix(shape, data, dom)
-
-    x0 = pad(d.x0, (m, p, p), ell * p)
-    x1 = pad(d.x1, (m, n, p), ell)
-    x2 = pad(d.x2, (p, n, p), ell * n * p)
-    return DecompositionTriple(x0, x1, x2, d.support)
+    picks = list(range(d.ell)) + [None] * (p - d.ell)
+    legs = (leg.restack(axis, picks) for leg, axis in zip(d.legs(), CONTRACTED_AXES))
+    return DecompositionTriple(*legs, d.support)
 
 
 def _completion_candidates(x0, x2, unused, exhaustive, seed):

@@ -26,6 +26,10 @@ from .core import Hypermatrix, SliceSpec, numerators
 from .errors import ConformabilityError
 from .scalars import COMPLEX_KIND
 
+# The contracted axis of legs 0, 1 and 2 (see :func:`conformability`):
+# term t of a triple is its column, depth and row slices at index t.
+CONTRACTED_AXES = (1, 2, 0)
+
 
 def conformability(a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix):
     """Validate a triple, returning (n0, n1, n2, ell).
@@ -234,9 +238,7 @@ def outer_product_at(
 ) -> Hypermatrix:
     """The t-th outer product of a triple: slices extracted at index t."""
     return outer_product(
-        a0.slice(SliceSpec.column(t)),
-        a1.slice(SliceSpec.depth(t)),
-        a2.slice(SliceSpec.row(t)),
+        *(leg.slice(SliceSpec(axis, t)) for leg, axis in zip((a0, a1, a2), CONTRACTED_AXES))
     )
 
 

@@ -48,8 +48,8 @@ from .errors import (
     ReductionHypothesisError,
     ShapeError,
 )
-from .products import (bm_product, conformability, delta_t, identity_pair,
-                       outer_product_at)
+from .products import (CONTRACTED_AXES, bm_product, conformability, delta_t,
+                       identity_pair, outer_product_at)
 
 DEFAULT_RANK_BUDGET = 10_000_000
 # generic_rank_pipeline's first-step ALS budget; later steps take half
@@ -70,7 +70,8 @@ class DecompositionTriple:
     """A conformable triple with a declared support set S.
 
     reconstruct() sums the outer products at the supported indices;
-    slices outside S are zeroed on construction so the certificate is
+    slices outside S along each leg's contracted axis are zeroed on
+    construction (``Hypermatrix.restack``), so the certificate is
     canonical and the full ternary product of the legs equals the
     supported sum.
     """
@@ -81,24 +82,15 @@ class DecompositionTriple:
     support: tuple
 
     def __post_init__(self):
-        _, n1, n2, ell = conformability(self.x0, self.x1, self.x2)
+        ell = conformability(self.x0, self.x1, self.x2)[3]
         support = tuple(sorted(set(self.support)))
         if support and not (0 <= support[0] and support[-1] < ell):
             raise ShapeError(f"support {support} out of range for ell={ell}")
         object.__setattr__(self, "support", support)
         if len(support) < ell:
-            keep = set(support)
-            dom = self.x0.domain
-            zero = dom.zero()
-            # slice t of a leg holds the flat entries with
-            # idx // stride % ell == t
-            for name, stride in (("x0", n2), ("x1", 1), ("x2", n1 * n2)):
-                leg = getattr(self, name)
-                data = [
-                    v if idx // stride % ell in keep else zero
-                    for idx, v in enumerate(leg.data)
-                ]
-                object.__setattr__(self, name, Hypermatrix(leg.shape, data, dom))
+            picks = [t if t in support else None for t in range(ell)]
+            for name, axis in zip(("x0", "x1", "x2"), CONTRACTED_AXES):
+                object.__setattr__(self, name, getattr(self, name).restack(axis, picks))
 
     @property
     def ell(self):
@@ -366,8 +358,10 @@ def hyper_slice_reduce(x0, x1, x2, rewrite: SliceRewriteData):
         x0'[:, t, k] = us[t] o x0[:, tau, k] + x0[:, t, k]
         x2'[t, :, k] = x2[t, :, k] + x2[tau, :, k] o vs[t]
 
-    and leg 1 simply drops depth slice tau.  The hypothesis is checked
-    for every depth index before the rewritten legs are returned.
+    and leg 1 simply drops depth slice tau.  Each t != tau needs a u
+    of length m and a v of length n, else ShapeError.  The hypothesis
+    is checked for every depth index before the rewritten legs are
+    returned.
     """
     dom = x0.domain
     m, ell, p = x0.shape
@@ -378,38 +372,21 @@ def hyper_slice_reduce(x0, x1, x2, rewrite: SliceRewriteData):
     if not (0 <= tau < ell):
         raise ShapeError(f"tau {tau} out of range")
     others = [t for t in range(ell) if t != tau]
-    us = {t: [dom.coerce(c) for c in rewrite.us[t][:m]] for t in others}
-    vs = {t: [dom.coerce(c) for c in rewrite.vs[t][:n]] for t in others}
-    d0, d1, d2 = x0.data, x1.data, x2.data
-    # flat (i, t, k) of x0 is (i*ell + t)*p + k, (i, j, t) of x1 is
-    # (i*n + j)*ell + t and (t, j, k) of x2 is (t*n + j)*p + k; GF(q)
-    # results are reduced by the constructor
-    new_x0 = Hypermatrix(
-        (m, ell - 1, p),
-        [
-            us[t][i] * d0[(i * ell + tau) * p + k] + d0[(i * ell + t) * p + k]
-            for i in range(m)
-            for t in others
-            for k in range(p)
-        ],
-        dom,
-    )
-    new_x1 = Hypermatrix(
-        (m, n, ell - 1),
-        [d1[ij * ell + t] for ij in range(m * n) for t in others],
-        dom,
-    )
-    new_x2 = Hypermatrix(
-        (ell - 1, n, p),
-        [
-            d2[(t * n + j) * p + k] + d2[(tau * n + j) * p + k] * vs[t][j]
-            for t in others
-            for j in range(n)
-            for k in range(p)
-        ],
-        dom,
-    )
-    reduced = (new_x0, new_x1, new_x2)
+    for name, vecs, size in (("us", rewrite.us, m), ("vs", rewrite.vs, n)):
+        for t in others:
+            if t not in vecs or len(vecs[t]) != size:
+                found = f"length {len(vecs[t])}" if t in vecs else "no vector"
+                raise ShapeError(f"rewrite {name}[{t}] needs length {size}, found {found}")
+    # the u and v multiplier of each entry of x0' and x2', in flat order
+    us = [u for i in range(m) for t in others for u in [dom.coerce(rewrite.us[t][i])] * p]
+    vs = [v for t in others for c in rewrite.vs[t] for v in [dom.coerce(c)] * p]
+    pivots = [tau] * len(others)
+    # GF(q) results are reduced by the constructor
+    new_x0 = Hypermatrix((m, ell - 1, p), [u * a + b for u, a, b in zip(
+        us, x0.restack(1, pivots).data, x0.restack(1, others).data)], dom)
+    new_x2 = Hypermatrix((ell - 1, n, p), [b + a * v for v, a, b in zip(
+        vs, x2.restack(0, pivots).data, x2.restack(0, others).data)], dom)
+    reduced = (new_x0, x1.restack(2, others), new_x2)
     check_reduction_hypothesis((x0, x1, x2), reduced, tau)
     return reduced
 
@@ -548,9 +525,7 @@ def two_slice_witness(b: Hypermatrix, tau=1):
         raise ShapeError("two_slice_witness needs exactly two depth slices")
     if tau not in (0, 1):
         raise ShapeError(f"tau must be 0 or 1, got {tau}")
-    data = b.data
-    ordered = [data[ij + k] for ij in range(0, len(data), 2) for k in (1 - tau, tau)]
-    _, legs = bm_rank_one(Hypermatrix(b.shape, ordered, b.domain))
+    _, legs = bm_rank_one(b.restack(2, [1 - tau, tau]))
     if legs is None:
         return None
     x0, _, x2 = legs
@@ -624,7 +599,7 @@ def bm_rank_one(b: Hypermatrix):
         ],
         dom,
     )
-    x1 = Hypermatrix((m, n, 1), data[::p], dom)
+    x1 = b.restack(2, [0])
     x2 = Hypermatrix(
         (1, n, p),
         [div(data[j * p + k], data[j * p]) for j in range(n) for k in range(p)],

@@ -52,6 +52,21 @@ copies call the current fiber solver under the name
 one.  The nullity copies run on the entry-wise inverse-pair layer
 above, which the inverse-layer tests hold equal to ``bmalg.inverse``,
 and the via-rank copy on the scalar ``iter_bm_decompositions`` copy.
+
+The last section keeps the slice cuts as they were before every one
+went through ``Hypermatrix.restack``: the stride zeroing of the
+``DecompositionTriple`` constructor (``zero_outside_support_by_strides``,
+its ``__post_init__`` body with the legs in a dict instead of on
+``self``), the run padding of ``nullity._pad_triple``
+(``pad_triple_by_runs``), the offset rewrite of
+``rank.hyper_slice_reduce`` (``hyper_slice_reduce_by_offsets``), the
+reordering comprehension of ``rank.two_slice_witness``
+(``two_slice_witness_by_reorder``) and the three-branch
+``Hypermatrix.slice`` (``slice_by_offsets``, the hypermatrix as an
+explicit first argument), all under new names because the older copies
+above keep theirs.  Beside them is ``dependence._cancel_pairs`` as it
+was before it cancelled in one pass (it restarted its scan after each
+deletion).
 """
 
 import itertools
@@ -60,6 +75,7 @@ import random
 import numpy as np
 
 from bmalg.core import Hypermatrix, Matrix, lex_filter
+from bmalg.dependence import _vec_eq, _vec_neg
 from bmalg.dependence import (
     DEFAULT_SEARCH_BUDGET,
     DiagonalWitness,
@@ -101,7 +117,7 @@ from bmalg.rank import (
     SliceRewriteData,
     bm_rank_exhaustive,
 )
-from bmalg.rank import _assemble_triple
+from bmalg.rank import _assemble_triple, bm_rank_one
 from bmalg.rank import _fiber_solutions as fiber_solutions
 from bmalg.rank import check_reduction_hypothesis as check_product_preservation
 
@@ -1807,3 +1823,189 @@ def is_dependent_numeric(family, tol=None, restarts=50, iters=500, seed=0):
         if w is not None:
             return w
     return None
+
+
+# -- former slice offsets (rank, nullity, core) and pair cancellation ---------
+
+
+def zero_outside_support_by_strides(x0, x1, x2, support):
+    """The legs and support that ``DecompositionTriple(x0, x1, x2,
+    support)`` held after its constructor zeroed the slices outside
+    the support by strides."""
+    legs = {"x0": x0, "x1": x1, "x2": x2}
+    _, n1, n2, ell = conformability(legs["x0"], legs["x1"], legs["x2"])
+    support = tuple(sorted(set(support)))
+    if support and not (0 <= support[0] and support[-1] < ell):
+        raise ShapeError(f"support {support} out of range for ell={ell}")
+    if len(support) < ell:
+        keep = set(support)
+        dom = legs["x0"].domain
+        zero = dom.zero()
+        # slice t of a leg holds the flat entries with
+        # idx // stride % ell == t
+        for name, stride in (("x0", n2), ("x1", 1), ("x2", n1 * n2)):
+            leg = legs[name]
+            data = [
+                v if idx // stride % ell in keep else zero
+                for idx, v in enumerate(leg.data)
+            ]
+            legs[name] = Hypermatrix(leg.shape, data, dom)
+    return legs["x0"], legs["x1"], legs["x2"], support
+
+
+def pad_triple_by_runs(d: DecompositionTriple, p) -> DecompositionTriple:
+    if d.ell == p:
+        return d
+    if d.ell > p:
+        raise ShapeError(
+            f"decomposition has contracted dimension {d.ell} above the depth "
+            f"extent {p}; transpose-reduce first"
+        )
+    dom = d.x0.domain
+    m = d.x0.shape[0]
+    n = d.x1.shape[1]
+    zero = dom.zero()
+    ell = d.ell
+
+    def pad(leg, shape, run):
+        # each run of entries over slices 0..ell-1 is followed by the
+        # zero entries of slices ell..p-1
+        data = []
+        for start in range(0, len(leg.data), run):
+            data += leg.data[start : start + run]
+            data += [zero] * (run // ell * (p - ell))
+        return Hypermatrix(shape, data, dom)
+
+    x0 = pad(d.x0, (m, p, p), ell * p)
+    x1 = pad(d.x1, (m, n, p), ell)
+    x2 = pad(d.x2, (p, n, p), ell * n * p)
+    return DecompositionTriple(x0, x1, x2, d.support)
+
+
+def hyper_slice_reduce_by_offsets(x0, x1, x2, rewrite: SliceRewriteData):
+    """Rewrite a conformable triple into one with contracted dimension
+    ell - 1 and the same product.
+
+    The elementary slice operations fold the pivot slices into the
+    others:
+
+        x0'[:, t, k] = us[t] o x0[:, tau, k] + x0[:, t, k]
+        x2'[t, :, k] = x2[t, :, k] + x2[tau, :, k] o vs[t]
+
+    and leg 1 simply drops depth slice tau.  The hypothesis is checked
+    for every depth index before the rewritten legs are returned.
+    """
+    dom = x0.domain
+    m, ell, p = x0.shape
+    n = x1.shape[1]
+    if ell < 2:
+        raise ShapeError("cannot reduce a contracted dimension of 1")
+    tau = rewrite.tau
+    if not (0 <= tau < ell):
+        raise ShapeError(f"tau {tau} out of range")
+    others = [t for t in range(ell) if t != tau]
+    us = {t: [dom.coerce(c) for c in rewrite.us[t][:m]] for t in others}
+    vs = {t: [dom.coerce(c) for c in rewrite.vs[t][:n]] for t in others}
+    d0, d1, d2 = x0.data, x1.data, x2.data
+    # flat (i, t, k) of x0 is (i*ell + t)*p + k, (i, j, t) of x1 is
+    # (i*n + j)*ell + t and (t, j, k) of x2 is (t*n + j)*p + k; GF(q)
+    # results are reduced by the constructor
+    new_x0 = Hypermatrix(
+        (m, ell - 1, p),
+        [
+            us[t][i] * d0[(i * ell + tau) * p + k] + d0[(i * ell + t) * p + k]
+            for i in range(m)
+            for t in others
+            for k in range(p)
+        ],
+        dom,
+    )
+    new_x1 = Hypermatrix(
+        (m, n, ell - 1),
+        [d1[ij * ell + t] for ij in range(m * n) for t in others],
+        dom,
+    )
+    new_x2 = Hypermatrix(
+        (ell - 1, n, p),
+        [
+            d2[(t * n + j) * p + k] + d2[(tau * n + j) * p + k] * vs[t][j]
+            for t in others
+            for j in range(n)
+            for k in range(p)
+        ],
+        dom,
+    )
+    reduced = (new_x0, new_x1, new_x2)
+    check_product_preservation((x0, x1, x2), reduced, tau)
+    return reduced
+
+
+def two_slice_witness_by_reorder(b: Hypermatrix, tau=1):
+    """Exact depth-slice dependence test for two slices.
+
+    For all-nonzero B of shape m x n x 2 the relation
+    B[:,:,tau] = diag(u) . B[:,:,other] . diag(v) holds iff B with its
+    slices ordered (other, tau) has BM rank one (:func:`bm_rank_one`);
+    then u[i] = x0[i,0,1] and v[j] = x2[0,j,1] from its legs.  Returns
+    (u, v) or None.
+    """
+    if b.shape[2] != 2:
+        raise ShapeError("two_slice_witness needs exactly two depth slices")
+    if tau not in (0, 1):
+        raise ShapeError(f"tau must be 0 or 1, got {tau}")
+    data = b.data
+    ordered = [data[ij + k] for ij in range(0, len(data), 2) for k in (1 - tau, tau)]
+    _, legs = bm_rank_one(Hypermatrix(b.shape, ordered, b.domain))
+    if legs is None:
+        return None
+    x0, _, x2 = legs
+    return x0.data[1::2], x2.data[1::2]
+
+
+def slice_by_offsets(self, spec):
+    """Copy out a degenerate-axis sub-hypermatrix with one index pinned."""
+    n0, n1, n2 = self.shape
+    axis, idx = spec.axis, spec.index
+    extent = self.shape[axis]
+    if not (0 <= idx < extent):
+        raise ShapeError(f"slice index {idx} out of range for axis {axis}")
+    data = self.data
+    if axis == 0:
+        return Hypermatrix(
+            (1, n1, n2), data[idx * n1 * n2 : (idx + 1) * n1 * n2], self.domain
+        )
+    if axis == 1:
+        return Hypermatrix(
+            (n0, 1, n2),
+            [v for a in range(n0)
+             for v in data[(a * n1 + idx) * n2 : (a * n1 + idx + 1) * n2]],
+            self.domain,
+        )
+    return Hypermatrix((n0, n1, 1), data[idx::n2], self.domain)
+
+
+def _cancel_pairs(dom, pairs):
+    """Drop pairs that are exact negatives of each other (either side)."""
+    out = list(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(out)):
+            for b in range(a + 1, len(out)):
+                la, ra = out[a][:2]
+                lb, rb = out[b][:2]
+                if len(out[a]) != len(out[b]):
+                    continue
+                same_src = len(out[a]) == 2 or out[a][2] == out[b][2]
+                if not same_src:
+                    continue
+                if (_vec_eq(dom, la, _vec_neg(dom, lb)) and _vec_eq(dom, ra, rb)) or (
+                    _vec_eq(dom, la, lb) and _vec_eq(dom, ra, _vec_neg(dom, rb))
+                ):
+                    del out[b]
+                    del out[a]
+                    changed = True
+                    break
+            if changed:
+                break
+    return out
