@@ -52,7 +52,6 @@ from .rank import (
     DEFAULT_RANK_BUDGET,
     bm_rank_exhaustive,
     generic_rank_pipeline,
-    orient_depth_min,
     rank_upper_min,
     two_slice_witness,
 )
@@ -294,8 +293,8 @@ def cmd_nullity(args):
     cert = nullity(
         a, strategy=args.strategy, budget=args.budget, seed=args.seed
     )
-    # re-verify the claimed zero slices under the certificate pair
-    oriented, _ = orient_depth_min(a)
+    # re-verify the claimed zero slices on the input as the certificate oriented it
+    oriented = a.transpose_times(cert.transposes_applied)
     bad = first_nonzero_slice(cert.pair.act(oriented), a, cert.zero_set)
     if bad is not None:
         raise CliError(

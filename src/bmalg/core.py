@@ -4,14 +4,15 @@
 a flat row-major scalar list with a shape and a domain, so entry
 ``A[i0, i1, i2]`` of an ``(n0, n1, n2)`` hypermatrix lives at flat
 index ``i0*n1*n2 + i1*n2 + i2``.  The base constructor checks the
-extents and the data length and stores GF(q) entries as canonical
-representatives in ``[0, q)``; the base also states the entry-wise
+extents and the data length and stores each GF(q) entry as
+``ScalarDomain.coerce`` casts it; the base also states the entry-wise
 algebra, the comparisons and the JSON codec once.  The subclasses add
 indexing and their constructors, plus transposes and
 ``Hypermatrix.restack``, which cuts, pads, drops and reorders the slices
 along one axis by copying runs of the flat data (``Hypermatrix``), or
-the product and the elimination kernels (``Matrix``).  All values are
-immutable; slicing copies.
+the elimination kernels and ``Matrix.matmul``, the one matrix product,
+which folds each row against a column slice of the flat data in index
+order (``Matrix``).  All values are immutable; slicing copies.
 
 :func:`echelon` is the one elimination routine in the package.  The
 ``Matrix`` rank, determinant, inverse, solve and nullspace kernels and
@@ -77,7 +78,7 @@ class _Dense:
 
     The constructor is the one place that checks the extents and the
     data length and that stores GF(q) entries as canonical
-    representatives in ``[0, q)``.
+    representatives in ``[0, q)``, through ``ScalarDomain.coerce``.
     """
 
     __slots__ = ("shape", "data", "domain")
@@ -104,7 +105,8 @@ class _Dense:
                 raise ShapeError(f"extents must be positive, got {shape}")
             size *= extent
         q = domain.q  # None outside GF(q)
-        data = list(data) if q is None else [v % q for v in data]
+        data = (list(data) if q is None else
+                [v % q if type(v) is int else domain.coerce(v) for v in data])
         if len(data) != size:
             raise ShapeError(
                 f"data length {len(data)} does not match shape {shape}"
@@ -473,17 +475,12 @@ class Matrix(_Dense):
         k2, n = other.shape
         if k1 != k2:
             raise ShapeError(f"matmul mismatch {self.shape} x {other.shape}")
-        dom = self.domain
-        out = []
-        for i in range(m):
-            ri = self.row(i)
-            for j in range(n):
-                acc = dom.zero()
-                for t in range(k1):
-                    acc = acc + ri[t] * other[t, j]
-                out.append(acc)
+        # sum() would round floats differently from 3.12 on: fold in t order
+        zero, cols = self.domain.zero(), [other.data[j::n] for j in range(n)]
+        out = [functools.reduce(operator.add, map(operator.mul, row, col), zero)
+               for row in self.to_rows() for col in cols]
         # GF(q) entries are reduced by the constructor
-        return Matrix((m, n), out, dom)
+        return Matrix((m, n), out, self.domain)
 
     # -- elimination-based kernels ------------------------------------------------
 

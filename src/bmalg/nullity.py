@@ -1,5 +1,6 @@
 """Rank-nullity: the matrix reference constructions and their
-hypermatrix analogs.
+hypermatrix analogs.  An r-term matrix decomposition reconstructs as
+the one product U_S V_S (``Matrix.matmul``).
 
 Nullity is operationalized as the maximum number of zero depth slices
 of Prod(X0, A, X1) over invertible pairs (X0, X1).  Sufficiency turns a
@@ -42,7 +43,7 @@ from .inverse import (
     pair_invertible,
     recover_outer_inverse,
 )
-from .products import CONTRACTED_AXES, identity_pair
+from .products import CONTRACTED_AXES, bm_product, identity_pair
 from .rank import (
     DecompositionTriple,
     generic_rank_pipeline,
@@ -70,30 +71,29 @@ class MatrixDecomposition:
     support: tuple
 
     def __post_init__(self):
-        if self.u.shape[1] != self.v.shape[0]:
+        ell = self.u.shape[1]
+        if ell != self.v.shape[0]:
             raise ShapeError(
                 f"inner dimensions disagree: {self.u.shape} vs {self.v.shape}"
             )
-        object.__setattr__(self, "support", tuple(sorted(set(self.support))))
+        support = tuple(sorted(set(self.support)))
+        if support and not (0 <= support[0] and support[-1] < ell):
+            raise ShapeError(f"support {support} out of range for ell={ell}")
+        object.__setattr__(self, "support", support)
 
     @property
     def r(self):
         return len(self.support)
 
     def reconstruct(self) -> Matrix:
-        dom = self.u.domain
-        m = self.u.shape[0]
-        n = self.v.shape[1]
-        acc = Matrix.zeros(m, n, dom)
-        for t in self.support:
-            col = self.u.col(t)
-            row = self.v.row(t)
-            acc = acc.add(
-                Matrix.from_function(
-                    m, n, dom, lambda i, j, c=col, r=row: dom.mul(c[i], r[j])
-                )
-            )
-        return acc
+        """U_S V_S: the support columns of u times the support rows of v."""
+        u, v, s = self.u, self.v, self.support
+        m, n = u.shape[0], v.shape[1]
+        if not s:
+            return Matrix.zeros(m, n, u.domain)
+        u_s = Matrix((m, len(s)), [row[t] for row in u.to_rows() for t in s], u.domain)
+        v_s = Matrix((len(s), n), [a for t in s for a in v.row(t)], v.domain)
+        return u_s.matmul(v_s)
 
 
 def matrix_nullity_sufficiency(a: Matrix, x: Matrix, r=None) -> MatrixDecomposition:
@@ -109,9 +109,7 @@ def matrix_nullity_sufficiency(a: Matrix, x: Matrix, r=None) -> MatrixDecomposit
     dom = a.domain
     x_inv = x.inverse()  # raises on singular x
     ax = a.matmul(x)
-    zero_cols = {
-        j for j in range(n) if all(dom.is_zero(ax[i, j]) for i in range(m))
-    }
+    zero_cols = {j for j in range(n) if all(map(dom.is_zero, ax.data[j::n]))}
     if r is not None:
         missing = [j for j in range(r, n) if j not in zero_cols]
         if missing:
@@ -165,11 +163,8 @@ def matrix_nullity_necessity(a: Matrix, decomp: MatrixDecomposition) -> Matrix:
         raise CertificateError("completion failed to produce an invertible v")
     image = a.matmul(v_prime.inverse())
     for t in unused:
-        for i in range(a.shape[0]):
-            if not dom.is_zero(image[i, t]):
-                raise CertificateError(
-                    f"column {t} of a v'^-1 is not zero; internal error"
-                )
+        if not all(map(dom.is_zero, image.data[t::n])):
+            raise CertificateError(f"column {t} of a v'^-1 is not zero; internal error")
     return v_prime
 
 
@@ -282,19 +277,18 @@ def _invertible_blocks(rows, cols, memo, domain):
     return tuple(blocks), inv_blocks
 
 
-def _pad_triple(d: DecompositionTriple, p) -> DecompositionTriple:
-    """``d`` with contracted dimension p: each leg is restacked along its
-    contracted axis with zero slices ell..p-1 after its own."""
+def _padded_legs(d: DecompositionTriple, p):
+    """The legs of ``d`` restacked along their contracted axes with zero
+    slices ell..p-1 after their own; still zero outside ``d.support``."""
     if d.ell == p:
-        return d
+        return d.legs()
     if d.ell > p:
         raise ShapeError(
             f"decomposition has contracted dimension {d.ell} above the depth "
             f"extent {p}; transpose-reduce first"
         )
     picks = list(range(d.ell)) + [None] * (p - d.ell)
-    legs = (leg.restack(axis, picks) for leg, axis in zip(d.legs(), CONTRACTED_AXES))
-    return DecompositionTriple(*legs, d.support)
+    return tuple(leg.restack(axis, picks) for leg, axis in zip(d.legs(), CONTRACTED_AXES))
 
 
 def _completion_candidates(x0, x2, unused, exhaustive, seed):
@@ -366,14 +360,14 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
             f"necessity expects the depth extent to be minimal, shape {a.shape}"
         )
     dom = a.domain
-    d = _pad_triple(decomp, p)
-    tol_scale = _check_reconstruction(d.reconstruct(), a, "decomposition")
-    s = d.support
+    x0, x1, x2 = _padded_legs(decomp, p)
+    tol_scale = _check_reconstruction(bm_product(x0, x1, x2), a, "decomposition")
+    s = decomp.support
     for t in s:
         term_zero = (
-            all(dom.is_zero(d.x1[i, j, t]) for i in range(m) for j in range(n))
-            or all(dom.is_zero(d.x0[i, t, k]) for i in range(m) for k in range(p))
-            or all(dom.is_zero(d.x2[t, j, k]) for j in range(n) for k in range(p))
+            all(dom.is_zero(x1[i, j, t]) for i in range(m) for j in range(n))
+            or all(dom.is_zero(x0[i, t, k]) for i in range(m) for k in range(p))
+            or all(dom.is_zero(x2[t, j, k]) for j in range(n) for k in range(p))
         )
         if term_zero:
             raise CertificateError(
@@ -385,7 +379,7 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
     # column t of flattening block (i, j) reads only slice t of both legs,
     # so a zero support column can never be fixed by completing the
     # unused slices: reject such decompositions early
-    for idx, block in enumerate(flatten(HyperPair(d.x0, d.x2)).blocks):
+    for idx, block in enumerate(flatten(HyperPair(x0, x2)).blocks):
         for t_sup in s:
             if all(map(dom.is_zero, block.data[t_sup::p])):
                 i, j = divmod(idx, n)
@@ -398,7 +392,7 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         and dom.q ** (len(unused) * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
     )
     memo = {}
-    for u_data, w_data in _completion_candidates(d.x0, d.x2, unused, exhaustive, seed):
+    for u_data, w_data in _completion_candidates(x0, x2, unused, exhaustive, seed):
         rows = [tuple(u_data[i * p * p : (i + 1) * p * p]) for i in range(m)]
         found = _invertible_blocks(rows, _col_slices(w_data, n, p), memo, dom)
         factored = found and _outer_inverse(found[1], m, n, dom)[0]
@@ -417,7 +411,7 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
                     f"substitution broke the identity at slices {bad}"
                 )
             continue
-        residual = None if dom.is_exact else g.sub(d.x1).norm() / (1.0 + a.norm())
+        residual = None if dom.is_exact else g.sub(x1).norm() / (1.0 + a.norm())
         return NullityCertificate(
             pair=cert_pair,
             outer_inverse=OuterInversePair(u, w, gauge="completed-legs"),

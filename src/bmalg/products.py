@@ -18,6 +18,7 @@ every entry is bit-identical to the per-scalar sum.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -92,13 +93,8 @@ def general_bm_product(
         )
     dom = a0.domain
     # skip zero background entries; delta-like backgrounds are the common case
-    support = [
-        (j0, j1, j2, background[j0, j1, j2])
-        for j0 in range(ell)
-        for j1 in range(ell)
-        for j2 in range(ell)
-        if not dom.is_zero(background[j0, j1, j2])
-    ]
+    cells = itertools.product(range(ell), repeat=3)
+    support = [(*c, w) for c, w in zip(cells, background.data) if not dom.is_zero(w)]
     return _contract(a0, a1, a2, (n0, n1, n2), support)
 
 

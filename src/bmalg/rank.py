@@ -48,8 +48,8 @@ from .errors import (
     ReductionHypothesisError,
     ShapeError,
 )
-from .products import (CONTRACTED_AXES, bm_product, conformability, delta_t,
-                       identity_pair, outer_product_at)
+from .products import (CONTRACTED_AXES, bm_product, conformability, identity_pair,
+                       outer_product_at)
 
 DEFAULT_RANK_BUDGET = 10_000_000
 # generic_rank_pipeline's first-step ALS budget; later steps take half
@@ -210,10 +210,9 @@ def delta_sum(n, r, domain) -> Hypermatrix:
     """The target sum of the first r rank-one backgrounds."""
     if not (0 < r <= n):
         raise ShapeError(f"need 0 < r <= n, got r={r}, n={n}")
-    acc = Hypermatrix.zeros((n, n, n), domain)
-    for t in range(r):
-        acc = acc.add(delta_t(n, t, domain))
-    return acc
+    one, zero = domain.one(), domain.zero()
+    return Hypermatrix.from_function((n, n, n), domain,
+                                     lambda i, j, k: one if i == j == k < r else zero)
 
 
 def _delta_sum_certificate(n, r, domain, column, depth) -> RankCertificate:
@@ -263,33 +262,28 @@ def matrix_slice_reduce(x: Matrix, y: Matrix, tau, us):
     combination sum_{t != tau} us[t] * y[t, :], drop one outer product.
 
     Returns (x', y') with contracted dimension ell - 1 and the same
-    product; raises when the row hypothesis fails.
+    product; raises when the row hypothesis fails (row tau != u y').
     """
     dom = x.domain
     m, ell = x.shape
     if y.shape[0] != ell:
         raise ShapeError(f"y must have {ell} rows, found {y.shape[0]}")
     n = y.shape[1]
+    if ell < 2:
+        raise ShapeError("cannot reduce a contracted dimension of 1")
     if not (0 <= tau < ell):
         raise ShapeError(f"tau {tau} out of range")
     others = [t for t in range(ell) if t != tau]
-    for j in range(n):
-        acc = dom.zero()
-        for t in others:
-            acc = dom.add(acc, dom.mul(dom.coerce(us[t]), y[t, j]))
-        if not dom.eq(acc, y[tau, j]):
+    u = [dom.coerce(us[t]) for t in others]
+    new_y = Matrix((ell - 1, n), [a for t in others for a in y.row(t)], dom)
+    combo = Matrix((1, ell - 1), u, dom).matmul(new_y)
+    for j, (a, b) in enumerate(zip(combo.data, y.row(tau))):
+        if not dom.eq(a, b):
             raise ReductionHypothesisError(
                 f"row hypothesis fails at column {j}", entry=j
             )
-    new_x = Matrix.from_function(
-        m,
-        ell - 1,
-        dom,
-        lambda i, t_new: dom.add(
-            x[i, others[t_new]], dom.mul(dom.coerce(us[others[t_new]]), x[i, tau])
-        ),
-    )
-    new_y = Matrix.from_function(ell - 1, n, dom, lambda t_new, j: y[others[t_new], j])
+    new_x = Matrix((m, ell - 1), [dom.add(row[t], dom.mul(c, row[tau]))
+                                  for row in x.to_rows() for t, c in zip(others, u)], dom)
     return new_x, new_y
 
 

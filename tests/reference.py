@@ -53,7 +53,7 @@ one.  The nullity copies run on the entry-wise inverse-pair layer
 above, which the inverse-layer tests hold equal to ``bmalg.inverse``,
 and the via-rank copy on the scalar ``iter_bm_decompositions`` copy.
 
-The last section keeps the slice cuts as they were before every one
+The next-to-last section keeps the slice cuts as they were before every one
 went through ``Hypermatrix.restack``: the stride zeroing of the
 ``DecompositionTriple`` constructor (``zero_outside_support_by_strides``,
 its ``__post_init__`` body with the legs in a dict instead of on
@@ -67,6 +67,20 @@ explicit first argument), all under new names because the older copies
 above keep theirs.  Beside them is ``dependence._cancel_pairs`` as it
 was before it cancelled in one pass (it restarted its scan after each
 deletion).
+
+The closing section keeps the sums that were written out by hand
+before they went through one ``Matrix.matmul`` or one flat
+construction: ``Matrix.matmul`` reading every factor entry through
+``other[t, j]`` (``matmul_by_entries``, the matrix as an explicit
+first argument), ``nullity.MatrixDecomposition.reconstruct`` adding
+one rank-one matrix per support index (``reconstruct_by_rank_one_sums``,
+the decomposition as an explicit first argument),
+``rank.matrix_slice_reduce`` summing the row hypothesis column by
+column (``matrix_slice_reduce_by_columns``), ``rank.delta_sum`` adding
+r ``delta_t`` cubes (``delta_sum_by_additions``) and
+``products.general_bm_product`` reading each background entry through
+``__getitem__`` (``general_bm_product_by_getitem``, on the current
+``products._contract``).
 """
 
 import itertools
@@ -108,7 +122,7 @@ from bmalg.nullity import (
     nullity_direct_search,
     orient_depth_min,
 )
-from bmalg.products import bm_product, conformability, identity_pair
+from bmalg.products import _contract, bm_product, conformability, delta_t, identity_pair
 from bmalg.rank import (
     DEFAULT_RANK_BUDGET,
     DecompositionTriple,
@@ -2009,3 +2023,109 @@ def _cancel_pairs(dom, pairs):
             if changed:
                 break
     return out
+
+
+# -- former hand-written sums (core, nullity, rank, products) -----------------
+
+
+def matmul_by_entries(self, other):
+    self.domain.check_same(other.domain)
+    m, k1 = self.shape
+    k2, n = other.shape
+    if k1 != k2:
+        raise ShapeError(f"matmul mismatch {self.shape} x {other.shape}")
+    dom = self.domain
+    out = []
+    for i in range(m):
+        ri = self.row(i)
+        for j in range(n):
+            acc = dom.zero()
+            for t in range(k1):
+                acc = acc + ri[t] * other[t, j]
+            out.append(acc)
+    # GF(q) entries are reduced by the constructor
+    return Matrix((m, n), out, dom)
+
+
+def reconstruct_by_rank_one_sums(self) -> Matrix:
+    dom = self.u.domain
+    m = self.u.shape[0]
+    n = self.v.shape[1]
+    acc = Matrix.zeros(m, n, dom)
+    for t in self.support:
+        col = self.u.col(t)
+        row = self.v.row(t)
+        acc = acc.add(
+            Matrix.from_function(
+                m, n, dom, lambda i, j, c=col, r=row: dom.mul(c[i], r[j])
+            )
+        )
+    return acc
+
+
+def matrix_slice_reduce_by_columns(x: Matrix, y: Matrix, tau, us):
+    """Matrix analog of the reduction: when row tau of y is the
+    combination sum_{t != tau} us[t] * y[t, :], drop one outer product.
+
+    Returns (x', y') with contracted dimension ell - 1 and the same
+    product; raises when the row hypothesis fails.
+    """
+    dom = x.domain
+    m, ell = x.shape
+    if y.shape[0] != ell:
+        raise ShapeError(f"y must have {ell} rows, found {y.shape[0]}")
+    n = y.shape[1]
+    if not (0 <= tau < ell):
+        raise ShapeError(f"tau {tau} out of range")
+    others = [t for t in range(ell) if t != tau]
+    for j in range(n):
+        acc = dom.zero()
+        for t in others:
+            acc = dom.add(acc, dom.mul(dom.coerce(us[t]), y[t, j]))
+        if not dom.eq(acc, y[tau, j]):
+            raise ReductionHypothesisError(
+                f"row hypothesis fails at column {j}", entry=j
+            )
+    new_x = Matrix.from_function(
+        m,
+        ell - 1,
+        dom,
+        lambda i, t_new: dom.add(
+            x[i, others[t_new]], dom.mul(dom.coerce(us[others[t_new]]), x[i, tau])
+        ),
+    )
+    new_y = Matrix.from_function(ell - 1, n, dom, lambda t_new, j: y[others[t_new], j])
+    return new_x, new_y
+
+
+def delta_sum_by_additions(n, r, domain) -> Hypermatrix:
+    """The target sum of the first r rank-one backgrounds."""
+    if not (0 < r <= n):
+        raise ShapeError(f"need 0 < r <= n, got r={r}, n={n}")
+    acc = Hypermatrix.zeros((n, n, n), domain)
+    for t in range(r):
+        acc = acc.add(delta_t(n, t, domain))
+    return acc
+
+
+def general_bm_product_by_getitem(
+    a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix, background: Hypermatrix
+) -> Hypermatrix:
+    """Triple-sum product weighted by a cubic background of side ell."""
+    n0, n1, n2, ell = conformability(a0, a1, a2)
+    a0.domain.check_same(background.domain)
+    if background.shape != (ell, ell, ell):
+        raise ConformabilityError(
+            f"background must be cubic of side {ell}, found {background.shape}",
+            leg="background",
+        )
+    dom = a0.domain
+    # skip zero background entries; delta-like backgrounds are the common case
+    support = [
+        (j0, j1, j2, background[j0, j1, j2])
+        for j0 in range(ell)
+        for j1 in range(ell)
+        for j2 in range(ell)
+        if not dom.is_zero(background[j0, j1, j2])
+    ]
+    return _contract(a0, a1, a2, (n0, n1, n2), support)

@@ -1,7 +1,7 @@
 """``Hypermatrix.restack`` and the slice cuts that run on it.
 
 The property test holds ``restack`` to a per-entry oracle.  The
-equivalence tests hold the triple's zeroing, ``nullity._pad_triple``,
+equivalence tests hold the triple's zeroing, ``nullity._padded_legs``,
 ``rank.hyper_slice_reduce``, ``rank.two_slice_witness`` and
 ``Hypermatrix.slice`` to the offset-based copies in ``reference.py``:
 the same shapes and the same entry bits, or the same exception.  The
@@ -21,7 +21,7 @@ from bmalg import scalars
 from bmalg.core import Hypermatrix, SliceSpec
 from bmalg.dependence import _cancel_pairs
 from bmalg.errors import ReductionHypothesisError, ShapeError
-from bmalg.nullity import _pad_triple
+from bmalg.nullity import _padded_legs
 from bmalg.products import identity_pair
 from bmalg.rank import (
     DecompositionTriple,
@@ -145,7 +145,10 @@ def test_pad_triple_matches_the_run_copy(dom, seed):
         out = pad(d, p)
         return (*out.legs(), out.support)
 
-    assert outcome(padded, _pad_triple) == outcome(padded, ref.pad_triple_by_runs)
+    def padded_legs(pad):
+        return (*pad(d, p), d.support)
+
+    assert outcome(padded_legs, _padded_legs) == outcome(padded, ref.pad_triple_by_runs)
 
 
 def reduce_outcome(reduce, legs, rewrite):
