@@ -19,8 +19,6 @@ import itertools
 import json
 import sys
 
-import numpy as np
-
 from .core import Hypermatrix, Matrix
 from .dependence import (
     DEFAULT_SEARCH_BUDGET,
@@ -55,7 +53,6 @@ from .rank import (
     rank_upper_min,
     two_slice_witness,
 )
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -148,6 +145,7 @@ def _write(obj, out):
 def cmd_prod(args):
     legs = [_load_hyper(p, args) for p in (args.a0, args.a1, args.a2)]
     bg = _load_hyper(args.background, args) if args.background else None
+    import numpy as np
     # complex products may overflow; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         result = bm_product(*legs) if bg is None else general_bm_product(*legs, bg)
@@ -226,6 +224,8 @@ def _dependence_report(dom, witness, **extra):
 
 def cmd_dependence(args):
     if args.family:
+        if args.subset_size is not None:
+            raise CliError("--subset-size applies to --hyper only", EXIT_PARSE)
         fam = _family_from_file(args.family, args)
         witness = find_dependence(fam, budget=args.budget)
         _write(_dependence_report(fam[0].domain, witness), args.out)
@@ -306,6 +306,7 @@ def cmd_nullity(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
     try:
         results = run_suite(args.suite, seed=args.seed)
     except KeyError as exc:

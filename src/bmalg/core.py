@@ -38,8 +38,6 @@ import operator
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShapeError
 from .scalars import RATIONAL_KIND, ScalarDomain
 
@@ -182,6 +180,7 @@ class _Dense:
     # -- interop -----------------------------------------------------------------
 
     def to_numpy(self):
+        import numpy as np
         return np.array([complex(a) for a in self.data], dtype=complex).reshape(
             self.shape
         )
@@ -612,6 +611,7 @@ def lex_filter(q, outer_len, inner_len, per_candidate, test):
     one exceeds it), so memory stays bounded however long the inner leg
     is.
     """
+    import numpy as np
     k = 0
     while k < inner_len and q ** (k + 1) * per_candidate <= BATCH_ENTRIES:
         k += 1

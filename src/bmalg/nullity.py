@@ -576,6 +576,11 @@ def nullity(
     oracle over tiny prime fields.  ``budget`` caps every exhaustive
     enumeration either strategy runs over GF(q).  A caller that already
     holds a decomposition calls :func:`hyper_nullity_necessity`.
+
+    The relation computed is rank + nullity <= p, not an equality:
+    sufficiency turns z zero slices into a (p - z)-term decomposition.
+    Equality fails on 8 of the 256 GF(2) 2x2x2 inputs, each of rank one
+    and nullity 0 (``tests/test_census.py``).
     """
     oriented, tcount = orient_depth_min(a)
     m, n, p = oriented.shape

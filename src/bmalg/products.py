@@ -21,8 +21,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-import numpy as np
-
 from .core import Hypermatrix, SliceSpec, numerators
 from .errors import ConformabilityError
 from .scalars import COMPLEX_KIND
@@ -117,6 +115,7 @@ def _contract(a0, a1, a2, shape, terms):
     the bits of the per-scalar sum; complex128 ufuncs and einsum round
     differently in the last bits.
     """
+    import numpy as np
     dom = a0.domain
     legs = (a0, a1, a2)
     if dom.kind == COMPLEX_KIND:

@@ -35,10 +35,8 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
-from numpy.linalg._umath_linalg import lstsq as _gelsd  # numpy >= 2.0
 
 from . import core
 from .core import Hypermatrix, Matrix, echelon, lex_filter
@@ -61,8 +59,6 @@ DEFAULT_PIPELINE_ITERS = 500
 # above REDUCTION_ENTRY * tol * scale.
 REDUCTION_ACCEPT = 100
 REDUCTION_ENTRY = 10
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -405,6 +401,7 @@ class DepthSliceWitness:
 
 
 def _raise_lstsq_error(err, flag):
+    import numpy as np
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
@@ -416,13 +413,15 @@ def _batched_lstsq(a, b):
     rcond=None)``, so x[s] has the same bits.  Call it under
     :func:`_lstsq_errstate`, which raises LinAlgError when gelsd does
     not converge, as ``np.linalg.lstsq`` does."""
-    rcond = _EPS * max(a.shape[1:])
+    from numpy.linalg._umath_linalg import lstsq as _gelsd  # numpy >= 2.0
+    rcond = sys.float_info.epsilon * max(a.shape[1:])
     x, _, _, _ = _gelsd(a, b[..., None], rcond, signature="DDd->Ddid")
     return x[..., 0]
 
 
 def _lstsq_errstate():
     """The floating-point error state ``np.linalg.lstsq`` solves under."""
+    import numpy as np
     return np.errstate(
         call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore",
         under="ignore",
@@ -462,6 +461,7 @@ def depth_slice_witness(
             raise ZeroDivisionError(
                 f"entry {idx} is zero within tolerance; input must be generic"
             )
+    import numpy as np
     arr = b.to_numpy()
     target = arr[:, :, tau]
     with np.errstate(over="ignore"):
@@ -655,6 +655,7 @@ def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
     through the scalar solver :func:`_fiber_solutions`, which gives the
     solutions.
     """
+    import numpy as np
     q = domain.q
     values = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)
     want = rhs[..., None, None]
@@ -716,6 +717,7 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
         raise BudgetExceededError(
             f"enumeration q^{total_digits} exceeds budget {budget}"
         )
+    import numpy as np
     # flat position of each leg's entry on the grid (i, j, k, t), laid
     # out as (fiber, row, t): a fiber fixes the two axes of a that the
     # solved leg shares, and its rows run over the third
@@ -802,15 +804,16 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
     if a.is_zero():
         return RankCertificate(kind="exact", r=0, params={"q": q, "cp": True})
     cap = p * min(m, n)
-    # fiber k has one row per (i, j): coefficient xs[t*m + i] * ys[t*n + j]
-    # on z_k[t], right side a[i, j, k]
-    rhs = np.array(a.data, dtype=np.int64).reshape(m * n, p).T
     for r in range(1, cap + 1):
         digits = r * (m + n)
         if q**digits > budget:
             raise BudgetExceededError(
                 f"CP enumeration q^{digits} exceeds budget {budget}"
             )
+        import numpy as np
+        # fiber k has one row per (i, j): coefficient xs[t*m + i] * ys[t*n + j]
+        # on z_k[t], right side a[i, j, k]
+        rhs = np.array(a.data, dtype=np.int64).reshape(m * n, p).T
         gi, gj, gt = np.ogrid[:m, :n, :r]
         ia = np.broadcast_to(gt * m + gi, (m, n, r)).reshape(1, m * n, r)
         ib = np.broadcast_to(gt * n + gj, (m, n, r)).reshape(1, m * n, r)
@@ -868,6 +871,7 @@ def triple_reduction_witness(
         raise ShapeError(f"tau {tau} out of range")
     if ell < 2:
         return None
+    import numpy as np
     others = [t for t in range(ell) if t != tau]
     no = len(others)
     ax = x0.to_numpy()

@@ -163,6 +163,23 @@ def test_dependence_subset_size_outside_the_depth_is_rejected(tmp_path, capsys):
         assert "ShapeError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["1", "2", "99"])
+def test_dependence_subset_size_with_a_family_is_rejected(tmp_path, capsys, size):
+    """``--subset-size`` picks depth slices of ``--hyper``; a family
+    names its members itself, so the flag would be silently ignored."""
+    m = Matrix.from_function(2, 2, GF2, lambda *_: 1)
+    f = write_json(tmp_path, "fam.json", {"matrices": [m.to_json(), m.to_json()]})
+    out = tmp_path / "dep.json"
+    argv = ["dependence", "--family", f, "--subset-size", size, "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "cli", "message": "--subset-size applies to --hyper only"
+    }
+
+
 def test_dependence_family_gf(tmp_path):
     m = Matrix.from_function(2, 2, GF2, lambda *_: 1)
     fam = {"matrices": [m.to_json(), m.to_json()]}
