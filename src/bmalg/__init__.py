@@ -14,6 +14,7 @@ from .dependence import (
     is_dependent_exact,
     is_dependent_numeric,
     rank_feasibility,
+    dependent_depth_subset,
     dependent_slice_family,
 )
 from .inverse import (

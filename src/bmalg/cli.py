@@ -8,24 +8,19 @@ factories), strategy domain guards and numeric defaults are the
 library's.  All results are emitted as JSON with sorted keys, so
 identical inputs and seeds produce byte-identical output.  Exit codes:
 0 success, 2 parse/domain error, 3 conformability error, 4 budget
-exceeded, 5 verification failed (internal), 6 no invertible completion.
+exceeded (rank, nullity), 5 verification failed (internal), 6 no
+invertible completion.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import itertools
 import json
 import sys
 
 from .core import Hypermatrix, Matrix
-from .dependence import (
-    DEFAULT_SEARCH_BUDGET,
-    DiagonalWitness,
-    combination_residual,
-    find_dependence,
-)
+from .dependence import combination_residual, dependent_depth_subset, find_dependence
 from .errors import (
     BMAlgError,
     BudgetExceededError,
@@ -51,7 +46,6 @@ from .rank import (
     bm_rank_exhaustive,
     generic_rank_pipeline,
     rank_upper_min,
-    two_slice_witness,
 )
 
 EXIT_OK = 0
@@ -189,26 +183,6 @@ def _family_from_file(path, args):
     return [_cast(m, args) for m in mats]
 
 
-def _two_slice_report(a, dom):
-    witness = two_slice_witness(a, 1)
-    if witness is None:
-        return {"dependent": False, "method": "exact-ratio", "witness": None}
-    u, v = witness
-    m, n, _ = a.shape
-    xs = [list(u), [dom.neg(dom.one())] * m]
-    ys = [list(v), [dom.one()] * n]
-    w = DiagonalWitness(xs, ys, residual=0.0)
-    fam = [a.mat_of_depth(0), a.mat_of_depth(1)]
-    if not combination_residual(fam, w).is_zero():
-        raise CliError("two-slice witness failed re-verification", EXIT_VERIFICATION)
-    return {
-        "dependent": True,
-        "method": "exact-ratio",
-        "subset": [0, 1],
-        "witness": w.to_json(dom),
-    }
-
-
 def _dependence_report(dom, witness, **extra):
     """The dependence verdict: exhaustive over GF(q) and the rationals,
     numeric over C, where "not found" is no proof and reads as ``null``."""
@@ -227,31 +201,21 @@ def cmd_dependence(args):
         if args.subset_size is not None:
             raise CliError("--subset-size applies to --hyper only", EXIT_PARSE)
         fam = _family_from_file(args.family, args)
-        witness = find_dependence(fam, budget=args.budget)
-        _write(_dependence_report(fam[0].domain, witness), args.out)
-        return EXIT_OK
-    a = _load_hyper(args.hyper, args)
-    dom = a.domain
-    m, n, p = a.shape
-    size = p if args.subset_size is None else args.subset_size
-    if not 1 <= size <= p:
-        # no subset of that size exists, so "not dependent" would prove nothing
-        raise ShapeError(f"--subset-size {size} outside [1, {p}]")
-    if (
-        dom.is_exact
-        and p == 2
-        and size == 2
-        and all(not dom.is_zero(v) for v in a.data)
-    ):
-        _write(_two_slice_report(a, dom), args.out)
-        return EXIT_OK
-    slices = a.depth_matrices()
-    for subset in itertools.combinations(range(p), size):
-        witness = find_dependence([slices[k] for k in subset], budget=args.budget)
-        if witness is not None:
-            _write(_dependence_report(dom, witness, subset=list(subset)), args.out)
-            return EXIT_OK
-    _write(_dependence_report(dom, None), args.out)
+        witness, extra = find_dependence(fam), {}
+    else:
+        a = _load_hyper(args.hyper, args)
+        size = a.shape[2] if args.subset_size is None else args.subset_size
+        found = dependent_depth_subset(a, size)
+        fam, witness, extra = a.depth_matrices(), None, {}
+        if found is not None:
+            extra = {"subset": list(found.slice_indices)}
+            fam, witness = [fam[k] for k in extra["subset"]], found.witness
+    dom = fam[0].domain
+    # an exact witness must cancel exactly; a numeric one reports its residual
+    if witness is not None and dom.is_exact:
+        if not combination_residual(fam, witness).is_zero():
+            raise CliError("dependence witness failed re-verification", EXIT_VERIFICATION)
+    _write(_dependence_report(dom, witness, **extra), args.out)
     return EXIT_OK
 
 
@@ -355,7 +319,6 @@ def build_parser():
     group.add_argument("--family", help="JSON file with a matrix family")
     group.add_argument("--hyper", help="hypermatrix file; its depth slices form the family")
     p_dep.add_argument("--subset-size", type=int, default=None)
-    p_dep.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p_dep.set_defaults(func=cmd_dependence)
 
     p_inv = sub.add_parser("inverse-pair", parents=[out],

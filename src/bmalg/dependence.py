@@ -12,10 +12,12 @@ its members share a nonzero entry.  This module provides the residual of
 a candidate witness, the witness that such a shared entry gives (exact
 over GF(q) and the rationals, over GF(q) the first one an exhaustive
 scan would find, over complex doubles the first one that passes the
-numeric acceptance test), the single
+numeric acceptance test), the one search for a dependent k-subset of a
+hypermatrix's depth slices, the single
 division-free elimination round for diagonal-coefficient systems, the
 determinantal residuals of the rank-(r+1) feasibility analysis, and the
-feasibility inequality itself.
+feasibility inequality itself.  No search here enumerates assignments,
+so none takes a budget.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import Hypermatrix, Matrix
-from .errors import BudgetExceededError, ShapeError
+from .errors import ShapeError
 from .rank import DecompositionTriple
 from .scalars import ScalarDomain
-
-DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 def check_family(family):
@@ -148,7 +148,7 @@ def _shared_entry_witnesses(family, term=None):
                     yield DiagonalWitness(xs, ys)
 
 
-def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
+def is_dependent_exact(family):
     """Witness search over an exact domain (GF(q) or the rationals).
 
     Returns a nontrivial witness with zero residual, or None, which
@@ -157,22 +157,14 @@ def is_dependent_exact(family, budget=DEFAULT_SEARCH_BUDGET):
     The witness is read off the last shared nonzero entry
     (:func:`_shared_entry_witnesses`); over GF(q) it is the
     lexicographically first witness in the assignment order (all x
-    entries, then all y entries).  ``budget`` bounds no work: it only
-    refuses, with :class:`BudgetExceededError`, the GF(q) families whose
-    q^(p(m+n)) assignments exceed it, as the exhaustive scan did.
+    entries, then all y entries), found without enumerating the
+    q^(p(m+n)) assignments.
     """
-    (m, n), dom = check_family(family)
+    (_, _), dom = check_family(family)
     if not dom.is_exact:
         raise ValueError("exact dependence search needs an exact domain")
-    p = len(family)
-    if p == 1:
+    if len(family) == 1:
         return None
-    q = dom.q
-    digits = p * (m + n)
-    if dom.kind == "gf" and q**digits > budget:
-        raise BudgetExceededError(
-            f"search space q^(p(m+n)) = {q}^{digits} exceeds budget {budget}"
-        )
     witness = next(_shared_entry_witnesses(family), None)
     if witness is not None:
         witness.residual = 0.0
@@ -208,12 +200,13 @@ def is_dependent_numeric(family, seed=0):
     return None
 
 
-def find_dependence(family, budget=DEFAULT_SEARCH_BUDGET, **numeric_opts):
+def find_dependence(family, **numeric_opts):
     """Dispatch on the family's domain: exact for GF(q) and the
-    rationals, numeric for complex."""
+    rationals, numeric for complex (``numeric_opts`` go to
+    :func:`is_dependent_numeric`)."""
     (_, _), dom = check_family(family)
     if dom.is_exact:
-        return is_dependent_exact(family, budget=budget)
+        return is_dependent_exact(family)
     return is_dependent_numeric(family, **numeric_opts)
 
 
@@ -407,17 +400,36 @@ class SliceDependence:
     witness: DiagonalWitness
 
 
-def dependent_slice_family(h: Hypermatrix, decomposition, budget=DEFAULT_SEARCH_BUDGET,
-                 **numeric_opts):
+def dependent_depth_subset(h: Hypermatrix, k, **numeric_opts):
+    """The first k-subset of depth slices of ``h``, in
+    ``itertools.combinations`` order, whose family has a witness
+    (:func:`find_dependence`), or None.
+
+    A k outside [1, p] names no subset, so "none found" would be a false
+    proof of independence; it raises :class:`ShapeError` instead.
+    """
+    p = h.shape[2]
+    if not 1 <= k <= p:
+        raise ShapeError(f"subset size {k} outside [1, {p}]")
+    slices = h.depth_matrices()
+    for subset in itertools.combinations(range(p), k):
+        witness = find_dependence([slices[t] for t in subset], **numeric_opts)
+        if witness is not None:
+            return SliceDependence(subset, witness)
+    return None
+
+
+def dependent_slice_family(h: Hypermatrix, decomposition, **numeric_opts):
     """Find a dependent (ell+1)-subset of depth slices of a hypermatrix
     that admits a decomposition with contracted dimension ell below
     min(m, n, p).
 
     The decomposition is verified to reconstruct ``h`` first.  A zero
     depth slice short-circuits: it forms a dependent singleton on its
-    own (the degenerate case where nontriviality is waived).  Returns
-    None when no subset yields a witness within budget; existence is
-    only guaranteed when ell is the exact rank.
+    own (the degenerate case where nontriviality is waived).  Otherwise
+    this is :func:`dependent_depth_subset` at k = ell + 1, which returns
+    None when no subset has a witness; existence is only guaranteed
+    when ell is the exact rank.
     """
     if not isinstance(decomposition, DecompositionTriple):
         raise TypeError("expected a DecompositionTriple")
@@ -431,20 +443,14 @@ def dependent_slice_family(h: Hypermatrix, decomposition, budget=DEFAULT_SEARCH_
     if not decomposition.reconstruct().equals(h):
         raise ValueError("decomposition does not reconstruct the hypermatrix")
     dom = h.domain
-    slices = h.depth_matrices()
-    for k, mat in enumerate(slices):
+    for k, mat in enumerate(h.depth_matrices()):
         if mat.is_zero():
             ones_m = [dom.one()] * m
             ones_n = [dom.one()] * n
             return SliceDependence(
                 (k,), DiagonalWitness([ones_m], [ones_n], residual=0.0)
             )
-    for subset in itertools.combinations(range(p), ell + 1):
-        family = [slices[k] for k in subset]
-        witness = find_dependence(family, budget=budget, **numeric_opts)
-        if witness is not None:
-            return SliceDependence(tuple(subset), witness)
-    return None
+    return dependent_depth_subset(h, ell + 1, **numeric_opts)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import core
 from .core import Hypermatrix, Matrix
 from .errors import FactorabilityError, ShapeError
-from .products import bm_product, conformability, identity_pair
+from .products import bm_product, conformability
 
 SCALING_PATTERN = "scaling"
 RECOVERED_GAUGE = "first-nonzero-d-entry-is-one"
@@ -466,14 +466,9 @@ def _tiled(h: Hypermatrix, k) -> Hypermatrix:
     return Hypermatrix((k * n0, n1, n2), h.data * k, h.domain)
 
 
-def random_pair(m, n, p, domain, rng: random.Random, kind="scaling") -> HyperPair:
-    """Sample from the known invertible families (used by tests and the
-    verification suites)."""
-    if kind == "scaling":
-        alpha = Matrix.random(m, p, domain, rng, nonzero=True)
-        beta = Matrix.random(p, n, domain, rng, nonzero=True)
-        return scaling_pair(alpha, beta)
-    if kind == "identity":
-        j0, j1 = identity_pair(m, n, p, domain)
-        return HyperPair(j0, j1)
-    raise ValueError(f"unknown pair kind {kind!r}")
+def random_pair(m, n, p, domain, rng: random.Random) -> HyperPair:
+    """A random scaling pair, the known invertible family that tests and
+    the verification suites sample."""
+    alpha = Matrix.random(m, p, domain, rng, nonzero=True)
+    beta = Matrix.random(p, n, domain, rng, nonzero=True)
+    return scaling_pair(alpha, beta)

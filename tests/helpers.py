@@ -4,6 +4,7 @@ import random
 
 from bmalg import scalars
 from bmalg.core import Hypermatrix
+from bmalg.dependence import DiagonalWitness
 
 RAT = scalars.rational()
 
@@ -24,3 +25,11 @@ def hyperdet_zero_instance(rng: random.Random, dom=RAT) -> Hypermatrix:
         dom.mul(vals[(0, 0, 1)], dom.mul(vals[(0, 1, 0)], vals[(1, 0, 0)])),
     )
     return Hypermatrix.from_function((2, 2, 2), dom, lambda i, j, k: vals[(i, j, k)])
+
+
+def printed_witness(report, dom) -> DiagonalWitness:
+    """The witness of a ``dependence`` report, decoded into ``dom``."""
+    xs, ys = (
+        [[dom.decode(v) for v in vec] for vec in report["witness"][key]] for key in "xy"
+    )
+    return DiagonalWitness(xs, ys)

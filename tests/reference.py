@@ -91,7 +91,6 @@ import numpy as np
 from bmalg.core import Hypermatrix, Matrix, lex_filter
 from bmalg.dependence import _vec_eq, _vec_neg
 from bmalg.dependence import (
-    DEFAULT_SEARCH_BUDGET,
     DiagonalWitness,
     check_family,
     combination_residual,
@@ -134,6 +133,11 @@ from bmalg.rank import (
 from bmalg.rank import _assemble_triple, bm_rank_one
 from bmalg.rank import _fiber_solutions as fiber_solutions
 from bmalg.rank import check_reduction_hypothesis as check_product_preservation
+
+# the bound on q^(p(m+n)) assignments that the exhaustive dependence scans
+# below refuse past, as ``bmalg.dependence`` had it before its witness was
+# read off a shared entry
+DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 # -- former min-extent upper bound (rank) -------------------------------------

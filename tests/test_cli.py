@@ -4,11 +4,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from helpers import hyperdet_zero_instance
+from helpers import hyperdet_zero_instance, printed_witness
 
 from bmalg import inverse, scalars
 from bmalg.cli import main
 from bmalg.core import Hypermatrix, Matrix
+from bmalg.dependence import combination_residual, witness_is_nontrivial
 from bmalg.inverse import random_pair
 from bmalg.products import delta_t, kronecker_delta
 from bmalg.rank import delta_sum
@@ -122,25 +123,29 @@ def test_rank_budget_exit(tmp_path):
 
 
 def test_dependence_two_slice_exact(tmp_path):
-    # all-nonzero 2x2x2 with vanishing hyperdeterminant: witness emitted
-    rng = random.Random(4)
-    b = hyperdet_zero_instance(rng)
-    f = write_json(tmp_path, "b.json", b.to_json())
-    out = str(tmp_path / "dep.json")
-    assert main(["dependence", "--hyper", f, "--out", out]) == 0
-    report = read_json(out)
-    assert report["dependent"] is True
-    assert report["method"] == "exact-ratio"
-    assert report["witness"]["residual"] == 0.0
-
-    generic = Hypermatrix.random((2, 2, 2), RAT, rng, nonzero=True)
+    """All-nonzero exact two-slice inputs take the path ``--family``
+    takes: whether or not the hyperdeterminant vanishes, the slices share
+    every entry, so the verdict is dependent with a witness that cancels
+    exactly."""
     from bmalg.rank import hyperdet_2x2x2
 
+    rng = random.Random(4)
+    b = hyperdet_zero_instance(rng)
+    generic = Hypermatrix.random((2, 2, 2), RAT, rng, nonzero=True)
     assert hyperdet_2x2x2(generic) != 0
-    f2 = write_json(tmp_path, "g.json", generic.to_json())
-    out2 = str(tmp_path / "dep2.json")
-    assert main(["dependence", "--hyper", f2, "--out", out2]) == 0
-    assert read_json(out2)["dependent"] is False
+    for name, h in (("b", b), ("generic", generic)):
+        f = write_json(tmp_path, f"{name}.json", h.to_json())
+        out = str(tmp_path / f"{name}-dep.json")
+        assert main(["dependence", "--hyper", f, "--out", out]) == 0
+        report = read_json(out)
+        assert report["dependent"] is True
+        assert report["method"] == "exhaustive"
+        assert report["subset"] == [0, 1]
+        assert report["witness"]["residual"] == 0.0
+        fam = h.depth_matrices()
+        witness = printed_witness(report, RAT)
+        assert combination_residual(fam, witness).is_zero()
+        assert witness_is_nontrivial(fam, witness)
 
 
 def test_dependence_subset_size_outside_the_depth_is_rejected(tmp_path, capsys):

@@ -41,10 +41,8 @@ COMMANDS = {
                                   "--budget", "4096"],
     "rank-pipeline": lambda f: ["rank", f["hyper"], "--strategy", "generic-pipeline",
                                 "--restarts", "2", "--iters", "20"],
-    "dependence-hyper": lambda f: ["dependence", "--hyper", f["hyper"],
-                                   "--budget", "4096"],
-    "dependence-family": lambda f: ["dependence", "--family", f["family"],
-                                    "--budget", "4096"],
+    "dependence-hyper": lambda f: ["dependence", "--hyper", f["hyper"]],
+    "dependence-family": lambda f: ["dependence", "--family", f["family"]],
     "inverse-pair": lambda f: ["inverse-pair", f["pair"]],
     "nullity": lambda f: ["nullity", f["hyper"], "--budget", "4096"],
     "nullity-direct": lambda f: ["nullity", f["hyper"], "--strategy", "direct-search",

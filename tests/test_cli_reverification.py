@@ -1,11 +1,15 @@
 """``bmalg nullity`` re-verifies a certificate on the input oriented as
-the certificate says, so a misreported transpose count is caught."""
+the certificate says, so a misreported transpose count is caught, and
+``bmalg dependence`` re-verifies that an exact witness cancels."""
 
 import dataclasses
 import json
 
+import pytest
+
 from bmalg import cli, scalars
-from bmalg.core import Hypermatrix
+from bmalg.core import Hypermatrix, Matrix
+from bmalg.dependence import SliceDependence
 
 GF2 = scalars.gf(2)
 
@@ -28,6 +32,39 @@ def test_nullity_rejects_a_misreported_orientation(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(cli, "nullity", misreported)
     assert cli.main(["nullity", str(path)]) == cli.EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "failed re-verification" in captured.err
+
+
+def broken(witness):
+    """The witness with its first member's y vector doubled, which leaves
+    a nonzero residual at every shared entry over GF(7)."""
+    dom = scalars.gf(7)
+    ys = [[dom.add(v, v) for v in witness.ys[0]], *witness.ys[1:]]
+    return dataclasses.replace(witness, ys=ys)
+
+
+@pytest.mark.parametrize("flag", ["--family", "--hyper"])
+def test_dependence_rejects_a_witness_that_does_not_cancel(tmp_path, monkeypatch,
+                                                          capsys, flag):
+    gf7 = scalars.gf(7)
+    slices = [Matrix.from_rows(rows, gf7) for rows in ([[1, 2], [3, 4]], [[5, 6], [0, 1]])]
+    h = Hypermatrix.from_function((2, 2, 2), gf7, lambda i, j, k: slices[k][i, j])
+    family = {"matrices": [m.to_json() for m in slices]}
+    obj = family if flag == "--family" else h.to_json()
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["dependence", flag, str(path)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["dependent"] is True
+
+    find, subset = cli.find_dependence, cli.dependent_depth_subset
+    monkeypatch.setattr(cli, "find_dependence", lambda fam: broken(find(fam)))
+    monkeypatch.setattr(
+        cli, "dependent_depth_subset",
+        lambda a, k: SliceDependence((0, 1), broken(subset(a, k).witness)),
+    )
+    assert cli.main(["dependence", flag, str(path)]) == cli.EXIT_VERIFICATION
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "failed re-verification" in captured.err

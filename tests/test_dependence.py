@@ -20,7 +20,6 @@ from bmalg.dependence import (
     dependent_slice_family,
     witness_is_nontrivial,
 )
-from bmalg.errors import BudgetExceededError
 from bmalg.products import bm_product
 from bmalg.rank import DecompositionTriple
 
@@ -81,13 +80,6 @@ def test_exact_scaled_pair_dependent():
     w = is_dependent_exact(fam)
     assert w is not None
     assert combination_residual(fam, w).is_zero()
-
-
-def test_exact_budget():
-    dom = scalars.gf(251)
-    fam = [Matrix.identity(3, dom) for _ in range(3)]
-    with pytest.raises(BudgetExceededError):
-        is_dependent_exact(fam, budget=1000)
 
 
 def test_exact_singleton_independent():

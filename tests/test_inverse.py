@@ -140,7 +140,7 @@ def test_flatten_off_block_entries_zero():
 def test_pair_invertible_families():
     rng = random.Random(6)
     assert pair_invertible(random_pair(2, 3, 2, RAT, rng)).invertible
-    assert pair_invertible(random_pair(3, 2, 2, RAT, rng, kind="identity")).invertible
+    assert pair_invertible(HyperPair(*identity_pair(3, 2, 2, RAT))).invertible
 
 
 def test_pair_invertible_identity_factor_slices():
@@ -306,8 +306,10 @@ def sample_pair(rng, kind, dom, m, n, p, scale):
         m, n = max(m, 2), max(n, 2)
         pair = HyperPair(Hypermatrix.random((m, p, p), dom, rng),
                          Hypermatrix.random((p, n, p), dom, rng))
+    elif kind == "identity":
+        pair = HyperPair(*identity_pair(m, n, p, dom))
     else:
-        pair = random_pair(m, n, p, dom, rng, kind=kind)
+        pair = random_pair(m, n, p, dom, rng)
     if scale == 1:
         return pair
     return HyperPair(pair.a.scale(scale), pair.b.scale(scale))

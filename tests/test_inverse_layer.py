@@ -21,6 +21,7 @@ from bmalg.inverse import (
     random_pair,
     recover_outer_inverse,
 )
+from bmalg.products import identity_pair
 
 DOMAINS = [
     scalars.rational(),
@@ -44,8 +45,10 @@ def sample_pair(rng, kind, dom, m, n, p):
     """A known invertible family, a random dense pair (generically not
     factorable), or a scaling pair with one column slice of A zeroed,
     which makes every flattening block (i0, j) singular."""
-    if kind in ("scaling", "identity"):
-        return random_pair(m, n, p, dom, rng, kind=kind)
+    if kind == "scaling":
+        return random_pair(m, n, p, dom, rng)
+    if kind == "identity":
+        return HyperPair(*identity_pair(m, n, p, dom))
     if kind == "dense":
         # slices of a pair with m or n equal to one are always rank one
         m, n = max(m, 2), max(n, 2)

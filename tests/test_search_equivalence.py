@@ -1,9 +1,10 @@
 """The batched exhaustive GF(q) searches match the scalar copies kept in
 ``reference``: the same yielded decompositions in the same order, the
-same rank certificates, the same dependence witness, and the same
-``BudgetExceededError`` message.  The numpy filter only skips
-candidates whose fiber systems are inconsistent, and it stays live on
-the diagonal sums of acceptance c04."""
+same rank certificates and the same ``BudgetExceededError`` message.
+The dependence witness, which takes no budget, matches the reference
+scan wherever that scan finishes within its budget.  The numpy filter
+only skips candidates whose fiber systems are inconsistent, and it
+stays live on the diagonal sums of acceptance c04."""
 
 import itertools
 import json
@@ -53,7 +54,7 @@ def first_yields(search, a, r, all_solutions):
 
 
 def witness(family):
-    found = is_dependent_exact(family, budget=BUDGET)
+    found = is_dependent_exact(family)
     return None if found is None else (found.xs, found.ys)
 
 
@@ -86,7 +87,10 @@ def assert_searches_match(a, r, all_solutions, monkeypatch):
         ref.cp_rank_exhaustive, a, budget=BUDGET
     )
     family = [a.mat_of_depth(k) for k in range(a.shape[2])]
-    assert outcome(witness, family) == outcome(ref_witness, family)
+    try:
+        assert witness(family) == ref_witness(family)
+    except BudgetExceededError:
+        pass  # the reference scan refuses more than BUDGET assignments
     got = outcome(bm_rank_exhaustive, a, budget=BUDGET)
     with monkeypatch.context() as patch:
         patch.setattr(rank, "iter_bm_decompositions", ref.iter_bm_decompositions)
