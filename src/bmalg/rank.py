@@ -21,13 +21,13 @@ inputs only down to ell = 2 (see :func:`generic_rank_pipeline`).
 The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
 serves :func:`bm_rank_exhaustive` and via-rank nullity, and
 :func:`cp_rank_exhaustive`) enumerate two legs in lexicographic order
-and solve for the third fiber by fiber.  For each value of the outer
-enumerated leg, a numpy filter tests blocks of inner candidates (at
-most ``core.BATCH_ENTRIES`` array entries each) against all q^r values
-of a fiber's unknowns and drops exactly the candidates with an
-inconsistent fiber; the survivors keep their order and go through the
-scalar solver, so the decompositions found are those of a
-candidate-by-candidate scan.
+and solve for the third fiber by fiber.  Each outer-leg value is first
+tested alone: a fiber row whose outer coefficients all vanish reads 0,
+so a nonzero right side there rules the value out.  For the rest a
+numpy filter tests blocks of inner candidates (``core.BATCH_ENTRIES``
+array entries at most) against all q^r values of a fiber's unknowns and
+drops exactly the inconsistent ones; survivors keep their order through
+the scalar solver, as in a candidate-by-candidate scan.
 """
 
 from __future__ import annotations
@@ -642,6 +642,13 @@ def _fiber_solutions(rows, rhs, domain, r, all_solutions):
     return out
 
 
+def _block_consistent(values, coef, inner, want, q):
+    """Mask of the candidates whose fibers all solve in ``values``; they run
+    along the last axis, so every reduction is elementwise across them."""
+    hits = values @ (inner * coef[..., None]) % q == want
+    return hits.all(axis=1).any(axis=1).all(axis=0)
+
+
 def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
     """Yield (outer, inner, per-fiber solution lists) for every pair of
     enumerated legs whose fiber systems are all consistent, in
@@ -649,11 +656,12 @@ def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
 
     Fiber f's system in the solved leg s has rows
     sum_t outer[ia[f, row, t]] * inner[ib[f, row, t]] * s[t] = rhs[f, row]
-    (``ia``/``ib`` may broadcast over f).  For one outer value a numpy
-    filter tries all q^r values of s on a block of inner candidates at
-    once (see :func:`bmalg.core.lex_filter`); only the survivors go
-    through the scalar solver :func:`_fiber_solutions`, which gives the
-    solutions.
+    (``ia``/``ib`` may broadcast over f).  An outer value that leaves a
+    row with rhs != 0 no nonzero coefficient is ruled out alone: that
+    row reads 0 whatever inner and s are.  Otherwise a numpy filter
+    tries all q^r values of s on a block of inner candidates at once
+    (see :func:`bmalg.core.lex_filter`); only the survivors go through
+    the scalar solver :func:`_fiber_solutions`.
     """
     import numpy as np
     q = domain.q
@@ -662,12 +670,13 @@ def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
     per_candidate = rhs.size * len(values)
     ia_rows, ib_rows = (np.broadcast_to(x, rhs.shape + (r,)).tolist() for x in (ia, ib))
     rhs_rows = rhs.tolist()
+    free_rows = rhs == 0
 
-    # candidates run along the last axis, so every reduction below is
-    # elementwise across them
     def consistent(outer, block):
-        hits = values @ (block[ib] * outer[ia][..., None]) % q == want
-        return hits.all(axis=1).any(axis=1).all(axis=0)
+        coef = outer[ia]
+        if not (free_rows | coef.any(axis=-1)).all():
+            return np.zeros(block.shape[1], dtype=bool)
+        return _block_consistent(values, coef, block[ib], want, q)
 
     for outer, inner in lex_filter(q, outer_len, inner_len, per_candidate, consistent):
         options = []
@@ -697,12 +706,12 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
     visits a decomposition iff one exists for the enumerated prefix, so
     rank detection is complete.
 
-    For each value of the first enumerated leg, a numpy filter tests
-    the second leg's candidates in blocks of at most
-    ``core.BATCH_ENTRIES`` array entries against every value of each
-    fiber's unknowns, and skips exactly the inconsistent ones; the
-    survivors keep their lexicographic order and are solved by
-    :func:`_fiber_solutions` as before (see :func:`_fiber_search`).
+    Each value of the first enumerated leg is first tested alone: a
+    fiber row it leaves with no nonzero coefficient reads 0, so a
+    nonzero entry of ``a`` there rules it out.  The rest go through the
+    numpy block filter and the scalar solver of :func:`_fiber_search`,
+    which drops exactly the inconsistent candidates and keeps order, so
+    the decompositions are those of a candidate-by-candidate scan.
     """
     dom = a.domain
     if dom.kind != "gf":

@@ -4,7 +4,9 @@ same rank certificates and the same ``BudgetExceededError`` message.
 The dependence witness, which takes no budget, matches the reference
 scan wherever that scan finishes within its budget.  The numpy filter
 only skips candidates whose fiber systems are inconsistent, and it
-stays live on the diagonal sums of acceptance c04."""
+stays live on the diagonal sums of acceptance c04.  Sparse inputs
+exercise the outer-leg guard, which rules an outer value out before
+any block product, and the diagonal sums pin that it fires."""
 
 import itertools
 import json
@@ -168,3 +170,57 @@ def test_filter_leaves_few_scalar_solves(search, r, monkeypatch):
     monkeypatch.setattr(rank, "_fiber_solutions", counted)
     search(delta_sum(3, r, scalars.gf(2)))
     assert 0 < len(calls) < 100
+
+
+def draw_sparse_input(q, shape, zero_chance, seed):
+    """A random hypermatrix whose entries are zero with probability
+    ``zero_chance`` and uniform over the nonzero residues otherwise."""
+    dom = scalars.gf(q)
+    rng = random.Random(seed)
+    size = shape[0] * shape[1] * shape[2]
+    data = [0 if rng.random() < zero_chance else rng.randrange(1, q)
+            for _ in range(size)]
+    return Hypermatrix(shape, data, dom)
+
+
+@st.composite
+def sparse_inputs(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        return delta_sum(n, draw(st.integers(1, n)), scalars.gf(q))
+    shape = draw(st.sampled_from(SHAPES))
+    zero_chance = draw(st.sampled_from([0.5, 0.75, 0.9]))
+    return draw_sparse_input(q, shape, zero_chance, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_inputs(), st.sampled_from([1, 2]), st.booleans(),
+       st.sampled_from([None, 7]))
+def test_sparse_searches_match_reference(a, r, all_solutions, batch_entries):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if batch_entries is not None:
+            monkeypatch.setattr(core, "BATCH_ENTRIES", batch_entries)
+        got = outcome(first_yields, iter_bm_decompositions, a, r, all_solutions)
+        want = outcome(first_yields, ref.iter_bm_decompositions, a, r, all_solutions)
+        assert got == want
+        assert outcome(cp_rank_exhaustive, a, budget=BUDGET) == outcome(
+            ref.cp_rank_exhaustive, a, budget=BUDGET
+        )
+
+
+def test_outer_guard_skips_block_products(monkeypatch):
+    """Without the outer-leg guard these three searches run 804 block
+    products; nearly all their outer values leave a nonzero diagonal
+    entry with no nonzero coefficient."""
+    calls = []
+    block = rank._block_consistent
+
+    def counted(*args):
+        calls.append(1)
+        return block(*args)
+
+    monkeypatch.setattr(rank, "_block_consistent", counted)
+    for r in (1, 2, 3):
+        bm_rank_exhaustive(delta_sum(3, r, scalars.gf(2)))
+    assert 0 < len(calls) < 20
