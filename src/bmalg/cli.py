@@ -26,16 +26,9 @@ from .errors import (
     BudgetExceededError,
     CompletionError,
     ConformabilityError,
-    FactorabilityError,
     ShapeError,
 )
-from .inverse import (
-    HyperPair,
-    pair_invertible,
-    recover_outer_inverse,
-    sandwich_check,
-    unit_probe_basis,
-)
+from .inverse import HyperPair, pair_invertible, sandwich_check, unit_probe_basis
 from .nullity import DEFAULT_EXHAUSTIVE_COMPLETIONS, first_nonzero_slice, nullity
 from .products import bm_product, general_bm_product
 from .scalars import DEFAULT_COMPLEX_TOL, complex_doubles, gf, rational
@@ -221,20 +214,14 @@ def cmd_dependence(args):
 
 def cmd_inverse_pair(args):
     pair = _decode(args.input, HyperPair.from_json, "pair")
-    try:
-        inverse = recover_outer_inverse(pair)
-    except FactorabilityError:
-        # the pass is repeated only to name the failing block or slice
+    report = pair_invertible(pair)
+    if not report:
         _write(
-            {
-                "invertible": False,
-                "C": None,
-                "D": None,
-                "diagnostics": pair_invertible(pair).to_json(),
-            },
+            {"invertible": False, "C": None, "D": None, "diagnostics": report.to_json()},
             args.out,
         )
         return EXIT_OK
+    inverse = report.inverse
     residual = sandwich_check(pair, inverse, unit_probe_basis(*pair.dims, pair.domain))
     _check_deviation(residual, pair.domain, "recovered inverse failed the sandwich check")
     _write(

@@ -15,7 +15,9 @@ inverts each and :func:`_outer_inverse` factors the inverse slices (at the
 domain tolerance over C).  :func:`pair_invertible`,
 :func:`recover_outer_inverse` and the nullity module's candidate pairs all
 decide through these helpers; a 2x2 minor (:func:`_rank_one_violation`)
-only names a slice that fails.
+only names a slice that fails.  A caller decides a pair with one run:
+the report of :func:`pair_invertible` carries the recovered (C, D) of an
+invertible pair, and the nullity module keeps the factors it accepted.
 """
 
 from __future__ import annotations
@@ -234,6 +236,7 @@ class InvertibilityReport:
     reason: str | None = None
     singular_block: tuple | None = None
     bad_minor: dict | None = None
+    inverse: OuterInversePair | None = None  # the recovered (C, D); not serialized
 
     def __bool__(self):
         return self.invertible
@@ -361,10 +364,11 @@ def pair_invertible(pair: HyperPair) -> InvertibilityReport:
     exactly when :func:`recover_outer_inverse` returns.  The diagnostics
     name the first singular block or the first slice that does not
     factor, with its first nonzero 2x2 minor, which decides nothing.
+    An invertible report carries the recovered (C, D) as ``inverse``.
     """
-    _, failure = _recover(pair)
+    inverse, failure = _recover(pair)
     if failure is None:
-        return InvertibilityReport(invertible=True)
+        return InvertibilityReport(invertible=True, inverse=inverse)
     if len(failure) == 2:
         return InvertibilityReport(
             invertible=False,

@@ -13,8 +13,10 @@ decomposition is the rank, the first that completes gives the nullity.
 Completions and direct-search candidates share one memoised block test,
 :func:`_invertible_blocks`, over the block helpers of ``inverse``; a pair
 is invertible exactly when its inverse slices then factor
-(``inverse._outer_inverse``).  Only :func:`nullity` labels via-rank
-certificates with their strategy and transpose count.
+(``inverse._outer_inverse``), and the factors are kept: the certificate
+pair of a completion, the outer inverse of a direct-search action.  Only
+:func:`nullity` labels via-rank certificates with their strategy and
+transpose count.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .inverse import (
     _invert_block,
     _outer_inverse,
     flatten,
-    pair_invertible,
     recover_outer_inverse,
 )
 from .products import CONTRACTED_AXES, bm_product, identity_pair
@@ -350,8 +351,11 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
     :func:`_invertible_blocks` and the factorization of its inverse
     slices; the factors (C, D) of the first invertible completion are
     the certificate pair, which maps ``a`` to the (zero-padded) middle
-    leg.  Completion failure is surfaced as CompletionError, never
-    silently accepted.  The certificate reads strategy "via-rank" with no
+    leg.  (C, D) undoes the completion's action, and a left inverse on a
+    finite-dimensional space is a right inverse, so (C, D) is invertible
+    with outer inverse the completed legs and is not tested again.
+    Completion failure is surfaced as CompletionError, never silently
+    accepted.  The certificate reads strategy "via-rank" with no
     transposes applied; :func:`nullity` relabels its own.
     """
     m, n, p = a.shape
@@ -401,8 +405,6 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         u = Hypermatrix((m, p, p), u_data, dom)
         w = Hypermatrix((p, n, p), w_data, dom)
         cert_pair = HyperPair(factored.c, factored.d)
-        if not pair_invertible(cert_pair):
-            continue
         g = cert_pair.act(a)
         bad = [k for k in zero_set if not _slice_is_zero(g, k, tol_scale)]
         if bad:
@@ -447,8 +449,8 @@ def _invertible_actions(m, n, p, domain, budget):
     block inverts (:func:`_invertible_blocks`, memoised per call) and
     every inverse slice factors (``inverse._outer_inverse``).  Candidates
     are deduped by the block tuple (which determines the action) before
-    the factorization.  Returns a list of
-    (blocks, flat0, flat1); cached per signature.
+    the factorization.  Returns a list of (blocks, flat0, flat1, inverse),
+    ``inverse`` the factored (C, D); cached per signature.
     """
     q = domain.q
     digits = m * p * p + p * n * p
@@ -472,10 +474,10 @@ def _invertible_actions(m, n, p, domain, budget):
             if found is None or found[0] in actions:
                 continue
             blocks, inv_blocks = found
-            if _outer_inverse(inv_blocks, m, n, domain)[0] is not None:
-                actions[blocks] = (flat0, flat1)
-    out = [(blocks, f0, f1) for blocks, (f0, f1) in actions.items()]
-    _ACTION_CACHE[key] = out
+            inverse = _outer_inverse(inv_blocks, m, n, domain)[0]
+            if inverse is not None:
+                actions[blocks] = (blocks, flat0, flat1, inverse)
+    out = _ACTION_CACHE[key] = list(actions.values())
     return out
 
 
@@ -491,7 +493,7 @@ def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS)
     av = oriented.data
     fibers = [av[ij * p : (ij + 1) * p] for ij in range(m * n)]
     best = None
-    for blocks, flat0, flat1 in _invertible_actions(m, n, p, dom, budget):
+    for blocks, flat0, flat1, inverse in _invertible_actions(m, n, p, dom, budget):
         # entry (i, j, k) of the action is row k of block (i, j) times the
         # input fiber at (i, j)
         zero_slices = []
@@ -502,26 +504,28 @@ def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS)
             else:
                 zero_slices.append(k)
         if best is None or len(zero_slices) > len(best[1]):
-            best = ((flat0, flat1), zero_slices)
-    (flat0, flat1), zero_slices = best
+            best = ((flat0, flat1, inverse), zero_slices)
+    (flat0, flat1, inverse), zero_slices = best
     pair = HyperPair(
         Hypermatrix((m, p, p), list(flat0), dom),
         Hypermatrix((p, n, p), list(flat1), dom),
     )
-    return _pair_certificate(pair, zero_slices, "direct-search", tcount)
+    return _pair_certificate(pair, inverse, zero_slices, "direct-search", tcount)
 
 
-def _pair_certificate(pair, zero_set, strategy, tcount):
-    """The certificate of ``pair`` with its recovered outer inverse."""
+def _pair_certificate(pair, inverse, zero_set, strategy, tcount):
+    """The certificate of ``pair`` with its outer inverse ``inverse``."""
     return NullityCertificate(
-        pair=pair, outer_inverse=recover_outer_inverse(pair), zero_set=tuple(zero_set),
+        pair=pair, outer_inverse=inverse, zero_set=tuple(zero_set),
         nullity=len(zero_set), strategy=strategy, transposes_applied=tcount,
     )
 
 
 def _zero_pair_certificate(a, tcount):
     pair = HyperPair(*identity_pair(*a.shape, a.domain))
-    return _pair_certificate(pair, range(a.shape[2]), "zero-input", tcount)
+    return _pair_certificate(
+        pair, recover_outer_inverse(pair), range(a.shape[2]), "zero-input", tcount
+    )
 
 
 def _via_rank_over_gf(oriented, budget, seed):
@@ -531,8 +535,10 @@ def _via_rank_over_gf(oriented, budget, seed):
     on), and then the true nullity is smaller: climb the term counts
     until a completion exists.  A pair with z zero slices always yields a
     completable (p - z)-term decomposition, so the first level that
-    completes matches the exhaustive oracle.  The climb also finds the
-    rank: the first level with a decomposition, p when none below p has.
+    completes matches the exhaustive oracle, as long as the per-level cap
+    of ``DEFAULT_DECOMPOSITION_ATTEMPTS`` decompositions does not bind.
+    The climb also finds the rank: the first level with a decomposition,
+    p when none below p has.
     """
     p = oriented.shape[2]
     r = None
@@ -582,13 +588,13 @@ def nullity(
     Equality fails on 8 of the 256 GF(2) 2x2x2 inputs, each of rank one
     and nullity 0 (``tests/test_census.py``).
     """
-    oriented, tcount = orient_depth_min(a)
-    m, n, p = oriented.shape
-    dom = a.domain
     if strategy == "direct-search":
         return nullity_direct_search(a, budget=budget)
     if strategy != "via-rank":
         raise ValueError(f"unknown strategy {strategy!r}")
+    oriented, tcount = orient_depth_min(a)
+    m, n, p = oriented.shape
+    dom = a.domain
     if oriented.is_zero():
         return _zero_pair_certificate(oriented, tcount)
     label = "via-rank"

@@ -261,8 +261,17 @@ def test_inverse_pair_roundtrip(tmp_path):
 
 
 def test_inverse_pair_flattens_an_invertible_pair_once(tmp_path, monkeypatch, capsys):
-    pair = random_pair(2, 2, 2, scalars.gf(7), random.Random(3))
-    f = write_json(tmp_path, "pair.json", pair.to_json())
+    """One flattening decides a pair, invertible or not; a pair that is
+    not invertible prints the report of ``pair_invertible`` as its
+    diagnostics: here a singular block, then a slice that does not factor."""
+    gf7 = scalars.gf(7)
+    pair = random_pair(2, 2, 2, gf7, random.Random(3))
+    singular = random_pair(2, 2, 2, RAT, random.Random(5))
+    zeroed = Hypermatrix.from_function(
+        (2, 2, 2), RAT, lambda i, t, k: 0 if t == 0 else singular.a[i, t, k]
+    )
+    rng = random.Random(0)
+    dense = [Hypermatrix.random((2, 2, 2), gf7, rng, nonzero=True) for _ in range(2)]
     calls = []
     flatten = inverse.flatten
 
@@ -271,9 +280,19 @@ def test_inverse_pair_flattens_an_invertible_pair_once(tmp_path, monkeypatch, ca
         return flatten(p)
 
     monkeypatch.setattr(inverse, "flatten", counted)
+    f = write_json(tmp_path, "pair.json", pair.to_json())
     assert main(["inverse-pair", f]) == 0
     assert json.loads(capsys.readouterr().out)["invertible"] is True
     assert len(calls) == 1
+    for broken in (inverse.HyperPair(zeroed, singular.b), inverse.HyperPair(*dense)):
+        report = inverse.pair_invertible(broken).to_json()
+        f = write_json(tmp_path, "broken.json", broken.to_json())
+        calls.clear()
+        assert main(["inverse-pair", f]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert out == {"invertible": False, "C": None, "D": None, "diagnostics": report}
+    assert report["bad_minor"] is not None
 
 
 def test_nullity_command(tmp_path):

@@ -241,7 +241,7 @@ def test_invertible_actions_match_oracle(monkeypatch, m, n, p, q):
     dom = scalars.gf(q)
     budget = q ** (m * p * p + p * n * p)
     got = nullity_module._invertible_actions(m, n, p, dom, budget)
-    assert got == ref._invertible_actions(m, n, p, dom, budget)
+    assert [a[:3] for a in got] == ref._invertible_actions(m, n, p, dom, budget)
 
 
 def sampled_itertools(seed, size):
@@ -279,7 +279,7 @@ def test_sampled_invertible_actions_match_oracle(seed, q):
         patch.setattr(ref, "itertools", fake)
         dom = scalars.gf(q)
         got = nullity_module._invertible_actions(2, 2, 2, dom, q**16)
-        assert got == ref._invertible_actions(2, 2, 2, dom, q**16)
+        assert [a[:3] for a in got] == ref._invertible_actions(2, 2, 2, dom, q**16)
 
 
 @settings(max_examples=30, deadline=None)

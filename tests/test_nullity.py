@@ -1,6 +1,8 @@
 import importlib
+import itertools
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,15 @@ from bmalg.errors import (
     CompletionError,
     ShapeError,
 )
-from bmalg.inverse import HyperPair, pair_invertible, random_pair, scaling_inverse
+from bmalg.inverse import (
+    HyperPair,
+    pair_invertible,
+    random_pair,
+    recover_outer_inverse,
+    sandwich_check,
+    scaling_inverse,
+    unit_probe_basis,
+)
 from bmalg.nullity import (
     MatrixDecomposition,
     hyper_nullity_necessity,
@@ -359,6 +369,69 @@ def test_direct_search_budget_holds_on_cache_hit(monkeypatch):
     assert nullity_direct_search(a).nullity == 0
     with pytest.raises(BudgetExceededError):
         nullity_direct_search(a, budget=10)
+
+
+ACTION_SIGNATURES = [(1, 1, 1, 251), (1, 1, 2, 3), (2, 2, 1, 3), (2, 3, 1, 7), (2, 2, 2, 2)]
+
+
+def test_direct_search_actions_keep_the_recovered_inverse():
+    """Each stored action carries the (C, D) that ``recover_outer_inverse``
+    gives for its pair, over every signature the action oracle enumerates."""
+    nullity_module = importlib.import_module("bmalg.nullity")
+    for m, n, p, q in ACTION_SIGNATURES:
+        dom = scalars.gf(q)
+        budget = q ** (m * p * p + p * n * p)
+        for _, flat0, flat1, inverse in nullity_module._invertible_actions(
+            m, n, p, dom, budget
+        ):
+            pair = HyperPair(
+                Hypermatrix((m, p, p), list(flat0), dom),
+                Hypermatrix((p, n, p), list(flat1), dom),
+            )
+            assert inverse.to_json() == recover_outer_inverse(pair).to_json()
+
+
+def certificate_inputs():
+    """Every GF(2) 2x2x2 input, then five seeded inputs of each action
+    signature's shape."""
+    for bits in itertools.product(range(2), repeat=8):
+        yield Hypermatrix((2, 2, 2), list(bits), GF2)
+    rng = random.Random(25)
+    for m, n, p, q in ACTION_SIGNATURES:
+        for _ in range(5):
+            yield Hypermatrix.random((m, n, p), scalars.gf(q), rng)
+
+
+def test_certificate_pairs_are_invertible_with_their_outer_inverse():
+    """A direct-search certificate equals the one rebuilt by recovering
+    its pair's inverse; a via-rank certificate pair, which necessity
+    accepts without re-testing, passes the pair test and is undone by
+    the certificate's completed legs on every unit probe."""
+    for a in certificate_inputs():
+        direct = nullity_direct_search(a)
+        rebuilt = replace(direct, outer_inverse=recover_outer_inverse(direct.pair))
+        assert direct.to_json() == rebuilt.to_json()
+        via = nullity(a)
+        assert pair_invertible(via.pair)
+        probes = unit_probe_basis(*via.pair.dims, a.domain)
+        assert sandwich_check(via.pair, via.outer_inverse, probes) == 0.0
+
+
+def test_direct_search_orients_the_input_once(monkeypatch):
+    nullity_module = importlib.import_module("bmalg.nullity")
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return orient_depth_min(a)
+
+    monkeypatch.setattr(nullity_module, "orient_depth_min", counted)
+    a = Hypermatrix.from_function((2, 1, 2), GF2, lambda i, j, k: i + k)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        nullity(a, strategy="guess")
+    cert = nullity(a, strategy="direct-search")
+    assert len(calls) == 1
+    assert cert.to_json() == nullity_direct_search(a).to_json()
 
 
 def test_via_rank_honours_budget():

@@ -75,10 +75,23 @@ def test_rational_zero_slice_path_matches_reference():
 
 
 def test_complex_nullity_matches_reference():
+    """Six seeded inputs per shape and a one-term reconstruction of each
+    seed, whose completions fill unused slices.  The reference re-tests
+    every certificate pair, so a pair that fails the pair test would
+    show here as a different certificate."""
     cplx = scalars.complex_doubles()
-    for shape, seed in [((2, 2, 2), 1), ((2, 2, 2), 2), ((2, 3, 4), 3)]:
-        a = Hypermatrix.random(shape, cplx, random.Random(seed))
-        assert_same_nullity(a, seed=seed)
+    for (m, n, p), seed in itertools.product(
+        [(2, 2, 2), (3, 3, 2), (2, 3, 4), (3, 3, 3)], range(1, 7)
+    ):
+        rng = random.Random(seed)
+        assert_same_nullity(Hypermatrix.random((m, n, p), cplx, rng), seed=seed)
+        one_term = DecompositionTriple(
+            Hypermatrix.random((m, 1, p), cplx, rng),
+            Hypermatrix.random((m, n, 1), cplx, rng),
+            Hypermatrix.random((1, n, p), cplx, rng),
+            (0,),
+        )
+        assert_same_nullity(one_term.reconstruct(), seed=seed)
 
 
 def random_triple(rng, q, shape, ell, support, nonzero):
