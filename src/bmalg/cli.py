@@ -252,6 +252,9 @@ def cmd_nullity(args):
             f"certificate zero slice {bad} failed re-verification",
             EXIT_VERIFICATION,
         )
+    probes = unit_probe_basis(*cert.pair.dims, a.domain)
+    residual = sandwich_check(cert.pair, cert.outer_inverse, probes)
+    _check_deviation(residual, a.domain, "certificate outer inverse failed the sandwich check")
     _write(cert.to_json(), args.out)
     return EXIT_OK
 

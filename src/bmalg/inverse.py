@@ -10,13 +10,15 @@ inverts and every slice G_{t,k} of the inverse blocks factors as a
 column times a row; the factors are (C, D).
 
 This module states that test once, in :func:`_recover`: :func:`flatten`
-builds the blocks (:func:`_flattening_block`), :func:`_invert_block`
-inverts each and :func:`_outer_inverse` factors the inverse slices (at the
-domain tolerance over C).  :func:`pair_invertible`,
-:func:`recover_outer_inverse` and the nullity module's candidate pairs all
-decide through these helpers; a 2x2 minor (:func:`_rank_one_violation`)
-only names a slice that fails.  A caller decides a pair with one run:
-the report of :func:`pair_invertible` carries the recovered (C, D) of an
+builds block (i, j) (:func:`_flattening_block`) from the slices A[i, :, :]
+of :func:`_row_slices` and B[:, j, :] of :func:`_col_slices`,
+:func:`_invert_block` inverts each and :func:`_outer_inverse` factors the
+inverse slices (at the domain tolerance over C).  :func:`pair_invertible`,
+:func:`recover_outer_inverse` and the nullity module's candidate pairs,
+given as slices to the memoised :func:`_invertible_blocks`, all decide
+through these helpers; a 2x2 minor (:func:`_rank_one_violation`) only
+names a slice that fails.  A caller decides a pair with one run: the
+report of :func:`pair_invertible` carries the recovered (C, D) of an
 invertible pair, and the nullity module keeps the factors it accepted.
 """
 
@@ -204,6 +206,11 @@ class FlatteningMatrix:
         return self.blocks[blk_r][t, s]
 
 
+def _row_slices(flat0, p):
+    """The slices A[i, :, :] of an (m, p, p) leg's flat data, as tuples."""
+    return [tuple(flat0[at : at + p * p]) for at in range(0, len(flat0), p * p)]
+
+
 def _col_slices(flat1, n, p):
     """The slices B[:, j, :] of a (p, n, p) leg's flat data, as tuples in
     (s, t) order: B[s, j, :] is the (s n + j)-th run of p entries."""
@@ -223,8 +230,7 @@ def _flattening_block(row, col, dom) -> Matrix:
 
 def flatten(pair: HyperPair) -> FlatteningMatrix:
     m, n, p = pair.dims
-    dom, a = pair.domain, pair.a.data
-    rows = [a[at : at + p * p] for at in range(0, len(a), p * p)]  # A[i, :, :]
+    dom, rows = pair.domain, _row_slices(pair.a.data, p)
     cols = _col_slices(pair.b.data, n, p)
     blocks = [_flattening_block(row, col, dom) for row in rows for col in cols]
     return FlatteningMatrix(m=m, n=n, p=p, blocks=blocks)
@@ -288,6 +294,25 @@ def _invert_block(blk: Matrix):
         ) * 1e3 * (1.0 + blk.norm()):
             return None
     return inv
+
+
+def _invertible_blocks(rows, cols, memo, domain):
+    """The flattening blocks of a pair from its :func:`_row_slices` and
+    :func:`_col_slices`, row-major over (i, j), and their inverses; None at
+    the first singular block.  Block (i, j) reads only rows[i] and cols[j],
+    so each distinct (row, col) is built and inverted once per ``memo``."""
+    blocks, inv_blocks = [], []
+    for row in rows:
+        for col in cols:
+            found = memo.get((row, col))
+            if found is None:
+                blk = _flattening_block(row, col, domain)
+                found = memo[row, col] = (tuple(blk.data), _invert_block(blk))
+            if found[1] is None:
+                return None
+            blocks.append(found[0])
+            inv_blocks.append(found[1])
+    return tuple(blocks), inv_blocks
 
 
 def _factor_rank_one(g: Matrix, tol):

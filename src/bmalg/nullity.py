@@ -10,9 +10,9 @@ a certificate pair exhibiting p - r zero slices, completing the unused
 leg slices until the completed pair is invertible.  Over GF(q) the
 via-rank nullity climbs the term counts once: the first level with a
 decomposition is the rank, the first that completes gives the nullity.
-Completions and direct-search candidates share one memoised block test,
-:func:`_invertible_blocks`, over the block helpers of ``inverse``; a pair
-is invertible exactly when its inverse slices then factor
+Completions and direct-search candidates are leg slices, tested by the
+memoised block test of ``inverse`` (``_invertible_blocks``); a pair is
+invertible exactly when its inverse slices then factor
 (``inverse._outer_inverse``), and the factors are kept: the certificate
 pair of a completion, the outer inverse of a direct-search action.  Only
 :func:`nullity` labels via-rank certificates with their strategy and
@@ -38,10 +38,9 @@ from .inverse import (
     HyperPair,
     OuterInversePair,
     _col_slices,
-    _flattening_block,
-    _invert_block,
+    _invertible_blocks,
     _outer_inverse,
-    flatten,
+    _row_slices,
     recover_outer_inverse,
 )
 from .products import CONTRACTED_AXES, bm_product, identity_pair
@@ -255,29 +254,6 @@ def hyper_nullity_sufficiency(
     return triple
 
 
-def _invertible_blocks(rows, cols, memo, domain):
-    """The flattening blocks of a pair, row-major over (i, j), and their
-    inverses; None at the first singular block.
-
-    ``rows`` holds the flat slices X0[i, :, :] and ``cols`` the slices
-    X1[:, j, :] of ``inverse._col_slices``, as tuples.  Block (i, j)
-    depends only on rows[i] and cols[j], so each distinct pair of them is
-    built and inverted once per ``memo``.
-    """
-    blocks, inv_blocks = [], []
-    for row in rows:
-        for col in cols:
-            found = memo.get((row, col))
-            if found is None:
-                blk = _flattening_block(row, col, domain)
-                found = memo[row, col] = (tuple(blk.data), _invert_block(blk))
-            if found[1] is None:
-                return None
-            blocks.append(found[0])
-            inv_blocks.append(found[1])
-    return tuple(blocks), inv_blocks
-
-
 def _padded_legs(d: DecompositionTriple, p):
     """The legs of ``d`` restacked along their contracted axes with zero
     slices ell..p-1 after their own; still zero outside ``d.support``."""
@@ -293,51 +269,49 @@ def _padded_legs(d: DecompositionTriple, p):
 
 
 def _completion_candidates(x0, x2, unused, exhaustive, seed):
-    """Yield the flat data (u_data, w_data) of the legs ``x0`` and ``x2``
-    with their unused slices completed: per unused t, the column slice
-    U[:, t, :] (m x p values) and the row slice W[t, :, :] (n x p values).
+    """Yield the legs ``x0`` and ``x2`` with their unused slices filled,
+    as the (rows, cols) of ``inverse._row_slices`` and ``_col_slices``:
+    per unused t, each U[i, t, :] and each W[t, j, :] (p values each).
 
     Order: the identity pattern first (the given legs alone when no
     slice is unused); with ``exhaustive`` every assignment over GF(q) in
-    lexicographic order, all first-leg digits before all third-leg
-    digits; otherwise seeded uniform-style random slices (constant along
-    the free index), which keep the flattening inverse factorable
-    whenever anything does.
+    lexicographic order, first-leg fills as the outer loop and the
+    third-leg fills, built once, as the inner one; otherwise seeded
+    uniform-style random slices (constant along the free index), which
+    keep the flattening inverse factorable whenever anything does.
     """
     m, p, _ = x0.shape
     n = x2.shape[1]
     domain = x0.domain
-    # where the p values of each U[i, t, :], then of each W[t, j, :], go
-    u_at = [(i * p + t) * p for t in unused for i in range(m)]
-    w_at = [(t * n + j) * p for t in unused for j in range(n)]
+    rows, cols = _row_slices(x0.data, p), _col_slices(x2.data, n, p)
 
-    def splice(rows):
-        u_data, w_data = list(x0.data), list(x2.data)
-        for at, row in zip(u_at, rows):
-            u_data[at : at + p] = row
-        for at, row in zip(w_at, rows[len(u_at) :]):
-            w_data[at : at + p] = row
-        return u_data, w_data
+    def fill(slices, values):
+        # values: per unused t, then per slice, the p values of slice t
+        values, out = iter(values), [list(cut) for cut in slices]
+        for t in unused:
+            for cut in out:
+                cut[t * p : (t + 1) * p] = itertools.islice(values, p)
+        return [tuple(cut) for cut in out]
 
     one, zero = domain.one(), domain.zero()
     units = [[one if t == k else zero for k in range(p)] for t in unused]
-    yield splice([e for e in units for _ in range(m)]
-                 + [e for e in units for _ in range(n)])
+    yield (fill(rows, [v for e in units for v in e * m]),
+           fill(cols, [v for e in units for v in e * n]))
     if not unused:
         return
     if exhaustive:
-        for flat in itertools.product(
-            range(domain.q), repeat=len(unused) * (m + n) * p
-        ):
-            yield splice([flat[at : at + p] for at in range(0, len(flat), p)])
+        digits, size = range(domain.q), len(unused) * p
+        w_fills = [fill(cols, w) for w in itertools.product(digits, repeat=size * n)]
+        for u in itertools.product(digits, repeat=size * m):
+            yield from itertools.product([fill(rows, u)], w_fills)
         return
     rng = random.Random(seed)
     for _ in range(DEFAULT_COMPLETION_RETRIES):
-        u_rows, w_rows = [], []
+        u_values, w_values = [], []
         for _ in unused:
-            u_rows += [[domain.random_nonzero(rng) for _ in range(p)]] * m
-            w_rows += [[domain.random_nonzero(rng) for _ in range(p)]] * n
-        yield splice(u_rows + w_rows)
+            u_values += [domain.random_nonzero(rng) for _ in range(p)] * m
+            w_values += [domain.random_nonzero(rng) for _ in range(p)] * n
+        yield fill(rows, u_values), fill(cols, w_values)
 
 
 def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
@@ -347,13 +321,14 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
 
     The unused column slices of the first leg and row slices of the
     third leg are completed until the completed pair is invertible,
-    each completion tested by the memoised block test
-    :func:`_invertible_blocks` and the factorization of its inverse
-    slices; the factors (C, D) of the first invertible completion are
-    the certificate pair, which maps ``a`` to the (zero-padded) middle
-    leg.  (C, D) undoes the completion's action, and a left inverse on a
-    finite-dimensional space is a right inverse, so (C, D) is invertible
-    with outer inverse the completed legs and is not tested again.
+    each completion, given as leg slices, tested by the memoised block
+    test ``inverse._invertible_blocks`` and the factorization of its
+    inverse slices; the factors (C, D) of the first invertible
+    completion are the certificate pair, which maps ``a`` to the
+    (zero-padded) middle leg.  (C, D) undoes the completion's action,
+    and a left inverse on a finite-dimensional space is a right inverse,
+    so (C, D) is invertible with outer inverse the completed legs, which
+    are rebuilt from their slices, and is not tested again.
     Completion failure is surfaced as CompletionError, never silently
     accepted.  The certificate reads strategy "via-rank" with no
     transposes applied; :func:`nullity` relabels its own.
@@ -380,30 +355,25 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
             )
     unused = [t for t in range(p) if t not in s]
     zero_set = tuple(unused)
-    # column t of flattening block (i, j) reads only slice t of both legs,
-    # so a zero support column can never be fixed by completing the
-    # unused slices: reject such decompositions early
-    for idx, block in enumerate(flatten(HyperPair(x0, x2)).blocks):
-        for t_sup in s:
-            if all(map(dom.is_zero, block.data[t_sup::p])):
-                i, j = divmod(idx, n)
-                raise CompletionError(
-                    f"flattening block ({i},{j}) has a structurally zero "
-                    f"support column {t_sup}; no completion is invertible"
-                )
+    # column t of flattening block (i, j) is X0[i, t, :] * X2[t, j, :]
+    # entrywise, so a zero support column can never be fixed by
+    # completing the unused slices: reject such decompositions early
+    for i, j, t in itertools.product(range(m), range(n), s):
+        if all(dom.is_zero(dom.mul(x0[i, t, k], x2[t, j, k])) for k in range(p)):
+            raise CompletionError(
+                f"flattening block ({i},{j}) has a structurally zero "
+                f"support column {t}; no completion is invertible"
+            )
     exhaustive = (
         dom.kind == "gf"
         and dom.q ** (len(unused) * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
     )
     memo = {}
-    for u_data, w_data in _completion_candidates(x0, x2, unused, exhaustive, seed):
-        rows = [tuple(u_data[i * p * p : (i + 1) * p * p]) for i in range(m)]
-        found = _invertible_blocks(rows, _col_slices(w_data, n, p), memo, dom)
+    for rows, cols in _completion_candidates(x0, x2, unused, exhaustive, seed):
+        found = _invertible_blocks(rows, cols, memo, dom)
         factored = found and _outer_inverse(found[1], m, n, dom)[0]
         if not factored:
             continue
-        u = Hypermatrix((m, p, p), u_data, dom)
-        w = Hypermatrix((p, n, p), w_data, dom)
         cert_pair = HyperPair(factored.c, factored.d)
         g = cert_pair.act(a)
         bad = [k for k in zero_set if not _slice_is_zero(g, k, tol_scale)]
@@ -414,6 +384,10 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
                 )
             continue
         residual = None if dom.is_exact else g.sub(x1).norm() / (1.0 + a.norm())
+        # U is the rows in turn; W[t, j, k] is cols[j][t p + k]
+        u = Hypermatrix((m, p, p), itertools.chain(*rows), dom)
+        w_data = [col[t * p + k] for t in range(p) for col in cols for k in range(p)]
+        w = Hypermatrix((p, n, p), w_data, dom)
         return NullityCertificate(
             pair=cert_pair,
             outer_inverse=OuterInversePair(u, w, gauge="completed-legs"),
@@ -446,7 +420,7 @@ def _invertible_actions(m, n, p, domain, budget):
 
     Enumerates every (X0, X1) candidate in integer form and keeps those
     that pass the test of ``inverse.pair_invertible``: every flattening
-    block inverts (:func:`_invertible_blocks`, memoised per call) and
+    block inverts (``inverse._invertible_blocks``, memoised per call) and
     every inverse slice factors (``inverse._outer_inverse``).  Candidates
     are deduped by the block tuple (which determines the action) before
     the factorization.  Returns a list of (blocks, flat0, flat1, inverse),
@@ -468,7 +442,7 @@ def _invertible_actions(m, n, p, domain, budget):
     ]
     actions = {}
     for flat0 in itertools.product(range(q), repeat=m * p * p):
-        rows = [flat0[i * p * p : (i + 1) * p * p] for i in range(m)]
+        rows = _row_slices(flat0, p)
         for flat1, cols in legs1:
             found = _invertible_blocks(rows, cols, memo, domain)
             if found is None or found[0] in actions:

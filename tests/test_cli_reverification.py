@@ -1,6 +1,7 @@
 """``bmalg nullity`` re-verifies a certificate on the input oriented as
 the certificate says, so a misreported transpose count is caught, and
-``bmalg dependence`` re-verifies that an exact witness cancels."""
+its outer inverse by the sandwich check, and ``bmalg dependence``
+re-verifies that an exact witness cancels."""
 
 import dataclasses
 import json
@@ -10,6 +11,7 @@ import pytest
 from bmalg import cli, scalars
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.dependence import SliceDependence
+from bmalg.inverse import OuterInversePair
 
 GF2 = scalars.gf(2)
 
@@ -35,6 +37,29 @@ def test_nullity_rejects_a_misreported_orientation(tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "failed re-verification" in captured.err
+
+
+@pytest.mark.parametrize("dom", [GF2, scalars.complex_doubles()], ids=["gf2", "complex"])
+def test_nullity_rejects_a_wrong_outer_inverse(tmp_path, monkeypatch, capsys, dom):
+    a = Hypermatrix((2, 2, 2), [1, 2, 1, 1, 2, 1, 1, 2], dom)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(a.to_json()))
+    assert cli.main(["nullity", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+
+    nullity = cli.nullity
+
+    def wrong_inverse(*args, **kwargs):
+        cert = nullity(*args, **kwargs)
+        c, d = cert.outer_inverse.c, cert.outer_inverse.d
+        zero_c = Hypermatrix.zeros(c.shape, c.domain)
+        return dataclasses.replace(cert, outer_inverse=OuterInversePair(zero_c, d))
+
+    monkeypatch.setattr(cli, "nullity", wrong_inverse)
+    assert cli.main(["nullity", str(path)]) == cli.EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outer inverse failed the sandwich check" in captured.err
 
 
 def broken(witness):

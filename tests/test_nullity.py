@@ -264,11 +264,12 @@ def gf_triple(q, x0, x1, x2, support):
     return DecompositionTriple(*legs, support)
 
 
-def test_hyper_necessity_structurally_zero_support_column():
+@pytest.mark.parametrize("dom", [scalars.gf(2), CPLX, RAT], ids=["gf2", "complex", "rational"])
+def test_hyper_necessity_structurally_zero_support_column(dom):
     # X0[0, 1, :] = 0, so column 1 of flattening block (0, 0) is zero
     # whatever the unused slices are completed with
-    legs = [1, 1, 0, 0, 1, 1, 1, 1]
-    d = gf_triple(2, legs, legs, legs, (0, 1))
+    legs = (Hypermatrix((2, 2, 2), [1, 1, 0, 0, 1, 1, 1, 1], dom) for _ in range(3))
+    d = DecompositionTriple(*legs, (0, 1))
     with pytest.raises(CompletionError) as info:
         hyper_nullity_necessity(d.reconstruct(), d)
     assert str(info.value) == (

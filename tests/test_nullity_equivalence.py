@@ -105,14 +105,35 @@ def random_triple(rng, q, shape, ell, support, nonzero):
     )
 
 
+def fills_beyond_identity(cert_json, p):
+    """Whether a GF(q) certificate's completed legs U, W leave the
+    identity fill on an unused slice t: some U[i, t, :] or W[t, j, :] is
+    not the unit row e_t."""
+    inverse = cert_json["outer_inverse"]
+    u, w = (Hypermatrix.from_json(inverse[name]) for name in ("C", "D"))
+    m, n = u.shape[0], w.shape[1]
+    return any(
+        u[i, t, k] != (t == k) or w[t, j, k] != (t == k)
+        for t in cert_json["zero_slices"]
+        for i, j, k in itertools.product(range(m), range(n), range(p))
+    )
+
+
 def test_necessity_matches_reference_on_random_gf_triples():
     """One- and two-term triples over GF(3), where (2, 2, 2) completions
-    are swept exhaustively, and over GF(7), where they are random;
-    failures (CompletionError, CertificateError) must match too."""
+    are swept exhaustively, and over GF(7), where they are random, then
+    one-term triples with m != n over GF(2) and GF(3), swept exhaustively;
+    failures (CompletionError, CertificateError) must match too.  Three
+    of them complete only off the identity fill, so the sweep's order of
+    outer and inner loops and the legs rebuilt from their slices are
+    compared."""
     necessity = nullity_module.hyper_nullity_necessity
     rng = random.Random(17)
     kinds = set()
-    for q in (3, 7):
+    beyond_identity = False
+    cases = [
+        (q, shape, ell, support)
+        for q in (3, 7)
         for shape, ell, support in [
             ((2, 2, 2), 2, (0,)),
             ((2, 2, 2), 2, (1,)),
@@ -121,15 +142,36 @@ def test_necessity_matches_reference_on_random_gf_triples():
             ((2, 3, 2), 2, (1,)),
             ((3, 3, 3), 2, (0, 1)),
             ((3, 3, 3), 3, (2,)),
-        ]:
-            for nonzero in (True, True, False, False):
-                d = random_triple(rng, q, shape, ell, support, nonzero)
-                a = d.reconstruct()
-                for seed in (0, 3):
-                    got = outcome(necessity, a, d, seed=seed)
-                    assert got == outcome(ref.hyper_nullity_necessity, a, d, seed=seed)
-                    kinds.add(got[0] if isinstance(got, tuple) else "certificate")
+        ]
+    ] + [
+        (q, shape, 1, (0,)) for q in (2, 3) for shape in [(3, 2, 2), (2, 3, 2)]
+    ]
+    triples = [
+        random_triple(rng, q, shape, ell, support, nonzero)
+        for q, shape, ell, support in cases
+        for nonzero in (True, True, False, False)
+    ]
+    # one-term triples whose identity fill is singular and whose first
+    # accepted fill moves if the sweep's loops are swapped
+    for q, (m, n), x0, x1, x2 in [
+        (2, (2, 3), [1, 1, 1, 1], [1, 0, 0, 0, 1, 1], [0, 1, 0, 1, 1, 1]),
+        (3, (3, 2), [0, 1, 1, 1, 1, 1], [2, 0, 0, 2, 2, 2], [1, 2, 2, 2]),
+        (3, (2, 3), [1, 2, 0, 2], [2, 0, 0, 1, 1, 2], [2, 2, 2, 2, 2, 1]),
+    ]:
+        legs = zip([(m, 1, 2), (m, n, 1), (1, n, 2)], [x0, x1, x2])
+        triples.append(DecompositionTriple(
+            *(Hypermatrix(shape, data, scalars.gf(q)) for shape, data in legs), (0,)
+        ))
+    for d in triples:
+        a = d.reconstruct()
+        for seed in (0, 3):
+            got = outcome(necessity, a, d, seed=seed)
+            assert got == outcome(ref.hyper_nullity_necessity, a, d, seed=seed)
+            kinds.add(got[0] if isinstance(got, tuple) else "certificate")
+            if isinstance(got, str):
+                beyond_identity |= fills_beyond_identity(json.loads(got), a.shape[2])
     assert {"certificate", "CompletionError"} <= kinds
+    assert beyond_identity
 
 
 def test_over_budget_matches_reference():
