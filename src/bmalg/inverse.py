@@ -9,17 +9,20 @@ position (i, j).  The pair is invertible exactly when every block
 inverts and every slice G_{t,k} of the inverse blocks factors as a
 column times a row; the factors are (C, D).
 
-This module states that test once, in :func:`_recover`: :func:`flatten`
-builds block (i, j) (:func:`_flattening_block`) from the slices A[i, :, :]
-of :func:`_row_slices` and B[:, j, :] of :func:`_col_slices`,
-:func:`_invert_block` inverts each and :func:`_outer_inverse` factors the
-inverse slices (at the domain tolerance over C).  :func:`pair_invertible`,
-:func:`recover_outer_inverse` and the nullity module's candidate pairs,
-given as slices to the memoised :func:`_invertible_blocks`, all decide
-through these helpers; a 2x2 minor (:func:`_rank_one_violation`) only
-names a slice that fails.  A caller decides a pair with one run: the
-report of :func:`pair_invertible` carries the recovered (C, D) of an
-invertible pair, and the nullity module keeps the factors it accepted.
+This module states that test once, in one block loop:
+:func:`_invertible_blocks` builds block (i, j) (:func:`_flattening_block`)
+from the slices A[i, :, :] of :func:`_row_slices` and B[:, j, :] of
+:func:`_col_slices` and inverts each (:func:`_invert_block`), and
+:func:`_outer_inverse` factors the inverse slices (at the domain
+tolerance over C).  :func:`pair_invertible` and
+:func:`recover_outer_inverse`, through :func:`_recover`, and the nullity
+module's candidate pairs, given as slices, all decide through these
+helpers; :func:`flatten` builds the same blocks only as the public
+:class:`FlatteningMatrix` view, and a 2x2 minor
+(:func:`_rank_one_violation`) only names a slice that fails.  A caller
+decides a pair with one run: the report of :func:`pair_invertible`
+carries the recovered (C, D) of an invertible pair, and the nullity
+module keeps the factors it accepted.
 """
 
 from __future__ import annotations
@@ -298,18 +301,23 @@ def _invert_block(blk: Matrix):
 
 def _invertible_blocks(rows, cols, memo, domain):
     """The flattening blocks of a pair from its :func:`_row_slices` and
-    :func:`_col_slices`, row-major over (i, j), and their inverses; None at
-    the first singular block.  Block (i, j) reads only rows[i] and cols[j],
-    so each distinct (row, col) is built and inverted once per ``memo``."""
+    :func:`_col_slices`, row-major over (i, j), and their inverses, or
+    (None, (i, j)) at the first singular block.  Block (i, j) reads only
+    rows[i] and cols[j], so each distinct (row, col) is built and
+    inverted once per ``memo``.  A search over many candidates passes a
+    dict; one pair passes None, since hashing its slices (Fractions over
+    Q) costs more than the blocks it would share."""
     blocks, inv_blocks = [], []
-    for row in rows:
-        for col in cols:
-            found = memo.get((row, col))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            found = None if memo is None else memo.get((row, col))
             if found is None:
                 blk = _flattening_block(row, col, domain)
-                found = memo[row, col] = (tuple(blk.data), _invert_block(blk))
+                found = (tuple(blk.data), _invert_block(blk))
+                if memo is not None:
+                    memo[row, col] = found
             if found[1] is None:
-                return None
+                return None, (i, j)
             blocks.append(found[0])
             inv_blocks.append(found[1])
     return tuple(blocks), inv_blocks
@@ -370,14 +378,12 @@ def _outer_inverse(inv_blocks, m, n, dom):
 def _recover(pair: HyperPair):
     """The one invertibility test: (inverse, None), or (None, the first
     singular block (i, j) or the failure of :func:`_outer_inverse`)."""
-    flat = flatten(pair)
-    inv_blocks = []
-    for idx, blk in enumerate(flat.blocks):
-        inv = _invert_block(blk)
-        if inv is None:
-            return None, divmod(idx, flat.n)
-        inv_blocks.append(inv)
-    return _outer_inverse(inv_blocks, flat.m, flat.n, pair.domain)
+    m, n, p = pair.dims
+    rows, cols = _row_slices(pair.a.data, p), _col_slices(pair.b.data, n, p)
+    blocks, found = _invertible_blocks(rows, cols, None, pair.domain)
+    if blocks is None:
+        return None, found
+    return _outer_inverse(found, m, n, pair.domain)
 
 
 def pair_invertible(pair: HyperPair) -> InvertibilityReport:

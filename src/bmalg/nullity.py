@@ -278,7 +278,8 @@ def _completion_candidates(x0, x2, unused, exhaustive, seed):
     lexicographic order, first-leg fills as the outer loop and the
     third-leg fills, built once, as the inner one; otherwise seeded
     uniform-style random slices (constant along the free index), which
-    keep the flattening inverse factorable whenever anything does.
+    keep the flattening inverse factorable whenever anything does, each
+    distinct fill once (over GF(2) every random slice is all ones).
     """
     m, p, _ = x0.shape
     n = x2.shape[1]
@@ -291,12 +292,13 @@ def _completion_candidates(x0, x2, unused, exhaustive, seed):
         for t in unused:
             for cut in out:
                 cut[t * p : (t + 1) * p] = itertools.islice(values, p)
-        return [tuple(cut) for cut in out]
+        return tuple(tuple(cut) for cut in out)
 
     one, zero = domain.one(), domain.zero()
     units = [[one if t == k else zero for k in range(p)] for t in unused]
-    yield (fill(rows, [v for e in units for v in e * m]),
-           fill(cols, [v for e in units for v in e * n]))
+    identity = (fill(rows, [v for e in units for v in e * m]),
+                fill(cols, [v for e in units for v in e * n]))
+    yield identity
     if not unused:
         return
     if exhaustive:
@@ -306,12 +308,16 @@ def _completion_candidates(x0, x2, unused, exhaustive, seed):
             yield from itertools.product([fill(rows, u)], w_fills)
         return
     rng = random.Random(seed)
+    seen = {identity}
     for _ in range(DEFAULT_COMPLETION_RETRIES):
         u_values, w_values = [], []
         for _ in unused:
             u_values += [domain.random_nonzero(rng) for _ in range(p)] * m
             w_values += [domain.random_nonzero(rng) for _ in range(p)] * n
-        yield fill(rows, u_values), fill(cols, w_values)
+        candidate = fill(rows, u_values), fill(cols, w_values)
+        if candidate not in seen:
+            seen.add(candidate)
+            yield candidate
 
 
 def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
@@ -369,9 +375,10 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         and dom.q ** (len(unused) * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
     )
     memo = {}
-    for rows, cols in _completion_candidates(x0, x2, unused, exhaustive, seed):
-        found = _invertible_blocks(rows, cols, memo, dom)
-        factored = found and _outer_inverse(found[1], m, n, dom)[0]
+    candidates = _completion_candidates(x0, x2, unused, exhaustive, seed)
+    for count, (rows, cols) in enumerate(candidates, 1):
+        blocks, inv_blocks = _invertible_blocks(rows, cols, memo, dom)
+        factored = blocks is not None and _outer_inverse(inv_blocks, m, n, dom)[0]
         if not factored:
             continue
         cert_pair = HyperPair(factored.c, factored.d)
@@ -401,7 +408,7 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
     elif exhaustive:
         tried = "identity and every assignment of the unused slices"
     else:
-        tried = f"identity and {DEFAULT_COMPLETION_RETRIES} uniform-random completions"
+        tried = f"identity and {count - 1} distinct uniform-random completions"
     raise CompletionError(
         f"no invertible completion of the decomposition legs was found; tried {tried}"
     )
@@ -444,10 +451,9 @@ def _invertible_actions(m, n, p, domain, budget):
     for flat0 in itertools.product(range(q), repeat=m * p * p):
         rows = _row_slices(flat0, p)
         for flat1, cols in legs1:
-            found = _invertible_blocks(rows, cols, memo, domain)
-            if found is None or found[0] in actions:
+            blocks, inv_blocks = _invertible_blocks(rows, cols, memo, domain)
+            if blocks is None or blocks in actions:
                 continue
-            blocks, inv_blocks = found
             inverse = _outer_inverse(inv_blocks, m, n, domain)[0]
             if inverse is not None:
                 actions[blocks] = (blocks, flat0, flat1, inverse)

@@ -21,13 +21,14 @@ inputs only down to ell = 2 (see :func:`generic_rank_pipeline`).
 The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
 serves :func:`bm_rank_exhaustive` and via-rank nullity, and
 :func:`cp_rank_exhaustive`) enumerate two legs in lexicographic order
-and solve for the third fiber by fiber.  Each outer-leg value is first
-tested alone: a fiber row whose outer coefficients all vanish reads 0,
-so a nonzero right side there rules the value out.  For the rest a
-numpy filter tests blocks of inner candidates (``core.BATCH_ENTRIES``
-array entries at most) against all q^r values of a fiber's unknowns and
-drops exactly the inconsistent ones; survivors keep their order through
-the scalar solver, as in a candidate-by-candidate scan.
+and solve for the third fiber by fiber.  Each outer-leg value is tested
+once, alone, before any inner block: a fiber row whose outer
+coefficients all vanish reads 0, so a nonzero right side there rules
+the value out.  For the rest a numpy filter tests blocks of inner
+candidates (``core.BATCH_ENTRIES`` array entries at most) against all
+q^r values of a fiber's unknowns and drops exactly the inconsistent
+ones; survivors keep their order through the scalar solver, as in a
+candidate-by-candidate scan.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import core
-from .core import Hypermatrix, Matrix, echelon, lex_filter
+from .core import Hypermatrix, Matrix, echelon
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -656,12 +657,14 @@ def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
 
     Fiber f's system in the solved leg s has rows
     sum_t outer[ia[f, row, t]] * inner[ib[f, row, t]] * s[t] = rhs[f, row]
-    (``ia``/``ib`` may broadcast over f).  An outer value that leaves a
-    row with rhs != 0 no nonzero coefficient is ruled out alone: that
-    row reads 0 whatever inner and s are.  Otherwise a numpy filter
-    tries all q^r values of s on a block of inner candidates at once
-    (see :func:`bmalg.core.lex_filter`); only the survivors go through
-    the scalar solver :func:`_fiber_solutions`.
+    (``ia``/``ib`` may broadcast over f).  Each outer value is tested
+    once, before any inner block: one that leaves a row with rhs != 0
+    no nonzero coefficient is ruled out, since that row reads 0 whatever
+    inner and s are.  Otherwise a numpy filter tries all q^r values of s
+    on a block of inner candidates at once: the q^k that share all but
+    their last k digits, k the largest that keeps the block within
+    ``core.BATCH_ENTRIES`` entries.  Only the survivors go through the
+    scalar solver :func:`_fiber_solutions`.
     """
     import numpy as np
     q = domain.q
@@ -671,26 +674,32 @@ def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
     ia_rows, ib_rows = (np.broadcast_to(x, rhs.shape + (r,)).tolist() for x in (ia, ib))
     rhs_rows = rhs.tolist()
     free_rows = rhs == 0
-
-    def consistent(outer, block):
-        coef = outer[ia]
+    k = 0
+    while k < inner_len and q ** (k + 1) * per_candidate <= core.BATCH_ENTRIES:
+        k += 1
+    cut = inner_len - k
+    tails = list(itertools.product(range(q), repeat=k))
+    block = np.empty((inner_len, len(tails)), dtype=np.int64)
+    block.T[:, cut:] = np.reshape(tails, (len(tails), k))
+    for outer in itertools.product(range(q), repeat=outer_len):
+        coef = np.array(outer, dtype=np.int64)[ia]
         if not (free_rows | coef.any(axis=-1)).all():
-            return np.zeros(block.shape[1], dtype=bool)
-        return _block_consistent(values, coef, block[ib], want, q)
-
-    for outer, inner in lex_filter(q, outer_len, inner_len, per_candidate, consistent):
-        options = []
-        for fa, fb, frhs in zip(ia_rows, ib_rows, rhs_rows):
-            rows = [
-                [outer[x] * inner[y] % q for x, y in zip(ra, rb)]
-                for ra, rb in zip(fa, fb)
-            ]
-            sols = _fiber_solutions(rows, frhs, domain, r, all_solutions)
-            if sols is None:
-                break
-            options.append(sols)
-        else:
-            yield outer, inner, options
+            continue
+        for prefix in itertools.product(range(q), repeat=cut):
+            block.T[:, :cut] = prefix
+            hits = _block_consistent(values, coef, block[ib], want, q)
+            for idx in hits.nonzero()[0].tolist():
+                inner = prefix + tails[idx]
+                options = []
+                for fa, fb, frhs in zip(ia_rows, ib_rows, rhs_rows):
+                    rows = [[outer[x] * inner[y] % q for x, y in zip(ra, rb)]
+                            for ra, rb in zip(fa, fb)]
+                    sols = _fiber_solutions(rows, frhs, domain, r, all_solutions)
+                    if sols is None:
+                        break
+                    options.append(sols)
+                else:
+                    yield outer, inner, options
 
 
 def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,

@@ -31,7 +31,9 @@ ran on ``bm_rank_one``, the batched exhaustive GF(q) and the
 numeric dependence searches of ``bmalg.dependence`` as they were before
 both read their witness off a shared nonzero entry (the batched copy is
 named ``is_dependent_exact_batched`` here, because ``is_dependent_exact``
-is the scalar one), and the one-probe-at-a-time sandwich check of
+is the scalar one) with the block scan ``lex_filter`` it ran on, which
+``bmalg.core`` kept until ``rank._fiber_search`` took the scan into its
+own loop, and the one-probe-at-a-time sandwich check of
 ``bmalg.inverse`` (``sandwich_check_per_probe``, because
 ``sandwich_check`` here is the three-identity one) and the dense
 ``max_deviation`` as they were before the probes ran stacked and equal
@@ -52,6 +54,9 @@ copies call the current fiber solver under the name
 one.  The nullity copies run on the entry-wise inverse-pair layer
 above, which the inverse-layer tests hold equal to ``bmalg.inverse``,
 and the via-rank copy on the scalar ``iter_bm_decompositions`` copy.
+The necessity copy still tries a repeated random completion again, but
+its error names the distinct completions tried, as ``bmalg.nullity``
+does now that it skips the repeats.
 
 The next-to-last section keeps the slice cuts as they were before every one
 went through ``Hypermatrix.restack``: the stride zeroing of the
@@ -88,7 +93,8 @@ import random
 
 import numpy as np
 
-from bmalg.core import Hypermatrix, Matrix, lex_filter
+from bmalg import core
+from bmalg.core import Hypermatrix, Matrix
 from bmalg.dependence import _vec_eq, _vec_neg
 from bmalg.dependence import (
     DiagonalWitness,
@@ -992,6 +998,8 @@ def hyper_nullity_necessity(
     exhaustive = (
         dom.kind == "gf" and dom.q ** (len(unused) * p * (m + n)) <= exhaustive_budget
     )
+    # the error names the distinct completions tried, the identity included
+    distinct = set()
     for u_fill, w_fill in _completion_candidates(
         m, n, p, unused, dom, retries, exhaustive, seed
     ):
@@ -1001,6 +1009,7 @@ def hyper_nullity_necessity(
                 u_data[(i * p + t) * p : (i * p + t + 1) * p] = u_fill[t][i]
             for j in range(n):
                 w_data[(t * n + j) * p : (t * n + j + 1) * p] = w_fill[t][j]
+        distinct.add((tuple(u_data), tuple(w_data)))
         u = Hypermatrix((m, p, p), u_data, dom)
         w = Hypermatrix((p, n, p), w_data, dom)
         candidate = HyperPair(u, w)
@@ -1035,7 +1044,7 @@ def hyper_nullity_necessity(
     elif exhaustive:
         tried = "identity and every assignment of the unused slices"
     else:
-        tried = f"identity and {retries} uniform-random completions"
+        tried = f"identity and {len(distinct) - 1} distinct uniform-random completions"
     raise CompletionError(
         f"no invertible completion of the decomposition legs was found; tried {tried}"
     )
@@ -1686,6 +1695,38 @@ def two_slice_witness(b: Hypermatrix, tau=1):
     u = [dom.div(ratio[i, 0], anchor) for i in range(m)]
     v = [ratio[0, j] for j in range(n)]
     return u, v
+
+
+# -- former batched candidate scan (core) -------------------------------------
+
+
+def lex_filter(q, outer_len, inner_len, per_candidate, test):
+    """Yield the pairs (outer, inner) of digit tuples over ``range(q)``,
+    of lengths ``outer_len`` and ``inner_len``, for which
+    ``test(outer, block)`` passes ``inner``, in lexicographic order of
+    ``outer + inner``.
+
+    ``test`` gets ``outer`` as an int64 vector and a block of inner
+    candidates, one per column of an int64 array, and returns a boolean
+    mask over the columns.  A block holds the q^k candidates that share
+    all but their last k digits, k as large as keeps ``per_candidate``
+    entries each within ``core.BATCH_ENTRIES`` (one candidate when a
+    single one exceeds it), so memory stays bounded however long the
+    inner leg is.
+    """
+    k = 0
+    while k < inner_len and q ** (k + 1) * per_candidate <= core.BATCH_ENTRIES:
+        k += 1
+    cut = inner_len - k
+    tails = list(itertools.product(range(q), repeat=k))
+    block = np.empty((inner_len, len(tails)), dtype=np.int64)
+    block.T[:, cut:] = np.reshape(tails, (len(tails), k))
+    for outer in itertools.product(range(q), repeat=outer_len):
+        row = np.array(outer, dtype=np.int64)
+        for prefix in itertools.product(range(q), repeat=cut):
+            block.T[:, :cut] = prefix
+            for idx in test(row, block).nonzero()[0].tolist():
+                yield outer, prefix + tails[idx]
 
 
 # -- former batched GF(q) and numeric dependence searches (dependence) ----------

@@ -49,6 +49,9 @@ def test_tracer_spans_every_inverse_and_nullity_function():
     tracer = tracing.Tracer()
     try:
         tracer.install()
+        # the pair tests decide through the block loop, so the public
+        # flattening view is called on its own
+        assert inverse.flatten(pair).m == 2
         assert inverse.pair_invertible(pair)
         recovered = inverse.recover_outer_inverse(pair)
         probes = inverse.unit_probe_basis(2, 2, 2, gf(7))

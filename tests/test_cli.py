@@ -261,9 +261,10 @@ def test_inverse_pair_roundtrip(tmp_path):
 
 
 def test_inverse_pair_flattens_an_invertible_pair_once(tmp_path, monkeypatch, capsys):
-    """One flattening decides a pair, invertible or not; a pair that is
-    not invertible prints the report of ``pair_invertible`` as its
-    diagnostics: here a singular block, then a slice that does not factor."""
+    """One run of the block loop decides a pair, invertible or not; a
+    pair that is not invertible prints the report of ``pair_invertible``
+    as its diagnostics: here a singular block, then a slice that does
+    not factor."""
     gf7 = scalars.gf(7)
     pair = random_pair(2, 2, 2, gf7, random.Random(3))
     singular = random_pair(2, 2, 2, RAT, random.Random(5))
@@ -273,13 +274,13 @@ def test_inverse_pair_flattens_an_invertible_pair_once(tmp_path, monkeypatch, ca
     rng = random.Random(0)
     dense = [Hypermatrix.random((2, 2, 2), gf7, rng, nonzero=True) for _ in range(2)]
     calls = []
-    flatten = inverse.flatten
+    blocks = inverse._invertible_blocks
 
-    def counted(p):
-        calls.append(p)
-        return flatten(p)
+    def counted(*args):
+        calls.append(args)
+        return blocks(*args)
 
-    monkeypatch.setattr(inverse, "flatten", counted)
+    monkeypatch.setattr(inverse, "_invertible_blocks", counted)
     f = write_json(tmp_path, "pair.json", pair.to_json())
     assert main(["inverse-pair", f]) == 0
     assert json.loads(capsys.readouterr().out)["invertible"] is True

@@ -285,10 +285,11 @@ def test_hyper_necessity_structurally_zero_support_column(dom):
         # unused, so the given legs are the only candidate
         (2, ([1] * 8, [1] * 8, [1] * 8), (0, 1),
          "only the given legs, since no slice is unused"),
-        # GF(7)^8 completions exceed the exhaustive budget
+        # GF(7)^8 completions exceed the exhaustive budget; 2 of the 32
+        # random draws repeat an earlier one and are not tried again
         (7, ([1, 6, 3, 3, 4, 1, 2, 1], [5, 1, 6, 3, 2, 0, 3, 6],
              [4, 5, 0, 1, 5, 5, 6, 2]), (0,),
-         "identity and 32 uniform-random completions"),
+         "identity and 30 distinct uniform-random completions"),
     ],
 )
 def test_hyper_necessity_no_invertible_completion_names_what_was_tried(

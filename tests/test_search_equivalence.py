@@ -136,22 +136,28 @@ def test_tiny_batches_match_reference(q, shape, r, planted, seed, all_solutions,
     assert_searches_match(a, r, all_solutions, monkeypatch)
 
 
-def test_tiny_batches_split_the_inner_leg(monkeypatch):
-    monkeypatch.setattr(core, "BATCH_ENTRIES", 7)
+@pytest.mark.parametrize("all_solutions", [False, True])
+def test_tiny_batches_split_the_inner_leg(all_solutions, monkeypatch):
+    """A 2x2x2 search over GF(2) at r = 1 tests 16 entries per inner
+    candidate, so 64 entries hold blocks of 4 of the 16 inner values:
+    each outer value the guard passes runs 4 blocks, and the yields are
+    still those of the candidate-by-candidate scan."""
+    monkeypatch.setattr(core, "BATCH_ENTRIES", 64)
     widths = []
+    block = rank._block_consistent
 
-    def consistent(outer, block):
-        widths.append(block.shape[1])
-        return block.sum(axis=0) % 2 == 0
+    def spied(values, coef, inner, want, q):
+        widths.append(inner.shape[-1])
+        return block(values, coef, inner, want, q)
 
-    found = list(core.lex_filter(2, 1, 4, 2, consistent))
-    assert set(widths) == {2}
-    assert found == [
-        (outer, inner)
-        for outer in itertools.product(range(2), repeat=1)
-        for inner in itertools.product(range(2), repeat=4)
-        if sum(inner) % 2 == 0
-    ]
+    monkeypatch.setattr(rank, "_block_consistent", spied)
+    a = draw_input(2, (2, 2, 2), 1, True, 3)
+    got = [canonical(t) for t in iter_bm_decompositions(a, 1, all_solutions=all_solutions)]
+    assert set(widths) == {4}
+    assert len(widths) % 4 == 0
+    want = ref.iter_bm_decompositions(a, 1, all_solutions=all_solutions)
+    assert got == [canonical(t) for t in want]
+    assert got
 
 
 @pytest.mark.parametrize(
