@@ -25,9 +25,10 @@ loop does Python-int arithmetic only; the kernels read ratios of those
 integers and return the same Fractions as elimination over Fractions.
 
 ``BATCH_ENTRIES`` bounds the numpy arrays of three batched scans: the
-inner-leg blocks of the exhaustive GF(q) rank searches
-(``rank._fiber_search``), the probe stacks of ``inverse.sandwich_check``
-and the coefficient chunks of ``rank.triple_reduction_witness``.
+candidate batches (outer-leg values times an inner-leg block) of the
+exhaustive GF(q) rank searches (``rank._fiber_search``), the probe
+stacks of ``inverse.sandwich_check`` and the coefficient chunks of
+``rank.triple_reduction_witness``.
 """
 
 from __future__ import annotations

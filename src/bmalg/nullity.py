@@ -9,7 +9,9 @@ the pair's outer inverse; necessity turns an r-term decomposition into
 a certificate pair exhibiting p - r zero slices, completing the unused
 leg slices until the completed pair is invertible.  Over GF(q) the
 via-rank nullity climbs the term counts once: the first level with a
-decomposition is the rank, the first that completes gives the nullity.
+decomposition is the rank, the first that completes gives the nullity;
+outer legs that failed to complete once are not tried again.  Direct
+search scores every cached action on an input in one array product.
 Completions and direct-search candidates are leg slices, tested by the
 memoised block test of ``inverse`` (``_invertible_blocks``); a pair is
 invertible exactly when its inverse slices then factor
@@ -22,7 +24,6 @@ transpose count.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -49,7 +50,6 @@ from .rank import (
     generic_rank_pipeline,
     iter_bm_decompositions,
     orient_depth_min,
-    rank_upper_min,
 )
 
 DEFAULT_COMPLETION_RETRIES = 32
@@ -268,6 +268,21 @@ def _padded_legs(d: DecompositionTriple, p):
     return tuple(leg.restack(axis, picks) for leg, axis in zip(d.legs(), CONTRACTED_AXES))
 
 
+def _degenerate_term(x0, x1, x2, support):
+    """The first index of ``support`` whose term is zero because a leg's
+    slice along its contracted axis is, or None."""
+    m, ell, p = x0.shape
+    n = x1.shape[1]
+    zero = x0.domain.is_zero
+    for t in support:
+        if (all(map(zero, x1.data[t::ell]))
+                or all(zero(v) for i in range(m)
+                       for v in x0.data[(i * ell + t) * p:(i * ell + t + 1) * p])
+                or all(map(zero, x2.data[t * n * p:(t + 1) * n * p]))):
+            return t
+    return None
+
+
 def _completion_candidates(x0, x2, unused, exhaustive, seed):
     """Yield the legs ``x0`` and ``x2`` with their unused slices filled,
     as the (rows, cols) of ``inverse._row_slices`` and ``_col_slices``:
@@ -348,17 +363,12 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
     x0, x1, x2 = _padded_legs(decomp, p)
     tol_scale = _check_reconstruction(bm_product(x0, x1, x2), a, "decomposition")
     s = decomp.support
-    for t in s:
-        term_zero = (
-            all(dom.is_zero(x1[i, j, t]) for i in range(m) for j in range(n))
-            or all(dom.is_zero(x0[i, t, k]) for i in range(m) for k in range(p))
-            or all(dom.is_zero(x2[t, j, k]) for j in range(n) for k in range(p))
+    t = _degenerate_term(x0, x1, x2, s)
+    if t is not None:
+        raise CertificateError(
+            f"support term {t} is degenerate (a zero slice); the "
+            "certificate overstates the rank"
         )
-        if term_zero:
-            raise CertificateError(
-                f"support term {t} is degenerate (a zero slice); the "
-                "certificate overstates the rank"
-            )
     unused = [t for t in range(p) if t not in s]
     zero_set = tuple(unused)
     # column t of flattening block (i, j) is X0[i, t, :] * X2[t, j, :]
@@ -430,8 +440,11 @@ def _invertible_actions(m, n, p, domain, budget):
     block inverts (``inverse._invertible_blocks``, memoised per call) and
     every inverse slice factors (``inverse._outer_inverse``).  Candidates
     are deduped by the block tuple (which determines the action) before
-    the factorization.  Returns a list of (blocks, flat0, flat1, inverse),
-    ``inverse`` the factored (C, D); cached per signature.
+    the factorization.  Returns (actions, stack): ``actions`` a list of
+    (blocks, flat0, flat1, inverse), ``inverse`` the factored (C, D), and
+    ``stack`` their blocks as one int64 array of shape
+    (actions, m n, p, p); cached per signature.  The budget is checked
+    first, so a refusal loads no numpy.
     """
     q = domain.q
     digits = m * p * p + p * n * p
@@ -457,39 +470,37 @@ def _invertible_actions(m, n, p, domain, budget):
             inverse = _outer_inverse(inv_blocks, m, n, domain)[0]
             if inverse is not None:
                 actions[blocks] = (blocks, flat0, flat1, inverse)
-    out = _ACTION_CACHE[key] = list(actions.values())
+    import numpy as np
+    stack = np.array(list(actions), dtype=np.int64).reshape(-1, m * n, p, p)
+    out = _ACTION_CACHE[key] = list(actions.values()), stack
     return out
 
 
 def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS):
     """Oracle: exhaust invertible pairs over GF(q) and maximize the
-    number of zero depth slices of the pair's action on ``a``."""
+    number of zero depth slices of the pair's action on ``a``.
+
+    Entry (i, j, k) of an action is row k of its flattening block (i, j)
+    times the input fiber at (i, j), so one array product scores every
+    cached action at once; the first action with the most zero slices
+    wins, as in an action-by-action scan that keeps strict improvements.
+    """
     dom = a.domain
     if dom.kind != "gf":
         raise ValueError("direct search needs a GF(q) domain")
     oriented, tcount = orient_depth_min(a)
     m, n, p = oriented.shape
-    q = dom.q
-    av = oriented.data
-    fibers = [av[ij * p : (ij + 1) * p] for ij in range(m * n)]
-    best = None
-    for blocks, flat0, flat1, inverse in _invertible_actions(m, n, p, dom, budget):
-        # entry (i, j, k) of the action is row k of block (i, j) times the
-        # input fiber at (i, j)
-        zero_slices = []
-        for k in range(p):
-            for fij, fiber in zip(blocks, fibers):
-                if sum(map(operator.mul, fij[k * p : (k + 1) * p], fiber)) % q:
-                    break
-            else:
-                zero_slices.append(k)
-        if best is None or len(zero_slices) > len(best[1]):
-            best = ((flat0, flat1, inverse), zero_slices)
-    (flat0, flat1, inverse), zero_slices = best
+    actions, stack = _invertible_actions(m, n, p, dom, budget)
+    import numpy as np
+    fibers = np.array(oriented.data, dtype=np.int64).reshape(m * n, p, 1)
+    zero = (stack @ fibers % dom.q == 0).all(axis=1)[..., 0]
+    best = int(zero.sum(axis=1).argmax())
+    _, flat0, flat1, inverse = actions[best]
     pair = HyperPair(
         Hypermatrix((m, p, p), list(flat0), dom),
         Hypermatrix((p, n, p), list(flat1), dom),
     )
+    zero_slices = zero[best].nonzero()[0].tolist()
     return _pair_certificate(pair, inverse, zero_slices, "direct-search", tcount)
 
 
@@ -508,6 +519,14 @@ def _zero_pair_certificate(a, tcount):
     )
 
 
+def _zero_slice_triple(a: Hypermatrix) -> DecompositionTriple:
+    """The identity-pair decomposition of ``a`` restricted to its nonzero
+    depth slices, which certifies the zero ones."""
+    j0, j1 = identity_pair(*a.shape, a.domain)
+    support = tuple(k for k in range(a.shape[2]) if not _slice_is_zero(a, k))
+    return DecompositionTriple(j0, a, j1, support)
+
+
 def _via_rank_over_gf(oriented, budget, seed):
     """The GF(q) rank-to-nullity transfer and its strategy label.  It
     needs a decomposition whose legs admit an invertible completion; over
@@ -516,12 +535,19 @@ def _via_rank_over_gf(oriented, budget, seed):
     until a completion exists.  A pair with z zero slices always yields a
     completable (p - z)-term decomposition, so the first level that
     completes matches the exhaustive oracle, as long as the per-level cap
-    of ``DEFAULT_DECOMPOSITION_ATTEMPTS`` decompositions does not bind.
+    of ``DEFAULT_DECOMPOSITION_ATTEMPTS`` decompositions does not bind;
+    past level p - 1 the zero-slice triple stands in.
     The climb also finds the rank: the first level with a decomposition,
     p when none below p has.
+
+    Necessity's ``CompletionError`` depends only on the outer legs
+    (x0, x2) and the support, so each such key is rejected once and its
+    later decompositions are skipped; so are decompositions with a zero
+    term, which necessity refuses.  Every yield counts towards the cap.
     """
     p = oriented.shape[2]
     r = None
+    rejected = set()
     for r_level in range(1, p):
         decompositions = iter_bm_decompositions(
             oriented, r_level, budget=budget, all_solutions=True
@@ -531,13 +557,17 @@ def _via_rank_over_gf(oriented, budget, seed):
                 r = r_level
             if tried > DEFAULT_DECOMPOSITION_ATTEMPTS:
                 break
+            key = (tuple(triple.x0.data), tuple(triple.x2.data), triple.support)
+            if (key in rejected
+                    or _degenerate_term(*triple.legs(), triple.support) is not None):
+                continue
             try:
                 found = hyper_nullity_necessity(oriented, triple, seed=seed)
             except CompletionError:
+                rejected.add(key)
                 continue
             return found, f"via-rank (rank {r}, transfer level {r_level})"
-    triple = rank_upper_min(oriented).triple
-    found = hyper_nullity_necessity(oriented, triple, seed=seed)
+    found = hyper_nullity_necessity(oriented, _zero_slice_triple(oriented), seed=seed)
     return found, f"via-rank (rank {r or p}, transfer level {p})"
 
 
@@ -573,7 +603,6 @@ def nullity(
     if strategy != "via-rank":
         raise ValueError(f"unknown strategy {strategy!r}")
     oriented, tcount = orient_depth_min(a)
-    m, n, p = oriented.shape
     dom = a.domain
     if oriented.is_zero():
         return _zero_pair_certificate(oriented, tcount)
@@ -584,11 +613,7 @@ def nullity(
         triple = generic_rank_pipeline(oriented, seed=seed).triple
         found = hyper_nullity_necessity(oriented, triple, seed=seed)
     else:
-        # rational: certify the visible zero depth slices through the
-        # identity-pair decomposition restricted to the nonzero ones
-        j0, j1 = identity_pair(m, n, p, dom)
-        support = tuple(k for k in range(p) if not _slice_is_zero(oriented, k))
-        triple = DecompositionTriple(j0, oriented, j1, support)
-        found = hyper_nullity_necessity(oriented, triple, seed=seed)
+        # rational: certify the visible zero depth slices
+        found = hyper_nullity_necessity(oriented, _zero_slice_triple(oriented), seed=seed)
         label = "via-rank (zero-slice lower bound)"
     return replace(found, strategy=label, transposes_applied=tcount)

@@ -21,13 +21,14 @@ inputs only down to ell = 2 (see :func:`generic_rank_pipeline`).
 The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
 serves :func:`bm_rank_exhaustive` and via-rank nullity, and
 :func:`cp_rank_exhaustive`) enumerate two legs in lexicographic order
-and solve for the third fiber by fiber.  Each outer-leg value is tested
-once, alone, before any inner block: a fiber row whose outer
-coefficients all vanish reads 0, so a nonzero right side there rules
-the value out.  For the rest a numpy filter tests blocks of inner
-candidates (``core.BATCH_ENTRIES`` array entries at most) against all
-q^r values of a fiber's unknowns and drops exactly the inconsistent
-ones; survivors keep their order through the scalar solver, as in a
+and solve for the third fiber by fiber.  A numpy filter tests batches
+of candidate pairs (``core.BATCH_ENTRIES`` array entries at most):
+outer-leg values, several at once when the inner leg fits one block,
+each ruled out before any block product when a fiber row its
+coefficients all leave zero has a nonzero right side, then the live
+ones against a block of inner candidates and all q^r values of a
+fiber's unknowns.  It drops exactly the inconsistent pairs; survivors
+keep their order through the scalar solver, as in a
 candidate-by-candidate scan.
 """
 
@@ -644,10 +645,12 @@ def _fiber_solutions(rows, rhs, domain, r, all_solutions):
 
 
 def _block_consistent(values, coef, inner, want, q):
-    """Mask of the candidates whose fibers all solve in ``values``; they run
-    along the last axis, so every reduction is elementwise across them."""
+    """Mask of the (outer, inner) candidate pairs whose fibers all solve in
+    ``values``: the outer values run along the third axis of ``coef``, the
+    inner candidates along the last axis of ``inner``, so every reduction
+    is elementwise across both."""
     hits = values @ (inner * coef[..., None]) % q == want
-    return hits.all(axis=1).any(axis=1).all(axis=0)
+    return hits.all(axis=1).any(axis=2).all(axis=0)
 
 
 def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
@@ -657,39 +660,61 @@ def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
 
     Fiber f's system in the solved leg s has rows
     sum_t outer[ia[f, row, t]] * inner[ib[f, row, t]] * s[t] = rhs[f, row]
-    (``ia``/``ib`` may broadcast over f).  Each outer value is tested
-    once, before any inner block: one that leaves a row with rhs != 0
-    no nonzero coefficient is ruled out, since that row reads 0 whatever
-    inner and s are.  Otherwise a numpy filter tries all q^r values of s
-    on a block of inner candidates at once: the q^k that share all but
-    their last k digits, k the largest that keeps the block within
-    ``core.BATCH_ENTRIES`` entries.  Only the survivors go through the
-    scalar solver :func:`_fiber_solutions`.
+    (``ia``/``ib`` may broadcast over f).  A numpy filter tries all q^r
+    values of s on a batch of candidate pairs at once: the q^k inner
+    values that share all but their last k digits, times the q^k_o outer
+    values that share all but their last k_o digits, with k + k_o the
+    most digits that keep every array of the filter within
+    ``core.BATCH_ENTRIES`` entries and k_o > 0 only once the inner block
+    holds the whole inner leg (k_o = 0 scans the outer values one by
+    one).  Each outer batch is tested alone first: an outer value that
+    leaves a row with rhs != 0 no nonzero coefficient is ruled out, since
+    that row reads 0 whatever inner and s are, and the block products
+    run over the live outer values only.  Only the survivors go through
+    the scalar solver :func:`_fiber_solutions`.
     """
     import numpy as np
     q = domain.q
     values = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)
-    want = rhs[..., None, None]
+    want = rhs[..., None, None, None]
     per_candidate = rhs.size * len(values)
     ia_rows, ib_rows = (np.broadcast_to(x, rhs.shape + (r,)).tolist() for x in (ia, ib))
     rhs_rows = rhs.tolist()
-    free_rows = rhs == 0
-    k = 0
-    while k < inner_len and q ** (k + 1) * per_candidate <= core.BATCH_ENTRIES:
-        k += 1
-    cut = inner_len - k
-    tails = list(itertools.product(range(q), repeat=k))
-    block = np.empty((inner_len, len(tails)), dtype=np.int64)
-    block.T[:, cut:] = np.reshape(tails, (len(tails), k))
-    for outer in itertools.product(range(q), repeat=outer_len):
-        coef = np.array(outer, dtype=np.int64)[ia]
-        if not (free_rows | coef.any(axis=-1)).all():
+    free_rows = rhs[..., None] == 0
+    fit = 0
+    while (fit < outer_len + inner_len
+           and q ** (fit + 1) * per_candidate <= core.BATCH_ENTRIES):
+        fit += 1
+    k = min(fit, inner_len)
+
+    def batch(length, digits):
+        # the q^digits values of a leg sharing their first length - digits
+        # digits, one per column; the caller writes those first digits
+        tails = list(itertools.product(range(q), repeat=digits))
+        out = np.empty((length, len(tails)), dtype=np.int64)
+        out.T[:, length - digits:] = np.reshape(tails, (len(tails), digits))
+        return tails, out
+
+    outer_tails, outers = batch(outer_len, fit - k)
+    inner_tails, block = batch(inner_len, k)
+    outer_cut, cut = outer_len - (fit - k), inner_len - k
+    # axes (fiber, row, outer value, t) for the outer coefficients and
+    # (fiber, row, 1, t, inner value) for an inner block
+    ib = ib[:, :, None]
+    for outer_prefix in itertools.product(range(q), repeat=outer_cut):
+        outers.T[:, :outer_cut] = outer_prefix
+        coef = outers[ia].swapaxes(-1, -2)
+        live = (free_rows | coef.any(axis=-1)).all(axis=(0, 1)).nonzero()[0]
+        if not len(live):
             continue
+        coef = coef[:, :, live]
+        live = live.tolist()
         for prefix in itertools.product(range(q), repeat=cut):
             block.T[:, :cut] = prefix
             hits = _block_consistent(values, coef, block[ib], want, q)
-            for idx in hits.nonzero()[0].tolist():
-                inner = prefix + tails[idx]
+            for at, idx in np.argwhere(hits).tolist():
+                outer = outer_prefix + outer_tails[live[at]]
+                inner = prefix + inner_tails[idx]
                 options = []
                 for fa, fb, frhs in zip(ia_rows, ib_rows, rhs_rows):
                     rows = [[outer[x] * inner[y] % q for x, y in zip(ra, rb)]
@@ -715,12 +740,14 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
     visits a decomposition iff one exists for the enumerated prefix, so
     rank detection is complete.
 
-    Each value of the first enumerated leg is first tested alone: a
-    fiber row it leaves with no nonzero coefficient reads 0, so a
-    nonzero entry of ``a`` there rules it out.  The rest go through the
-    numpy block filter and the scalar solver of :func:`_fiber_search`,
-    which drops exactly the inconsistent candidates and keeps order, so
-    the decompositions are those of a candidate-by-candidate scan.
+    The values of the first enumerated leg are tested in batches (one
+    batch holds all of them at 2x2x2 over GF(2) and r = 1): a value that
+    leaves a fiber row with no nonzero coefficient reads 0 there, so a
+    nonzero entry of ``a`` in that row rules it out.  The live ones go
+    through the numpy block filter and the scalar solver of
+    :func:`_fiber_search`, which drops exactly the inconsistent
+    candidates and keeps order, so the decompositions are those of a
+    candidate-by-candidate scan.
     """
     dom = a.domain
     if dom.kind != "gf":

@@ -1,7 +1,10 @@
 """Reference implementations kept as test oracles.
 
 These are the per-caller elimination routines, the direct-search
-action enumeration built on the modular block inverse, and the
+action enumeration built on the modular block inverse with the
+action-by-action scoring loop that ``bmalg.nullity`` ran before it
+scored every cached action in one array product (the winner's outer
+inverse recovered from its pair), and the
 three-identity sandwich check that ``bmalg`` used before every solve
 went through ``bmalg.core.echelon``, the per-scalar ternary products
 that ``bmalg.products`` used before its array kernel, and the
@@ -89,6 +92,7 @@ r ``delta_t`` cubes (``delta_sum_by_additions``) and
 """
 
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -124,7 +128,6 @@ from bmalg.nullity import (
     NullityCertificate,
     _slice_is_zero,
     _zero_pair_certificate,
-    nullity_direct_search,
     orient_depth_min,
 )
 from bmalg.products import _contract, bm_product, conformability, delta_t, identity_pair
@@ -475,6 +478,44 @@ def _invertible_actions(m, n, p, domain, budget):
     out = [(blocks, f0, f1) for blocks, (f0, f1) in actions.items()]
     _ACTION_CACHE[key] = out
     return out
+
+
+def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS):
+    """Oracle: exhaust invertible pairs over GF(q) and maximize the
+    number of zero depth slices of the pair's action on ``a``, scoring
+    one action at a time; the winner's outer inverse is recovered from
+    its pair."""
+    dom = a.domain
+    if dom.kind != "gf":
+        raise ValueError("direct search needs a GF(q) domain")
+    oriented, tcount = orient_depth_min(a)
+    m, n, p = oriented.shape
+    q = dom.q
+    av = oriented.data
+    fibers = [av[ij * p : (ij + 1) * p] for ij in range(m * n)]
+    best = None
+    for blocks, flat0, flat1 in _invertible_actions(m, n, p, dom, budget):
+        # entry (i, j, k) of the action is row k of block (i, j) times the
+        # input fiber at (i, j)
+        zero_slices = []
+        for k in range(p):
+            for fij, fiber in zip(blocks, fibers):
+                if sum(map(operator.mul, fij[k * p : (k + 1) * p], fiber)) % q:
+                    break
+            else:
+                zero_slices.append(k)
+        if best is None or len(zero_slices) > len(best[1]):
+            best = ((flat0, flat1), zero_slices)
+    (flat0, flat1), zero_slices = best
+    pair = HyperPair(
+        Hypermatrix((m, p, p), list(flat0), dom),
+        Hypermatrix((p, n, p), list(flat1), dom),
+    )
+    return NullityCertificate(
+        pair=pair, outer_inverse=recover_outer_inverse(pair),
+        zero_set=tuple(zero_slices), nullity=len(zero_slices),
+        strategy="direct-search", transposes_applied=tcount,
+    )
 
 
 # -- former three-identity sandwich check (inverse) ----------------------------

@@ -235,13 +235,18 @@ def test_inverse_mod_q_matches_oracle(seed, q, p):
 )
 def test_invertible_actions_match_oracle(monkeypatch, m, n, p, q):
     """Every candidate of these signatures is enumerated, so equal action
-    lists mean the same flattening blocks were found singular."""
+    lists mean the same flattening blocks were found singular; the
+    stacked block array holds the same blocks in the same order."""
     monkeypatch.setattr(nullity_module, "_ACTION_CACHE", {})
     monkeypatch.setattr(ref, "_ACTION_CACHE", {})
     dom = scalars.gf(q)
     budget = q ** (m * p * p + p * n * p)
-    got = nullity_module._invertible_actions(m, n, p, dom, budget)
+    got, stack = nullity_module._invertible_actions(m, n, p, dom, budget)
     assert [a[:3] for a in got] == ref._invertible_actions(m, n, p, dom, budget)
+    assert stack.shape == (len(got), m * n, p, p)
+    assert stack.reshape(len(got), m * n, p * p).tolist() == [
+        [list(block) for block in a[0]] for a in got
+    ]
 
 
 def sampled_itertools(seed, size):
@@ -278,7 +283,7 @@ def test_sampled_invertible_actions_match_oracle(seed, q):
         patch.setattr(nullity_module, "itertools", fake)
         patch.setattr(ref, "itertools", fake)
         dom = scalars.gf(q)
-        got = nullity_module._invertible_actions(2, 2, 2, dom, q**16)
+        got, _ = nullity_module._invertible_actions(2, 2, 2, dom, q**16)
         assert [a[:3] for a in got] == ref._invertible_actions(2, 2, 2, dom, q**16)
 
 

@@ -69,3 +69,31 @@ def test_the_shadow_numpy_stops_a_command_that_builds_arrays(shadow):
     proc = run_python(["-m", "bmalg.cli", *COMMANDS["prod-gf7"]], shadow)
     assert proc.returncode != EXIT_CODES["prod-gf7"]
     assert b"numpy is shadowed" in proc.stderr
+
+
+def test_a_direct_search_budget_refusal_loads_no_numpy():
+    """The budget is checked before the action cache, so a refusal loads
+    no numpy, before the cache fills and after."""
+    code = """import sys
+from bmalg import scalars
+from bmalg.core import Hypermatrix
+from bmalg.errors import BudgetExceededError
+from bmalg.nullity import nullity_direct_search
+
+a = Hypermatrix((2, 2, 1), [0, 1, 1, 0], scalars.gf(2))
+
+
+def refused():
+    try:
+        nullity_direct_search(a, budget=10)
+    except BudgetExceededError:
+        return True
+    return False
+
+
+print(refused(), "numpy" in sys.modules)
+print(nullity_direct_search(a).nullity, refused())
+"""
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["True", "False", "0", "True"]

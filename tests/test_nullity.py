@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 import re
 from dataclasses import replace
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmalg import scalars
+from bmalg import cli, scalars
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.errors import (
     BudgetExceededError,
@@ -17,6 +18,7 @@ from bmalg.errors import (
 )
 from bmalg.inverse import (
     HyperPair,
+    OuterInversePair,
     pair_invertible,
     random_pair,
     recover_outer_inverse,
@@ -383,9 +385,8 @@ def test_direct_search_actions_keep_the_recovered_inverse():
     for m, n, p, q in ACTION_SIGNATURES:
         dom = scalars.gf(q)
         budget = q ** (m * p * p + p * n * p)
-        for _, flat0, flat1, inverse in nullity_module._invertible_actions(
-            m, n, p, dom, budget
-        ):
+        actions, _ = nullity_module._invertible_actions(m, n, p, dom, budget)
+        for _, flat0, flat1, inverse in actions:
             pair = HyperPair(
                 Hypermatrix((m, p, p), list(flat0), dom),
                 Hypermatrix((p, n, p), list(flat1), dom),
@@ -434,6 +435,40 @@ def test_direct_search_orients_the_input_once(monkeypatch):
     cert = nullity(a, strategy="direct-search")
     assert len(calls) == 1
     assert cert.to_json() == nullity_direct_search(a).to_json()
+
+
+# GF(2) 3x3x3 inputs with zero depth slices on which no rank-one
+# decomposition among the first DEFAULT_DECOMPOSITION_ATTEMPTS completes,
+# with the nullity each is certified
+CLIMB_PAST_LEVEL_ONE = [
+    ([0] * 14 + [1] + [0] * 12, 2),
+    ([0, 0, 1] + [0] * 21 + [1, 0, 1], 1),
+]
+
+
+@pytest.mark.parametrize("data, want", CLIMB_PAST_LEVEL_ONE)
+def test_via_rank_climb_past_level_one_certifies(tmp_path, capsys, data, want):
+    """Level 2 yields decompositions with a zero term, which the climb
+    skips since necessity refuses them, and the full identity pair is
+    degenerate on a zero depth slice, so the climb falls back to the
+    zero-slice triple; the printed certificate re-verifies."""
+    a = Hypermatrix((3, 3, 3), data, GF2)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(a.to_json()))
+    argv = ["nullity", str(path), "--strategy", "via-rank", "--budget", str(10**12)]
+    assert cli.main(argv) == cli.EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["nullity"] == want
+    pair = HyperPair.from_json(cert["pair"])
+    oriented = a.transpose_times(cert["transposes_applied"])
+    # raises unless the pair is invertible, zeroes the claimed slices and
+    # its recovered outer inverse reconstructs the input
+    hyper_nullity_sufficiency(oriented, pair, cert["zero_slices"])
+    inverse = OuterInversePair(
+        *(Hypermatrix.from_json(cert["outer_inverse"][name]) for name in "CD")
+    )
+    probes = unit_probe_basis(*pair.dims, GF2)
+    assert sandwich_check(pair, inverse, probes) == 0
 
 
 def test_via_rank_honours_budget():
