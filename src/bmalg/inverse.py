@@ -209,14 +209,16 @@ class FlatteningMatrix:
         return self.blocks[blk_r][t, s]
 
 
-def _row_slices(flat0, p):
-    """The slices A[i, :, :] of an (m, p, p) leg's flat data, as tuples."""
-    return [tuple(flat0[at : at + p * p]) for at in range(0, len(flat0), p * p)]
+def _row_slices(flat0, m):
+    """The m slices A[i, :, :] of an (m, ell, p) leg's flat data, as
+    tuples in (s, t) order: A[i, s, :] is the s-th run of p entries."""
+    size = len(flat0) // m
+    return [tuple(flat0[at : at + size]) for at in range(0, len(flat0), size)]
 
 
 def _col_slices(flat1, n, p):
-    """The slices B[:, j, :] of a (p, n, p) leg's flat data, as tuples in
-    (s, t) order: B[s, j, :] is the (s n + j)-th run of p entries."""
+    """The slices B[:, j, :] of an (ell, n, p) leg's flat data, as tuples
+    in (s, t) order: B[s, j, :] is the (s n + j)-th run of p entries."""
     runs = [flat1[at : at + p] for at in range(0, len(flat1), p)]
     return [tuple(itertools.chain.from_iterable(runs[j::n])) for j in range(n)]
 
@@ -233,7 +235,7 @@ def _flattening_block(row, col, dom) -> Matrix:
 
 def flatten(pair: HyperPair) -> FlatteningMatrix:
     m, n, p = pair.dims
-    dom, rows = pair.domain, _row_slices(pair.a.data, p)
+    dom, rows = pair.domain, _row_slices(pair.a.data, m)
     cols = _col_slices(pair.b.data, n, p)
     blocks = [_flattening_block(row, col, dom) for row in rows for col in cols]
     return FlatteningMatrix(m=m, n=n, p=p, blocks=blocks)
@@ -379,7 +381,7 @@ def _recover(pair: HyperPair):
     """The one invertibility test: (inverse, None), or (None, the first
     singular block (i, j) or the failure of :func:`_outer_inverse`)."""
     m, n, p = pair.dims
-    rows, cols = _row_slices(pair.a.data, p), _col_slices(pair.b.data, n, p)
+    rows, cols = _row_slices(pair.a.data, m), _col_slices(pair.b.data, n, p)
     blocks, found = _invertible_blocks(rows, cols, None, pair.domain)
     if blocks is None:
         return None, found

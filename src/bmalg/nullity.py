@@ -7,11 +7,14 @@ of Prod(X0, A, X1) over invertible pairs (X0, X1).  Sufficiency turns a
 pair exhibiting z zero slices into a (p - z)-term decomposition through
 the pair's outer inverse; necessity turns an r-term decomposition into
 a certificate pair exhibiting p - r zero slices, completing the unused
-leg slices until the completed pair is invertible.  Over GF(q) the
-via-rank nullity climbs the term counts once: the first level with a
-decomposition is the rank, the first that completes gives the nullity;
-outer legs that failed to complete once are not tried again.  Direct
-search scores every cached action on an input in one array product.
+slices of the decomposition's own outer legs, cut once and never
+padded, until the completed pair is invertible.  Over GF(q) the
+via-rank nullity climbs the term counts once, no higher than the p - z
+terms of the zero-slice triple of an input with z zero depth slices:
+the first level with a decomposition is the rank, the first that
+completes gives the nullity; outer legs that failed to complete once
+are not tried again.  Direct search scores every cached action on an
+input in one array product.
 Completions and direct-search candidates are leg slices, tested by the
 memoised block test of ``inverse`` (``_invertible_blocks``); a pair is
 invertible exactly when its inverse slices then factor
@@ -44,7 +47,7 @@ from .inverse import (
     _row_slices,
     recover_outer_inverse,
 )
-from .products import CONTRACTED_AXES, bm_product, identity_pair
+from .products import bm_product, identity_pair
 from .rank import (
     DecompositionTriple,
     generic_rank_pipeline,
@@ -254,20 +257,6 @@ def hyper_nullity_sufficiency(
     return triple
 
 
-def _padded_legs(d: DecompositionTriple, p):
-    """The legs of ``d`` restacked along their contracted axes with zero
-    slices ell..p-1 after their own; still zero outside ``d.support``."""
-    if d.ell == p:
-        return d.legs()
-    if d.ell > p:
-        raise ShapeError(
-            f"decomposition has contracted dimension {d.ell} above the depth "
-            f"extent {p}; transpose-reduce first"
-        )
-    picks = list(range(d.ell)) + [None] * (p - d.ell)
-    return tuple(leg.restack(axis, picks) for leg, axis in zip(d.legs(), CONTRACTED_AXES))
-
-
 def _degenerate_term(x0, x1, x2, support):
     """The first index of ``support`` whose term is zero because a leg's
     slice along its contracted axis is, or None."""
@@ -283,9 +272,9 @@ def _degenerate_term(x0, x1, x2, support):
     return None
 
 
-def _completion_candidates(x0, x2, unused, exhaustive, seed):
-    """Yield the legs ``x0`` and ``x2`` with their unused slices filled,
-    as the (rows, cols) of ``inverse._row_slices`` and ``_col_slices``:
+def _completion_candidates(rows, cols, p, domain, unused, exhaustive, seed):
+    """Yield the outer legs' cut, the ell-slice (rows, cols) of
+    ``inverse._row_slices`` and ``_col_slices``, completed to p slices:
     per unused t, each U[i, t, :] and each W[t, j, :] (p values each).
 
     Order: the identity pattern first (the given legs alone when no
@@ -296,13 +285,12 @@ def _completion_candidates(x0, x2, unused, exhaustive, seed):
     keep the flattening inverse factorable whenever anything does, each
     distinct fill once (over GF(2) every random slice is all ones).
     """
-    m, p, _ = x0.shape
-    n = x2.shape[1]
-    domain = x0.domain
-    rows, cols = _row_slices(x0.data, p), _col_slices(x2.data, n, p)
+    m, n = len(rows), len(cols)
 
     def fill(slices, values):
-        # values: per unused t, then per slice, the p values of slice t
+        # values: per unused t, then per slice, the p values of slice t;
+        # t ascends and every t >= ell is unused, so an ell-slice cut gets
+        # slices ell..p-1 appended
         values, out = iter(values), [list(cut) for cut in slices]
         for t in unused:
             for cut in out:
@@ -340,13 +328,14 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
     """From an r-term decomposition of ``a`` build a certificate pair
     exhibiting p - r zero depth slices.
 
-    The unused column slices of the first leg and row slices of the
-    third leg are completed until the completed pair is invertible,
-    each completion, given as leg slices, tested by the memoised block
-    test ``inverse._invertible_blocks`` and the factorization of its
-    inverse slices; the factors (C, D) of the first invertible
-    completion are the certificate pair, which maps ``a`` to the
-    (zero-padded) middle leg.  (C, D) undoes the completion's action,
+    The decomposition's own legs (ell <= p slices, never padded) are
+    checked, and the outer legs cut once into the slices of ``inverse``,
+    which every completion fills: the unused slices, ell..p-1 among them,
+    are completed until the completed pair is invertible, each tested by
+    the memoised block test ``inverse._invertible_blocks`` and the
+    factorization of its inverse slices; the factors (C, D) of the first
+    invertible completion are the certificate pair, which maps ``a`` to
+    the middle leg padded to p slices.  (C, D) undoes the completion's action,
     and a left inverse on a finite-dimensional space is a right inverse,
     so (C, D) is invertible with outer inverse the completed legs, which
     are rebuilt from their slices, and is not tested again.
@@ -359,8 +348,13 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         raise ShapeError(
             f"necessity expects the depth extent to be minimal, shape {a.shape}"
         )
+    if decomp.ell > p:
+        raise ShapeError(
+            f"decomposition has contracted dimension {decomp.ell} above the depth "
+            f"extent {p}; transpose-reduce first"
+        )
     dom = a.domain
-    x0, x1, x2 = _padded_legs(decomp, p)
+    x0, x1, x2 = decomp.legs()
     tol_scale = _check_reconstruction(bm_product(x0, x1, x2), a, "decomposition")
     s = decomp.support
     t = _degenerate_term(x0, x1, x2, s)
@@ -371,11 +365,13 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         )
     unused = [t for t in range(p) if t not in s]
     zero_set = tuple(unused)
+    rows, cols = _row_slices(x0.data, m), _col_slices(x2.data, n, p)
     # column t of flattening block (i, j) is X0[i, t, :] * X2[t, j, :]
     # entrywise, so a zero support column can never be fixed by
     # completing the unused slices: reject such decompositions early
-    for i, j, t in itertools.product(range(m), range(n), s):
-        if all(dom.is_zero(dom.mul(x0[i, t, k], x2[t, j, k])) for k in range(p)):
+    for (i, row), (j, col), t in itertools.product(enumerate(rows), enumerate(cols), s):
+        cut = slice(t * p, (t + 1) * p)
+        if all(dom.is_zero(dom.mul(u, w)) for u, w in zip(row[cut], col[cut])):
             raise CompletionError(
                 f"flattening block ({i},{j}) has a structurally zero "
                 f"support column {t}; no completion is invertible"
@@ -385,9 +381,9 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         and dom.q ** (len(unused) * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
     )
     memo = {}
-    candidates = _completion_candidates(x0, x2, unused, exhaustive, seed)
-    for count, (rows, cols) in enumerate(candidates, 1):
-        blocks, inv_blocks = _invertible_blocks(rows, cols, memo, dom)
+    candidates = _completion_candidates(rows, cols, p, dom, unused, exhaustive, seed)
+    for count, (u_rows, w_cols) in enumerate(candidates, 1):
+        blocks, inv_blocks = _invertible_blocks(u_rows, w_cols, memo, dom)
         factored = blocks is not None and _outer_inverse(inv_blocks, m, n, dom)[0]
         if not factored:
             continue
@@ -400,10 +396,11 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
                     f"substitution broke the identity at slices {bad}"
                 )
             continue
-        residual = None if dom.is_exact else g.sub(x1).norm() / (1.0 + a.norm())
-        # U is the rows in turn; W[t, j, k] is cols[j][t p + k]
-        u = Hypermatrix((m, p, p), itertools.chain(*rows), dom)
-        w_data = [col[t * p + k] for t in range(p) for col in cols for k in range(p)]
+        pad = [*range(decomp.ell)] + [None] * (p - decomp.ell)  # x1 to p slices
+        residual = None if dom.is_exact else g.sub(x1.restack(2, pad)).norm() / (1 + a.norm())
+        # U is the rows in turn; W[t, j, k] is w_cols[j][t p + k]
+        u = Hypermatrix((m, p, p), itertools.chain(*u_rows), dom)
+        w_data = [col[t * p + k] for t in range(p) for col in w_cols for k in range(p)]
         w = Hypermatrix((p, n, p), w_data, dom)
         return NullityCertificate(
             pair=cert_pair,
@@ -462,7 +459,7 @@ def _invertible_actions(m, n, p, domain, budget):
     ]
     actions = {}
     for flat0 in itertools.product(range(q), repeat=m * p * p):
-        rows = _row_slices(flat0, p)
+        rows = _row_slices(flat0, m)
         for flat1, cols in legs1:
             blocks, inv_blocks = _invertible_blocks(rows, cols, memo, domain)
             if blocks is None or blocks in actions:
@@ -535,10 +532,12 @@ def _via_rank_over_gf(oriented, budget, seed):
     until a completion exists.  A pair with z zero slices always yields a
     completable (p - z)-term decomposition, so the first level that
     completes matches the exhaustive oracle, as long as the per-level cap
-    of ``DEFAULT_DECOMPOSITION_ATTEMPTS`` decompositions does not bind;
-    past level p - 1 the zero-slice triple stands in.
-    The climb also finds the rank: the first level with a decomposition,
-    p when none below p has.
+    of ``DEFAULT_DECOMPOSITION_ATTEMPTS`` decompositions does not bind.
+    With z zero depth slices the zero-slice triple has p - z terms and
+    always completes, so the climb stops at level min(p - z, p - 1) and
+    that triple stands in at level p - z: no higher level can certify
+    more.  The climb also finds the rank: the first level with a
+    decomposition, p - z when none below has.
 
     Necessity's ``CompletionError`` depends only on the outer legs
     (x0, x2) and the support, so each such key is rejected once and its
@@ -546,9 +545,10 @@ def _via_rank_over_gf(oriented, budget, seed):
     term, which necessity refuses.  Every yield counts towards the cap.
     """
     p = oriented.shape[2]
+    top = p - sum(_slice_is_zero(oriented, k) for k in range(p))
     r = None
     rejected = set()
-    for r_level in range(1, p):
+    for r_level in range(1, min(top, p - 1) + 1):
         decompositions = iter_bm_decompositions(
             oriented, r_level, budget=budget, all_solutions=True
         )
@@ -568,7 +568,7 @@ def _via_rank_over_gf(oriented, budget, seed):
                 continue
             return found, f"via-rank (rank {r}, transfer level {r_level})"
     found = hyper_nullity_necessity(oriented, _zero_slice_triple(oriented), seed=seed)
-    return found, f"via-rank (rank {r or p}, transfer level {p})"
+    return found, f"via-rank (rank {r or top}, transfer level {top})"
 
 
 def nullity(
@@ -586,12 +586,14 @@ def nullity(
     decompositions of each term count from one up, whose first level is
     the exact rank (retrying across decompositions and levels until one
     admits an invertible completion); over complex doubles the numeric
-    reduction pipeline; over the rationals only the zero depth slices of
-    the input itself are certified (there is no exact rational rank
-    oracle here, so this is a lower bound).  "direct-search" is the exhaustive
-    oracle over tiny prime fields.  ``budget`` caps every exhaustive
-    enumeration either strategy runs over GF(q).  A caller that already
-    holds a decomposition calls :func:`hyper_nullity_necessity`.
+    reduction pipeline; over the rationals, and over complex doubles when
+    an entry is zero (the pipeline's rank-one test divides by entries),
+    only the zero depth slices of the input itself are certified (there
+    is no exact rational rank oracle here, so this is a lower bound).
+    "direct-search" is the exhaustive oracle over tiny prime fields.
+    ``budget`` caps every exhaustive enumeration either strategy runs
+    over GF(q).  A caller that already holds a decomposition calls
+    :func:`hyper_nullity_necessity`.
 
     The relation computed is rank + nullity <= p, not an equality:
     sufficiency turns z zero slices into a (p - z)-term decomposition.
@@ -609,11 +611,12 @@ def nullity(
     label = "via-rank"
     if dom.kind == "gf":
         found, label = _via_rank_over_gf(oriented, budget, seed)
-    elif dom.kind == "complex":
+    elif dom.kind == "complex" and not any(map(dom.is_zero, oriented.data)):
         triple = generic_rank_pipeline(oriented, seed=seed).triple
         found = hyper_nullity_necessity(oriented, triple, seed=seed)
     else:
-        # rational: certify the visible zero depth slices
+        # rational, or complex with a zero entry, on which the pipeline's
+        # rank-one test divides: certify the visible zero depth slices
         found = hyper_nullity_necessity(oriented, _zero_slice_triple(oriented), seed=seed)
         label = "via-rank (zero-slice lower bound)"
     return replace(found, strategy=label, transposes_applied=tcount)

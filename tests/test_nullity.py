@@ -1,12 +1,18 @@
+import contextlib
 import importlib
+import io
 import itertools
 import json
+import os
 import random
 import re
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmalg import cli, scalars
 from bmalg.core import Hypermatrix, Matrix
@@ -439,36 +445,78 @@ def test_direct_search_orients_the_input_once(monkeypatch):
 
 # GF(2) 3x3x3 inputs with zero depth slices on which no rank-one
 # decomposition among the first DEFAULT_DECOMPOSITION_ATTEMPTS completes,
-# with the nullity each is certified
+# with the nullity each is certified and its label: the zero-slice
+# triple's level p - z (z = 2, then z = 1) ends the climb
 CLIMB_PAST_LEVEL_ONE = [
-    ([0] * 14 + [1] + [0] * 12, 2),
-    ([0, 0, 1] + [0] * 21 + [1, 0, 1], 1),
+    ([0] * 14 + [1] + [0] * 12, 2, "via-rank (rank 1, transfer level 1)"),
+    ([0, 0, 1] + [0] * 21 + [1, 0, 1], 1, "via-rank (rank 1, transfer level 2)"),
 ]
 
 
-@pytest.mark.parametrize("data, want", CLIMB_PAST_LEVEL_ONE)
-def test_via_rank_climb_past_level_one_certifies(tmp_path, capsys, data, want):
-    """Level 2 yields decompositions with a zero term, which the climb
-    skips since necessity refuses them, and the full identity pair is
-    degenerate on a zero depth slice, so the climb falls back to the
-    zero-slice triple; the printed certificate re-verifies."""
+@pytest.mark.parametrize("data, want, label", CLIMB_PAST_LEVEL_ONE)
+def test_via_rank_climb_past_level_one_certifies(tmp_path, capsys, data, want, label):
+    """With z zero depth slices the zero-slice triple has p - z terms and
+    always completes, so the climb stops at level p - z; on these inputs
+    no decomposition up to that level completes (level 2 yields only
+    decompositions with a zero term, which necessity refuses), so the
+    climb falls back to the zero-slice triple, labelled with level p - z;
+    the printed certificate re-verifies."""
     a = Hypermatrix((3, 3, 3), data, GF2)
     path = tmp_path / "a.json"
     path.write_text(json.dumps(a.to_json()))
     argv = ["nullity", str(path), "--strategy", "via-rank", "--budget", str(10**12)]
     assert cli.main(argv) == cli.EXIT_OK
     cert = json.loads(capsys.readouterr().out)
-    assert cert["nullity"] == want
+    assert (cert["nullity"], cert["strategy"]) == (want, label)
+    assert reverify(a, cert) == 0
+
+
+def reverify(a, cert):
+    """Raise unless the printed certificate's pair is invertible, zeroes
+    the claimed slices of the oriented input and its recovered outer
+    inverse reconstructs that input; return the sandwich residual of the
+    printed outer inverse."""
     pair = HyperPair.from_json(cert["pair"])
     oriented = a.transpose_times(cert["transposes_applied"])
-    # raises unless the pair is invertible, zeroes the claimed slices and
-    # its recovered outer inverse reconstructs the input
     hyper_nullity_sufficiency(oriented, pair, cert["zero_slices"])
     inverse = OuterInversePair(
         *(Hypermatrix.from_json(cert["outer_inverse"][name]) for name in "CD")
     )
-    probes = unit_probe_basis(*pair.dims, GF2)
-    assert sandwich_check(pair, inverse, probes) == 0
+    return sandwich_check(pair, inverse, unit_probe_basis(*pair.dims, a.domain))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*[st.integers(1, 3)] * 3),
+    st.integers(0, 2**16),
+    st.lists(st.integers(0, 26), min_size=1, max_size=6),
+    st.sets(st.integers(0, 2)),
+)
+def test_complex_nullity_with_zero_entries_certifies(shape, seed, zeros, zero_slices):
+    """A complex input with a zero entry, which the pipeline's rank-one
+    test would divide by, gets the zero-slice lower bound: the CLI exits
+    0, the nullity counts at least the zero depth slices of the oriented
+    input, and the printed certificate re-verifies."""
+    a = Hypermatrix.random(shape, CPLX, random.Random(seed), nonzero=True)
+    planted, p = {at % len(a.data) for at in zeros}, shape[2]
+    data = [
+        0j if at in planted or at % p in zero_slices else v
+        for at, v in enumerate(a.data)
+    ]
+    a = Hypermatrix(shape, data, CPLX)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        with open(path, "w") as fh:
+            json.dump(a.to_json(), fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["nullity", path]) == cli.EXIT_OK
+    cert = json.loads(out.getvalue())
+    oriented = a.transpose_times(cert["transposes_applied"])
+    q = oriented.shape[2]
+    zero_depth = [k for k in range(q) if not any(oriented.data[k::q])]
+    assert cert["nullity"] >= len(zero_depth)
+    assert reverify(a, cert) <= 1e-9
 
 
 def test_via_rank_honours_budget():

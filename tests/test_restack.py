@@ -1,13 +1,15 @@
 """``Hypermatrix.restack`` and the slice cuts that run on it.
 
 The property test holds ``restack`` to a per-entry oracle.  The
-equivalence tests hold the triple's zeroing, ``nullity._padded_legs``,
-``rank.hyper_slice_reduce``, ``rank.two_slice_witness`` and
-``Hypermatrix.slice`` to the offset-based copies in ``reference.py``:
-the same shapes and the same entry bits, or the same exception.  The
-one-pass ``dependence._cancel_pairs`` is held to its restarting copy.
+equivalence tests hold the triple's zeroing, ``rank.hyper_slice_reduce``,
+``rank.two_slice_witness`` and ``Hypermatrix.slice`` to the
+offset-based copies in ``reference.py``: the same shapes and the same
+entry bits, or the same exception.  Necessity, which pads no leg, gives
+on a triple the certificate it gives on the triple's run-padded copy.
+The one-pass ``dependence._cancel_pairs`` is held to its restarting copy.
 """
 
+import json
 import random
 import re
 import struct
@@ -20,8 +22,8 @@ import reference as ref
 from bmalg import scalars
 from bmalg.core import Hypermatrix, SliceSpec
 from bmalg.dependence import _cancel_pairs
-from bmalg.errors import ReductionHypothesisError, ShapeError
-from bmalg.nullity import _padded_legs
+from bmalg.errors import CompletionError, ReductionHypothesisError, ShapeError
+from bmalg.nullity import hyper_nullity_necessity
 from bmalg.products import identity_pair
 from bmalg.rank import (
     DecompositionTriple,
@@ -135,20 +137,50 @@ def test_triple_zeroing_matches_the_stride_copy(dom, seed):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(DOMAINS), st.integers(0, 10**6))
 def test_pad_triple_matches_the_run_copy(dom, seed):
+    """Necessity on a triple and on its copy zero-padded to p slices by
+    ``reference.pad_triple_by_runs``: the same certificate JSON, or the
+    same exception; ell = p + 1 raises ShapeError in both."""
     rng = random.Random(seed)
-    p = rng.randint(1, 4)
-    ell = rng.randint(1, p + 1)  # ell = p + 1 raises in both
-    legs = random_legs(rng, dom, rng.randint(1, 3), rng.randint(1, 3), p, ell)
+    p = rng.randint(1, 3)
+    ell = rng.randint(1, p + 1)
+    m, n = rng.randint(p, 3), rng.randint(p, 3)  # depth extent minimal
+    legs = random_legs(rng, dom, m, n, p, ell)
     d = DecompositionTriple(*legs, tuple(rng.sample(range(ell), rng.randint(0, ell))))
+    # mostly the triple's own product; otherwise an input it does not reconstruct
+    a = d.reconstruct() if rng.random() < 0.8 else Hypermatrix.random((m, n, p), dom, rng)
 
-    def padded(pad):
-        out = pad(d, p)
-        return (*out.legs(), out.support)
+    def certify(padded):
+        cert = hyper_nullity_necessity(a, ref.pad_triple_by_runs(d, p) if padded else d)
+        return (json.dumps(cert.to_json(), sort_keys=True),)
 
-    def padded_legs(pad):
-        return (*pad(d, p), d.support)
+    got = outcome(certify, False)
+    assert got == outcome(certify, True)
+    if ell == p + 1:
+        assert got[0] == "ShapeError"
 
-    assert outcome(padded_legs, _padded_legs) == outcome(padded, ref.pad_triple_by_runs)
+
+@pytest.mark.parametrize("dom", DOMAINS[:3], ids=["rat", "gf2", "gf7"])
+def test_necessity_restacks_no_leg(dom, monkeypatch):
+    """Over exact domains necessity reads the decomposition's own legs:
+    a triple with fewer slices than the depth is completed, and certified
+    when it can be, without one ``Hypermatrix.restack`` copy."""
+    rng = random.Random(11)
+    calls = []
+    restack = Hypermatrix.restack
+    monkeypatch.setattr(Hypermatrix, "restack",
+                        lambda h, *args: calls.append(args) or restack(h, *args))
+    certified, shapes = 0, ((2, 1, 2), (2, 2, 1), (1, 2, 2))
+    for _ in range(6):
+        d = DecompositionTriple(
+            *(Hypermatrix.random(shape, dom, rng, nonzero=True) for shape in shapes), (0,)
+        )
+        calls.clear()
+        try:
+            certified += hyper_nullity_necessity(d.reconstruct(), d).nullity == 1
+        except CompletionError:
+            pass
+        assert calls == []
+    assert certified
 
 
 def reduce_outcome(reduce, legs, rewrite):
