@@ -35,6 +35,7 @@ candidate-by-candidate scan.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 import sys
@@ -438,10 +439,17 @@ def depth_slice_witness(
     With V fixed the relation is linear in each row of U and decouples
     row by row; with U fixed it decouples column by column.  Each
     half-sweep solves its m row systems, or its n column systems, in
-    one batched gelsd call (:func:`_batched_lstsq`), bit for bit what
-    ``np.linalg.lstsq`` returns system by system.  Random restarts with
-    fresh V initializations; the first restart whose residual reaches
-    tol * ||B||_F is the witness, None when none does within the budget.
+    one batched gelsd call, bit for bit what ``np.linalg.lstsq`` returns
+    system by system.  Random restarts with fresh V initializations; the
+    first restart whose residual reaches tol * ||B||_F is the witness,
+    None when none does within the budget.
+
+    A sweep does only what changes between sweeps: the slice cuts, the
+    right sides, the lstsq cutoffs and the gelsd gufunc are fixed once
+    per call.  Every product keeps the operand order of the per-row,
+    per-column and per-slice loops it replaces, because numpy's complex
+    multiply need not be commutative bit for bit (SIMD loops that fuse
+    a multiply-add are not), so u, v and the residual keep their bits.
 
     Requires the complex domain, at least two depth slices and
     entry-wise nonzero input (the genericity proxy; zero entries break
@@ -475,30 +483,46 @@ def depth_slice_witness(
                 f"be scaled"
             )
     others = [t for t in range(p) if t != tau]
-    sub = arr[:, :, others]  # (m, n, len(others))
+    no = len(others)
+    # Per-call invariants: row i's coefficients are sub[i] * v.T (n, no),
+    # column j's are sub_t[j] * u (m, no); the right sides carry gelsd's
+    # trailing axis; the cutoffs are np.linalg.lstsq's defaults.
+    sub = arr[:, :, others]
+    sub_t = arr.transpose(1, 0, 2)[:, :, others]
+    rows_rhs, cols_rhs = target[:, :, None], target.T[:, :, None]
+    eps = sys.float_info.epsilon
+    rows_cut, cols_cut = eps * max(n, no), eps * max(m, no)
+    from numpy.linalg._umath_linalg import lstsq as gelsd  # numpy >= 2.0
+
+    def solve(a, rhs, cut):
+        return gelsd(a, rhs, cut, signature="DDd->Ddid")[0][..., 0]
+
     rng = random.Random(seed)
-
-    def residual_of(u, v):
-        acc = np.zeros((m, n), dtype=complex)
-        for idx, t in enumerate(others):
-            acc += u[:, idx, None] * arr[:, :, t] * v[None, idx, :]
-        return float(np.linalg.norm(target - acc))
-
     with _lstsq_errstate():
         for restart in range(max(1, restarts)):
-            v = np.array(
+            vt = np.array(
                 [[dom.random_nonzero(rng) for _ in range(n)] for _ in others],
                 dtype=complex,
-            )
+            ).T
             prev = None
             for it in range(max(1, iters)):
-                # row i's system: (n, len(others)); column j's: (m, len(others))
-                u = _batched_lstsq(sub * v.T[None], target)
-                v = _batched_lstsq(sub.transpose(1, 0, 2) * u[None], target.T).T
-                res = residual_of(u, v)
+                u = solve(sub * vt, rows_rhs, rows_cut)
+                vt = solve(sub_t * u, cols_rhs, cols_cut)
+                # term t is u[:, t] B_t v[t, :], operands in the order of
+                # the per-slice loop; summing from the first term rather
+                # than from zeros moves only the signs of zero sums, which
+                # the squared norm drops
+                terms = u[:, None, :] * sub * vt
+                acc = terms[:, :, 0]
+                for idx in range(1, no):
+                    acc = acc + terms[:, :, idx]
+                # ||target - acc||_F as np.linalg.norm computes it
+                diff = (target - acc).ravel()
+                re, im = diff.real, diff.imag
+                res = math.sqrt(re.dot(re) + im.dot(im))
                 if res <= tol * target_norm:
                     us = dict(zip(others, u.T.tolist()))
-                    vs = dict(zip(others, v.tolist()))
+                    vs = dict(zip(others, vt.T.tolist()))
                     return DepthSliceWitness(
                         tau=tau, u_cols=us, v_rows=vs, residual=res
                     )
@@ -879,6 +903,20 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
 # ---------------------------------------------------------------------------
 
 
+def _sum_terms(terms):
+    """``terms.sum(-1)``, bit for bit.  Over at most three complex terms
+    numpy's add.reduce adds them in order, starting from +0.0; this loop
+    does the same in one array operation per term, where the reduce
+    makes one inner-loop call per output entry.  Longer sums go to the
+    reduce."""
+    if terms.shape[-1] > 3:
+        return terms.sum(-1)
+    acc = 0.0 + terms[..., 0]
+    for idx in range(1, terms.shape[-1]):
+        acc += terms[..., idx]
+    return acc
+
+
 def triple_reduction_witness(
     x0, x1, x2, tau, tol=None, restarts=20, iters=200, seed=0
 ):
@@ -891,7 +929,12 @@ def triple_reduction_witness(
     of all m rows of every live restart and each v half-sweep those of
     the n columns, and one batched gelsd call (:func:`_batched_lstsq`)
     answers them all, bit for bit what ``np.linalg.lstsq`` returns
-    system by system, under one :func:`_lstsq_errstate`.  Every restart
+    system by system, under one :func:`_lstsq_errstate`.  The left
+    prefixes of the coefficient products that hold neither u nor v are
+    computed once per call; each product keeps its operand order and
+    each sum its order of terms (:func:`_sum_terms`), because numpy's
+    complex multiply need not be commutative bit for bit, so every
+    sweep gives the bits it gave when it recomputed them.  Every restart
     starts from v drawn from ``random.Random(seed)`` in restart order
     and u = 0, and stops on its own when its residual reaches
     tol * (1 + ||lhs||_F), or after sweep 21 when a sweep improves it
@@ -930,6 +973,8 @@ def triple_reduction_witness(
     x_t = ax[:, others, :].transpose(0, 2, 1)[None, :, None]
     z_tau = az[None, None, tau, :, :, None]
     z_t = az[others].transpose(1, 2, 0)[None, None]
+    # per-call left prefixes of g, rhs and h (const's holds u)
+    y_x_tau, y_x_t_z_tau, y_z_tau = y * x_tau, y * x_t * z_tau, y * z_tau
     rng = random.Random(seed)
     inits = [
         [[dom.random(rng) for _ in range(n)] for _ in others]
@@ -949,28 +994,30 @@ def triple_reduction_witness(
                     break
                 # u half-sweep: row i's system has equations (j, k)
                 vb = v[live].transpose(0, 2, 1)[:, None, :, None, :]
-                g = y * x_tau * (z_tau * vb + z_t)
-                rhs = lhs - (y * x_t * z_tau * vb).sum(-1)
+                g = y_x_tau * (z_tau * vb + z_t)
+                rhs = lhs - _sum_terms(y_x_t_z_tau * vb)
                 ul = _batched_lstsq(
                     g.reshape(-1, n * p, no), rhs.reshape(-1, n * p)
                 ).reshape(-1, m, no)
                 # v half-sweep: column j's system has equations (i, k)
                 ub = ul[:, :, None, None, :]
-                h = y * z_tau * (ub * x_tau + x_t)
-                const = (y * ub * x_tau * z_t).sum(-1)
+                h = y_z_tau * (ub * x_tau + x_t)
+                const = _sum_terms(y * ub * x_tau * z_t)
                 vl = _batched_lstsq(
                     h.transpose(0, 2, 1, 3, 4).reshape(-1, m * p, no),
                     (lhs - const).transpose(0, 2, 1, 3).reshape(-1, m * p),
                 ).reshape(-1, n, no)
-                acc = (h * vl[:, None, :, None, :]).sum(-1) + const
-                rl = np.linalg.norm((lhs - acc).reshape(len(live), -1), axis=1)
+                acc = _sum_terms(h * vl[:, None, :, None, :]) + const
+                # np.linalg.norm(diff, axis=1), computed as it does
+                diff = (lhs - acc).reshape(len(live), -1)
+                rl = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=1))
                 u[live], v[live], res[live] = ul, vl.transpose(0, 2, 1), rl
-                stall = (it > 20) & (prev[live] - rl < 1e-4 * prev[live])
+                met = rl <= goal
+                stop = met | ((it > 20) & (prev[live] - rl < 1e-4 * prev[live]))
                 prev[live] = rl
-                live = live[~((rl <= goal) | stall)]
-                hits = np.flatnonzero(res <= goal)
-                if hits.size:  # a later restart can no longer be chosen
-                    live = live[live < hits[0]]
+                if met.any():  # a later restart can no longer be chosen
+                    stop |= live >= live[met][0]
+                live = live[~stop]
             hits = np.flatnonzero(res <= goal)
             if hits.size:
                 break
@@ -1005,12 +1052,19 @@ def generic_rank_pipeline(b: Hypermatrix, tau=None, restarts=DEFAULT_PIPELINE_RE
     lie below min(m, n, p) (else ShapeError); once ell has shrunk to
     ``tau`` or below, the pinned pivot names no slice, and reducing
     stops as when no pivot succeeds.
+
+    An input with an entry zero within tolerance gets the identity-pair
+    certificate it would start from (:func:`rank_upper_min`, residual
+    0.0): the rank-one test and the depth-slice witness divide by its
+    entries, so it reduces no further without a witness.
     """
     dom = b.domain
     if dom.kind != "complex":
         raise ValueError("generic_rank_pipeline needs the complex domain")
     if tau is not None and not 0 <= tau < min(b.shape):
         raise ShapeError(f"tau {tau} out of range")
+    if any(map(dom.is_zero, b.data)):
+        return rank_upper_min(b)
     _, legs = bm_rank_one(b)
     oriented, times = b, 0
     if legs is None:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import hyperdet_zero_instance, printed_witness
 
 from bmalg import inverse, scalars
@@ -12,7 +18,7 @@ from bmalg.core import Hypermatrix, Matrix
 from bmalg.dependence import combination_residual, witness_is_nontrivial
 from bmalg.inverse import random_pair
 from bmalg.products import delta_t, kronecker_delta
-from bmalg.rank import delta_sum
+from bmalg.rank import DecompositionTriple, RankCertificate, delta_sum
 
 RAT = scalars.rational()
 GF2 = scalars.gf(2)
@@ -102,6 +108,42 @@ def test_rank_pipeline_and_domain_guard(tmp_path):
         tmp_path, "r.json", Hypermatrix.random((2, 2, 2), RAT, rng).to_json()
     )
     assert main(["rank", rational_file, "--strategy", "generic-pipeline"]) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*[st.integers(1, 4)] * 3),
+    st.integers(0, 2**16),
+    st.lists(st.integers(0, 63), min_size=1, max_size=6),
+    st.sets(st.integers(0, 3)),
+)
+def test_rank_pipeline_with_zero_entries_certifies_the_min_bound(
+    shape, seed, zeros, zero_slices
+):
+    """A complex input with a zero entry, which the rank-one test and the
+    depth-slice witness would divide by, gets the identity-pair
+    certificate: the CLI exits 0 with r = min(shape), and the printed
+    triple reconstructs the input with residual 0.0."""
+    b = Hypermatrix.random(shape, scalars.complex_doubles(), random.Random(seed),
+                           nonzero=True)
+    planted, p = {at % len(b.data) for at in zeros}, shape[2]
+    data = [
+        0j if at in planted or at % p in zero_slices else v
+        for at, v in enumerate(b.data)
+    ]
+    b = Hypermatrix(shape, data, b.domain)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.json")
+        with open(path, "w") as fh:
+            json.dump(b.to_json(), fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["rank", path, "--strategy", "generic-pipeline"]) == 0
+    cert = json.loads(out.getvalue())
+    assert cert["r"] == min(shape)
+    assert cert["residual"] == 0.0
+    triple = DecompositionTriple.from_json(cert["triple"])
+    assert RankCertificate("upper-bound", cert["r"], triple).verify(b) == 0.0
 
 
 def test_rank_pipeline_rejects_a_pinned_tau_beyond_the_depth(tmp_path, capsys):

@@ -3,8 +3,10 @@ changes no certificate.
 
 ``reference.py`` keeps a pipeline that searches every ell = 2 -> 1
 pivot with the ALS witnesses.  On generic 3x3x3 inputs
-(the acceptance c07 draws), a 4x4x4 and a complex nullity with depth 2
-the certificates equal the reference's byte for byte.  On BM-rank-one
+(the acceptance c07 draws), a 4x4x4, a 4x4x5 (against the reference
+run on its depth-min orientation, mapped back) and complex nullities
+with depth 2 and 3 the certificates equal the reference's byte for
+byte.  On BM-rank-one
 3x3x2 and 2x3x2 inputs perturbed from far below the witness tolerance
 to far above the check's acceptance bound, and on inputs whose entries
 are about 1e-3, so that the products of four entries in the third
@@ -15,6 +17,7 @@ BM-rank-one inputs of larger shapes certify r = 1 and complex nullity
 min extent - 1.
 """
 
+import importlib
 import json
 import random
 
@@ -25,7 +28,13 @@ from test_rank_one import rank_one
 from bmalg import rank, scalars
 from bmalg.core import Hypermatrix
 from bmalg.nullity import hyper_nullity_sufficiency, nullity, orient_depth_min
-from bmalg.rank import bm_rank_one, generic_rank_pipeline
+from bmalg.rank import (
+    DecompositionTriple,
+    RankCertificate,
+    _untransposed,
+    bm_rank_one,
+    generic_rank_pipeline,
+)
 
 CPLX = scalars.complex_doubles()
 
@@ -45,13 +54,51 @@ def test_generic_inputs_match_reference():
     assert canonical(generic_rank_pipeline(b4, seed=1)) == canonical(
         ref.generic_rank_pipeline(b4, seed=1)
     )
+    # the reference does not orient its input: run it on the depth-min
+    # orientation and map its legs back through the transpose identities
+    b5 = Hypermatrix.random((4, 4, 5), CPLX, random.Random(405), nonzero=True)
+    oriented, times = orient_depth_min(b5)
+    assert times == 1
+    found = ref.generic_rank_pipeline(oriented, seed=1)
+    legs = _untransposed(found.triple.legs(), times)
+    want = RankCertificate(
+        "upper-bound", found.r, DecompositionTriple(*legs, found.triple.support)
+    )
+    want.residual = want.verify(b5)
+    assert canonical(generic_rank_pipeline(b5, seed=1)) == canonical(want)
+
+
+def nullity_under_reference(monkeypatch, b, seed):
+    """``nullity(b, seed=seed)`` with the reference pipeline in place of
+    the library's, under both names it is reached by."""
+    calls = []
+
+    def pipeline(*args, **kwargs):
+        calls.append(args)
+        return ref.generic_rank_pipeline(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(rank, "generic_rank_pipeline", pipeline)
+        mp.setattr(importlib.import_module("bmalg.nullity"),
+                   "generic_rank_pipeline", pipeline)
+        cert = nullity(b, seed=seed)
+    assert len(calls) == 1
+    return canonical(cert)
 
 
 def test_depth_two_nullity_matches_reference(monkeypatch):
     odd = Hypermatrix.random((2, 3, 4), CPLX, random.Random(234), nonzero=True)
     got = canonical(nullity(odd, seed=0))
-    monkeypatch.setattr(rank, "generic_rank_pipeline", ref.generic_rank_pipeline)
-    assert got == canonical(nullity(odd, seed=0))
+    assert got == nullity_under_reference(monkeypatch, odd, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_complex_3x3x3_nullity_matches_reference(monkeypatch, seed):
+    """The numeric-witness benchmark's complex nullity: depth 3, whose
+    pipeline runs the depth-slice witness."""
+    b = Hypermatrix.random((3, 3, 3), CPLX, random.Random(330 + seed), nonzero=True)
+    got = canonical(nullity(b, seed=seed))
+    assert got == nullity_under_reference(monkeypatch, b, seed)
 
 
 def assert_rank_one_rule(b, cert, want):
