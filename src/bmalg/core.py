@@ -24,11 +24,10 @@ fraction-free on integer rows (Bareiss, Math. Comp. 22, 1968), so its
 loop does Python-int arithmetic only; the kernels read ratios of those
 integers and return the same Fractions as elimination over Fractions.
 
-``BATCH_ENTRIES`` bounds the numpy arrays of three batched scans: the
+``BATCH_ENTRIES`` bounds the numpy arrays of two batched scans: the
 candidate batches (outer-leg values times an inner-leg block) of the
-exhaustive GF(q) rank searches (``rank._fiber_search``), the probe
-stacks of ``inverse.sandwich_check`` and the coefficient chunks of
-``rank.triple_reduction_witness``.
+exhaustive GF(q) rank searches (``rank._fiber_search``) and the probe
+stacks of ``inverse.sandwich_check``.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .scalars import RATIONAL_KIND, ScalarDomain
 
-# Most array entries per batch (512 KiB of int64) of rank._fiber_search,
-# inverse.sandwich_check and rank.triple_reduction_witness.
+# Most array entries per batch (512 KiB of int64) of rank._fiber_search
+# and inverse.sandwich_check.
 BATCH_ENTRIES = 1 << 16
 
 

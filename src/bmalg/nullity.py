@@ -50,6 +50,7 @@ from .inverse import (
 from .products import bm_product, identity_pair
 from .rank import (
     DecompositionTriple,
+    bm_rank_one,
     generic_rank_pipeline,
     iter_bm_decompositions,
     orient_depth_min,
@@ -586,10 +587,10 @@ def nullity(
     decompositions of each term count from one up, whose first level is
     the exact rank (retrying across decompositions and levels until one
     admits an invertible completion); over complex doubles the numeric
-    reduction pipeline; over the rationals, and over complex doubles when
-    an entry is zero (the pipeline's rank-one test divides by entries),
-    only the zero depth slices of the input itself are certified (there
-    is no exact rational rank oracle here, so this is a lower bound).
+    reduction pipeline; over the rationals the legs of ``rank.bm_rank_one``
+    when it finds BM rank one ("via-rank (rank 1)").  Other rational
+    inputs, and complex ones with a zero entry (the rank-one test divides
+    by entries), certify only their zero depth slices, a lower bound.
     "direct-search" is the exhaustive oracle over tiny prime fields.
     ``budget`` caps every exhaustive enumeration either strategy runs
     over GF(q).  A caller that already holds a decomposition calls
@@ -614,9 +615,12 @@ def nullity(
     elif dom.kind == "complex" and not any(map(dom.is_zero, oriented.data)):
         triple = generic_rank_pipeline(oriented, seed=seed).triple
         found = hyper_nullity_necessity(oriented, triple, seed=seed)
+    elif (dom.kind == "rational" and not any(map(dom.is_zero, oriented.data))
+          and (legs := bm_rank_one(oriented)[1])):
+        found = hyper_nullity_necessity(oriented, DecompositionTriple(*legs, (0,)), seed=seed)
+        label = "via-rank (rank 1)"
     else:
-        # rational, or complex with a zero entry, on which the pipeline's
-        # rank-one test divides: certify the visible zero depth slices
+        # any other input: certify the visible zero depth slices
         found = hyper_nullity_necessity(oriented, _zero_slice_triple(oriented), seed=seed)
         label = "via-rank (zero-slice lower bound)"
     return replace(found, strategy=label, transposes_applied=tcount)

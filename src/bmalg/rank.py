@@ -53,7 +53,7 @@ from .products import (CONTRACTED_AXES, bm_product, conformability, identity_pai
                        outer_product_at)
 
 DEFAULT_RANK_BUDGET = 10_000_000
-# generic_rank_pipeline's first-step ALS budget; later steps take half
+# generic_rank_pipeline's step-0 ALS budget; its kept-set steps take half
 DEFAULT_PIPELINE_RESTARTS = 50
 DEFAULT_PIPELINE_ITERS = 500
 
@@ -403,32 +403,22 @@ class DepthSliceWitness:
         return SliceRewriteData(tau=self.tau, us=self.u_cols, vs=self.v_rows)
 
 
-def _raise_lstsq_error(err, flag):
-    import numpy as np
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _batched_lstsq(a, b):
-    """Min-norm least-squares solutions x[s] of the complex systems
-    a[s] x = b[s] in one call of the gufunc behind ``np.linalg.lstsq``,
-    with its default cutoff.  Each system goes through the same gelsd
-    call with the same inputs as ``np.linalg.lstsq(a[s], b[s],
-    rcond=None)``, so x[s] has the same bits.  Call it under
-    :func:`_lstsq_errstate`, which raises LinAlgError when gelsd does
-    not converge, as ``np.linalg.lstsq`` does."""
-    from numpy.linalg._umath_linalg import lstsq as _gelsd  # numpy >= 2.0
-    rcond = sys.float_info.epsilon * max(a.shape[1:])
-    x, _, _, _ = _gelsd(a, b[..., None], rcond, signature="DDd->Ddid")
-    return x[..., 0]
-
-
 def _lstsq_errstate():
-    """The floating-point error state ``np.linalg.lstsq`` solves under."""
+    """The error state ``np.linalg.lstsq`` solves under: gelsd failing raises."""
     import numpy as np
-    return np.errstate(
-        call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore",
-        under="ignore",
-    )
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def _batched_lstsq():
+    """The solve (a, rhs, cut) -> x[s] = lstsq(a[s], rhs[s, :, 0]) for all s, in one
+    gelsd call; at ``np.linalg.lstsq``'s cutoff eps * max(a.shape[1:]), its bits."""
+    from numpy.linalg._umath_linalg import lstsq as gelsd  # numpy >= 2.0
+    return lambda a, rhs, cut: gelsd(a, rhs, cut, signature="DDd->Ddid")[0][..., 0]
 
 
 def depth_slice_witness(
@@ -438,11 +428,10 @@ def depth_slice_witness(
 
     With V fixed the relation is linear in each row of U and decouples
     row by row; with U fixed it decouples column by column.  Each
-    half-sweep solves its m row systems, or its n column systems, in
-    one batched gelsd call, bit for bit what ``np.linalg.lstsq`` returns
-    system by system.  Random restarts with fresh V initializations; the
-    first restart whose residual reaches tol * ||B||_F is the witness,
-    None when none does within the budget.
+    half-sweep solves its m row systems, or its n column systems, in one
+    call of :func:`_batched_lstsq`'s solve.  Random restarts with fresh V
+    initializations; the first restart whose residual reaches tol * ||B||_F
+    is the witness, None when none does within the budget.
 
     A sweep does only what changes between sweeps: the slice cuts, the
     right sides, the lstsq cutoffs and the gelsd gufunc are fixed once
@@ -490,14 +479,8 @@ def depth_slice_witness(
     sub = arr[:, :, others]
     sub_t = arr.transpose(1, 0, 2)[:, :, others]
     rows_rhs, cols_rhs = target[:, :, None], target.T[:, :, None]
-    eps = sys.float_info.epsilon
-    rows_cut, cols_cut = eps * max(n, no), eps * max(m, no)
-    from numpy.linalg._umath_linalg import lstsq as gelsd  # numpy >= 2.0
-
-    def solve(a, rhs, cut):
-        return gelsd(a, rhs, cut, signature="DDd->Ddid")[0][..., 0]
-
-    rng = random.Random(seed)
+    rows_cut, cols_cut = (sys.float_info.epsilon * max(k, no) for k in (n, m))
+    solve, rng = _batched_lstsq(), random.Random(seed)
     with _lstsq_errstate():
         for restart in range(max(1, restarts)):
             vt = np.array(
@@ -903,132 +886,95 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
 # ---------------------------------------------------------------------------
 
 
-def _sum_terms(terms):
-    """``terms.sum(-1)``, bit for bit.  Over at most three complex terms
-    numpy's add.reduce adds them in order, starting from +0.0; this loop
-    does the same in one array operation per term, where the reduce
-    makes one inner-loop call per output entry.  Longer sums go to the
-    reduce."""
-    if terms.shape[-1] > 3:
-        return terms.sum(-1)
-    acc = 0.0 + terms[..., 0]
-    for idx in range(1, terms.shape[-1]):
-        acc += terms[..., idx]
-    return acc
+def triple_reduction_witness(b: Hypermatrix, kept, tau, tol=None, restarts=20, iters=200,
+                             seed=0):
+    """The legs of ``b`` over S' = ``kept`` less ``kept[tau]``, or None.
 
+    Each depth slice k outside S' needs a witness B[:,:,k] =
+    sum_{s in S'} diag(u^k_s) . B[:,:,s] . diag(v^k_s), solved by
+    Levenberg-Marquardt: the Jacobian in (u, v) is a dense complex matrix
+    with m n rows and |S'| (m + n) columns, and a step solves
+    (J^H J + lam diag(J^H J)) d = J^H r, whose damping keeps it regular
+    along the gauge (u_s c, v_s / c).  A step that lowers the residual is
+    taken and divides lam by 3; any other multiplies it by 4.  Restarts
+    from u and v drawn from ``random.Random(seed)`` run side by side.
+    Each stops at a residual of tol * ||B||_F, as in
+    :func:`depth_slice_witness`, after step 21 once ten steps gained
+    under 1e-3 relative, after ``iters`` steps, or once an earlier one
+    has converged.  The first converged one is the witness.
 
-def triple_reduction_witness(
-    x0, x1, x2, tau, tol=None, restarts=20, iters=200, seed=0
-):
-    """Alternating least squares for the general reduction hypothesis of
-    an arbitrary conformable triple (not just the identity-pair form).
-
-    The right side is linear in the u-family for fixed v (decoupled by
-    row) and linear in the v-family for fixed u (decoupled by column).
-    The restarts run side by side: each u half-sweep stacks the systems
-    of all m rows of every live restart and each v half-sweep those of
-    the n columns, and one batched gelsd call (:func:`_batched_lstsq`)
-    answers them all, bit for bit what ``np.linalg.lstsq`` returns
-    system by system, under one :func:`_lstsq_errstate`.  The left
-    prefixes of the coefficient products that hold neither u nor v are
-    computed once per call; each product keeps its operand order and
-    each sum its order of terms (:func:`_sum_terms`), because numpy's
-    complex multiply need not be commutative bit for bit, so every
-    sweep gives the bits it gave when it recomputed them.  Every restart
-    starts from v drawn from ``random.Random(seed)`` in restart order
-    and u = 0, and stops on its own when its residual reaches
-    tol * (1 + ||lhs||_F), or after sweep 21 when a sweep improves it
-    by less than 1e-4 relative, or after ``iters`` sweeps.
-
-    Returns the SliceRewriteData of the first converged restart in
-    index order, or None when none converges.  Restart 0 runs alone
-    first, since it usually converges when any does; the rest run in
-    chunks of at most ``core.BATCH_ENTRIES`` stacked coefficients
-    (m n p (ell - 1) per restart).  No chunk runs after one that
-    converged, and a restart stops as soon as an earlier one has
-    converged, so neither can change the result.
+    x1 is ``b`` restacked to S'; x0[i,s,k] and x2[s,j,k] are 1 at k = S'[s],
+    u^k_s[i] and v^k_s[j] at k outside S', and 0 otherwise.  The legs
+    stand when their certificate verifies within REDUCTION_ACCEPT * tol.
     """
-    dom = x0.domain
+    dom = b.domain
     if dom.kind != "complex":
         raise ValueError("triple_reduction_witness needs the complex domain")
+    if not 0 <= tau < len(kept):
+        raise ShapeError(f"tau {tau} out of range")
+    import numpy as np
     if tol is None:
         tol = dom.tol or 1e-9
-    m, ell, p = x0.shape
-    n = x1.shape[1]
-    if not (0 <= tau < ell):
-        raise ShapeError(f"tau {tau} out of range")
-    if ell < 2:
-        return None
-    import numpy as np
-    others = [t for t in range(ell) if t != tau]
-    no = len(others)
-    ax = x0.to_numpy()
-    ay = x1.to_numpy()
-    az = x2.to_numpy()
-    lhs = np.einsum("ik,ij,jk->ijk", ax[:, tau, :], ay[:, :, tau], az[tau, :, :])
-    goal = tol * (1.0 + float(np.linalg.norm(lhs)))
-    # broadcast over (restart, i, j, k, index of t in others)
-    y = ay[None, :, :, None, others]
-    x_tau = ax[None, :, None, tau, :, None]
-    x_t = ax[:, others, :].transpose(0, 2, 1)[None, :, None]
-    z_tau = az[None, None, tau, :, :, None]
-    z_t = az[others].transpose(1, 2, 0)[None, None]
-    # per-call left prefixes of g, rhs and h (const's holds u)
-    y_x_tau, y_x_t_z_tau, y_z_tau = y * x_tau, y * x_t * z_tau, y * z_tau
+    smaller = kept[:tau] + kept[tau + 1:]
+    m, n, p = b.shape
+    q, size = len(smaller), m + n
+    arr = b.to_numpy()
+    goal = tol * float(np.linalg.norm(arr))
+    slices = arr[:, :, smaller].transpose(2, 0, 1)
+    # row (i, j) of J meets column (s, i) of u_s and column (s, m + j) of v_s
+    at_s, at_i, at_j = np.indices((q, m, n)).reshape(3, -1)
+    row, col_u, col_v = at_i * n + at_j, at_s * size + at_i, at_s * size + m + at_j
     rng = random.Random(seed)
-    inits = [
-        [[dom.random(rng) for _ in range(n)] for _ in others]
-        for _ in range(max(1, restarts))
-    ]
-    cap = max(1, core.BATCH_ENTRIES // (m * n * p * no))
-    edges = [0, *range(1, len(inits), cap), len(inits)]
-    with _lstsq_errstate():
-        for start, end in zip(edges, edges[1:]):
-            v = np.array(inits[start:end], dtype=complex)  # (R, no, n)
-            u = np.zeros((len(v), m, no), dtype=complex)
-            res = np.full(len(v), np.inf)
-            prev = np.full(len(v), np.nan)
-            live = np.arange(len(v))
-            for it in range(max(1, iters)):
-                if not live.size:
-                    break
-                # u half-sweep: row i's system has equations (j, k)
-                vb = v[live].transpose(0, 2, 1)[:, None, :, None, :]
-                g = y_x_tau * (z_tau * vb + z_t)
-                rhs = lhs - _sum_terms(y_x_t_z_tau * vb)
-                ul = _batched_lstsq(
-                    g.reshape(-1, n * p, no), rhs.reshape(-1, n * p)
-                ).reshape(-1, m, no)
-                # v half-sweep: column j's system has equations (i, k)
-                ub = ul[:, :, None, None, :]
-                h = y_z_tau * (ub * x_tau + x_t)
-                const = _sum_terms(y * ub * x_tau * z_t)
-                vl = _batched_lstsq(
-                    h.transpose(0, 2, 1, 3, 4).reshape(-1, m * p, no),
-                    (lhs - const).transpose(0, 2, 1, 3).reshape(-1, m * p),
-                ).reshape(-1, n, no)
-                acc = _sum_terms(h * vl[:, None, :, None, :]) + const
-                # np.linalg.norm(diff, axis=1), computed as it does
-                diff = (lhs - acc).reshape(len(live), -1)
-                rl = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=1))
-                u[live], v[live], res[live] = ul, vl.transpose(0, 2, 1), rl
-                met = rl <= goal
-                stop = met | ((it > 20) & (prev[live] - rl < 1e-4 * prev[live]))
-                prev[live] = rl
-                if met.any():  # a later restart can no longer be chosen
-                    stop |= live >= live[met][0]
-                live = live[~stop]
-            hits = np.flatnonzero(res <= goal)
-            if hits.size:
+
+    def witness(target):
+        def residuals(x):
+            return target - np.einsum("rsi,sij,rsj->rij", x[..., :m], slices, x[..., m:])
+
+        draws = [dom.random_nonzero(rng) for _ in range(max(1, restarts) * q * size)]
+        x = np.array(draws).reshape(-1, q, size)
+        res_vec = residuals(x)
+        history = [np.linalg.norm(res_vec.reshape(len(x), -1), axis=1)]
+        res, lam, live = history[0].copy(), np.full(len(x), 1e-3), np.arange(len(x))
+        for it in range(max(1, iters)):
+            xl = x[live]
+            jac = np.zeros((live.size, m * n, q * size), dtype=complex)
+            jac[:, row, col_u] = (slices * xl[:, :, None, m:]).reshape(live.size, -1)
+            jac[:, row, col_v] = (xl[:, :, :m, None] * slices).reshape(live.size, -1)
+            jac_h = jac.conj().transpose(0, 2, 1)
+            normal = jac_h @ jac
+            np.einsum("rii->ri", normal)[...] *= 1 + lam[live, None]  # + lam diag(J^H J)
+            grad = jac_h @ res_vec[live].reshape(live.size, -1, 1)
+            trial = xl + np.linalg.solve(normal, grad).reshape(xl.shape)
+            trial_vec = residuals(trial)
+            trial_res = np.linalg.norm(trial_vec.reshape(live.size, -1), axis=1)
+            ok = trial_res < res[live]
+            took = live[ok]
+            x[took], res_vec[took], res[took] = trial[ok], trial_vec[ok], trial_res[ok]
+            lam[live] *= np.where(ok, 1 / 3, 4.0)
+            history.append(res.copy())
+            met = res[live] <= goal
+            before = history[-11][live] if it > 20 else np.inf
+            stop = met | (before - res[live] < 1e-3 * before)
+            if met.any():  # a later restart can no longer be chosen
+                stop |= live >= live[met][0]
+            live = live[~stop]
+            if not live.size:
                 break
-        else:
-            return None
-    u, v = u[hits[0]], v[hits[0]]
-    return SliceRewriteData(
-        tau=tau,
-        us={t: [complex(x) for x in u[:, idx]] for idx, t in enumerate(others)},
-        vs={t: [complex(x) for x in v[idx, :]] for idx, t in enumerate(others)},
-    )
+        hits = np.flatnonzero(res <= goal)
+        return x[hits[0]] if hits.size else None
+
+    x0, x2 = np.zeros((m, q, p), dtype=complex), np.zeros((q, n, p), dtype=complex)
+    x0[:, range(q), smaller] = x2[range(q), :, smaller] = 1
+    for k in range(p):
+        if k not in smaller:
+            found = witness(arr[:, :, k])
+            if found is None:
+                return None
+            x0[:, :, k], x2[:, :, k] = found[:, :m].T, found[:, m:]
+    legs = (Hypermatrix(x0.shape, x0.ravel().tolist(), dom), b.restack(2, smaller),
+            Hypermatrix(x2.shape, x2.ravel().tolist(), dom))
+    cert = RankCertificate("upper-bound", q, DecompositionTriple(*legs, tuple(range(q))))
+    return legs if cert.verify(b) <= REDUCTION_ACCEPT * tol else None
 
 
 def generic_rank_pipeline(b: Hypermatrix, tau=None, restarts=DEFAULT_PIPELINE_RESTARTS,
@@ -1037,21 +983,20 @@ def generic_rank_pipeline(b: Hypermatrix, tau=None, restarts=DEFAULT_PIPELINE_RE
     hypermatrix of any shape (m, n, p), with r <= min(m, n, p).
 
     When ``b`` has BM rank one (:func:`bm_rank_one` at the domain
-    tolerance) the certificate is its ell = 1 legs.  Otherwise it
-    orients ``b`` by :func:`orient_depth_min` and starts from the
-    identity-pair decomposition of the oriented input, with contracted
-    dimension min(m, n, p), and keeps reducing while ell > 2 and a
-    depth-slice witness (first step) or a general reduction witness
-    (later steps) is found; stalls return the best certificate so far,
-    residual included, its legs mapped back to ``b`` through the
-    transpose identities.  It stops at ell = 2: an ell = 1 rewrite would
-    give ``b`` BM rank one, which the test has ruled out.
+    tolerance) the certificate is its ell = 1 legs.  Otherwise the
+    identity-pair decomposition of ``b`` oriented by
+    :func:`orient_depth_min` keeps all its depth slices, and each step
+    drops one, the last first: step 0 by :func:`depth_slice_witness` and
+    :func:`hyper_slice_reduce`, later steps by
+    :func:`triple_reduction_witness` on half the step-0 budget (at least
+    5 restarts and 50 iterations) and seed ``seed + step``.  Reducing
+    stops at a step that drops nothing, or at two kept slices, since one
+    would give ``b`` BM rank one.  The legs reached are mapped back to
+    ``b`` through the transpose identities.
 
     Everything reads the domain tolerance (1e-9 when it is zero).  A
-    pinned ``tau`` must index a depth slice of the oriented input, i.e.
-    lie below min(m, n, p) (else ShapeError); once ell has shrunk to
-    ``tau`` or below, the pinned pivot names no slice, and reducing
-    stops as when no pivot succeeds.
+    pinned ``tau`` is a position in the kept set below min(m, n, p)
+    (else ShapeError); reducing stops once it names no kept slice.
 
     An input with an entry zero within tolerance gets the identity-pair
     certificate it would start from (:func:`rank_upper_min`, residual
@@ -1071,37 +1016,29 @@ def generic_rank_pipeline(b: Hypermatrix, tau=None, restarts=DEFAULT_PIPELINE_RE
         oriented, times = orient_depth_min(b)
         j0, j1 = identity_pair(*oriented.shape, dom)
         legs = (j0, oriented, j1)
-    ell = legs[0].shape[1]
+    kept = list(range(legs[0].shape[1]))
     step = 0
-    while ell > 2:
-        if tau is not None and tau >= ell:
-            break  # the pinned pivot no longer names a slice
-        taus = [tau] if tau is not None else list(range(ell - 1, -1, -1))
+    while len(kept) > 2 and (tau is None or tau < len(kept)):
         reduced = None
-        for t_pick in taus:
-            if step == 0:
-                witness = depth_slice_witness(
-                    oriented, t_pick, restarts=restarts, iters=iters, seed=seed
-                )
-                rewrite = witness.rewrite() if witness else None
-            else:
-                rewrite = triple_reduction_witness(
-                    *legs, t_pick, restarts=max(restarts // 2, 5),
-                    iters=max(iters // 2, 50), seed=seed + step,
-                )
-            if rewrite is None:
-                continue
-            try:
-                reduced = hyper_slice_reduce(*legs, rewrite)
+        for pick in [tau] if tau is not None else range(len(kept) - 1, -1, -1):
+            if step > 0:
+                reduced = triple_reduction_witness(
+                    oriented, kept, pick, restarts=max(restarts // 2, 5),
+                    iters=max(iters // 2, 50), seed=seed + step)
+            elif witness := depth_slice_witness(oriented, pick, restarts=restarts,
+                                                iters=iters, seed=seed):
+                try:
+                    reduced = hyper_slice_reduce(*legs, witness.rewrite())
+                except ReductionHypothesisError:
+                    pass
+            if reduced is not None:
                 break
-            except ReductionHypothesisError:
-                continue
         if reduced is None:
             break
         legs = reduced
-        ell -= 1
+        del kept[pick]
         step += 1
-    triple = DecompositionTriple(*_untransposed(legs, times), tuple(range(ell)))
-    cert = RankCertificate(kind="upper-bound", r=ell, triple=triple)
+    triple = DecompositionTriple(*_untransposed(legs, times), tuple(range(len(kept))))
+    cert = RankCertificate(kind="upper-bound", r=len(kept), triple=triple)
     cert.residual = cert.verify(b)
     return cert

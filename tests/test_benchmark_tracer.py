@@ -14,6 +14,7 @@ from pathlib import Path
 from bmalg import core, inverse, rank
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.scalars import ScalarDomain, complex_doubles, gf, rational
+from test_kept_set_pipeline import paper_form
 from test_rank_one import rank_one
 
 nullity_module = importlib.import_module("bmalg.nullity")
@@ -86,8 +87,8 @@ def test_traced_via_rank_runs_one_decomposition_search():
 
 def test_traced_pipeline_stops_at_the_rank_one_bound():
     """A generic 3x3x3 reaches ell = 2 through a depth-slice witness;
-    its third differences rule out every 2 -> 1 rewrite, so no general
-    reduction witness runs.  A BM-rank-one 3x3x2 still reaches r = 1."""
+    its third differences rule out every 2 -> 1 rewrite, so no kept-set
+    witness runs.  A BM-rank-one 3x3x2 still reaches r = 1."""
     dom = complex_doubles()
     rng = random.Random(733)
     generic = Hypermatrix.random((3, 3, 3), dom, rng, nonzero=True)
@@ -101,6 +102,27 @@ def test_traced_pipeline_stops_at_the_rank_one_bound():
         assert rank.generic_rank_pipeline(rank_one_input, seed=0).r == 1
     finally:
         tracer.uninstall()
+
+
+def test_traced_pipeline_times_the_kept_set_witness():
+    """The later steps call ``rank.triple_reduction_witness`` through the
+    name the tracer rebinds: a generic 4x4x4 tries to drop a kept slice
+    and finds no witness, a paper-form 4x4x4 drops one.  Depth-slice
+    witnesses hit at most once per call, so hits beyond their calls
+    are the kept-set witness's."""
+    generic = Hypermatrix.random((4, 4, 4), complex_doubles(), random.Random(44),
+                                 nonzero=True)
+    for b, r in ((generic, 3), (paper_form((4, 4, 4), 1), 2)):
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            assert rank.generic_rank_pipeline(b, seed=0).r == r
+        finally:
+            tracer.uninstall()
+        assert tracer.entry("rank.triple_reduction_witness")[0] > 0
+        hits, _ = tracer.hits["witness"]
+        depth_calls = tracer.entry("rank.depth_slice_witness")[0]
+        assert (hits > depth_calls) == (r == 2)
 
 
 def test_scalar_counter_counts_elimination_and_restores_every_method():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_rank_one import rank_one
 from bmalg import cli, scalars
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.errors import (
@@ -592,6 +593,7 @@ LABEL_BRANCHES = [
     ("via-rank", RAT, False, r"via-rank \(zero-slice lower bound\)",
      [(2, 2, 3), (3, 2, 3)]),
     ("via-rank", CPLX, False, r"via-rank", [(2, 2, 3), (3, 2, 3)]),
+    ("via-rank", RAT, "rank-one", r"via-rank \(rank 1\)", [(2, 2, 3), (3, 2, 3)]),
 ]
 
 
@@ -604,11 +606,28 @@ def test_every_nullity_branch_labels_its_strategy_and_transposes(
 ):
     rng = random.Random(7)
     a = Hypermatrix.zeros(shape, dom)
+    if zero == "rank-one":
+        a = rank_one(rng, dom, shape)
     while not zero and a.is_zero():
         a = Hypermatrix.random(shape, dom, rng, nonzero=dom is CPLX)
     cert = nullity(a, strategy=strategy)
     assert re.fullmatch(label, cert.strategy)
     assert cert.transposes_applied == orient_depth_min(a)[1] == TRANSPOSES[shape]
+
+
+@pytest.mark.parametrize("shape, want", [((2, 2, 2), 1), ((3, 3, 3), 2), ((2, 3, 4), 1)])
+def test_rational_rank_one_nullity_completes_its_legs(shape, want):
+    """An all-nonzero rational input of BM rank one goes through
+    necessity on the ell = 1 legs of ``bm_rank_one``: nullity p - 1 at
+    the oriented depth, where the zero-slice bound read 0."""
+    a = rank_one(random.Random(3), RAT, shape)
+    cert = nullity(a)
+    assert (cert.nullity, cert.strategy) == (want, "via-rank (rank 1)")
+    oriented, times = orient_depth_min(a)
+    assert cert.transposes_applied == times
+    triple = hyper_nullity_sufficiency(oriented, cert.pair, cert.zero_set)
+    assert triple.r == 1
+    assert triple.reconstruct().equals(oriented)
 
 
 @pytest.mark.parametrize("dom", [RAT, GF2, CPLX])

@@ -542,12 +542,13 @@ def test_pipeline_pins_tau_on_the_oriented_depth(shape):
 
 
 def test_triple_reduction_witness_matches_forward_construction():
+    """Slice 2 is a combination of slices 0 and 1, so dropping it from the
+    kept set leaves legs over those two whose product is b."""
     rng = random.Random(20)
-    legs, rewrite, b = build_reducible_identity_triple(rng, 3, 3, 3, 2, dom=CPLX)
-    found = triple_reduction_witness(*legs, 2, seed=0)
+    _, _, b = build_reducible_identity_triple(rng, 3, 3, 3, 2, dom=CPLX)
+    found = triple_reduction_witness(b, [0, 1, 2], 2, seed=0)
     assert found is not None
-    x0, x1, x2 = hyper_slice_reduce(*legs, found)
-    assert bm_product(x0, x1, x2).sub(b).norm() < 1e-8 * (1 + b.norm())
+    assert bm_product(*found).sub(b).norm() < 1e-8 * (1 + b.norm())
 
 
 def test_zero_rank_certificate_verifies():

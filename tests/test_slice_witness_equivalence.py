@@ -175,6 +175,17 @@ def test_depth_slice_witness_does_not_call_numpy_lstsq(monkeypatch):
     assert depth_slice_witness(b, 2, seed=2) is not None
 
 
+def test_depth_slice_witness_raises_as_numpy_does_when_gelsd_fails(monkeypatch):
+    """The solves run under ``_lstsq_errstate``, so a system gelsd cannot
+    solve raises LinAlgError, as ``np.linalg.lstsq`` does."""
+    b = Hypermatrix.random((3, 3, 3), CPLX, random.Random(2), nonzero=True)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(np.full((3, 2), np.nan), np.ones(3), rcond=None)
+    monkeypatch.setattr(type(CPLX), "random_nonzero", lambda self, rng: complex("nan"))
+    with pytest.raises(np.linalg.LinAlgError):
+        depth_slice_witness(b, 2)
+
+
 def complex_systems(rng, count, rows, cols, deficiency):
     a = rng.standard_normal((count, rows, cols, 2)) @ [1, 1j]
     if deficiency == "zero-column":
@@ -183,6 +194,11 @@ def complex_systems(rng, count, rows, cols, deficiency):
         a[:, :, -1] = a[:, :, 0]
     b = rng.standard_normal((count, rows, 2)) @ [1, 1j]
     return a, b
+
+
+def default_cut(a):
+    """np.linalg.lstsq's default cutoff for the systems of ``a``."""
+    return np.finfo(float).eps * max(a.shape[1:])
 
 
 def pack(x):
@@ -195,7 +211,7 @@ def test_batched_lstsq_matches_numpy_system_by_system(rows, cols, deficiency):
     rng = np.random.default_rng(rows * 10 + cols)
     a, b = complex_systems(rng, 25, rows, cols, deficiency)
     with _lstsq_errstate():
-        got = _batched_lstsq(a, b)
+        got = _batched_lstsq()(a, b[..., None], default_cut(a))
     assert got.shape == (25, cols)
     for s in range(len(a)):
         want, *_ = np.linalg.lstsq(a[s], b[s], rcond=None)
@@ -208,4 +224,4 @@ def test_batched_lstsq_raises_as_numpy_does_when_gelsd_fails():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.lstsq(a[1], b[1], rcond=None)
     with pytest.raises(np.linalg.LinAlgError), _lstsq_errstate():
-        _batched_lstsq(a, b)
+        _batched_lstsq()(a, b[..., None], default_cut(a))
