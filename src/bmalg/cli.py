@@ -132,11 +132,18 @@ def _write(obj, out):
 def cmd_prod(args):
     legs = [_load_hyper(p, args) for p in (args.a0, args.a1, args.a2)]
     bg = _load_hyper(args.background, args) if args.background else None
-    import numpy as np
-    # complex products may overflow; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = bm_product(*legs) if bg is None else general_bm_product(*legs, bg)
-    if not result.domain.is_exact:
+
+    def product():
+        return bm_product(*legs) if bg is None else general_bm_product(*legs, bg)
+
+    if legs[0].domain.is_exact:
+        # exact products cannot overflow, and the small ones build no array
+        result = product()
+    else:
+        import numpy as np
+        # complex products may overflow; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = product()
         _, n, p = result.shape
         for idx, v in enumerate(result.data):
             if not cmath.isfinite(v):

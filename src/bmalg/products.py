@@ -8,12 +8,15 @@
 hypermatrix; the plain product is the Kronecker-delta background, and
 the rank-one backgrounds delta_t pick out single outer products.
 
-Both products run on one array kernel, ``_contract``: it loops over the
+Both products run on one kernel, ``_contract``: it loops over the
 summation terms in order and computes each term for every output entry
-at once.  GF(q) uses int64 arrays reduced mod q and Q uses integer
-numerators over common denominators, so both are exact; C uses split
-real and imaginary float64 arrays with CPython's complex product, so
-every entry is bit-identical to the per-scalar sum.
+at once.  GF(q) sums the canonical integer entries, reduced mod q at
+the end, and Q sums integer numerators over common denominators, so
+both are exact: a product of at most ``SMALL_CONTRACTION`` multiply-adds
+sums in plain Python and imports no numpy, and a larger one sums on
+numpy arrays.  C uses split real and imaginary float64 arrays with
+CPython's complex product, so every entry is bit-identical to the
+per-scalar sum.
 """
 
 from __future__ import annotations
@@ -28,6 +31,16 @@ from .scalars import COMPLEX_KIND
 # The contracted axis of legs 0, 1 and 2 (see :func:`conformability`):
 # term t of a triple is its column, depth and row slices at index t.
 CONTRACTED_AXES = (1, 2, 0)
+
+# The most multiply-adds (n0 n1 n2 per term) that an exact product sums in
+# plain Python rather than on numpy arrays.  The selection is by size:
+# with numpy loaded, arrays are faster from under 100 multiply-adds, but
+# up to this size the Python sums cost at most about 0.15 ms more, while
+# importing numpy costs about 100 ms.  Every product the CLI re-verifies
+# on its corpus (729 multiply-adds at most) stays below it, so those
+# commands never import numpy.  CI's "Product kernel crossover" step
+# prints both kernels' times.
+SMALL_CONTRACTION = 1024
 
 
 def conformability(a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix):
@@ -103,22 +116,26 @@ def _contract(a0, a1, a2, shape, terms):
 
     for every (i0, i1, i2) at once; ``w`` None means no weight factor.
 
-    GF(q) works on int64 arrays of the stored canonical entries and
-    leaves the reduction mod q to the ``Hypermatrix`` constructor: each
-    term is below 251^4 < 2^32 (q <= 251), so the sum overflows only
-    past 2^31 terms.  Q works on Python-int numerators over one common denominator
-    per leg, in object arrays, so nothing can overflow; every zero entry
-    of the result is one shared ``Fraction(0)``, which skips the gcd of
-    ``Fraction(0, den)``.  C works on
-    separate float64 real and imaginary arrays with CPython's complex
-    product and accumulates from +0.0 in term order, so every entry has
-    the bits of the per-scalar sum; complex128 ufuncs and einsum round
-    differently in the last bits.
+    Q and GF(q) sum exact integers, so the order of the sums is free:
+    over GF(q) the stored canonical entries, leaving the reduction mod q
+    to the ``Hypermatrix`` constructor, and over Q the numerators over
+    one common denominator per leg.  Every zero entry of a Q result is
+    one shared ``Fraction(0)``, which skips the gcd of
+    ``Fraction(0, den)``.  A product of at most ``SMALL_CONTRACTION``
+    multiply-adds (n0 n1 n2 per term) sums in Python, in
+    :func:`_small_sums`, and imports no numpy; a larger one sums on
+    numpy arrays, int64 over GF(q) (each term is below 251^4 < 2^32 for
+    q <= 251, so the sum overflows only past 2^31 terms) and object
+    arrays of Python ints over Q.  C works on separate float64 real and
+    imaginary arrays with CPython's complex product and accumulates from
+    +0.0 in term order, so every entry has the bits of the per-scalar
+    sum; complex128 ufuncs and einsum round differently in the last
+    bits.
     """
-    import numpy as np
     dom = a0.domain
     legs = (a0, a1, a2)
     if dom.kind == COMPLEX_KIND:
+        import numpy as np
         zs = [np.array(a.data, dtype=complex).reshape(a.shape) for a in legs]
         re0, re1, re2 = (z.real for z in zs)
         im0, im1, im2 = (z.imag for z in zs)
@@ -139,27 +156,64 @@ def _contract(a0, a1, a2, shape, terms):
     if q is None:
         (x0, d0), (x1, d1), (x2, d2) = (numerators(a.data) for a in legs)
         weights, dw = numerators(weights)
-        dtype = object
     else:
         # stored GF(q) entries are already canonical
         x0, x1, x2 = (a.data for a in legs)
-        dtype = np.int64
-    x0, x1, x2 = (np.array(x, dtype=dtype).reshape(a.shape)
-                  for x, a in zip((x0, x1, x2), legs))
-    weights = iter(weights)
-    acc = np.zeros(shape, dtype=dtype)
-    for j0, j1, j2, w in terms:
-        t = x0[:, j0, None] * x1[:, :, j1, None] * x2[j2]
-        if w is not None:
-            t *= next(weights)
-        acc += t
+    n0, n1, n2 = shape
+    if n0 * n1 * n2 * len(terms) <= SMALL_CONTRACTION:
+        acc = _small_sums(x0, x1, x2, legs, terms, weights)
+    else:
+        import numpy as np
+        dtype = object if q is None else np.int64
+        x0, x1, x2 = (np.array(x, dtype=dtype).reshape(a.shape)
+                      for x, a in zip((x0, x1, x2), legs))
+        weights = iter(weights)
+        acc = np.zeros(shape, dtype=dtype)
+        for j0, j1, j2, w in terms:
+            t = x0[:, j0, None] * x1[:, :, j1, None] * x2[j2]
+            if w is not None:
+                t *= next(weights)
+            acc += t
+        acc = acc.ravel().tolist()
     if q is not None:
-        return Hypermatrix(shape, acc.ravel().tolist(), dom)
+        return Hypermatrix(shape, acc, dom)
     den = d0 * d1 * d2 * dw
     zero = Fraction(0)
-    return Hypermatrix(
-        shape, [Fraction(v, den) if v else zero for v in acc.ravel().tolist()], dom
-    )
+    return Hypermatrix(shape, [Fraction(v, den) if v else zero for v in acc], dom)
+
+
+def _small_sums(x0, x1, x2, legs, terms, weights):
+    """The integer sums of :func:`_contract` in plain Python, flat in
+    row-major (i0, i1, i2) order.
+
+    Slice j of each leg is first spread over that flat index by slice
+    copies: leg 0's (i0, j, i2) along i1, leg 1's (i0, i1, j) along i2
+    and leg 2's (j, i1, i2) along i0.  Each term is then one pass of
+    multiply-adds over its three spread slices.
+    """
+    (n0, e0, n2), (_, n1, e1), (e2, _, _) = (a.shape for a in legs)
+    plane = n1 * n2
+    size = n0 * plane
+    spread0 = [[0] * size for _ in range(e0)]
+    for j, f in enumerate(spread0):
+        for i1 in range(n1):
+            for i2 in range(n2):
+                f[i1 * n2 + i2::plane] = x0[j * n2 + i2::e0 * n2]
+    spread1 = [[0] * size for _ in range(e1)]
+    for j, f in enumerate(spread1):
+        for i2 in range(n2):
+            f[i2::n2] = x1[j::e1]
+    spread2 = [x2[j * plane:(j + 1) * plane] * n0 for j in range(e2)]
+    weights = iter(weights)
+    acc = [0] * size
+    for j0, j1, j2, w in terms:
+        f0, f1, f2 = spread0[j0], spread1[j1], spread2[j2]
+        if w is None:
+            acc = [s + u * v * x for s, u, v, x in zip(acc, f0, f1, f2)]
+        else:
+            w = next(weights)
+            acc = [s + u * v * x * w for s, u, v, x in zip(acc, f0, f1, f2)]
+    return acc
 
 
 def _cmul(ar, ai, br, bi):
