@@ -5,7 +5,9 @@ The CLI parses arguments, loads files, calls the library, re-verifies
 what it is about to emit, writes JSON and maps errors to exit codes.
 Scalar casts (``ScalarDomain.coerce``), domains (the ``scalars``
 factories), strategy domain guards and numeric defaults are the
-library's.  All results are emitted as JSON with sorted keys, so
+library's; the defaults are read from ``core``, and each command
+imports the procedure modules it calls when it runs, so a process
+loads only those.  All results are emitted as JSON with sorted keys, so
 identical inputs and seeds produce byte-identical output.  Exit codes:
 0 success, 2 parse/domain error, 3 conformability error, 4 budget
 exceeded (rank, nullity), 5 verification failed (internal), 6 no
@@ -19,8 +21,8 @@ import cmath
 import json
 import sys
 
-from .core import Hypermatrix, Matrix
-from .dependence import combination_residual, dependent_depth_subset, find_dependence
+from .core import (DEFAULT_EXHAUSTIVE_COMPLETIONS, DEFAULT_PIPELINE_ITERS,
+                   DEFAULT_PIPELINE_RESTARTS, DEFAULT_RANK_BUDGET, Hypermatrix, Matrix)
 from .errors import (
     BMAlgError,
     BudgetExceededError,
@@ -28,18 +30,8 @@ from .errors import (
     ConformabilityError,
     ShapeError,
 )
-from .inverse import HyperPair, pair_invertible, sandwich_check, unit_probe_basis
-from .nullity import DEFAULT_EXHAUSTIVE_COMPLETIONS, first_nonzero_slice, nullity
 from .products import bm_product, general_bm_product
 from .scalars import DEFAULT_COMPLEX_TOL, complex_doubles, gf, rational
-from .rank import (
-    DEFAULT_PIPELINE_ITERS,
-    DEFAULT_PIPELINE_RESTARTS,
-    DEFAULT_RANK_BUDGET,
-    bm_rank_exhaustive,
-    generic_rank_pipeline,
-    rank_upper_min,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -156,19 +148,20 @@ def cmd_prod(args):
     return EXIT_OK
 
 
-# rank --strategy -> library call; the library refuses domains it does not cover
+# rank --strategy -> rank module call; the library refuses domains it does not cover
 RANK_STRATEGIES = {
-    "min-bound": lambda a, args: rank_upper_min(a),
-    "exhaustive-gf": lambda a, args: bm_rank_exhaustive(a, budget=args.budget),
-    "generic-pipeline": lambda a, args: generic_rank_pipeline(
+    "min-bound": lambda rank, a, args: rank.rank_upper_min(a),
+    "exhaustive-gf": lambda rank, a, args: rank.bm_rank_exhaustive(a, budget=args.budget),
+    "generic-pipeline": lambda rank, a, args: rank.generic_rank_pipeline(
         a, tau=args.tau, restarts=args.restarts, iters=args.iters, seed=args.seed
     ),
 }
 
 
 def cmd_rank(args):
+    from . import rank
     a = _load_hyper(args.input, args)
-    cert = RANK_STRATEGIES[args.strategy](a, args)
+    cert = RANK_STRATEGIES[args.strategy](rank, a, args)
     _check_deviation(cert.verify(a), a.domain, "certificate failed re-verification")
     _write(cert.to_json(), args.out)
     return EXIT_OK
@@ -197,6 +190,7 @@ def _dependence_report(dom, witness, **extra):
 
 
 def cmd_dependence(args):
+    from .dependence import combination_residual, dependent_depth_subset, find_dependence
     if args.family:
         if args.subset_size is not None:
             raise CliError("--subset-size applies to --hyper only", EXIT_PARSE)
@@ -220,6 +214,7 @@ def cmd_dependence(args):
 
 
 def cmd_inverse_pair(args):
+    from .inverse import HyperPair, pair_invertible, sandwich_check, unit_probe_basis
     pair = _decode(args.input, HyperPair.from_json, "pair")
     report = pair_invertible(pair)
     if not report:
@@ -247,6 +242,8 @@ def cmd_inverse_pair(args):
 
 
 def cmd_nullity(args):
+    from .inverse import sandwich_check, unit_probe_basis
+    from .nullity import first_nonzero_slice, nullity
     a = _load_hyper(args.input, args)
     cert = nullity(
         a, strategy=args.strategy, budget=args.budget, seed=args.seed

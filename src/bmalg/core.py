@@ -37,6 +37,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ShapeError
 from .scalars import RATIONAL_KIND, ScalarDomain
@@ -44,6 +45,13 @@ from .scalars import RATIONAL_KIND, ScalarDomain
 # Most array entries per batch (512 KiB of int64) of rank._fiber_search
 # and inverse.sandwich_check.
 BATCH_ENTRIES = 1 << 16
+# Search budgets of rank and nullity, kept here so that the CLI parser
+# reads them without importing either module.
+DEFAULT_RANK_BUDGET = 10_000_000
+DEFAULT_EXHAUSTIVE_COMPLETIONS = 65536
+# generic_rank_pipeline's step-0 ALS budget; its kept-set steps take half
+DEFAULT_PIPELINE_RESTARTS = 50
+DEFAULT_PIPELINE_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -519,8 +527,12 @@ class Matrix(_Dense):
         # constructor
         data = []
         for r, row in enumerate(rows):
-            f = dom.inv(row[r])
-            data.extend(f * a for a in row[n:])
+            if dom.kind == RATIONAL_KIND:
+                # Bareiss rows are ints over one shared int pivot
+                data.extend(Fraction(a, row[r]) for a in row[n:])
+            else:
+                f = dom.inv(row[r])
+                data.extend(f * a for a in row[n:])
         return Matrix((n, n), data, dom)
 
     def solve(self, rhs_cols):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from .core import Hypermatrix, Matrix
 from .errors import ShapeError
-from .rank import DecompositionTriple
 from .scalars import ScalarDomain
 
 
@@ -431,6 +430,7 @@ def dependent_slice_family(h: Hypermatrix, decomposition, **numeric_opts):
     None when no subset has a witness; existence is only guaranteed
     when ell is the exact rank.
     """
+    from .rank import DecompositionTriple
     if not isinstance(decomposition, DecompositionTriple):
         raise TypeError("expected a DecompositionTriple")
     m, n, p = h.shape

@@ -30,7 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from .core import Hypermatrix, Matrix, complete_to_basis
+from .core import DEFAULT_EXHAUSTIVE_COMPLETIONS, Hypermatrix, Matrix, complete_to_basis
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -57,7 +57,6 @@ from .rank import (
 )
 
 DEFAULT_COMPLETION_RETRIES = 32
-DEFAULT_EXHAUSTIVE_COMPLETIONS = 65536
 DEFAULT_DECOMPOSITION_ATTEMPTS = 4096
 
 

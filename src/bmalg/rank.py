@@ -42,7 +42,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import core
-from .core import Hypermatrix, Matrix, echelon
+from .core import (DEFAULT_PIPELINE_ITERS, DEFAULT_PIPELINE_RESTARTS, DEFAULT_RANK_BUDGET,
+                   Hypermatrix, Matrix, echelon)
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -51,11 +52,6 @@ from .errors import (
 )
 from .products import (CONTRACTED_AXES, bm_product, conformability, identity_pair,
                        outer_product_at)
-
-DEFAULT_RANK_BUDGET = 10_000_000
-# generic_rank_pipeline's step-0 ALS budget; its kept-set steps take half
-DEFAULT_PIPELINE_RESTARTS = 50
-DEFAULT_PIPELINE_ITERS = 500
 
 # Over C the reduction check accepts a rewrite whose product deviation
 # is at most REDUCTION_ACCEPT * tol * scale, and reports the first entry

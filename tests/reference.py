@@ -89,6 +89,12 @@ r ``delta_t`` cubes (``delta_sum_by_additions``) and
 ``products.general_bm_product`` reading each background entry through
 ``__getitem__`` (``general_bm_product_by_getitem``, on the current
 ``products._contract``).
+
+The last section keeps the read-out of ``Matrix.inverse`` as it was
+before each Q entry became one ``Fraction(a, pivot)``: every entry of
+a row is the pivot's ``dom.inv`` times the entry
+(``inverse_by_pivot_inverses``, on the current ``bmalg.core.echelon``,
+the matrix as an explicit first argument).
 """
 
 import itertools
@@ -2215,3 +2221,27 @@ def general_bm_product_by_getitem(
         if not dom.is_zero(background[j0, j1, j2])
     ]
     return _contract(a0, a1, a2, (n0, n1, n2), support)
+
+
+# -- former inverse read-out (core) ---------------------------------------------
+
+
+def inverse_by_pivot_inverses(self):
+    m, n = self.shape
+    if m != n:
+        raise ShapeError("inverse needs a square matrix")
+    dom = self.domain
+    one, zero = dom.one(), dom.zero()
+    rows = [
+        self.row(i) + [one if i == j else zero for j in range(n)] for i in range(n)
+    ]
+    pivots, _ = core.echelon(rows, n, dom)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    # full rank puts pivot r in row r; GF(q) entries are reduced by the
+    # constructor
+    data = []
+    for r, row in enumerate(rows):
+        f = dom.inv(row[r])
+        data.extend(f * a for a in row[n:])
+    return Matrix((n, n), data, dom)

@@ -4,15 +4,19 @@ its outer inverse by the sandwich check, and ``bmalg dependence``
 re-verifies that an exact witness cancels."""
 
 import dataclasses
+import importlib
 import json
 
 import pytest
 
-from bmalg import cli, scalars
+from bmalg import cli, dependence, scalars
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.dependence import SliceDependence
 from bmalg.inverse import OuterInversePair
 
+# each command imports the library call it re-verifies at call time, so
+# the patches go on the defining modules
+nullity_module = importlib.import_module("bmalg.nullity")
 GF2 = scalars.gf(2)
 
 
@@ -26,13 +30,13 @@ def test_nullity_rejects_a_misreported_orientation(tmp_path, monkeypatch, capsys
     honest = json.loads(capsys.readouterr().out)
     assert (honest["nullity"], honest["transposes_applied"]) == (1, 0)
 
-    nullity = cli.nullity
+    nullity = nullity_module.nullity
 
     def misreported(*args, **kwargs):
         cert = nullity(*args, **kwargs)
         return dataclasses.replace(cert, transposes_applied=cert.transposes_applied + 1)
 
-    monkeypatch.setattr(cli, "nullity", misreported)
+    monkeypatch.setattr(nullity_module, "nullity", misreported)
     assert cli.main(["nullity", str(path)]) == cli.EXIT_VERIFICATION
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -47,7 +51,7 @@ def test_nullity_rejects_a_wrong_outer_inverse(tmp_path, monkeypatch, capsys, do
     assert cli.main(["nullity", str(path)]) == cli.EXIT_OK
     capsys.readouterr()
 
-    nullity = cli.nullity
+    nullity = nullity_module.nullity
 
     def wrong_inverse(*args, **kwargs):
         cert = nullity(*args, **kwargs)
@@ -55,7 +59,7 @@ def test_nullity_rejects_a_wrong_outer_inverse(tmp_path, monkeypatch, capsys, do
         zero_c = Hypermatrix.zeros(c.shape, c.domain)
         return dataclasses.replace(cert, outer_inverse=OuterInversePair(zero_c, d))
 
-    monkeypatch.setattr(cli, "nullity", wrong_inverse)
+    monkeypatch.setattr(nullity_module, "nullity", wrong_inverse)
     assert cli.main(["nullity", str(path)]) == cli.EXIT_VERIFICATION
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -83,10 +87,10 @@ def test_dependence_rejects_a_witness_that_does_not_cancel(tmp_path, monkeypatch
     assert cli.main(["dependence", flag, str(path)]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["dependent"] is True
 
-    find, subset = cli.find_dependence, cli.dependent_depth_subset
-    monkeypatch.setattr(cli, "find_dependence", lambda fam: broken(find(fam)))
+    find, subset = dependence.find_dependence, dependence.dependent_depth_subset
+    monkeypatch.setattr(dependence, "find_dependence", lambda fam: broken(find(fam)))
     monkeypatch.setattr(
-        cli, "dependent_depth_subset",
+        dependence, "dependent_depth_subset",
         lambda a, k: SliceDependence((0, 1), broken(subset(a, k).witness)),
     )
     assert cli.main(["dependence", flag, str(path)]) == cli.EXIT_VERIFICATION

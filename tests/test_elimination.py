@@ -165,6 +165,22 @@ def test_rational_kernels_match_oracle_at_benchmark_sizes(seed, m, n):
         assert got is want is ZeroDivisionError
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8))
+def test_rational_inverse_reads_out_one_fraction_per_entry(seed, n):
+    """Each Q entry of ``Matrix.inverse`` is one ``Fraction(a, pivot)``:
+    the same values and types as the pivot's inverse times the entry
+    (kept in ``reference.py``), on nonsingular matrices with int entries
+    and with denominators up to 9 and up to 10**6."""
+    rng = random.Random(seed)
+    a = sample_rational_matrix(rng, n, n)
+    while a.rank() < n:
+        a = sample_rational_matrix(rng, n, n)
+    got, want = a.inverse(), ref.inverse_by_pivot_inverses(a)
+    assert got.data == want.data
+    assert [type(v) for v in got.data] == [type(v) for v in want.data]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8), st.integers(0, 4)
