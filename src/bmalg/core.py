@@ -26,8 +26,9 @@ integers and return the same Fractions as elimination over Fractions.
 
 ``BATCH_ENTRIES`` bounds the numpy arrays of two batched scans: the
 candidate batches (outer-leg values times an inner-leg block) of the
-exhaustive GF(q) rank searches (``rank._fiber_search``) and the probe
-stacks of ``inverse.sandwich_check``.
+exhaustive GF(q) CP rank search (``rank._fiber_search``) and the probe
+stacks of ``inverse.sandwich_check``.  The BM rank search builds no
+array.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import ShapeError
 from .scalars import RATIONAL_KIND, ScalarDomain
 
 # Most array entries per batch (512 KiB of int64) of rank._fiber_search
-# and inverse.sandwich_check.
+# (the CP rank search) and inverse.sandwich_check.
 BATCH_ENTRIES = 1 << 16
 # Search budgets of rank and nullity, kept here so that the CLI parser
 # reads them without importing either module.
@@ -557,10 +558,17 @@ class Matrix(_Dense):
             if any(not dom.is_zero(a) for a in row[n:]):
                 return None
         sols = [[dom.zero()] * n for _ in range(nrhs)]
+        rational = dom.kind == RATIONAL_KIND
         for r, c in enumerate(pivots):
-            f = dom.inv(rows[r][c])
-            for s in range(nrhs):
-                sols[s][c] = dom.mul(f, rows[r][n + s])
+            row = rows[r]
+            if rational:
+                # Bareiss rows are ints: each entry is one ratio
+                for s in range(nrhs):
+                    sols[s][c] = Fraction(row[n + s], row[c])
+            else:
+                f = dom.inv(row[c])
+                for s in range(nrhs):
+                    sols[s][c] = dom.mul(f, row[n + s])
         return sols
 
     def nullspace(self):

@@ -14,7 +14,7 @@ terms of the zero-slice triple of an input with z zero depth slices:
 the first level with a decomposition is the rank, the first that
 completes gives the nullity; outer legs that failed to complete once
 are not tried again.  Direct search scores every cached action on an
-input in one array product.
+input at once, through int bitsets over the actions.
 Completions and direct-search candidates are leg slices, tested by the
 memoised block test of ``inverse`` (``_invertible_blocks``); a pair is
 invertible exactly when its inverse slices then factor
@@ -26,7 +26,9 @@ transpose count.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -435,13 +437,16 @@ def _invertible_actions(m, n, p, domain, budget):
     Enumerates every (X0, X1) candidate in integer form and keeps those
     that pass the test of ``inverse.pair_invertible``: every flattening
     block inverts (``inverse._invertible_blocks``, memoised per call) and
-    every inverse slice factors (``inverse._outer_inverse``).  Candidates
-    are deduped by the block tuple (which determines the action) before
-    the factorization.  Returns (actions, stack): ``actions`` a list of
-    (blocks, flat0, flat1, inverse), ``inverse`` the factored (C, D), and
-    ``stack`` their blocks as one int64 array of shape
-    (actions, m n, p, p); cached per signature.  The budget is checked
-    first, so a refusal loads no numpy.
+    every inverse slice factors (``inverse._outer_inverse``).  Block
+    (i, j) reads only row slice i of X0 and column slice j of X1, so each
+    X0 ANDs, over its row slices and the columns j, int bitsets over the
+    X1 candidates whose block with it inverts, and only the X1 left are
+    visited, in order.  Candidates are deduped by the block tuple (which
+    determines the action) before the factorization.  Returns
+    (actions, zeros): ``actions`` a list of (blocks, flat0, flat1,
+    inverse), ``inverse`` the factored (C, D), and ``zeros`` their
+    :func:`_zero_bitsets`; cached per signature.  The budget is checked
+    first.
     """
     q = domain.q
     digits = m * p * p + p * n * p
@@ -457,20 +462,84 @@ def _invertible_actions(m, n, p, domain, budget):
         (flat1, _col_slices(flat1, n, p))
         for flat1 in itertools.product(range(q), repeat=p * n * p)
     ]
+    # per column j: column slice -> bitset of the X1 candidates holding it
+    holding = [{} for _ in range(n)]
+    for at, (_, cols) in enumerate(legs1):
+        for j, col in enumerate(cols):
+            holding[j][col] = holding[j].get(col, 0) | 1 << at
+    # row slice -> per column j, bitset of the X1 candidates whose block
+    # (., j) with it inverts
+    inverting = {}
     actions = {}
     for flat0 in itertools.product(range(q), repeat=m * p * p):
         rows = _row_slices(flat0, m)
-        for flat1, cols in legs1:
+        live = -1
+        for row in rows:
+            if row not in inverting:
+                inverting[row] = [
+                    functools.reduce(operator.or_, (
+                        bits for col, bits in holding[j].items()
+                        if _invertible_blocks([row], [col], memo, domain)[0]), 0)
+                    for j in range(n)
+                ]
+            for bits in inverting[row]:
+                live &= bits
+        while live:
+            low = live & -live
+            live ^= low
+            flat1, cols = legs1[low.bit_length() - 1]
             blocks, inv_blocks = _invertible_blocks(rows, cols, memo, domain)
-            if blocks is None or blocks in actions:
+            if blocks in actions:
                 continue
             inverse = _outer_inverse(inv_blocks, m, n, domain)[0]
             if inverse is not None:
                 actions[blocks] = (blocks, flat0, flat1, inverse)
-    import numpy as np
-    stack = np.array(list(actions), dtype=np.int64).reshape(-1, m * n, p, p)
-    out = _ACTION_CACHE[key] = list(actions.values()), stack
+    out = _ACTION_CACHE[key] = (list(actions.values()),
+                                _zero_bitsets(list(actions), m * n, p, q))
     return out
+
+
+def _zero_bitsets(blocks, count, p, q):
+    """Per block index ij < ``count`` and fiber value v in GF(q)^p, the p
+    int bitsets over ``blocks`` (one tuple of flat p x p blocks per
+    action) whose bit a is set in the k-th when row k of action a's
+    block ij maps v to 0."""
+    zeros = []
+    for ij in range(count):
+        # per row k: row value -> bitset of the actions whose block ij has it
+        having = [{} for _ in range(p)]
+        for at, action in enumerate(blocks):
+            for k in range(p):
+                row = action[ij][k * p : (k + 1) * p]
+                having[k][row] = having[k].get(row, 0) | 1 << at
+        zeros.append({
+            v: tuple(functools.reduce(operator.or_, (
+                bits for row, bits in having[k].items()
+                if not sum(map(operator.mul, row, v)) % q), 0) for k in range(p))
+            for v in itertools.product(range(q), repeat=p)
+        })
+    return zeros
+
+
+def _best_action(zeros, data, p):
+    """The index of the first action with the most zero depth slices on
+    the input with flat ``data``, and those slices.  Slice k is zero
+    under the actions in the AND over (i, j) of ``zeros[ij][fiber ij][k]``,
+    so the most zero slices are the largest set S whose slices' bitsets
+    share an action, and the first such action is the lowest bit set in
+    the AND over S of any S of that size: the pick of an action-by-action
+    scan that keeps strict improvements."""
+    zero = [-1] * p
+    for ij, table in enumerate(zeros):
+        for k, bits in enumerate(table[tuple(data[ij * p : (ij + 1) * p])]):
+            zero[k] &= bits
+    for size in range(p, 0, -1):
+        lowest = [both & -both for ks in itertools.combinations(zero, size)
+                  if (both := functools.reduce(operator.and_, ks))]
+        if lowest:
+            best = min(lowest).bit_length() - 1
+            return best, [k for k in range(p) if zero[k] >> best & 1]
+    return 0, []
 
 
 def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS):
@@ -478,26 +547,24 @@ def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS)
     number of zero depth slices of the pair's action on ``a``.
 
     Entry (i, j, k) of an action is row k of its flattening block (i, j)
-    times the input fiber at (i, j), so one array product scores every
-    cached action at once; the first action with the most zero slices
-    wins, as in an action-by-action scan that keeps strict improvements.
+    times the input fiber at (i, j), so the cached bitsets of
+    :func:`_invertible_actions` score every action at once in m n p
+    ANDs; the first action with the most zero slices wins
+    (:func:`_best_action`), as in an action-by-action scan that keeps
+    strict improvements.
     """
     dom = a.domain
     if dom.kind != "gf":
         raise ValueError("direct search needs a GF(q) domain")
     oriented, tcount = orient_depth_min(a)
     m, n, p = oriented.shape
-    actions, stack = _invertible_actions(m, n, p, dom, budget)
-    import numpy as np
-    fibers = np.array(oriented.data, dtype=np.int64).reshape(m * n, p, 1)
-    zero = (stack @ fibers % dom.q == 0).all(axis=1)[..., 0]
-    best = int(zero.sum(axis=1).argmax())
+    actions, zeros = _invertible_actions(m, n, p, dom, budget)
+    best, zero_slices = _best_action(zeros, oriented.data, p)
     _, flat0, flat1, inverse = actions[best]
     pair = HyperPair(
         Hypermatrix((m, p, p), list(flat0), dom),
         Hypermatrix((p, n, p), list(flat1), dom),
     )
-    zero_slices = zero[best].nonzero()[0].tolist()
     return _pair_certificate(pair, inverse, zero_slices, "direct-search", tcount)
 
 

@@ -21,19 +21,26 @@ inputs only down to ell = 2 (see :func:`generic_rank_pipeline`).
 The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
 serves :func:`bm_rank_exhaustive` and via-rank nullity, and
 :func:`cp_rank_exhaustive`) enumerate two legs in lexicographic order
-and solve for the third fiber by fiber.  A numpy filter tests batches
-of candidate pairs (``core.BATCH_ENTRIES`` array entries at most):
+and solve for the third fiber by fiber.  A BM fiber reads one slice of
+each enumerated leg, so whether it is consistent depends on those two
+slices alone: cached int bitmasks over the inner slice's values, one
+per (fiber pattern, outer slice value, right side), rule an outer-leg
+value out when they leave some inner slice no value, and otherwise the
+allowed inner values are walked lazily, all in plain Python.  CP fibers
+all read both enumerated legs whole, so a numpy filter tests batches of
+candidate pairs (``core.BATCH_ENTRIES`` array entries at most):
 outer-leg values, several at once when the inner leg fits one block,
 each ruled out before any block product when a fiber row its
 coefficients all leave zero has a nonzero right side, then the live
 ones against a block of inner candidates and all q^r values of a
-fiber's unknowns.  It drops exactly the inconsistent pairs; survivors
+fiber's unknowns.  Both drop exactly the inconsistent pairs; survivors
 keep their order through the scalar solver, as in a
 candidate-by-candidate scan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -647,6 +654,21 @@ def _fiber_solutions(rows, rhs, domain, r, all_solutions):
     return out
 
 
+def _solve_fibers(outer, inner, ia_rows, ib_rows, rhs_rows, domain, r, all_solutions):
+    """The per-fiber solution lists of :func:`_fiber_solutions` for one
+    pair of enumerated legs, or None at the first inconsistent fiber."""
+    q = domain.q
+    options = []
+    for fa, fb, frhs in zip(ia_rows, ib_rows, rhs_rows):
+        rows = [[outer[x] * inner[y] % q for x, y in zip(ra, rb)]
+                for ra, rb in zip(fa, fb)]
+        sols = _fiber_solutions(rows, frhs, domain, r, all_solutions)
+        if sols is None:
+            return None
+        options.append(sols)
+    return options
+
+
 def _block_consistent(values, coef, inner, want, q):
     """Mask of the (outer, inner) candidate pairs whose fibers all solve in
     ``values``: the outer values run along the third axis of ``coef``, the
@@ -659,7 +681,9 @@ def _block_consistent(values, coef, inner, want, q):
 def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
     """Yield (outer, inner, per-fiber solution lists) for every pair of
     enumerated legs whose fiber systems are all consistent, in
-    lexicographic order of (outer, inner).
+    lexicographic order of (outer, inner).  It serves
+    :func:`cp_rank_exhaustive`, whose fibers all read the whole of both
+    enumerated legs.
 
     Fiber f's system in the solved leg s has rows
     sum_t outer[ia[f, row, t]] * inner[ib[f, row, t]] * s[t] = rhs[f, row]
@@ -718,16 +742,129 @@ def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
             for at, idx in np.argwhere(hits).tolist():
                 outer = outer_prefix + outer_tails[live[at]]
                 inner = prefix + inner_tails[idx]
-                options = []
-                for fa, fb, frhs in zip(ia_rows, ib_rows, rhs_rows):
-                    rows = [[outer[x] * inner[y] % q for x, y in zip(ra, rb)]
-                            for ra, rb in zip(fa, fb)]
-                    sols = _fiber_solutions(rows, frhs, domain, r, all_solutions)
-                    if sols is None:
-                        break
-                    options.append(sols)
-                else:
+                options = _solve_fibers(outer, inner, ia_rows, ib_rows, rhs_rows,
+                                        domain, r, all_solutions)
+                if options is not None:
                     yield outer, inner, options
+
+
+# (q, fiber pattern) -> outer-part value -> {fiber right side: inner mask}
+_MASK_CACHE = {}
+
+
+def _fiber_masks(q, pattern, outer):
+    """Which inner-part values leave a BM fiber consistent, per right side.
+
+    ``pattern`` is (rows_a, rows_b, width): the fiber's row i reads
+    outer[rows_a[i][t]] * inner[rows_b[i][t]] as its coefficient on the
+    unknown t, ``outer`` and ``inner`` being the values of the fiber's
+    outer and inner parts, and the inner part has ``width`` digits.  The
+    table maps each right side to the int whose bit u is set iff inner
+    value u (its digits read base q, the first most significant) leaves
+    the fiber consistent, that is, when the right side lies in the column
+    span of the fiber's coefficients; a right side it lacks has no such
+    inner value.  Tables are built on first use and kept in
+    ``_MASK_CACHE``, at most q^rows right sides each.
+    """
+    rows_a, rows_b, width = pattern
+    coef = [[(outer[x], y) for x, y in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)]
+    unknowns = list(itertools.product(range(q), repeat=len(rows_a[0])))
+    table = {}
+    for at, inner in enumerate(itertools.product(range(q), repeat=width)):
+        rows = [[c * inner[y] for c, y in row] for row in coef]
+        bit = 1 << at
+        for rhs in {tuple(sum(map(operator.mul, row, s)) % q for row in rows)
+                    for s in unknowns}:
+            table[rhs] = table.get(rhs, 0) | bit
+    return table
+
+
+def _lex_walk(masks, digits, q):
+    """Lazily yield, in lexicographic order, every value of a leg whose
+    parts all take a value allowed by ``masks`` (bit u of ``masks[b]``
+    allows value u of part b, read as in :func:`_fiber_masks`).  Digit d
+    of the leg is digit ``digits[d] = (b, w)`` of part b, with w = q^(the
+    part's digits after it): a prefix of the part's digits leaves its
+    value in a run of w, and a digit is tried only while that run holds
+    an allowed value, so every branch reaches a yield."""
+    leg = [0] * len(digits)
+    prefix = [0] * len(masks)
+
+    def extend(d):
+        if d == len(digits):
+            yield tuple(leg)
+            return
+        part, weight = digits[d]
+        window = (1 << weight) - 1
+        base = prefix[part] * q
+        for v in range(q):
+            if masks[part] >> (base + v) * weight & window:
+                leg[d] = v
+                prefix[part] = base + v
+                yield from extend(d + 1)
+        prefix[part] = base // q
+
+    return extend(0)
+
+
+@functools.cache
+def _bm_layout(m, n, p, r, q, solve_leg):
+    """The fibers of the BM search at this shape, r and q, with x_{solve_leg}
+    the solved leg, as plain lists shared by every input.
+
+    A fiber fixes the two axes of ``a`` that the solved leg shares, and
+    its rows run over the third; per fiber, ``ia``/``ib`` hold the flat
+    positions in the outer/inner enumerated leg of each row's
+    coefficients, ``rhs_at`` the flat positions in ``a`` of its right
+    side and ``solved_at`` those of its unknowns in the solved leg.  A
+    fiber reads one slice of each enumerated leg, its outer and inner
+    part (fiber (j, k) reads x0[:, :, k] and x1[:, j, :] when x2 is
+    solved), so the fibers form a grid of outer by inner parts, and
+    every fiber reads its parts in one ``pattern`` (see
+    :func:`_fiber_masks`).  ``getters`` read each outer part's value off
+    the outer leg, ``grid[a][b]`` is the fiber of outer part a and inner
+    part b, and ``digits`` places each inner-leg digit in its part, as
+    :func:`_lex_walk` reads it.
+    """
+    pos = {0: lambda i, j, k, t: (i * r + t) * p + k,
+           1: lambda i, j, k, t: (i * n + j) * r + t,
+           2: lambda i, j, k, t: (t * n + j) * p + k}
+    outer_leg, inner_leg = (leg for leg in (0, 1, 2) if leg != solve_leg)
+    # the two axes a fiber fixes; its rows run over the third
+    fixed = {0: (0, 2), 1: (0, 1), 2: (1, 2)}[solve_leg]
+    fibers = {}
+    for ijk in itertools.product(range(m), range(n), range(p)):
+        fibers.setdefault(tuple(ijk[axis] for axis in fixed), []).append(ijk)
+    ia, ib, rhs_at, solved_at = [], [], [], []
+    for rows in fibers.values():
+        ia.append([[pos[outer_leg](*ijk, t) for t in range(r)] for ijk in rows])
+        ib.append([[pos[inner_leg](*ijk, t) for t in range(r)] for ijk in rows])
+        rhs_at.append([(i * n + j) * p + k for i, j, k in rows])
+        solved_at.append([pos[solve_leg](*rows[0], t) for t in range(r)])
+
+    def parts(leg_rows):
+        # the parts (leg positions in flat order), each fiber's part and
+        # its rows as indices into the part
+        ids, fiber_ids, local = {}, [], []
+        for rows in leg_rows:
+            part = tuple(sorted({x for row in rows for x in row}))
+            fiber_ids.append(ids.setdefault(part, len(ids)))
+            local.append(tuple(tuple(map(part.index, row)) for row in rows))
+        return list(ids), fiber_ids, local
+
+    outer_parts, fiber_a, local_a = parts(ia)
+    inner_parts, fiber_b, local_b = parts(ib)
+    pattern = (local_a[0], local_b[0], len(inner_parts[0]))
+    getters = [operator.itemgetter(*part) if len(part) > 1
+               else (lambda leg, x=part[0]: (leg[x],)) for part in outer_parts]
+    grid = [[None] * len(inner_parts) for _ in outer_parts]
+    for f, (fa, fb) in enumerate(zip(fiber_a, fiber_b)):
+        grid[fa][fb] = f
+    digits = [None] * (len(inner_parts) * len(inner_parts[0]))
+    for b, part in enumerate(inner_parts):
+        for at, x in enumerate(part):
+            digits[x] = (b, q ** (len(part) - 1 - at))
+    return ia, ib, rhs_at, solved_at, pattern, getters, grid, digits
 
 
 def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
@@ -743,13 +880,14 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
     visits a decomposition iff one exists for the enumerated prefix, so
     rank detection is complete.
 
-    The values of the first enumerated leg are tested in batches (one
-    batch holds all of them at 2x2x2 over GF(2) and r = 1): a value that
-    leaves a fiber row with no nonzero coefficient reads 0 there, so a
-    nonzero entry of ``a`` in that row rules it out.  The live ones go
-    through the numpy block filter and the scalar solver of
-    :func:`_fiber_search`, which drops exactly the inconsistent
-    candidates and keeps order, so the decompositions are those of a
+    Whether a fiber is consistent depends only on the values of its
+    outer and inner parts (see :func:`_bm_layout`).  For each outer
+    value, in order, the masks of :func:`_fiber_masks` of each inner
+    part's fibers are ANDed into the inner-part values that leave them
+    all consistent; an empty one rules the outer value out, and
+    otherwise :func:`_lex_walk` walks the allowed inner values in order.
+    Each survivor goes through the scalar solver
+    :func:`_fiber_solutions`, so the decompositions are those of a
     candidate-by-candidate scan.
     """
     dom = a.domain
@@ -765,33 +903,35 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
         raise BudgetExceededError(
             f"enumeration q^{total_digits} exceeds budget {budget}"
         )
-    import numpy as np
-    # flat position of each leg's entry on the grid (i, j, k, t), laid
-    # out as (fiber, row, t): a fiber fixes the two axes of a that the
-    # solved leg shares, and its rows run over the third
-    i, j, k, t = np.ogrid[:m, :n, :p, :r]
-    pos = {0: (i * r + t) * p + k, 1: (i * n + j) * r + t, 2: (t * n + j) * p + k}
-    order = {0: (0, 2, 1, 3), 1: (0, 1, 2, 3), 2: (1, 2, 0, 3)}[solve_leg]
-
-    def layout(idx):
-        grid = np.broadcast_to(idx, (m, n, p, r)).transpose(order)
-        return grid.reshape(grid.shape[0] * grid.shape[1], grid.shape[2], r)
-
-    rhs = np.array(a.data, dtype=np.int64).reshape(m, n, p).transpose(order[:3])
-    rhs = rhs.reshape(-1, rhs.shape[2])
-    solved_at = layout(pos[solve_leg])[:, 0, :].tolist()
-    found = _fiber_search(
-        sizes[enum_legs[0]], sizes[enum_legs[1]], layout(pos[enum_legs[0]]),
-        layout(pos[enum_legs[1]]), rhs, dom, r, all_solutions,
-    )
-    for flat_a, flat_b, options in found:
-        for combo in itertools.product(*options):
-            flat = [0] * sizes[solve_leg]
-            for at, sol in zip(solved_at, combo):
-                for x, v in zip(at, sol):
-                    flat[x] = v
-            legs = {enum_legs[0]: flat_a, enum_legs[1]: flat_b, solve_leg: flat}
-            yield _assemble_triple(a, r, legs[0], legs[1], legs[2])
+    ia, ib, rhs_at, solved_at, pattern, getters, grid, digits = _bm_layout(
+        m, n, p, r, q, solve_leg)
+    rhs = [tuple(a.data[x] for x in at) for at in rhs_at]
+    tables = _MASK_CACHE.setdefault((q, pattern), {})
+    # per outer part: its value -> the masks of its fibers, one per inner part
+    seen = [{} for _ in grid]
+    for flat_a in itertools.product(range(q), repeat=sizes[enum_legs[0]]):
+        masks = None
+        for get, fibers, known in zip(getters, grid, seen):
+            value = get(flat_a)
+            row = known.get(value)
+            if row is None:
+                table = tables.get(value)
+                if table is None:
+                    table = tables[value] = _fiber_masks(q, pattern, value)
+                row = known[value] = tuple(table.get(rhs[f], 0) for f in fibers)
+            masks = row if masks is None else tuple(map(operator.and_, masks, row))
+            if not all(masks):
+                break
+        else:
+            for flat_b in _lex_walk(masks, digits, q):
+                options = _solve_fibers(flat_a, flat_b, ia, ib, rhs, dom, r, all_solutions)
+                for combo in itertools.product(*options):
+                    flat = [0] * sizes[solve_leg]
+                    for at, sol in zip(solved_at, combo):
+                        for x, v in zip(at, sol):
+                            flat[x] = v
+                    legs = {enum_legs[0]: flat_a, enum_legs[1]: flat_b, solve_leg: flat}
+                    yield _assemble_triple(a, r, legs[0], legs[1], legs[2])
 
 
 def _assemble_triple(a, r, flat0, flat1, flat2):

@@ -4,7 +4,9 @@ These are the per-caller elimination routines, the direct-search
 action enumeration built on the modular block inverse with the
 action-by-action scoring loop that ``bmalg.nullity`` ran before it
 scored every cached action in one array product (the winner's outer
-inverse recovered from its pair), and the
+inverse recovered from its pair), that array-product pick
+(``best_action_by_stack``) as it was before the pick read int bitsets
+over the actions, and the
 three-identity sandwich check that ``bmalg`` used before every solve
 went through ``bmalg.core.echelon``, the per-scalar ternary products
 that ``bmalg.products`` used before its array kernel, and the
@@ -90,10 +92,11 @@ r ``delta_t`` cubes (``delta_sum_by_additions``) and
 ``__getitem__`` (``general_bm_product_by_getitem``, on the current
 ``products._contract``).
 
-The last section keeps the read-out of ``Matrix.inverse`` as it was
-before each Q entry became one ``Fraction(a, pivot)``: every entry of
-a row is the pivot's ``dom.inv`` times the entry
-(``inverse_by_pivot_inverses``, on the current ``bmalg.core.echelon``,
+The last sections keep the read-outs of ``Matrix.inverse`` and
+``Matrix.solve`` as they were before each Q entry became one
+``Fraction(a, pivot)``: every entry of a row is the pivot's ``dom.inv``
+times the entry (``inverse_by_pivot_inverses`` and
+``solve_by_pivot_inverses``, on the current ``bmalg.core.echelon``,
 the matrix as an explicit first argument).
 """
 
@@ -522,6 +525,18 @@ def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS)
         zero_set=tuple(zero_slices), nullity=len(zero_slices),
         strategy="direct-search", transposes_applied=tcount,
     )
+
+
+def best_action_by_stack(blocks, data, m, n, p, q):
+    """The pick of the direct search as it was when it scored the action
+    stack in one int64 array product: the first argmax of the actions'
+    zero-slice counts on the input with flat ``data``, and that action's
+    zero slices.  ``blocks`` holds each action's tuple of flat blocks."""
+    stack = np.array(list(blocks), dtype=np.int64).reshape(-1, m * n, p, p)
+    fibers = np.array(data, dtype=np.int64).reshape(m * n, p, 1)
+    zero = (stack @ fibers % q == 0).all(axis=1)[..., 0]
+    best = int(zero.sum(axis=1).argmax())
+    return best, zero[best].nonzero()[0].tolist()
 
 
 # -- former three-identity sandwich check (inverse) ----------------------------
@@ -2245,3 +2260,29 @@ def inverse_by_pivot_inverses(self):
         f = dom.inv(row[r])
         data.extend(f * a for a in row[n:])
     return Matrix((n, n), data, dom)
+
+
+# -- former solve read-out (core) -----------------------------------------------
+
+
+def solve_by_pivot_inverses(self, rhs_cols):
+    dom = self.domain
+    m, n = self.shape
+    for col in rhs_cols:
+        if len(col) != m:
+            raise ShapeError(
+                f"rhs column of length {len(col)} for a matrix of shape {self.shape}"
+            )
+    rows = [self.row(i) + [col[i] for col in rhs_cols] for i in range(m)]
+    pivots, _ = core.echelon(rows, n, dom)
+    nrhs = len(rhs_cols)
+    # inconsistency: zero row with nonzero rhs
+    for row in rows[len(pivots):]:
+        if any(not dom.is_zero(a) for a in row[n:]):
+            return None
+    sols = [[dom.zero()] * n for _ in range(nrhs)]
+    for r, c in enumerate(pivots):
+        f = dom.inv(rows[r][c])
+        for s in range(nrhs):
+            sols[s][c] = dom.mul(f, rows[r][n + s])
+    return sols

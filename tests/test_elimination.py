@@ -7,6 +7,7 @@ integer row must be a nonzero multiple of the reference's row."""
 
 import importlib
 import itertools
+import operator
 import random
 import types
 from fractions import Fraction
@@ -181,6 +182,30 @@ def test_rational_inverse_reads_out_one_fraction_per_entry(seed, n):
     assert [type(v) for v in got.data] == [type(v) for v in want.data]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8), st.integers(0, 3),
+    st.sampled_from(["dense", "sparse", "low-rank"]), st.booleans(),
+)
+def test_rational_solve_reads_out_one_fraction_per_entry(seed, m, n, nrhs, kind,
+                                                         free_rhs):
+    """Each Q entry of ``Matrix.solve`` is one ``Fraction(b, pivot)``: the
+    same values and types as the pivot's inverse times the entry (kept in
+    ``reference.py``), on full-rank and rank-deficient systems with
+    consistent right sides, and with a free right side that leaves a
+    system of rank below m inconsistent."""
+    rng = random.Random(seed)
+    a = sample_rational_matrix(rng, m, n, kind)
+    rhs = [a.matmul(Matrix((n, 1), rational_entries(rng, n), Q)).col(0)
+           for _ in range(nrhs)]
+    if free_rhs or not rhs:
+        rhs.append(rational_entries(rng, m))
+    got, want = a.solve(rhs), ref.solve_by_pivot_inverses(a, rhs)
+    assert got == want
+    if want is not None:
+        assert [type(v) for x in got for v in x] == [type(v) for x in want for v in x]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8), st.integers(0, 4)
@@ -251,18 +276,25 @@ def test_inverse_mod_q_matches_oracle(seed, q, p):
 )
 def test_invertible_actions_match_oracle(monkeypatch, m, n, p, q):
     """Every candidate of these signatures is enumerated, so equal action
-    lists mean the same flattening blocks were found singular; the
-    stacked block array holds the same blocks in the same order."""
+    lists mean the same flattening blocks were found singular; bit a of
+    the zero bitset of block (i, j), fiber value v and row k is set
+    exactly when row k of action a's block (i, j) maps v to zero."""
     monkeypatch.setattr(nullity_module, "_ACTION_CACHE", {})
     monkeypatch.setattr(ref, "_ACTION_CACHE", {})
     dom = scalars.gf(q)
     budget = q ** (m * p * p + p * n * p)
-    got, stack = nullity_module._invertible_actions(m, n, p, dom, budget)
+    got, zeros = nullity_module._invertible_actions(m, n, p, dom, budget)
     assert [a[:3] for a in got] == ref._invertible_actions(m, n, p, dom, budget)
-    assert stack.shape == (len(got), m * n, p, p)
-    assert stack.reshape(len(got), m * n, p * p).tolist() == [
-        [list(block) for block in a[0]] for a in got
-    ]
+    fibers = list(itertools.product(range(q), repeat=p))
+    assert [sorted(table) for table in zeros] == [fibers] * (m * n)
+    for ij, table in enumerate(zeros):
+        for v, bitsets in table.items():
+            want = [
+                sum(1 << at for at, action in enumerate(got)
+                    if not sum(map(operator.mul, action[0][ij][k * p : (k + 1) * p], v)) % q)
+                for k in range(p)
+            ]
+            assert list(bitsets) == want
 
 
 def sampled_itertools(seed, size):

@@ -10,8 +10,9 @@ lazily, and ``bmalg.nullity`` stays the function in every import order.
 
 numpy is imported by the functions that build arrays, and the verify
 suites by ``cmd_verify``, so importing ``bmalg.cli`` loads neither and
-nine corpus commands never touch numpy: the exact products they
-re-verify are small enough for the pure-Python product kernel.  Each
+twelve corpus commands never touch numpy: the exact products they
+re-verify are small enough for the pure-Python product kernel, and the
+GF(q) rank and nullity searches run on plain lists and int bitsets.  Each
 check runs a fresh interpreter with ``src`` on ``PYTHONPATH``; a shadow
 ``numpy`` package that refuses to import stands first on the path where
 numpy must stay unloaded.
@@ -48,6 +49,9 @@ NUMPY_FREE = [
     "prod-background",
     "rank-min-bound",
     "inverse-pair",
+    "rank-exhaustive-gf",
+    "nullity-via-rank",
+    "nullity-direct-search",
 ]
 
 

@@ -80,6 +80,47 @@ def test_direct_search_matches_reference_over_gf3_and_gf5(q, shape, seed):
     assert_same_direct_search(a)
 
 
+def assert_same_pick(blocks, zeros, data, shape, q):
+    m, n, p = shape
+    got = nullity_module._best_action(zeros, data, p)
+    assert got == ref.best_action_by_stack(blocks, data, m, n, p, q)
+    return got
+
+
+def test_bitset_pick_matches_the_action_stack_on_every_gf2_2x2x2():
+    """The first action with the most zero slices, and those slices, read
+    off the cached bitsets are the first argmax of the int64 action
+    stack's zero-slice counts (kept in ``reference``)."""
+    actions, zeros = nullity_module._invertible_actions(2, 2, 2, scalars.gf(2), 2**16)
+    blocks = [action[0] for action in actions]
+    picks = {assert_same_pick(blocks, zeros, data, (2, 2, 2), 2)[0]
+             for data in itertools.product(range(2), repeat=8)}
+    assert len(picks) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5]),
+    st.sampled_from([(2, 2, 1), (2, 3, 1), (1, 1, 2), (2, 2, 2), (2, 1, 3)]),
+    st.integers(0, 10**6),
+)
+def test_bitset_pick_matches_the_action_stack_over_gf3_and_gf5(q, shape, seed):
+    """On seeded lists of up to 40 actions whose block rows come from a
+    pool of three (the zero row among them, so that slices vanish and
+    counts tie), and seeded inputs with some zero fibers."""
+    rng = random.Random(seed)
+    m, n, p = shape
+    pool = [(0,) * p] + [tuple(rng.randrange(q) for _ in range(p)) for _ in range(2)]
+    blocks = [
+        tuple(sum((rng.choice(pool) for _ in range(p)), ()) for _ in range(m * n))
+        for _ in range(rng.randint(1, 40))
+    ]
+    zeros = nullity_module._zero_bitsets(blocks, m * n, p, q)
+    for _ in range(10):
+        data = [0 if rng.random() < 0.3 else rng.randrange(q) for _ in range(m * n * p)]
+        assert_same_pick(blocks, zeros, data, shape, q)
+
+
 SMALL_SHAPES = [
     (1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 3, 2), (2, 2, 2), (2, 3, 2),
     (3, 2, 2),

@@ -1,12 +1,12 @@
-"""The GF(q) fiber filter tests batches of outer-leg values: once an
-inner block holds the whole inner leg, one block product covers as many
-outer values as ``core.BATCH_ENTRIES`` allows.  The yields stay those
-of the scalar search copy kept in ``reference``, in the same order,
-whether the batch covers the outer leg, splits it or scans it value by
-value, and no array of the filter grows past ``core.BATCH_ENTRIES``
-entries."""
+"""The CP rank search's fiber filter tests batches of outer-leg values:
+once an inner block holds the whole inner leg, one block product covers
+as many outer values as ``core.BATCH_ENTRIES`` allows.  The
+certificates stay those of the scalar search copy kept in
+``reference``, whether the batch covers the outer leg, splits it or
+scans it value by value, and no array of the filter grows past
+``core.BATCH_ENTRIES`` entries.  The BM search runs no block filter (its
+fibers decouple; see ``test_search_equivalence``)."""
 
-import itertools
 import json
 import random
 
@@ -18,7 +18,7 @@ import reference as ref
 from bmalg import core, rank, scalars
 from bmalg.core import Hypermatrix
 from bmalg.errors import BudgetExceededError
-from bmalg.rank import DecompositionTriple, iter_bm_decompositions
+from bmalg.rank import cp_rank_exhaustive
 
 # the scalar copy finishes quickly within this, and the 2x2x2 searches at
 # r = 1 over GF(2) and GF(3) run
@@ -26,28 +26,24 @@ BUDGET = 7000
 SHAPES = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 1)]
 
 
-def yields(search, a, r, all_solutions, limit=50):
-    """The first ``limit`` decompositions as sorted-key JSON, or the
-    budget refusal."""
-    found = search(a, r, budget=BUDGET, all_solutions=all_solutions)
+def certificate(search, a):
+    """The CP rank certificate as sorted-key JSON, or the budget refusal."""
     try:
-        return [json.dumps(t.to_json(), sort_keys=True)
-                for t in itertools.islice(found, limit)]
+        return json.dumps(search(a, budget=BUDGET).to_json(), sort_keys=True)
     except BudgetExceededError as exc:
         return ("BudgetExceededError", str(exc))
 
 
 def planted(q, shape, r, seed):
-    """The sum of r random terms over GF(q), so decompositions at r exist."""
+    """The sum of r random vector triples over GF(q), so its CP rank is
+    at most r."""
     dom = scalars.gf(q)
     rng = random.Random(seed)
     m, n, p = shape
-    return DecompositionTriple(
-        Hypermatrix.random((m, r, p), dom, rng),
-        Hypermatrix.random((m, n, r), dom, rng),
-        Hypermatrix.random((r, n, p), dom, rng),
-        tuple(range(r)),
-    ).reconstruct()
+    terms = [[[dom.random(rng) for _ in range(size)] for size in shape] for _ in range(r)]
+    data = [sum(x[i] * y[j] * z[k] for x, y, z in terms) % q
+            for i in range(m) for j in range(n) for k in range(p)]
+    return Hypermatrix(shape, data, dom)
 
 
 def spy_blocks(monkeypatch):
@@ -67,17 +63,15 @@ def spy_blocks(monkeypatch):
     return sizes
 
 
-def test_one_block_product_covers_the_gf2_2x2x2_rank_one_search(monkeypatch):
-    """At r = 1 a 2x2x2 candidate over GF(2) tests 16 entries, so the 16
-    inner values times all 16 outer values fit one product."""
+def test_one_block_product_covers_the_gf2_2x2x2_cp_rank_one_search(monkeypatch):
+    """At r = 1 a 2x2x2 candidate over GF(2) tests 16 entries, so the 4
+    inner values times all 4 outer values fit one product."""
     sizes = spy_blocks(monkeypatch)
     a = Hypermatrix((2, 2, 2), [1] * 8, scalars.gf(2))
-    for all_solutions in (False, True):
-        sizes.clear()
-        got = yields(iter_bm_decompositions, a, 1, all_solutions, limit=None)
-        assert len(sizes) == 1
-        assert got == yields(ref.iter_bm_decompositions, a, 1, all_solutions, limit=None)
-        assert got
+    got = certificate(cp_rank_exhaustive, a)
+    assert len(sizes) == 1
+    assert got == certificate(ref.cp_rank_exhaustive, a)
+    assert json.loads(got)["r"] == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -85,25 +79,23 @@ def test_one_block_product_covers_the_gf2_2x2x2_rank_one_search(monkeypatch):
     st.sampled_from([2, 3, 5]),
     st.sampled_from(SHAPES),
     st.sampled_from([1, 2]),
-    st.booleans(),
     st.sampled_from([7, 64, 512, None]),
     st.integers(0, 10**6),
 )
-def test_batched_yields_match_reference(q, shape, r, all_solutions, batch_entries,
-                                         seed):
+def test_batched_cp_certificates_match_reference(q, shape, r, batch_entries, seed):
     a = planted(q, shape, r, seed)
     with pytest.MonkeyPatch.context() as monkeypatch:
         if batch_entries is not None:
             monkeypatch.setattr(core, "BATCH_ENTRIES", batch_entries)
-        got = yields(iter_bm_decompositions, a, r, all_solutions)
-        assert got == yields(ref.iter_bm_decompositions, a, r, all_solutions)
+        got = certificate(cp_rank_exhaustive, a)
+        assert got == certificate(ref.cp_rank_exhaustive, a)
 
 
-# (q, shape, r): one candidate tests at most 20 entries, so every batch
-# below holds at least one
+# (q, shape, r): one candidate tests at most 20 entries at r = 1 and 32 at
+# r = 2, so every batch below holds at least one
 BOUNDED_SEARCHES = [
     (2, (2, 2, 2), 1), (2, (1, 2, 2), 2), (3, (2, 2, 1), 1), (5, (1, 2, 2), 1),
-    (3, (1, 2, 2), 1),
+    (3, (1, 2, 2), 1), (2, (2, 2, 2), 2),
 ]
 
 
@@ -111,12 +103,10 @@ BOUNDED_SEARCHES = [
 @pytest.mark.parametrize("q, shape, r", BOUNDED_SEARCHES)
 def test_filter_arrays_stay_within_batch_entries(q, shape, r, batch_entries,
                                                  monkeypatch):
-    """The zero input passes every outer value through the guard, so there
-    the coefficients hold the whole outer batch."""
+    """A planted input of CP rank r runs every term count up to r."""
     monkeypatch.setattr(core, "BATCH_ENTRIES", batch_entries)
     sizes = spy_blocks(monkeypatch)
-    for a in (Hypermatrix.zeros(shape, scalars.gf(q)), planted(q, shape, r, 11)):
-        for _ in iter_bm_decompositions(a, r, budget=BUDGET):
-            pass
+    for seed in (11, 12):
+        cp_rank_exhaustive(planted(q, shape, r, seed), budget=BUDGET)
     assert sizes
     assert max(sizes) <= batch_entries

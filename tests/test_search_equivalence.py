@@ -1,12 +1,14 @@
-"""The batched exhaustive GF(q) searches match the scalar copies kept in
+"""The exhaustive GF(q) searches match the scalar copies kept in
 ``reference``: the same yielded decompositions in the same order, the
 same rank certificates and the same ``BudgetExceededError`` message.
 The dependence witness, which takes no budget, matches the reference
-scan wherever that scan finishes within its budget.  The numpy filter
-only skips candidates whose fiber systems are inconsistent, and it
-stays live on the diagonal sums of acceptance c04.  Sparse inputs
-exercise the outer-leg guard, which rules an outer value out before
-any block product, and the diagonal sums pin that it fires."""
+scan wherever that scan finishes within its budget.  The BM search
+rules out outer values whose fibers leave no inner value consistent
+and walks only the allowed inner values; the CP search's numpy filter
+only skips candidates whose fiber systems are inconsistent, and both
+stay live on the diagonal sums of acceptance c04.  Sparse inputs
+exercise the CP search's outer-leg guard and the BM search's empty
+fiber masks."""
 
 import itertools
 import json
@@ -136,13 +138,12 @@ def test_tiny_batches_match_reference(q, shape, r, planted, seed, all_solutions,
     assert_searches_match(a, r, all_solutions, monkeypatch)
 
 
-@pytest.mark.parametrize("all_solutions", [False, True])
-def test_tiny_batches_split_the_inner_leg(all_solutions, monkeypatch):
-    """A 2x2x2 search over GF(2) at r = 1 tests 16 entries per inner
-    candidate, so 64 entries hold blocks of 4 of the 16 inner values:
-    each outer value the guard passes runs 4 blocks, and the yields are
-    still those of the candidate-by-candidate scan."""
-    monkeypatch.setattr(core, "BATCH_ENTRIES", 64)
+def test_tiny_batches_split_the_cp_inner_leg(monkeypatch):
+    """A 2x2x2 CP search over GF(2) at r = 1 tests 16 entries per inner
+    candidate, so 32 entries hold blocks of 2 of the 4 inner values: each
+    outer value the guard passes runs 2 blocks, and the certificate is
+    still that of the candidate-by-candidate scan."""
+    monkeypatch.setattr(core, "BATCH_ENTRIES", 32)
     widths = []
     block = rank._block_consistent
 
@@ -151,13 +152,38 @@ def test_tiny_batches_split_the_inner_leg(all_solutions, monkeypatch):
         return block(values, coef, inner, want, q)
 
     monkeypatch.setattr(rank, "_block_consistent", spied)
-    a = draw_input(2, (2, 2, 2), 1, True, 3)
-    got = [canonical(t) for t in iter_bm_decompositions(a, 1, all_solutions=all_solutions)]
-    assert set(widths) == {4}
-    assert len(widths) % 4 == 0
-    want = ref.iter_bm_decompositions(a, 1, all_solutions=all_solutions)
-    assert got == [canonical(t) for t in want]
-    assert got
+    a = Hypermatrix((2, 2, 2), [1] * 8, scalars.gf(2))
+    got = canonical(cp_rank_exhaustive(a))
+    assert set(widths) == {2}
+    assert got == canonical(ref.cp_rank_exhaustive(a))
+
+
+# (q, shape, r, seed) of planted inputs past the reach of BUDGET whose
+# first ten yields the scalar scan reaches within a few seconds; over
+# GF(5) at r = 2 it scans all 5^8 inner values of the zero outer leg
+# first, so there only the zero input (seed None) is compared
+LARGER_CASES = [
+    (5, (2, 2, 2), 1, 1), (5, (2, 2, 2), 1, 2), (5, (2, 2, 2), 2, None),
+    (2, (2, 2, 3), 1, 0), (2, (2, 3, 2), 1, 0), (2, (3, 2, 2), 1, 0),
+    (2, (2, 2, 3), 2, 2), (2, (2, 3, 2), 2, 0), (2, (3, 2, 2), 2, 2),
+]
+
+
+@pytest.mark.parametrize("all_solutions", [False, True])
+@pytest.mark.parametrize("q,shape,r,seed", LARGER_CASES)
+def test_larger_searches_match_reference(q, shape, r, seed, all_solutions):
+    if seed is None:
+        a = Hypermatrix.zeros(shape, scalars.gf(q))
+    else:
+        a = draw_input(q, shape, r, True, seed)
+
+    def first(search):
+        found = search(a, r, budget=10**12, all_solutions=all_solutions)
+        return [canonical(t) for t in itertools.islice(found, 10)]
+
+    got = first(iter_bm_decompositions)
+    assert got == first(ref.iter_bm_decompositions)
+    assert len(got) == 10
 
 
 @pytest.mark.parametrize(
@@ -215,18 +241,76 @@ def test_sparse_searches_match_reference(a, r, all_solutions, batch_entries):
         )
 
 
-def test_outer_guard_skips_block_products(monkeypatch):
-    """Without the outer-leg guard these three searches run 804 block
-    products; nearly all their outer values leave a nonzero diagonal
-    entry with no nonzero coefficient."""
-    calls = []
-    block = rank._block_consistent
+def outer_values_walked(monkeypatch, first_only=False):
+    """Count the outer values the BM search does not rule out: each starts
+    one walk of the allowed inner values (cut to its first value with
+    ``first_only``)."""
+    walks = []
+    walk = rank._lex_walk
 
     def counted(*args):
-        calls.append(1)
-        return block(*args)
+        walks.append(1)
+        return itertools.islice(walk(*args), 1 if first_only else None)
 
-    monkeypatch.setattr(rank, "_block_consistent", counted)
-    for r in (1, 2, 3):
-        bm_rank_exhaustive(delta_sum(3, r, scalars.gf(2)))
-    assert 0 < len(calls) < 20
+    monkeypatch.setattr(rank, "_lex_walk", counted)
+    return walks
+
+
+@pytest.mark.parametrize("r, walked", [(1, 256), (2, 128), (3, 64)])
+def test_bm_search_rules_out_outer_values(r, walked, monkeypatch):
+    """The one-term search of delta_sum(3, r) visits all 512 values of
+    the 3x1x3 outer leg x0 and walks inner values for walked of them,
+    those with x0[i, 0, i] != 0 for every i < r.  Each walk is cut to its
+    first inner value and each yield to its x0 here."""
+    walks = outer_values_walked(monkeypatch, first_only=True)
+    monkeypatch.setattr(rank, "_assemble_triple", lambda a, r, flat0, flat1, flat2: flat0)
+    found = set(iter_bm_decompositions(delta_sum(3, r, scalars.gf(2)), 1))
+    assert len(walks) == walked == len(found)
+    assert all(all(x0[i * 3 + i] for i in range(r)) for x0 in found)
+
+
+def test_walked_outer_values_are_those_the_reference_uses(monkeypatch):
+    """On GF(2) 2x2x2 inputs at r = 1 the search walks inner values for
+    exactly the outer values x0 of the reference's decompositions, and
+    rules out the rest of the 16."""
+    walks = outer_values_walked(monkeypatch)
+    rng = random.Random(7)
+    inputs = [delta_sum(2, 1, scalars.gf(2)), delta_sum(2, 2, scalars.gf(2))]
+    inputs += [draw_input(2, (2, 2, 2), 1, planted, rng.randrange(10**6))
+               for planted in (True, False) for _ in range(4)]
+    ruled_out = 0
+    for a in inputs:
+        walks.clear()
+        list(iter_bm_decompositions(a, 1))
+        used = {tuple(t.x0.data) for t in ref.iter_bm_decompositions(a, 1)}
+        assert len(walks) == len(used)
+        ruled_out += 16 - len(used)
+    assert ruled_out > 0
+
+
+def test_mask_tables_stay_within_their_bound(monkeypatch):
+    """On a GF(5) search each fiber pattern keeps one table per outer-part
+    value it visited, of at most q^rows right sides (a fiber has rows
+    rows), so its entries are at most (outer parts visited) x q^rows."""
+    monkeypatch.setattr(rank, "_MASK_CACHE", {})
+    visited = set()
+    masks = rank._fiber_masks
+
+    def recorded(q, pattern, outer):
+        visited.add((pattern, outer))
+        return masks(q, pattern, outer)
+
+    monkeypatch.setattr(rank, "_fiber_masks", recorded)
+    monkeypatch.setattr(rank, "_lex_walk", lambda *args: iter(()))
+    for shape, r in (((2, 2, 2), 1), ((1, 2, 2), 2), ((2, 1, 2), 2)):
+        for planted in (True, False):
+            a = draw_input(5, shape, r, planted, 3)
+            for _ in iter_bm_decompositions(a, r, budget=10**7):
+                pass
+    assert rank._MASK_CACHE
+    for (q, pattern), tables in rank._MASK_CACHE.items():
+        rows = len(pattern[0])
+        parts = {outer for seen, outer in visited if seen == pattern}
+        assert set(tables) == parts
+        assert sum(map(len, tables.values())) <= len(parts) * q**rows
+        assert all(len(table) <= q**rows for table in tables.values())
