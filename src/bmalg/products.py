@@ -14,33 +14,38 @@ at once.  GF(q) sums the canonical integer entries, reduced mod q at
 the end, and Q sums integer numerators over common denominators, so
 both are exact: a product of at most ``SMALL_CONTRACTION`` multiply-adds
 sums in plain Python and imports no numpy, and a larger one sums on
-numpy arrays.  C uses split real and imaginary float64 arrays with
-CPython's complex product, so every entry is bit-identical to the
-per-scalar sum.
+numpy arrays, int64 where a bound proves that no sum wraps.  C sums
+Python complex numbers up to that size and split float64 arrays with
+CPython's complex product above it, so every entry has the bits of the
+per-scalar sum, NaN signs aside.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .core import Hypermatrix, SliceSpec, numerators
 from .errors import ConformabilityError
-from .scalars import COMPLEX_KIND
 
 # The contracted axis of legs 0, 1 and 2 (see :func:`conformability`):
 # term t of a triple is its column, depth and row slices at index t.
 CONTRACTED_AXES = (1, 2, 0)
 
-# The most multiply-adds (n0 n1 n2 per term) that an exact product sums in
-# plain Python rather than on numpy arrays.  The selection is by size:
-# with numpy loaded, arrays are faster from under 100 multiply-adds, but
-# up to this size the Python sums cost at most about 0.15 ms more, while
+# The most multiply-adds (n0 n1 n2 per term) that a product sums in plain
+# Python rather than on numpy arrays, in every domain.  The selection is by
+# size and exists to spare the CLI the numpy import: with numpy loaded,
+# arrays are faster from about 100 multiply-adds over Q and GF(q), but up
+# to this size the Python sums cost at most about 0.15 ms more, while
 # importing numpy costs about 100 ms.  Every product the CLI re-verifies
-# on its corpus (729 multiply-adds at most) stays below it, so those
-# commands never import numpy.  CI's "Product kernel crossover" step
-# prints both kernels' times.
+# on its corpus (729 multiply-adds at most) and its complex corpus product
+# stay below it, so those commands never import numpy.  CI's "Product
+# kernel crossover" step prints both kernels' times.
 SMALL_CONTRACTION = 1024
+# Exact array sums run on int64 when the bound of :func:`_contract` on every
+# partial sum is below this, and on object arrays of Python ints otherwise.
+INT64_BOUND = 2**63
 
 
 def conformability(a0: Hypermatrix, a1: Hypermatrix, a2: Hypermatrix):
@@ -124,49 +129,59 @@ def _contract(a0, a1, a2, shape, terms):
     ``Fraction(0, den)``.  A product of at most ``SMALL_CONTRACTION``
     multiply-adds (n0 n1 n2 per term) sums in Python, in
     :func:`_small_sums`, and imports no numpy; a larger one sums on
-    numpy arrays, int64 over GF(q) (each term is below 251^4 < 2^32 for
-    q <= 251, so the sum overflows only past 2^31 terms) and object
-    arrays of Python ints over Q.  C works on separate float64 real and
-    imaginary arrays with CPython's complex product and accumulates from
-    +0.0 in term order, so every entry has the bits of the per-scalar
-    sum; complex128 ufuncs and einsum round differently in the last
-    bits.
+    numpy arrays.  Exact arrays are int64 when ``len(terms)`` times the
+    product of max(1, M) over the three legs and the weights is below
+    ``INT64_BOUND`` (2^63), M being the largest absolute integer summed
+    from each (q - 1 over GF(q)): that product bounds every partial
+    sum, so none wraps, and object arrays of Python ints take the rest.
+    C accumulates from 0j in term order, in Python's complex arithmetic
+    or, above ``SMALL_CONTRACTION``, on separate float64 real and
+    imaginary arrays with CPython's complex product, so every entry has
+    the bits of the per-scalar sum; complex128 ufuncs and einsum round
+    differently in the last bits.  Only the sign of a NaN part can
+    differ on the arrays: where two NaNs meet, numpy's multiply and add
+    keep the other operand's.
     """
     dom = a0.domain
     legs = (a0, a1, a2)
-    if dom.kind == COMPLEX_KIND:
-        import numpy as np
-        zs = [np.array(a.data, dtype=complex).reshape(a.shape) for a in legs]
-        re0, re1, re2 = (z.real for z in zs)
-        im0, im1, im2 = (z.imag for z in zs)
-        acc_re, acc_im = np.zeros(shape), np.zeros(shape)
-        for j0, j1, j2, w in terms:
-            re, im = _cmul(re0[:, j0, None], im0[:, j0, None],
-                           re1[:, :, j1, None], im1[:, :, j1, None])
-            re, im = _cmul(re, im, re2[j2], im2[j2])
-            if w is not None:
-                re, im = _cmul(re, im, w.real, w.imag)
-            acc_re += re
-            acc_im += im
-        out = acc_re.astype(complex)
-        out.imag = acc_im
-        return Hypermatrix(shape, out.ravel().tolist(), dom)
-    q = dom.q  # None over Q
+    q, exact = dom.q, dom.is_exact  # q is None over Q and C
+    # stored GF(q) entries are already canonical
+    xs = [a.data for a in legs]
     weights = [w for *_, w in terms if w is not None]
-    if q is None:
-        (x0, d0), (x1, d1), (x2, d2) = (numerators(a.data) for a in legs)
+    rational = exact and q is None
+    if rational:
+        xs, dens = zip(*map(numerators, xs))
         weights, dw = numerators(weights)
-    else:
-        # stored GF(q) entries are already canonical
-        x0, x1, x2 = (a.data for a in legs)
     n0, n1, n2 = shape
     if n0 * n1 * n2 * len(terms) <= SMALL_CONTRACTION:
-        acc = _small_sums(x0, x1, x2, legs, terms, weights)
+        acc = _small_sums(*xs, legs, terms, weights, 0 if exact else 0j)
+    elif not exact:
+        import numpy as np
+        with np.errstate(over="ignore", invalid="ignore"):
+            zs = [np.array(x, dtype=complex).reshape(a.shape) for x, a in zip(xs, legs)]
+            re0, re1, re2 = (z.real for z in zs)
+            im0, im1, im2 = (z.imag for z in zs)
+            acc_re, acc_im = np.zeros(shape), np.zeros(shape)
+            for j0, j1, j2, w in terms:
+                re, im = _cmul(re0[:, j0, None], im0[:, j0, None],
+                               re1[:, :, j1, None], im1[:, :, j1, None])
+                re, im = _cmul(re, im, re2[j2], im2[j2])
+                if w is not None:
+                    re, im = _cmul(re, im, w.real, w.imag)
+                acc_re += re
+                acc_im += im
+        acc = acc_re.astype(complex)
+        acc.imag = acc_im
+        acc = acc.ravel().tolist()
     else:
         import numpy as np
-        dtype = object if q is None else np.int64
+        if rational:
+            sizes = [max(1, max(x, default=0), -min(x, default=0)) for x in (*xs, weights)]
+        else:
+            sizes = [q - 1] * (4 if weights else 3)
+        dtype = np.int64 if len(terms) * math.prod(sizes) < INT64_BOUND else object
         x0, x1, x2 = (np.array(x, dtype=dtype).reshape(a.shape)
-                      for x, a in zip((x0, x1, x2), legs))
+                      for x, a in zip(xs, legs))
         weights = iter(weights)
         acc = np.zeros(shape, dtype=dtype)
         for j0, j1, j2, w in terms:
@@ -175,16 +190,16 @@ def _contract(a0, a1, a2, shape, terms):
                 t *= next(weights)
             acc += t
         acc = acc.ravel().tolist()
-    if q is not None:
+    if not rational:
         return Hypermatrix(shape, acc, dom)
-    den = d0 * d1 * d2 * dw
+    den = math.prod(dens) * dw
     zero = Fraction(0)
     return Hypermatrix(shape, [Fraction(v, den) if v else zero for v in acc], dom)
 
 
-def _small_sums(x0, x1, x2, legs, terms, weights):
-    """The integer sums of :func:`_contract` in plain Python, flat in
-    row-major (i0, i1, i2) order.
+def _small_sums(x0, x1, x2, legs, terms, weights, zero):
+    """The sums of :func:`_contract` in plain Python, each from ``zero``,
+    flat in row-major (i0, i1, i2) order.
 
     Slice j of each leg is first spread over that flat index by slice
     copies: leg 0's (i0, j, i2) along i1, leg 1's (i0, i1, j) along i2
@@ -205,7 +220,7 @@ def _small_sums(x0, x1, x2, legs, terms, weights):
             f[i2::n2] = x1[j::e1]
     spread2 = [x2[j * plane:(j + 1) * plane] * n0 for j in range(e2)]
     weights = iter(weights)
-    acc = [0] * size
+    acc = [zero] * size
     for j0, j1, j2, w in terms:
         f0, f1, f2 = spread0[j0], spread1[j1], spread2[j2]
         if w is None:

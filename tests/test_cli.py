@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import hyperdet_zero_instance, printed_witness
 
-from bmalg import inverse, scalars
+from bmalg import inverse, products, scalars
 from bmalg.cli import main
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.dependence import combination_residual, witness_is_nontrivial
@@ -497,6 +497,28 @@ def test_prod_overflow_exits_2_naming_the_first_non_finite_entry(
     ``Infinity``/``NaN``, which is not strict JSON and which bmalg
     itself refuses on input."""
     big = Hypermatrix.random((3, 3, 3), scalars.complex_doubles(), random.Random(6),
+                             nonzero=True).to_json()
+    big["data"][0] = [1e200, 0.0]
+    f = write_json(tmp_path, "big.json", big)
+    argv = ["prod", f, f, f] + (["--background", f] if background else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["message"]
+    assert message.startswith("product entry (0, 0, 0) is not finite")
+
+
+@pytest.mark.parametrize("background", [False, True])
+def test_prod_overflow_on_the_array_kernel_exits_2(tmp_path, capsys, background):
+    """11x11x11 legs sum 11^4 multiply-adds, above SMALL_CONTRACTION, so
+    the complex sums run on numpy arrays; they overflow without a
+    RuntimeWarning and report the first non-finite entry."""
+    assert 11**4 > products.SMALL_CONTRACTION
+    big = Hypermatrix.random((11, 11, 11), scalars.complex_doubles(), random.Random(6),
                              nonzero=True).to_json()
     big["data"][0] = [1e200, 0.0]
     f = write_json(tmp_path, "big.json", big)

@@ -1,11 +1,14 @@
 """The kernels behind ``bm_product`` and ``general_bm_product`` against
 the per-scalar products they replaced (kept in ``reference.py``): equal
 values of the same type on the exact domains, and equal bits on the
-complex doubles, signed zeros included.
+complex doubles, signed zeros, infinities and NaNs included (NaN signs
+aside on the array kernel).
 
-An exact product sums in plain Python up to ``SMALL_CONTRACTION``
-multiply-adds and on numpy arrays above it; every exact comparison runs
-once with the selection forced each way.
+A product sums in plain Python up to ``SMALL_CONTRACTION`` multiply-adds
+and on numpy arrays above it; every comparison runs once with the
+selection forced each way.  Exact arrays are int64 below
+``INT64_BOUND`` and object arrays of Python ints at or above it; the
+bound's edges are checked with every entry at its leg's maximum.
 """
 
 import math
@@ -35,11 +38,20 @@ DOMAINS = (
     + [scalars.gf(q) for q in PRIMES]
     + [scalars.complex_doubles()]
 )
-# complex parts that stress rounding and the sign of zero
+# complex parts that stress rounding and the sign of zero, and the
+# non-finite ones
 PARTS = (0.0, -0.0, 1.0, -1.0, 0.1, -1e-300, 3.0e8, 1 / 3, -2.5)
+NON_FINITE = (math.inf, -math.inf, math.nan)
 
 
-def assert_identical(got, want):
+def complex_bits(v, nan_sign):
+    """The bits of a complex entry, with every NaN part as ``math.nan``
+    unless ``nan_sign``."""
+    parts = [x if nan_sign or x == x else math.nan for x in (v.real, v.imag)]
+    return struct.pack("dd", *parts)
+
+
+def assert_identical(got, want, nan_sign=True):
     assert got.shape == want.shape
     assert got.domain == want.domain
     if got.domain.is_exact:
@@ -47,8 +59,8 @@ def assert_identical(got, want):
         assert got.data == want.data
     else:
         assert all(type(v) is complex for v in got.data)
-        assert [struct.pack("dd", v.real, v.imag) for v in got.data] == [
-            struct.pack("dd", v.real, v.imag) for v in want.data
+        assert [complex_bits(v, nan_sign) for v in got.data] == [
+            complex_bits(v, nan_sign) for v in want.data
         ]
 
 
@@ -70,22 +82,28 @@ def small_kernel_calls(mp):
 
 
 def assert_kernels_match(product, want):
-    """``product()`` is identical to ``want`` under each forced kernel over
-    the exact domains, and under the one complex kernel."""
-    if not want.domain.is_exact:
-        assert_identical(product(), want)
-        return
+    """``product()`` is identical to ``want`` under each forced kernel.
+
+    The array kernel's NaN signs are not compared: where two NaNs meet,
+    numpy's multiply and add keep the other operand's, and IEEE 754
+    leaves the choice open."""
     for kernel, limit in FORCED.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(products, "SMALL_CONTRACTION", limit)
             calls = small_kernel_calls(mp)
-            assert_identical(product(), want)
+            assert_identical(product(), want, nan_sign=kernel == "python")
             assert bool(calls) == (kernel == "python")
 
 
 def sample_entry(rng, dom):
-    if dom.kind == "complex" and rng.random() < 0.4:
-        return complex(rng.choice(PARTS), rng.choice(PARTS))
+    if dom.kind == "complex":
+        u = rng.random()
+        if u < 0.05:
+            parts = [rng.choice(NON_FINITE), rng.choice(PARTS + NON_FINITE)]
+            rng.shuffle(parts)
+            return complex(*parts)
+        if u < 0.4:
+            return complex(rng.choice(PARTS), rng.choice(PARTS))
     return dom.random(rng)
 
 
@@ -260,3 +278,89 @@ def test_tiled_sandwich_legs_match_per_scalar_oracle(dom, dims):
     assert_kernels_match(lambda: bm_product(a, xs, b), y)
     c = _tiled(Hypermatrix.random(pair.a.shape, dom, rng), k)
     assert_kernels_match(lambda: bm_product(c, y, b), ref.scalar_bm_product(c, y, b))
+
+
+def test_a_complex_zero_background_gives_complex_zeros():
+    """No terms: every entry is the complex ``0j`` the sums start from,
+    not the int 0."""
+    cplx = scalars.complex_doubles()
+    rng = random.Random(11)
+    legs = [Hypermatrix.random(shape, cplx, rng) for shape in ((5, 3, 5), (5, 5, 3), (3, 5, 5))]
+    bg = Hypermatrix.zeros((3, 3, 3), cplx)
+    want = ref.scalar_general_bm_product(*legs, bg)
+    assert want.data == [0j] * 125
+    assert_kernels_match(lambda: general_bm_product(*legs, bg), want)
+
+
+def accumulator_dtypes(mp):
+    """The dtype of each exact array accumulator for the rest of ``mp``."""
+    import numpy as np
+
+    dtypes = []
+    zeros = np.zeros
+
+    def recorded(shape, dtype=float):
+        dtypes.append(np.dtype(dtype).name)
+        return zeros(shape, dtype=dtype)
+
+    mp.setattr(np, "zeros", recorded)
+    return dtypes
+
+
+# 7 * M0 * M1 * M2 == 2**63 - 1 == 7**2 * 73 * 127 * 337 * 92737 * 649657
+MAXIMA_BELOW = (7 * 73 * 127, 337 * 92737, 649657)
+
+
+# (ell, the maximum of each leg, the background weight or None, the dtype);
+# a weighted product has ell**3 terms, all at that weight
+@pytest.mark.parametrize("ell, maxima, weight, dtype", [
+    pytest.param(7, MAXIMA_BELOW, None, "int64", id="bound-2^63-1"),
+    pytest.param(8, (2**20,) * 3, None, "object", id="bound-2^63"),
+    pytest.param(2, (2**15,) * 3, 2**15 - 1, "int64", id="weighted-below-2^63"),
+    pytest.param(2, (2**15,) * 3, 2**15, "object", id="weighted-bound-2^63"),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int64_sums_run_exactly_below_the_bound(ell, maxima, weight, dtype, sign, monkeypatch):
+    """Every leg entry at its leg's maximum, so every sum reaches the
+    bound: 2^63 - 1 fits int64, and 2^63 would wrap."""
+    rat = scalars.rational()
+    n = 6
+    shapes = ((n, ell, n), (n, n, ell), (ell, n, n))
+    legs = [Hypermatrix(shape, [Fraction(m)] * math.prod(shape), rat)
+            for shape, m in zip(shapes, (sign * maxima[0], *maxima[1:]))]
+    if weight is None:
+        terms, bound = ell, ell * math.prod(maxima)
+        product, want = bm_product, ref.scalar_bm_product(*legs)
+    else:
+        terms, bound = ell**3, ell**3 * math.prod(maxima) * weight
+        bg = Hypermatrix((ell, ell, ell), [Fraction(weight)] * ell**3, rat)
+        product = lambda *legs: general_bm_product(*legs, bg)  # noqa: E731
+        want = ref.scalar_general_bm_product(*legs, bg)
+    assert (bound < products.INT64_BOUND) == (dtype == "int64")
+    assert n**3 * terms > products.SMALL_CONTRACTION
+    assert want.data == [Fraction(sign * bound)] * n**3
+    dtypes = accumulator_dtypes(monkeypatch)
+    assert_identical(product(*legs), want)
+    assert dtypes == [dtype]
+
+
+@pytest.mark.parametrize("zero_leg", [0, 1, 2])
+def test_an_all_zero_leg_beside_huge_numerators_sums_on_object_arrays(zero_leg, monkeypatch):
+    """An all-zero leg counts as 1 in the bound, not 0, so the numerators
+    near 10^30 of the next leg keep the sums off int64."""
+    rat = scalars.rational()
+    rng = random.Random(zero_leg)
+    n, ell = 6, 6
+    shapes = ((n, ell, n), (n, n, ell), (ell, n, n))
+    legs = [Hypermatrix.random(shape, rat, rng) for shape in shapes]
+    legs[zero_leg] = Hypermatrix.zeros(shapes[zero_leg], rat)
+    huge = (zero_leg + 1) % 3
+    legs[huge] = Hypermatrix(
+        shapes[huge],
+        [Fraction(rng.choice([-1, 1]) * (10**30 + rng.randrange(10**6)), rng.randint(1, 9))
+         for _ in range(math.prod(shapes[huge]))],
+        rat,
+    )
+    dtypes = accumulator_dtypes(monkeypatch)
+    assert_identical(bm_product(*legs), ref.scalar_bm_product(*legs))
+    assert dtypes == ["object"]
