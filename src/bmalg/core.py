@@ -24,11 +24,8 @@ fraction-free on integer rows (Bareiss, Math. Comp. 22, 1968), so its
 loop does Python-int arithmetic only; the kernels read ratios of those
 integers and return the same Fractions as elimination over Fractions.
 
-``BATCH_ENTRIES`` bounds the numpy arrays of two batched scans: the
-candidate batches (outer-leg values times an inner-leg block) of the
-exhaustive GF(q) CP rank search (``rank._fiber_search``) and the probe
-stacks of ``inverse.sandwich_check``.  The BM rank search builds no
-array.
+``BATCH_ENTRIES`` bounds the numpy probe stacks of
+``inverse.sandwich_check``.  The GF(q) rank searches build no array.
 """
 
 from __future__ import annotations
@@ -43,8 +40,7 @@ from fractions import Fraction
 from .errors import ShapeError
 from .scalars import RATIONAL_KIND, ScalarDomain
 
-# Most array entries per batch (512 KiB of int64) of rank._fiber_search
-# (the CP rank search) and inverse.sandwich_check.
+# Most array entries per probe stack (512 KiB of int64) of inverse.sandwich_check.
 BATCH_ENTRIES = 1 << 16
 # Search budgets of rank and nullity, kept here so that the CLI parser
 # reads them without importing either module.

@@ -196,18 +196,6 @@ class FlatteningMatrix:
             raise ShapeError(f"block ({i},{j}) out of range")
         return self.blocks[i * self.n + j]
 
-    def full_entry(self, row, col):
-        """Entry of the (mnp x mnp) matrix; off-block positions are zero."""
-        size = self.m * self.n * self.p
-        if not (0 <= row < size and 0 <= col < size):
-            raise ShapeError("flattening index out of range")
-        blk_r, t = divmod(row, self.p)
-        blk_c, s = divmod(col, self.p)
-        dom = self.blocks[0].domain
-        if blk_r != blk_c:
-            return dom.zero()
-        return self.blocks[blk_r][t, s]
-
 
 def _row_slices(flat0, m):
     """The m slices A[i, :, :] of an (m, ell, p) leg's flat data, as

@@ -21,19 +21,15 @@ inputs only down to ell = 2 (see :func:`generic_rank_pipeline`).
 The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
 serves :func:`bm_rank_exhaustive` and via-rank nullity, and
 :func:`cp_rank_exhaustive`) enumerate two legs in lexicographic order
-and solve for the third fiber by fiber.  A BM fiber reads one slice of
-each enumerated leg, so whether it is consistent depends on those two
-slices alone: cached int bitmasks over the inner slice's values, one
-per (fiber pattern, outer slice value, right side), rule an outer-leg
-value out when they leave some inner slice no value, and otherwise the
-allowed inner values are walked lazily, all in plain Python.  CP fibers
-all read both enumerated legs whole, so a numpy filter tests batches of
-candidate pairs (``core.BATCH_ENTRIES`` array entries at most):
-outer-leg values, several at once when the inner leg fits one block,
-each ruled out before any block product when a fiber row its
-coefficients all leave zero has a nonzero right side, then the live
-ones against a block of inner candidates and all q^r values of a
-fiber's unknowns.  Both drop exactly the inconsistent pairs; survivors
+and solve for the third fiber by fiber, all in plain Python.  A BM
+fiber reads one slice of each enumerated leg, so whether it is
+consistent depends on those two slices alone: cached int bitmasks over
+the inner slice's values, one per (fiber pattern, outer slice value,
+right side), rule an outer-leg value out when they leave some inner
+slice no value, and otherwise the allowed inner values are walked
+lazily.  The CP search walks its terms depth first, normalised and
+sorted, and cuts a prefix whose span with the input's fibers exceeds r
+dimensions.  Both skip only pairs that cannot come first; survivors
 keep their order through the scalar solver, as in a
 candidate-by-candidate scan.
 """
@@ -48,7 +44,6 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from . import core
 from .core import (DEFAULT_PIPELINE_ITERS, DEFAULT_PIPELINE_RESTARTS, DEFAULT_RANK_BUDGET,
                    Hypermatrix, Matrix, echelon)
 from .errors import (
@@ -669,83 +664,21 @@ def _solve_fibers(outer, inner, ia_rows, ib_rows, rhs_rows, domain, r, all_solut
     return options
 
 
-def _block_consistent(values, coef, inner, want, q):
-    """Mask of the (outer, inner) candidate pairs whose fibers all solve in
-    ``values``: the outer values run along the third axis of ``coef``, the
-    inner candidates along the last axis of ``inner``, so every reduction
-    is elementwise across both."""
-    hits = values @ (inner * coef[..., None]) % q == want
-    return hits.all(axis=1).any(axis=2).all(axis=0)
-
-
-def _fiber_search(outer_len, inner_len, ia, ib, rhs, domain, r, all_solutions):
-    """Yield (outer, inner, per-fiber solution lists) for every pair of
-    enumerated legs whose fiber systems are all consistent, in
-    lexicographic order of (outer, inner).  It serves
-    :func:`cp_rank_exhaustive`, whose fibers all read the whole of both
-    enumerated legs.
-
-    Fiber f's system in the solved leg s has rows
-    sum_t outer[ia[f, row, t]] * inner[ib[f, row, t]] * s[t] = rhs[f, row]
-    (``ia``/``ib`` may broadcast over f).  A numpy filter tries all q^r
-    values of s on a batch of candidate pairs at once: the q^k inner
-    values that share all but their last k digits, times the q^k_o outer
-    values that share all but their last k_o digits, with k + k_o the
-    most digits that keep every array of the filter within
-    ``core.BATCH_ENTRIES`` entries and k_o > 0 only once the inner block
-    holds the whole inner leg (k_o = 0 scans the outer values one by
-    one).  Each outer batch is tested alone first: an outer value that
-    leaves a row with rhs != 0 no nonzero coefficient is ruled out, since
-    that row reads 0 whatever inner and s are, and the block products
-    run over the live outer values only.  Only the survivors go through
-    the scalar solver :func:`_fiber_solutions`.
-    """
-    import numpy as np
-    q = domain.q
-    values = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int64)
-    want = rhs[..., None, None, None]
-    per_candidate = rhs.size * len(values)
-    ia_rows, ib_rows = (np.broadcast_to(x, rhs.shape + (r,)).tolist() for x in (ia, ib))
-    rhs_rows = rhs.tolist()
-    free_rows = rhs[..., None] == 0
-    fit = 0
-    while (fit < outer_len + inner_len
-           and q ** (fit + 1) * per_candidate <= core.BATCH_ENTRIES):
-        fit += 1
-    k = min(fit, inner_len)
-
-    def batch(length, digits):
-        # the q^digits values of a leg sharing their first length - digits
-        # digits, one per column; the caller writes those first digits
-        tails = list(itertools.product(range(q), repeat=digits))
-        out = np.empty((length, len(tails)), dtype=np.int64)
-        out.T[:, length - digits:] = np.reshape(tails, (len(tails), digits))
-        return tails, out
-
-    outer_tails, outers = batch(outer_len, fit - k)
-    inner_tails, block = batch(inner_len, k)
-    outer_cut, cut = outer_len - (fit - k), inner_len - k
-    # axes (fiber, row, outer value, t) for the outer coefficients and
-    # (fiber, row, 1, t, inner value) for an inner block
-    ib = ib[:, :, None]
-    for outer_prefix in itertools.product(range(q), repeat=outer_cut):
-        outers.T[:, :outer_cut] = outer_prefix
-        coef = outers[ia].swapaxes(-1, -2)
-        live = (free_rows | coef.any(axis=-1)).all(axis=(0, 1)).nonzero()[0]
-        if not len(live):
-            continue
-        coef = coef[:, :, live]
-        live = live.tolist()
-        for prefix in itertools.product(range(q), repeat=cut):
-            block.T[:, :cut] = prefix
-            hits = _block_consistent(values, coef, block[ib], want, q)
-            for at, idx in np.argwhere(hits).tolist():
-                outer = outer_prefix + outer_tails[live[at]]
-                inner = prefix + inner_tails[idx]
-                options = _solve_fibers(outer, inner, ia_rows, ib_rows, rhs_rows,
-                                        domain, r, all_solutions)
-                if options is not None:
-                    yield outer, inner, options
+def _extend_span(basis, vectors, q):
+    """``basis``, pairs of a pivot and a vector over GF(q) with entry 1
+    there and 0 at every earlier pair's pivot, extended by ``vectors``:
+    each is reduced against it and appended when a nonzero entry is left.
+    The input list is not changed."""
+    for v in vectors:
+        for pivot, row in basis:
+            c = v[pivot]
+            if c:
+                v = [(x - c * y) % q for x, y in zip(v, row)]
+        pivot = next((at for at, c in enumerate(v) if c), None)
+        if pivot is not None:
+            inv = pow(v[pivot], q - 2, q)
+            basis = basis + [(pivot, [x * inv % q for x in v])]
+    return basis
 
 
 # (q, fiber pattern) -> outer-part value -> {fiber right side: inner mask}
@@ -978,11 +911,17 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
     """Exact CP-constrained rank over GF(q): the slice legs are pinned to
     the rank-one Kronecker form, so this exhausts vector triples.
 
-    At each r the x vectors are enumerated in lexicographic order and,
-    for each, the y vectors in blocks that the numpy filter of
-    :func:`_fiber_search` tests against every value of the depth
-    fibers' unknowns z_k; the first consistent (x, y) is solved by the
-    scalar path and certified, as by a candidate-by-candidate scan.
+    At each r the terms x_t, then y_t, are walked depth first in
+    lexicographic order of (x, y); the depth fibers' unknowns z_k of the
+    first consistent pair are solved by the scalar path and certified,
+    as by a candidate-by-candidate scan.  The walk visits only pairs that
+    can be the lex-first one: z_t absorbs a scale, so each x_t and y_t
+    has its first nonzero entry 1; no term is zero, since r - 1 terms
+    were exhausted; and x_t <= x_{t+1}, with y_t <= y_{t+1} where the
+    two x are equal.  The x_t span the columns a[:, j, k], the y_t the
+    rows a[i, :, k] and the x_t (x) y_t the depth slices a[:, :, k], so
+    a prefix whose span with these exceeds r dimensions is cut; each
+    span is a reduced basis that a step extends by one vector.
     """
     dom = a.domain
     if dom.kind != "gf":
@@ -991,6 +930,15 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
     m, n, p = a.shape
     if a.is_zero():
         return RankCertificate(kind="exact", r=0, params={"q": q, "cp": True})
+    # fiber k, the depth slice a[:, :, k] flat in (i, j) order, has one row
+    # per (i, j): coefficient xs[t*m + i] * ys[t*n + j] on z_k[t]
+    rhs = [a.data[k::p] for k in range(p)]
+    cols = _extend_span([], [s[j::n] for s in rhs for j in range(n)], q)
+    rows = _extend_span([], [s[i * n:(i + 1) * n] for s in rhs for i in range(m)], q)
+    depth = _extend_span([], rhs, q)
+    # the vectors whose first nonzero entry is 1, in lexicographic order
+    xs_all, ys_all = ([v for v in itertools.product(range(q), repeat=size)
+                       if next(filter(None, v), 0) == 1] for size in (m, n))
     cap = p * min(m, n)
     for r in range(1, cap + 1):
         digits = r * (m + n)
@@ -998,14 +946,36 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
             raise BudgetExceededError(
                 f"CP enumeration q^{digits} exceeds budget {budget}"
             )
-        import numpy as np
-        # fiber k has one row per (i, j): coefficient xs[t*m + i] * ys[t*n + j]
-        # on z_k[t], right side a[i, j, k]
-        rhs = np.array(a.data, dtype=np.int64).reshape(m * n, p).T
-        gi, gj, gt = np.ogrid[:m, :n, :r]
-        ia = np.broadcast_to(gt * m + gi, (m, n, r)).reshape(1, m * n, r)
-        ib = np.broadcast_to(gt * n + gj, (m, n, r)).reshape(1, m * n, r)
-        for xs, ys, zsol in _fiber_search(r * m, r * n, ia, ib, rhs, dom, r, False):
+        ia = [[[t * m + i for t in range(r)] for i in range(m) for _ in range(n)]] * p
+        ib = [[[t * n + j for t in range(r)] for _ in range(m) for j in range(n)]] * p
+        picks = [0] * (2 * r)  # x_0 .. x_{r-1} in xs_all, then y_0 .. y_{r-1} in ys_all
+
+        def walk(t, spans):
+            if t == 2 * r:
+                xs = [c for at in picks[:r] for c in xs_all[at]]
+                ys = [c for at in picks[r:] for c in ys_all[at]]
+                options = _solve_fibers(xs, ys, ia, ib, rhs, dom, r, False)
+                return options and (xs, ys, options)
+            cands = xs_all if t < r else ys_all
+            # terms sort by x_t, then by y_t
+            ordered = t % r and (t < r or picks[t - r] == picks[t - r - 1])
+            for pick in range(picks[t - 1] if ordered else 0, len(cands)):
+                if t < r:
+                    grown = [_extend_span(spans[0], [cands[pick]], q), *spans[1:]]
+                else:
+                    x, y = xs_all[picks[t - r]], cands[pick]
+                    grown = [spans[0], _extend_span(spans[1], [y], q),
+                             _extend_span(spans[2], [[u * v % q for u in x for v in y]], q)]
+                if max(map(len, grown)) <= r:
+                    picks[t] = pick
+                    found = walk(t + 1, grown)
+                    if found:
+                        return found
+            return None
+
+        found = walk(0, [cols, rows, depth])
+        if found:
+            xs, ys, zsol = found
             triple = _assemble_triple(
                 a,
                 r,

@@ -127,14 +127,15 @@ def test_flatten_1x1x1():
     b = Hypermatrix.from_nested([[[Fraction(5)]]], RAT)
     flat = flatten(HyperPair(a, b))
     assert flat.block(0, 0)[0, 0] == 15
-    assert flat.full_entry(0, 0) == 15
 
 
 def test_flatten_off_block_entries_zero():
+    """Off-block entries are never stored: one p x p block per (i, j)."""
     rng = random.Random(5)
     pair = random_pair(2, 2, 2, RAT, rng)
     flat = flatten(pair)
-    assert flat.full_entry(0, 3) == 0  # row block 0, col block 1
+    assert len(flat.blocks) == 2 * 2
+    assert all(block.shape == (2, 2) for block in flat.blocks)
 
 
 def test_pair_invertible_families():

@@ -255,6 +255,19 @@ def test_the_shadow_numpy_stops_a_command_that_builds_arrays(shadow):
     assert b"numpy is shadowed" in proc.stderr
 
 
+def test_the_cp_rank_search_runs_without_numpy(shadow):
+    """The CP search walks plain lists: delta_sum(3, 3) over GF(2), whose
+    CP rank is 3, is certified with numpy unimportable."""
+    code = """from bmalg import scalars
+from bmalg.rank import cp_rank_exhaustive, delta_sum
+
+print(cp_rank_exhaustive(delta_sum(3, 3, scalars.gf(2))).r)
+"""
+    proc = run_python(["-c", code], shadow)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["3"]
+
+
 def test_a_direct_search_budget_refusal_loads_no_numpy():
     """The budget is checked before the action cache, so a refusal loads
     no numpy, before the cache fills and after."""

@@ -4,11 +4,13 @@ same rank certificates and the same ``BudgetExceededError`` message.
 The dependence witness, which takes no budget, matches the reference
 scan wherever that scan finishes within its budget.  The BM search
 rules out outer values whose fibers leave no inner value consistent
-and walks only the allowed inner values; the CP search's numpy filter
-only skips candidates whose fiber systems are inconsistent, and both
-stay live on the diagonal sums of acceptance c04.  Sparse inputs
-exercise the CP search's outer-leg guard and the BM search's empty
-fiber masks."""
+and walks only the allowed inner values; the CP search walks only
+normalised, sorted terms and cuts prefixes whose spans exceed r, and
+both stay live on the diagonal sums of acceptance c04.  Sparse inputs
+exercise the BM search's empty fiber masks, and the CP certificates
+match on every GF(2) 2x2x2 input, on inputs whose fibers already span
+r dimensions, on shapes with an extent of 1 and on GF(5) inputs whose
+terms need scaling."""
 
 import itertools
 import json
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from bmalg import core, rank, scalars
+from bmalg import rank, scalars
 from bmalg.core import Hypermatrix
 from bmalg.dependence import is_dependent_exact
 from bmalg.errors import BudgetExceededError
@@ -83,13 +85,17 @@ def draw_input(q, shape, r, planted, seed):
     ).reconstruct()
 
 
+def assert_cp_matches(a, budget=BUDGET):
+    assert outcome(cp_rank_exhaustive, a, budget=budget) == outcome(
+        ref.cp_rank_exhaustive, a, budget=budget
+    )
+
+
 def assert_searches_match(a, r, all_solutions, monkeypatch):
     got = outcome(first_yields, iter_bm_decompositions, a, r, all_solutions)
     want = outcome(first_yields, ref.iter_bm_decompositions, a, r, all_solutions)
     assert got == want
-    assert outcome(cp_rank_exhaustive, a, budget=BUDGET) == outcome(
-        ref.cp_rank_exhaustive, a, budget=BUDGET
-    )
+    assert_cp_matches(a)
     family = [a.mat_of_depth(k) for k in range(a.shape[2])]
     try:
         assert witness(family) == ref_witness(family)
@@ -99,6 +105,19 @@ def assert_searches_match(a, r, all_solutions, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(rank, "iter_bm_decompositions", ref.iter_bm_decompositions)
         assert got == outcome(bm_rank_exhaustive, a, budget=BUDGET)
+
+
+# (q, shape, r, planted, seed) of inputs run on every pass
+KNOWN_CASES = [
+    (2, (2, 2, 2), 1, True, 3),
+    (2, (2, 2, 2), 1, False, 4),
+    (2, (1, 2, 3), 2, True, 5),
+    (2, (2, 1, 2), 2, True, 6),
+    (3, (2, 2, 1), 1, True, 7),
+    (3, (1, 2, 2), 1, False, 8),
+    (3, (2, 2, 2), 1, True, 9),
+    (5, (1, 1, 2), 2, True, 10),
+]
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,46 +135,64 @@ def test_searches_match_reference(q, shape, r, all_solutions, planted, seed):
         assert_searches_match(a, r, all_solutions, monkeypatch)
 
 
-# inputs whose inner legs span several blocks of 7 entries
-TINY_BATCH_CASES = [
-    (2, (2, 2, 2), 1, True, 3),
-    (2, (2, 2, 2), 1, False, 4),
-    (2, (1, 2, 3), 2, True, 5),
-    (2, (2, 1, 2), 2, True, 6),
-    (3, (2, 2, 1), 1, True, 7),
-    (3, (1, 2, 2), 1, False, 8),
-    (3, (2, 2, 2), 1, True, 9),
-    (5, (1, 1, 2), 2, True, 10),
-]
-
-
 @pytest.mark.parametrize("all_solutions", [False, True])
-@pytest.mark.parametrize("q,shape,r,planted,seed", TINY_BATCH_CASES)
-def test_tiny_batches_match_reference(q, shape, r, planted, seed, all_solutions,
-                                      monkeypatch):
-    monkeypatch.setattr(core, "BATCH_ENTRIES", 7)
+@pytest.mark.parametrize("q,shape,r,planted,seed", KNOWN_CASES)
+def test_known_cases_match_reference(q, shape, r, planted, seed, all_solutions,
+                                     monkeypatch):
     a = draw_input(q, shape, r, planted, seed)
     assert_searches_match(a, r, all_solutions, monkeypatch)
 
 
-def test_tiny_batches_split_the_cp_inner_leg(monkeypatch):
-    """A 2x2x2 CP search over GF(2) at r = 1 tests 16 entries per inner
-    candidate, so 32 entries hold blocks of 2 of the 4 inner values: each
-    outer value the guard passes runs 2 blocks, and the certificate is
-    still that of the candidate-by-candidate scan."""
-    monkeypatch.setattr(core, "BATCH_ENTRIES", 32)
-    widths = []
-    block = rank._block_consistent
+def cp_planted(q, shape, r, seed):
+    """The sum of r random vector triples over GF(q), so its CP rank is
+    at most r."""
+    dom = scalars.gf(q)
+    rng = random.Random(seed)
+    m, n, p = shape
+    terms = [[[dom.random(rng) for _ in range(size)] for size in shape] for _ in range(r)]
+    data = [sum(x[i] * y[j] * z[k] for x, y, z in terms) % q
+            for i in range(m) for j in range(n) for k in range(p)]
+    return Hypermatrix(shape, data, dom)
 
-    def spied(values, coef, inner, want, q):
-        widths.append(inner.shape[-1])
-        return block(values, coef, inner, want, q)
 
-    monkeypatch.setattr(rank, "_block_consistent", spied)
-    a = Hypermatrix((2, 2, 2), [1] * 8, scalars.gf(2))
-    got = canonical(cp_rank_exhaustive(a))
-    assert set(widths) == {2}
-    assert got == canonical(ref.cp_rank_exhaustive(a))
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from(SHAPES + [(3, 2, 1)]),
+    st.sampled_from([1, 2]),
+    st.integers(0, 10**6),
+)
+def test_planted_cp_certificates_match_reference(q, shape, r, seed):
+    assert_cp_matches(cp_planted(q, shape, r, seed))
+
+
+def test_cp_certificates_match_reference_on_every_gf2_2x2x2_input():
+    gf2 = scalars.gf(2)
+    for data in itertools.product(range(2), repeat=8):
+        assert_cp_matches(Hypermatrix((2, 2, 2), list(data), gf2))
+
+
+@pytest.mark.parametrize("q, r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_cp_certificates_match_reference_on_diagonal_sums(q, r):
+    """The columns, rows and depth slices of delta_sum(3, r) already span
+    r dimensions, so every prefix that adds a dimension is cut."""
+    assert_cp_matches(delta_sum(3, r, scalars.gf(q)), budget=10**7)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 2, 3), (3, 1, 2), (2, 3, 1), (3, 3, 1)])
+def test_cp_certificates_match_reference_with_an_extent_of_one(q, shape):
+    for seed in range(6):
+        assert_cp_matches(draw_input(q, shape, 1, False, seed))
+        assert_cp_matches(cp_planted(q, shape, 2, seed))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (1, 2, 2), (2, 1, 2), (2, 2, 2)])
+def test_gf5_cp_certificates_match_reference_after_scaling(shape):
+    """A random term's x and y mostly lead with 2, 3 or 4; the search finds
+    them scaled to a leading 1, with z absorbing the scale."""
+    for seed in range(8):
+        assert_cp_matches(cp_planted(5, shape, 1, seed))
 
 
 # (q, shape, r, seed) of planted inputs past the reach of BUDGET whose
@@ -227,18 +264,12 @@ def sparse_inputs(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(sparse_inputs(), st.sampled_from([1, 2]), st.booleans(),
-       st.sampled_from([None, 7]))
-def test_sparse_searches_match_reference(a, r, all_solutions, batch_entries):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        if batch_entries is not None:
-            monkeypatch.setattr(core, "BATCH_ENTRIES", batch_entries)
-        got = outcome(first_yields, iter_bm_decompositions, a, r, all_solutions)
-        want = outcome(first_yields, ref.iter_bm_decompositions, a, r, all_solutions)
-        assert got == want
-        assert outcome(cp_rank_exhaustive, a, budget=BUDGET) == outcome(
-            ref.cp_rank_exhaustive, a, budget=BUDGET
-        )
+@given(sparse_inputs(), st.sampled_from([1, 2]), st.booleans())
+def test_sparse_searches_match_reference(a, r, all_solutions):
+    got = outcome(first_yields, iter_bm_decompositions, a, r, all_solutions)
+    want = outcome(first_yields, ref.iter_bm_decompositions, a, r, all_solutions)
+    assert got == want
+    assert_cp_matches(a)
 
 
 def outer_values_walked(monkeypatch, first_only=False):
