@@ -240,6 +240,13 @@ def cmd_nullity(args):
     cert = nullity(
         a, strategy=args.strategy, budget=args.budget, seed=args.seed
     )
+    # a zero-input claim reads every entry as zero, which the library
+    # decides at the complex tolerance: re-check it exactly
+    if cert.strategy == "zero-input" and any(v != 0 for v in a.data):
+        raise CliError(
+            "zero-input certificate failed re-verification: the input has a nonzero entry",
+            EXIT_VERIFICATION,
+        )
     # re-verify the claimed zero slices on the input as the certificate oriented it
     oriented = a.transpose_times(cert.transposes_applied)
     bad = first_nonzero_slice(cert.pair.act(oriented), a, cert.zero_set)

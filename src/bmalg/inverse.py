@@ -291,19 +291,22 @@ def _invert_block(blk: Matrix):
 
 def _invertible_blocks(rows, cols, memo, domain):
     """The flattening blocks of a pair from its :func:`_row_slices` and
-    :func:`_col_slices`, row-major over (i, j), and their inverses, or
-    (None, (i, j)) at the first singular block.  Block (i, j) reads only
-    rows[i] and cols[j], so each distinct (row, col) is built and
-    inverted once per ``memo``.  A search over many candidates passes a
-    dict; one pair passes None, since hashing its slices (Fractions over
-    Q) costs more than the blocks it would share."""
+    :func:`_col_slices`, row-major over (i, j), and the flat data of their
+    inverses, all as tuples, or (None, (i, j)) at the first singular
+    block.  Block (i, j) reads only rows[i] and cols[j], so each distinct
+    (row, col) is built and inverted once per ``memo``.  A search over
+    many candidates passes a dict (the nullity module's exhaustive GF(q)
+    completion sweep one kept per field); one pair passes None, since
+    hashing its slices (Fractions over Q) costs more than the blocks it
+    would share."""
     blocks, inv_blocks = [], []
     for i, row in enumerate(rows):
         for j, col in enumerate(cols):
             found = None if memo is None else memo.get((row, col))
             if found is None:
                 blk = _flattening_block(row, col, domain)
-                found = (tuple(blk.data), _invert_block(blk))
+                inv = _invert_block(blk)
+                found = (tuple(blk.data), inv and tuple(inv.data))
                 if memo is not None:
                     memo[row, col] = found
             if found[1] is None:
@@ -345,15 +348,14 @@ def _factor_rank_one(g: Matrix, tol):
 
 def _outer_inverse(inv_blocks, m, n, dom):
     """Factor each slice G_{t,k}[i,j] = block(i,j)^{-1}[k, t] of the
-    inverse blocks (row-major over (i, j)) as C[:,t,k] x D[t,:,k]:
-    ((C, D), None), or (None, (t, k, G_{t,k}, failing (i, j))) at the
-    first slice in row-major (t, k) order that does not factor."""
-    p = inv_blocks[0].shape[0]
-    datas = [blk.data for blk in inv_blocks]
+    inverse blocks (flat data, row-major over (i, j)) as C[:,t,k] x
+    D[t,:,k]: ((C, D), None), or (None, (t, k, G_{t,k}, failing (i, j)))
+    at the first slice in row-major (t, k) order that does not factor."""
+    p = math.isqrt(len(inv_blocks[0]))
     c_data, d_data = [None] * (m * p * p), [None] * (p * n * p)
     for t in range(p):
         for k in range(p):
-            g = Matrix((m, n), [d[k * p + t] for d in datas], dom)
+            g = Matrix((m, n), [d[k * p + t] for d in inv_blocks], dom)
             try:
                 c_vec, d_vec = _factor_rank_one(g, dom.tol)
             except FactorabilityError as exc:

@@ -16,12 +16,17 @@ completes gives the nullity; outer legs that failed to complete once
 are not tried again.  Direct search scores every cached action on an
 input at once, through int bitsets over the actions.
 Completions and direct-search candidates are leg slices, tested by the
-memoised block test of ``inverse`` (``_invertible_blocks``); a pair is
+block test of ``inverse`` (``_invertible_blocks``); a pair is
 invertible exactly when its inverse slices then factor
 (``inverse._outer_inverse``), and the factors are kept: the certificate
-pair of a completion, the outer inverse of a direct-search action.  Only
-:func:`nullity` labels via-rank certificates with their strategy and
-transpose count.
+pair of a completion, the outer inverse of a direct-search action.  Both
+enumerations over GF(q), the completion sweep and the direct-search
+pairs, visit only candidates whose blocks all invert, found by ANDing
+int bitsets over the second leg's candidates (``_invertible_pairings``);
+the blocks of the exhaustive completion sweep and their inverses are
+kept per field and shared across calls (``_SWEEP_BLOCKS``), every other
+search's per call.  Only :func:`nullity` labels via-rank certificates
+with their strategy and transpose count.
 """
 
 from __future__ import annotations
@@ -274,15 +279,65 @@ def _degenerate_term(x0, x1, x2, support):
     return None
 
 
-def _completion_candidates(rows, cols, p, domain, unused, exhaustive, seed):
+def _invertible_pairings(row_sets, col_sets, memo, domain):
+    """Yield (rows, b) for each tuple ``rows`` of :func:`inverse._row_slices`
+    that ``row_sets`` yields, in turn, and each index b, ascending, of
+    the tuples of column slices ``col_sets`` whose flattening blocks
+    with ``rows`` all invert (``inverse._invertible_blocks`` with
+    ``memo``).  Block
+    (i, j) reads only rows[i] and column slice j, so per column j each
+    column slice maps to the int bitset over ``col_sets`` of the tuples
+    holding it; each distinct row slice, on first use, to the AND over j
+    of the ORs of the bitsets of the column slices whose block with it
+    inverts; and ``rows`` admits the AND over its row slices."""
+    n = len(col_sets[0])
+    holding = [{} for _ in range(n)]
+    for at, cols in enumerate(col_sets):
+        for j, col in enumerate(cols):
+            holding[j][col] = holding[j].get(col, 0) | 1 << at
+    inverting = {}
+    for rows in row_sets:
+        live = -1
+        for row in rows:
+            if row not in inverting:
+                inverting[row] = functools.reduce(operator.and_, (
+                    functools.reduce(operator.or_, (
+                        bits for col, bits in column.items()
+                        if _invertible_blocks([row], [col], memo, domain)[0]), 0)
+                    for column in holding))
+            live &= inverting[row]
+            if not live:
+                break
+        while live:
+            low = live & -live
+            live ^= low
+            yield rows, low.bit_length() - 1
+
+
+# q -> {(row slice, column slice): (block, inverse)} of the exhaustive
+# GF(q) completion sweeps, in the memo form of ``inverse._invertible_blocks``.
+# A sweep runs only when q^(|unused| p (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
+# with m, n >= p and an unused slice, and its slices hold p p values in
+# range(q), so each q holds at most q^(2 p p) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
+# entries per p
+_SWEEP_BLOCKS = {}
+
+
+def _completion_candidates(rows, cols, p, domain, memo, unused, exhaustive, seed):
     """Yield the outer legs' cut, the ell-slice (rows, cols) of
     ``inverse._row_slices`` and ``_col_slices``, completed to p slices:
     per unused t, each U[i, t, :] and each W[t, j, :] (p values each).
 
     Order: the identity pattern first (the given legs alone when no
-    slice is unused); with ``exhaustive`` every assignment over GF(q) in
+    slice is unused); with ``exhaustive`` the assignments over GF(q) in
     lexicographic order, first-leg fills as the outer loop and the
-    third-leg fills, built once, as the inner one; otherwise seeded
+    third-leg fills, built once, as the inner one, of which only those
+    whose flattening blocks all invert are yielded
+    (:func:`_invertible_pairings`, through ``memo``), and the identity
+    fill not again:
+    necessity accepts the first candidate that inverts and factors, and
+    returns or raises on it over GF(q), so dropping candidates it would
+    reject leaves its outcome as the full sweep's.  Otherwise seeded
     uniform-style random slices (constant along the free index), which
     keep the flattening inverse factorable whenever anything does, each
     distinct fill once (over GF(2) every random slice is all ones).
@@ -309,8 +364,11 @@ def _completion_candidates(rows, cols, p, domain, unused, exhaustive, seed):
     if exhaustive:
         digits, size = range(domain.q), len(unused) * p
         w_fills = [fill(cols, w) for w in itertools.product(digits, repeat=size * n)]
-        for u in itertools.product(digits, repeat=size * m):
-            yield from itertools.product([fill(rows, u)], w_fills)
+        u_fills = (fill(rows, u) for u in itertools.product(digits, repeat=size * m))
+        again = identity[0], w_fills.index(identity[1])
+        for u_rows, at in _invertible_pairings(u_fills, w_fills, memo, domain):
+            if (u_rows, at) != again:
+                yield u_rows, w_fills[at]
         return
     rng = random.Random(seed)
     seen = {identity}
@@ -334,13 +392,17 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
     checked, and the outer legs cut once into the slices of ``inverse``,
     which every completion fills: the unused slices, ell..p-1 among them,
     are completed until the completed pair is invertible, each tested by
-    the memoised block test ``inverse._invertible_blocks`` and the
-    factorization of its inverse slices; the factors (C, D) of the first
+    the block test ``inverse._invertible_blocks`` and the factorization
+    of its inverse slices (``inverse._outer_inverse``).  The exhaustive
+    GF(q) sweep yields only completions whose blocks all invert, and
+    builds and inverts each distinct block once per field
+    (``_SWEEP_BLOCKS``); every other completion, once per call.  The
+    factors (C, D) of the first
     invertible completion are the certificate pair, which maps ``a`` to
-    the middle leg padded to p slices.  (C, D) undoes the completion's action,
-    and a left inverse on a finite-dimensional space is a right inverse,
-    so (C, D) is invertible with outer inverse the completed legs, which
-    are rebuilt from their slices, and is not tested again.
+    the middle leg padded to p slices.  (C, D) undoes the completion's
+    action, and a left inverse on a finite-dimensional space is a right
+    inverse, so (C, D) is invertible with outer inverse the completed
+    legs, which are rebuilt from their slices, and is not tested again.
     Completion failure is surfaced as CompletionError, never silently
     accepted.  The certificate reads strategy "via-rank" with no
     transposes applied; :func:`nullity` relabels its own.
@@ -382,8 +444,8 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         dom.kind == "gf"
         and dom.q ** (len(unused) * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
     )
-    memo = {}
-    candidates = _completion_candidates(rows, cols, p, dom, unused, exhaustive, seed)
+    memo = _SWEEP_BLOCKS.setdefault(dom.q, {}) if exhaustive and unused else {}
+    candidates = _completion_candidates(rows, cols, p, dom, memo, unused, exhaustive, seed)
     for count, (u_rows, w_cols) in enumerate(candidates, 1):
         blocks, inv_blocks = _invertible_blocks(u_rows, w_cols, memo, dom)
         factored = blocks is not None and _outer_inverse(inv_blocks, m, n, dom)[0]
@@ -436,13 +498,12 @@ def _invertible_actions(m, n, p, domain, budget):
 
     Enumerates every (X0, X1) candidate in integer form and keeps those
     that pass the test of ``inverse.pair_invertible``: every flattening
-    block inverts (``inverse._invertible_blocks``, memoised per call) and
-    every inverse slice factors (``inverse._outer_inverse``).  Block
-    (i, j) reads only row slice i of X0 and column slice j of X1, so each
-    X0 ANDs, over its row slices and the columns j, int bitsets over the
-    X1 candidates whose block with it inverts, and only the X1 left are
-    visited, in order.  Candidates are deduped by the block tuple (which
-    determines the action) before the factorization.  Returns
+    block inverts (``inverse._invertible_blocks``, each distinct block
+    built and inverted once per call) and every inverse slice factors
+    (``inverse._outer_inverse``).  Only the X1 whose blocks with an X0
+    all invert are visited, in order, through the int bitsets of
+    :func:`_invertible_pairings`.  Candidates are deduped by the block
+    tuple (which determines the action) before the factorization.  Returns
     (actions, zeros): ``actions`` a list of (blocks, flat0, flat1,
     inverse), ``inverse`` the factored (C, D), and ``zeros`` their
     :func:`_zero_bitsets`; cached per signature.  The budget is checked
@@ -457,43 +518,18 @@ def _invertible_actions(m, n, p, domain, budget):
     key = (m, n, p, q)
     if key in _ACTION_CACHE:
         return _ACTION_CACHE[key]
-    memo = {}
-    legs1 = [
-        (flat1, _col_slices(flat1, n, p))
-        for flat1 in itertools.product(range(q), repeat=p * n * p)
-    ]
-    # per column j: column slice -> bitset of the X1 candidates holding it
-    holding = [{} for _ in range(n)]
-    for at, (_, cols) in enumerate(legs1):
-        for j, col in enumerate(cols):
-            holding[j][col] = holding[j].get(col, 0) | 1 << at
-    # row slice -> per column j, bitset of the X1 candidates whose block
-    # (., j) with it inverts
-    inverting = {}
-    actions = {}
-    for flat0 in itertools.product(range(q), repeat=m * p * p):
-        rows = _row_slices(flat0, m)
-        live = -1
-        for row in rows:
-            if row not in inverting:
-                inverting[row] = [
-                    functools.reduce(operator.or_, (
-                        bits for col, bits in holding[j].items()
-                        if _invertible_blocks([row], [col], memo, domain)[0]), 0)
-                    for j in range(n)
-                ]
-            for bits in inverting[row]:
-                live &= bits
-        while live:
-            low = live & -live
-            live ^= low
-            flat1, cols = legs1[low.bit_length() - 1]
-            blocks, inv_blocks = _invertible_blocks(rows, cols, memo, domain)
-            if blocks in actions:
-                continue
-            inverse = _outer_inverse(inv_blocks, m, n, domain)[0]
-            if inverse is not None:
-                actions[blocks] = (blocks, flat0, flat1, inverse)
+    legs1 = list(itertools.product(range(q), repeat=p * n * p))
+    legs0 = itertools.product(range(q), repeat=m * p * p)
+    cols_of = [_col_slices(flat1, n, p) for flat1 in legs1]
+    memo, actions = {}, {}
+    for rows, at in _invertible_pairings((_row_slices(flat0, m) for flat0 in legs0),
+                                         cols_of, memo, domain):
+        blocks, inv_blocks = _invertible_blocks(rows, cols_of[at], memo, domain)
+        if blocks in actions:
+            continue
+        inverse = _outer_inverse(inv_blocks, m, n, domain)[0]
+        if inverse is not None:
+            actions[blocks] = (blocks, sum(rows, ()), legs1[at], inverse)
     out = _ACTION_CACHE[key] = (list(actions.values()),
                                 _zero_bitsets(list(actions), m * n, p, q))
     return out

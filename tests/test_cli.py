@@ -354,6 +354,24 @@ def test_nullity_via_rank_budget_exit(tmp_path):
     assert main(["nullity", f, "--strategy", "via-rank", "--budget", "10"]) == 4
 
 
+def test_nullity_rechecks_a_zero_input_claim_exactly(tmp_path, capsys):
+    """The library reads complex entries at or below the tolerance as
+    zero, so it certifies a tiny nonzero input as the zero input; the
+    CLI re-checks that claim entry by entry and exits 5.  A zero input
+    still exits 0."""
+    cplx = scalars.complex_doubles()
+    b = Hypermatrix.random((3, 3, 3), cplx, random.Random(1), nonzero=True)
+    tiny = Hypermatrix(b.shape, [v * 1e-12 for v in b.data], cplx)
+    f = write_json(tmp_path, "tiny.json", tiny.to_json())
+    assert main(["nullity", f]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zero-input certificate failed re-verification" in captured.err
+    zero = write_json(tmp_path, "zero.json", Hypermatrix.zeros((3, 3, 3), cplx).to_json())
+    assert main(["nullity", zero]) == 0
+    assert json.loads(capsys.readouterr().out)["strategy"] == "zero-input"
+
+
 def test_verify_command(capsys):
     assert main(["verify", "core", "--seed", "1"]) == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]

@@ -5,14 +5,16 @@ the same sorted-key JSON, or the same exception type and message."""
 import importlib
 import itertools
 import json
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from bmalg import scalars
-from bmalg.core import Hypermatrix
+from bmalg import inverse, scalars
+from bmalg.core import DEFAULT_EXHAUSTIVE_COMPLETIONS, Hypermatrix, Matrix
+from bmalg.inverse import HyperPair
 from bmalg.rank import DecompositionTriple
 
 nullity_module = importlib.import_module("bmalg.nullity")
@@ -262,3 +264,139 @@ def test_over_budget_matches_reference():
     a = Hypermatrix((2, 2, 2), [1, 0, 0, 1, 0, 1, 1, 0], scalars.gf(2))
     got = assert_same_nullity(a, budget=10)
     assert got[0] == "BudgetExceededError"
+
+
+def reference_fills(rows, cols, p, unused, fills):
+    """A ``reference._completion_candidates`` candidate as the completed
+    (row slices, column slices) of ``nullity._completion_candidates``:
+    slice s of U[i] and W[:, j] is the fill where s is unused, else the
+    given slice."""
+    u_fill, w_fill = fills
+
+    def complete(cut, fill, index):
+        return tuple(v for s in range(p) for v in (
+            fill[s][index] if s in unused else cut[s * p : (s + 1) * p]))
+
+    return (tuple(complete(row, u_fill, i) for i, row in enumerate(rows)),
+            tuple(complete(col, w_fill, j) for j, col in enumerate(cols)))
+
+
+def every_block_inverts(candidate, p, dom):
+    """Each block (i, j), entry [t, s] = U[i, s, t] W[s, j, t], has a
+    nonzero determinant."""
+    u_rows, w_cols = candidate
+    return all(
+        Matrix((p, p), [row[at] * col[at] for t in range(p) for at in range(t, p * p, p)],
+               dom).det() != 0
+        for row in u_rows for col in w_cols
+    )
+
+
+# (q, p, m, n) whose exhaustive sweep over one unused slice has at most
+# 729 candidates
+SWEEP_SIGNATURES = [
+    (q, p, m, n)
+    for q in (2, 3, 5) for p in (2, 3) for m in (1, 2, 3) for n in (1, 2, 3)
+    if q ** (p * (m + n)) <= 729
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SWEEP_SIGNATURES),
+    st.booleans(),
+    st.integers(0, 2),
+    st.integers(0, 10**6),
+)
+def test_pruned_sweep_is_the_reference_sweep_without_singular_candidates(
+        signature, full_depth, dropped, seed):
+    """The exhaustive completion sweep yields the identity fill (or the
+    given legs) first, then exactly the reference's lexicographic sweep
+    with every candidate that has a singular block, and the identity
+    fill tried first, removed, in the reference's order.  The legs have
+    ell = p slices with support all but slice ``dropped`` or all of
+    them (``dropped`` = p = 2), or ell = p - 1 slices, all in the
+    support: 0 or 1 unused."""
+    q, p, m, n = signature
+    dom = scalars.gf(q)
+    rng = random.Random(seed)
+    ell = p if full_depth else p - 1
+    support = [s for s in range(ell) if not (full_depth and s == dropped)]
+    unused = [t for t in range(p) if t not in support]
+    rows = [tuple(rng.randrange(q) for _ in range(ell * p)) for _ in range(m)]
+    cols = [tuple(rng.randrange(q) for _ in range(ell * p)) for _ in range(n)]
+    got = list(nullity_module._completion_candidates(rows, cols, p, dom, {}, unused, True, 0))
+    want = [reference_fills(rows, cols, p, unused, fills)
+            for fills in ref._completion_candidates(m, n, p, unused, dom, 0, True, 0)]
+    identity = want[0]
+    assert got[0] == identity
+    assert got[1:] == [candidate for candidate in want[1:]
+                       if candidate != identity and every_block_inverts(candidate, p, dom)]
+
+
+def test_via_rank_on_every_gf2_2x2x2_does_not_depend_on_call_history(monkeypatch):
+    """Each via-rank certificate is the reference's, once with the sweep's
+    block table, shared across calls, cleared before every input, and
+    once with it warm from all 256 inputs."""
+    dom = scalars.gf(2)
+    inputs = [Hypermatrix((2, 2, 2), list(bits), dom)
+              for bits in itertools.product(range(2), repeat=8)]
+    want = [outcome(ref.nullity, a) for a in inputs]
+    cold = []
+    for a in inputs:
+        monkeypatch.setattr(nullity_module, "_SWEEP_BLOCKS", {})
+        cold.append(outcome(nullity_module.nullity, a))
+    assert cold == want
+    assert [outcome(nullity_module.nullity, a) for a in inputs] == want
+
+
+def test_sweep_blocks_stay_within_their_bound(monkeypatch):
+    """After via-rank nullity on seeded inputs over GF(2), GF(3) and
+    GF(5), the sweep's block table holds at most q^(2 p p) <=
+    DEFAULT_EXHAUSTIVE_COMPLETIONS entries per (q, p), each keyed by a
+    row and a column slice of values in range(q) and holding the block
+    and the flat data of its inverse, or None exactly when it is
+    singular, all as tuples."""
+    monkeypatch.setattr(nullity_module, "_SWEEP_BLOCKS", {})
+    rng = random.Random(4)
+    for q, shape in [(2, (2, 2, 2)), (2, (2, 3, 3)), (3, (2, 2, 2)), (3, (2, 2, 3)),
+                     (5, (2, 2, 2)), (5, (3, 3, 3))]:
+        for _ in range(6):
+            outcome(nullity_module.nullity, Hypermatrix.random(shape, scalars.gf(q), rng))
+    table = nullity_module._SWEEP_BLOCKS
+    assert set(table) == {2, 3}
+    for q, memo in table.items():
+        sizes = {}
+        for (row, col), (block, inv) in memo.items():
+            p = math.isqrt(len(row))
+            sizes[p] = sizes.get(p, 0) + 1
+            assert len(col) == p * p and set(row + col) <= set(range(q))
+            blk = Matrix((p, p), block, scalars.gf(q))
+            assert type(block) is tuple
+            assert blk.equals(inverse._flattening_block(row, col, blk.domain))
+            if blk.det() == 0:
+                assert inv is None
+            else:
+                assert type(inv) is tuple
+                assert blk.matmul(Matrix((p, p), inv, blk.domain)).equals(
+                    Matrix.identity(p, blk.domain))
+        assert all(count <= q ** (2 * p * p) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
+                   for p, count in sizes.items())
+
+
+def test_single_pairs_and_random_completions_leave_the_sweep_blocks_alone(monkeypatch):
+    """Only the exhaustive sweep fills the shared table: deciding single
+    GF(7) 4x4x4 pairs, the GF(7) via-rank nullity of a 3x3x3 input, whose
+    completions are random, and necessity on a one-term GF(7) triple add
+    nothing to it."""
+    monkeypatch.setattr(nullity_module, "_SWEEP_BLOCKS", {})
+    rng = random.Random(7)
+    dom = scalars.gf(7)
+    for _ in range(3):
+        pair = HyperPair(Hypermatrix.random((4, 4, 4), dom, rng),
+                         Hypermatrix.random((4, 4, 4), dom, rng))
+        inverse.pair_invertible(pair)
+    outcome(nullity_module.nullity, Hypermatrix.random((3, 3, 3), dom, rng))
+    d = random_triple(rng, 7, (2, 2, 2), 1, (0,), True)
+    outcome(nullity_module.hyper_nullity_necessity, d.reconstruct(), d)
+    assert nullity_module._SWEEP_BLOCKS == {}
