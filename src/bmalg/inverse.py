@@ -295,10 +295,10 @@ def _invertible_blocks(rows, cols, memo, domain):
     inverses, all as tuples, or (None, (i, j)) at the first singular
     block.  Block (i, j) reads only rows[i] and cols[j], so each distinct
     (row, col) is built and inverted once per ``memo``.  A search over
-    many candidates passes a dict (the nullity module's exhaustive GF(q)
-    completion sweep one kept per field); one pair passes None, since
-    hashing its slices (Fractions over Q) costs more than the blocks it
-    would share."""
+    many candidates passes a dict that lives for the search (one
+    necessity completion sweep, or the direct-search enumeration); one
+    pair passes None, since hashing its slices (Fractions over Q) costs
+    more than the blocks it would share."""
     blocks, inv_blocks = [], []
     for i, row in enumerate(rows):
         for j, col in enumerate(cols):

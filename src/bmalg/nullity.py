@@ -22,11 +22,14 @@ invertible exactly when its inverse slices then factor
 pair of a completion, the outer inverse of a direct-search action.  Both
 enumerations over GF(q), the completion sweep and the direct-search
 pairs, visit only candidates whose blocks all invert, found by ANDing
-int bitsets over the second leg's candidates (``_invertible_pairings``);
-the blocks of the exhaustive completion sweep and their inverses are
-kept per field and shared across calls (``_SWEEP_BLOCKS``), every other
-search's per call.  Only :func:`nullity` labels via-rank certificates
-with their strategy and transpose count.
+int bitsets over the second leg's candidates (``_invertible_pairings``),
+each distinct block built and inverted once per search.  The outcome of
+an exhaustive completion sweep, which reads only the outer legs' values
+on the support, is kept per field and shared across calls
+(``_COMPLETIONS``), as flat tuples from which every certificate builds
+hypermatrices of its own; every other outcome lives for one call.  Only
+:func:`nullity` labels via-rank certificates with their strategy and
+transpose count.
 """
 
 from __future__ import annotations
@@ -314,13 +317,38 @@ def _invertible_pairings(row_sets, col_sets, memo, domain):
             yield rows, low.bit_length() - 1
 
 
-# q -> {(row slice, column slice): (block, inverse)} of the exhaustive
-# GF(q) completion sweeps, in the memo form of ``inverse._invertible_blocks``.
-# A sweep runs only when q^(|unused| p (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
-# with m, n >= p and an unused slice, and its slices hold p p values in
-# range(q), so each q holds at most q^(2 p p) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
-# entries per p
-_SWEEP_BLOCKS = {}
+# Necessity's exhaustive GF(q) completion outcomes, shared across calls:
+# (q, (m, n, p), support, the outer legs' values on the support) -> the flat
+# data (C, D, U, W) of the first completion that inverts and factors, or the
+# CompletionError message (:func:`_completions`).  A sweep is exhaustive
+# when it has an unused slice and at most q^(|unused| p (m + n)) <=
+# DEFAULT_EXHAUSTIVE_COMPLETIONS fills, with m, n >= p, so only at p <= 2,
+# where |support| <= |unused|: the table holds at most
+# q^(|support| p (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS entries per
+# (q, m, n, support).
+_COMPLETIONS = {}
+
+
+def _completion_table(a, decomp, local):
+    """(exhaustive, table, key) of necessity on ``decomp``: whether the
+    sweep of its completions is exhaustive (over GF(q), with an unused
+    slice and at most ``DEFAULT_EXHAUSTIVE_COMPLETIONS`` fills of the
+    unused slices); the table that keeps its outcome, ``_COMPLETIONS``
+    when it is and ``local`` otherwise; and its key there: q, the shape
+    of ``a``, the support, and the outer legs' values on the support in
+    flat order, which is all an exhaustive outcome reads, since every
+    completion overwrites the unused slices."""
+    m, n, p = a.shape
+    dom, s, ell = a.domain, decomp.support, decomp.ell
+    unused = p - len(s)
+    exhaustive = (dom.kind == "gf" and unused > 0
+                  and dom.q ** (unused * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS)
+    x0, x2 = tuple(decomp.x0.data), tuple(decomp.x2.data)
+    if len(s) < ell:
+        x0 = tuple(v for i in range(m) for t in s
+                   for v in x0[(i * ell + t) * p : (i * ell + t + 1) * p])
+        x2 = tuple(v for t in s for v in x2[t * n * p : (t + 1) * n * p])
+    return exhaustive, _COMPLETIONS if exhaustive else local, (dom.q, a.shape, s, x0, x2)
 
 
 def _completion_candidates(rows, cols, p, domain, memo, unused, exhaustive, seed):
@@ -333,8 +361,8 @@ def _completion_candidates(rows, cols, p, domain, memo, unused, exhaustive, seed
     lexicographic order, first-leg fills as the outer loop and the
     third-leg fills, built once, as the inner one, of which only those
     whose flattening blocks all invert are yielded
-    (:func:`_invertible_pairings`, through ``memo``), and the identity
-    fill not again:
+    (:func:`_invertible_pairings`, through ``memo``, the caller's block
+    memo for one call), and the identity fill not again:
     necessity accepts the first candidate that inverts and factors, and
     returns or raises on it over GF(q), so dropping candidates it would
     reject leaves its outcome as the full sweep's.  Otherwise seeded
@@ -383,6 +411,47 @@ def _completion_candidates(rows, cols, p, domain, memo, unused, exhaustive, seed
             yield candidate
 
 
+def _completions(a, decomp, exhaustive, seed):
+    """Necessity's outcomes on the outer legs of ``decomp``, lazily: the
+    flat data (C, D, U, W) of each completion of
+    :func:`_completion_candidates` whose blocks invert
+    (``inverse._invertible_blocks``, each distinct block built and
+    inverted once per call) and whose inverse slices factor
+    (``inverse._outer_inverse``), in candidate order, then the message of
+    the CompletionError that no other completion inverts.  A structurally
+    zero support column yields that message alone."""
+    m, n, p = a.shape
+    domain, support = a.domain, decomp.support
+    rows, cols = _row_slices(decomp.x0.data, m), _col_slices(decomp.x2.data, n, p)
+    # column t of flattening block (i, j) is X0[i, t, :] * X2[t, j, :]
+    # entrywise, so a zero support column can never be fixed by
+    # completing the unused slices: reject such decompositions early
+    for (i, row), (j, col), t in itertools.product(enumerate(rows), enumerate(cols), support):
+        cut = slice(t * p, (t + 1) * p)
+        if all(domain.is_zero(domain.mul(u, w)) for u, w in zip(row[cut], col[cut])):
+            yield (f"flattening block ({i},{j}) has a structurally zero "
+                   f"support column {t}; no completion is invertible")
+            return
+    unused = [t for t in range(p) if t not in support]
+    memo = {}
+    candidates = _completion_candidates(rows, cols, p, domain, memo, unused, exhaustive, seed)
+    for count, (u_rows, w_cols) in enumerate(candidates, 1):
+        blocks, inv_blocks = _invertible_blocks(u_rows, w_cols, memo, domain)
+        factored = blocks is not None and _outer_inverse(inv_blocks, m, n, domain)[0]
+        if factored:
+            # U is the rows in turn; W[t, j, k] is w_cols[j][t p + k]
+            yield (tuple(factored.c.data), tuple(factored.d.data),
+                   tuple(itertools.chain(*u_rows)),
+                   tuple(col[t * p + k] for t in range(p) for col in w_cols for k in range(p)))
+    if not unused:
+        tried = "only the given legs, since no slice is unused"
+    elif exhaustive:
+        tried = "identity and every assignment of the unused slices"
+    else:
+        tried = f"identity and {count - 1} distinct uniform-random completions"
+    yield f"no invertible completion of the decomposition legs was found; tried {tried}"
+
+
 def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
                             seed=0) -> NullityCertificate:
     """From an r-term decomposition of ``a`` build a certificate pair
@@ -393,19 +462,21 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
     which every completion fills: the unused slices, ell..p-1 among them,
     are completed until the completed pair is invertible, each tested by
     the block test ``inverse._invertible_blocks`` and the factorization
-    of its inverse slices (``inverse._outer_inverse``).  The exhaustive
-    GF(q) sweep yields only completions whose blocks all invert, and
-    builds and inverts each distinct block once per field
-    (``_SWEEP_BLOCKS``); every other completion, once per call.  The
-    factors (C, D) of the first
-    invertible completion are the certificate pair, which maps ``a`` to
-    the middle leg padded to p slices.  (C, D) undoes the completion's
-    action, and a left inverse on a finite-dimensional space is a right
-    inverse, so (C, D) is invertible with outer inverse the completed
-    legs, which are rebuilt from their slices, and is not tested again.
-    Completion failure is surfaced as CompletionError, never silently
-    accepted.  The certificate reads strategy "via-rank" with no
-    transposes applied; :func:`nullity` relabels its own.
+    of its inverse slices (``inverse._outer_inverse``), in
+    :func:`_completions`.  The exhaustive GF(q) sweep yields only
+    completions whose blocks all invert, and its outcome, which reads
+    only q, the shape, the support and the outer legs' values on it, is
+    kept per field (``_COMPLETIONS``): the sweep runs only on a miss.
+    Every other outcome is found anew on each call.  The factors (C, D)
+    of the first invertible completion are the certificate pair, which
+    maps ``a`` to the middle leg padded to p slices.  (C, D) undoes the
+    completion's action, and a left inverse on a finite-dimensional space
+    is a right inverse, so (C, D) is invertible with outer inverse the
+    completed legs, and is not tested again.  Each certificate gets
+    hypermatrices of its own, built from the kept flat data.  Completion
+    failure is surfaced as CompletionError, never silently accepted.  The
+    certificate reads strategy "via-rank" with no transposes applied;
+    :func:`nullity` relabels its own.
     """
     m, n, p = a.shape
     if p != min(a.shape):
@@ -427,31 +498,16 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
             f"support term {t} is degenerate (a zero slice); the "
             "certificate overstates the rank"
         )
-    unused = [t for t in range(p) if t not in s]
-    zero_set = tuple(unused)
-    rows, cols = _row_slices(x0.data, m), _col_slices(x2.data, n, p)
-    # column t of flattening block (i, j) is X0[i, t, :] * X2[t, j, :]
-    # entrywise, so a zero support column can never be fixed by
-    # completing the unused slices: reject such decompositions early
-    for (i, row), (j, col), t in itertools.product(enumerate(rows), enumerate(cols), s):
-        cut = slice(t * p, (t + 1) * p)
-        if all(dom.is_zero(dom.mul(u, w)) for u, w in zip(row[cut], col[cut])):
-            raise CompletionError(
-                f"flattening block ({i},{j}) has a structurally zero "
-                f"support column {t}; no completion is invertible"
-            )
-    exhaustive = (
-        dom.kind == "gf"
-        and dom.q ** (len(unused) * p * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
-    )
-    memo = _SWEEP_BLOCKS.setdefault(dom.q, {}) if exhaustive and unused else {}
-    candidates = _completion_candidates(rows, cols, p, dom, memo, unused, exhaustive, seed)
-    for count, (u_rows, w_cols) in enumerate(candidates, 1):
-        blocks, inv_blocks = _invertible_blocks(u_rows, w_cols, memo, dom)
-        factored = blocks is not None and _outer_inverse(inv_blocks, m, n, dom)[0]
-        if not factored:
-            continue
-        cert_pair = HyperPair(factored.c, factored.d)
+    zero_set = tuple(t for t in range(p) if t not in s)
+    exhaustive, table, key = _completion_table(a, decomp, {})
+    outcomes = (table[key],) if key in table else _completions(a, decomp, exhaustive, seed)
+    for outcome in outcomes:
+        table.setdefault(key, outcome)
+        if isinstance(outcome, str):
+            raise CompletionError(outcome)
+        c_data, d_data, u_data, w_data = outcome
+        cert_pair = HyperPair(Hypermatrix((m, p, p), c_data, dom),
+                              Hypermatrix((p, n, p), d_data, dom))
         g = cert_pair.act(a)
         bad = [k for k in zero_set if not _slice_is_zero(g, k, tol_scale)]
         if bad:
@@ -462,27 +518,16 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
             continue
         pad = [*range(decomp.ell)] + [None] * (p - decomp.ell)  # x1 to p slices
         residual = None if dom.is_exact else g.sub(x1.restack(2, pad)).norm() / (1 + a.norm())
-        # U is the rows in turn; W[t, j, k] is w_cols[j][t p + k]
-        u = Hypermatrix((m, p, p), itertools.chain(*u_rows), dom)
-        w_data = [col[t * p + k] for t in range(p) for col in w_cols for k in range(p)]
-        w = Hypermatrix((p, n, p), w_data, dom)
         return NullityCertificate(
             pair=cert_pair,
-            outer_inverse=OuterInversePair(u, w, gauge="completed-legs"),
+            outer_inverse=OuterInversePair(Hypermatrix((m, p, p), u_data, dom),
+                                           Hypermatrix((p, n, p), w_data, dom),
+                                           gauge="completed-legs"),
             zero_set=zero_set,
             nullity=len(zero_set),
             strategy="via-rank",
             residual=residual,
         )
-    if not unused:
-        tried = "only the given legs, since no slice is unused"
-    elif exhaustive:
-        tried = "identity and every assignment of the unused slices"
-    else:
-        tried = f"identity and {count - 1} distinct uniform-random completions"
-    raise CompletionError(
-        f"no invertible completion of the decomposition legs was found; tried {tried}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +643,13 @@ def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS)
     best, zero_slices = _best_action(zeros, oriented.data, p)
     _, flat0, flat1, inverse = actions[best]
     pair = HyperPair(
-        Hypermatrix((m, p, p), list(flat0), dom),
-        Hypermatrix((p, n, p), list(flat1), dom),
+        Hypermatrix((m, p, p), flat0, dom),
+        Hypermatrix((p, n, p), flat1, dom),
     )
-    return _pair_certificate(pair, inverse, zero_slices, "direct-search", tcount)
+    # the cached inverse is shared: the certificate gets copies of its own
+    own = replace(inverse, c=Hypermatrix(inverse.c.shape, inverse.c.data, dom),
+                  d=Hypermatrix(inverse.d.shape, inverse.d.data, dom))
+    return _pair_certificate(pair, own, zero_slices, "direct-search", tcount)
 
 
 def _pair_certificate(pair, inverse, zero_set, strategy, tcount):
@@ -642,15 +690,18 @@ def _via_rank_over_gf(oriented, budget, seed):
     more.  The climb also finds the rank: the first level with a
     decomposition, p - z when none below has.
 
-    Necessity's ``CompletionError`` depends only on the outer legs
-    (x0, x2) and the support, so each such key is rejected once and its
-    later decompositions are skipped; so are decompositions with a zero
-    term, which necessity refuses.  Every yield counts towards the cap.
+    Necessity's ``CompletionError`` depends only on the values of the
+    outer legs (x0, x2) on the support, so a decomposition whose key
+    (:func:`_completion_table`) its table records as failing is skipped
+    before necessity runs: across calls when the sweep is exhaustive
+    (``_COMPLETIONS``), within this call otherwise; so are decompositions
+    with a zero term, which necessity refuses.  Every yield counts
+    towards the cap.
     """
     p = oriented.shape[2]
     top = p - sum(_slice_is_zero(oriented, k) for k in range(p))
     r = None
-    rejected = set()
+    local = {}
     for r_level in range(1, min(top, p - 1) + 1):
         decompositions = iter_bm_decompositions(
             oriented, r_level, budget=budget, all_solutions=True
@@ -660,14 +711,14 @@ def _via_rank_over_gf(oriented, budget, seed):
                 r = r_level
             if tried > DEFAULT_DECOMPOSITION_ATTEMPTS:
                 break
-            key = (tuple(triple.x0.data), tuple(triple.x2.data), triple.support)
-            if (key in rejected
+            _, table, key = _completion_table(oriented, triple, local)
+            if (isinstance(table.get(key), str)
                     or _degenerate_term(*triple.legs(), triple.support) is not None):
                 continue
             try:
                 found = hyper_nullity_necessity(oriented, triple, seed=seed)
-            except CompletionError:
-                rejected.add(key)
+            except CompletionError as exc:
+                table[key] = str(exc)
                 continue
             return found, f"via-rank (rank {r}, transfer level {r_level})"
     found = hyper_nullity_necessity(oriented, _zero_slice_triple(oriented), seed=seed)

@@ -401,6 +401,18 @@ def test_direct_search_actions_keep_the_recovered_inverse():
             assert inverse.to_json() == recover_outer_inverse(pair).to_json()
 
 
+def test_direct_search_certificates_own_their_hypermatrices():
+    """The actions are cached, but each certificate gets hypermatrices of
+    its own: flipping entries of one certificate's pair and outer inverse
+    leaves the next call's certificate unchanged."""
+    a = Hypermatrix((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 0], GF2)
+    want = json.dumps(nullity_direct_search(a).to_json(), sort_keys=True)
+    first = nullity_direct_search(a)
+    for h in (first.pair.a, first.pair.b, first.outer_inverse.c, first.outer_inverse.d):
+        h.data[0] ^= 1
+    assert json.dumps(nullity_direct_search(a).to_json(), sort_keys=True) == want
+
+
 def certificate_inputs():
     """Every GF(2) 2x2x2 input, then five seeded inputs of each action
     signature's shape."""

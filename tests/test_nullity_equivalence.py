@@ -34,10 +34,13 @@ def assert_same_nullity(a, **kwargs):
 
 
 def test_via_rank_matches_reference_on_every_gf2_2x2x2(monkeypatch):
-    """Necessity's CompletionError depends only on the outer legs and the
-    support, so the climb tries each rejected pair of outer legs once:
-    over the 256 inputs necessity runs 510 times, against 1082 when
-    every decomposition up to the first that completes is tried."""
+    """Necessity's CompletionError depends only on the outer legs' values
+    on the support, so the climb tries each failing pair of outer legs
+    once per field: over the 256 inputs necessity runs 384 times from a
+    cleared completion table (255 completions, 129 failures), against 510
+    when each call forgets its failures and 1082 when every decomposition
+    up to the first that completes is tried, and 255 times, all
+    completions, on a second pass over the warm table."""
     calls = []
     necessity = nullity_module.hyper_nullity_necessity
 
@@ -46,10 +49,17 @@ def test_via_rank_matches_reference_on_every_gf2_2x2x2(monkeypatch):
         return necessity(*args, **kwargs)
 
     monkeypatch.setattr(nullity_module, "hyper_nullity_necessity", counted)
+    monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
     dom = scalars.gf(2)
-    for bits in itertools.product(range(2), repeat=8):
-        assert_same_nullity(Hypermatrix((2, 2, 2), list(bits), dom))
-    assert len(calls) == 510
+    inputs = [Hypermatrix((2, 2, 2), list(bits), dom)
+              for bits in itertools.product(range(2), repeat=8)]
+    for a in inputs:
+        assert_same_nullity(a)
+    assert len(calls) == 384
+    calls.clear()
+    for a in inputs:
+        assert_same_nullity(a)
+    assert len(calls) == 255
 
 
 def assert_same_direct_search(a):
@@ -335,61 +345,67 @@ def test_pruned_sweep_is_the_reference_sweep_without_singular_candidates(
 
 
 def test_via_rank_on_every_gf2_2x2x2_does_not_depend_on_call_history(monkeypatch):
-    """Each via-rank certificate is the reference's, once with the sweep's
-    block table, shared across calls, cleared before every input, and
-    once with it warm from all 256 inputs."""
+    """Each via-rank certificate is the reference's, once with the
+    completion table, shared across calls, cleared before every input,
+    and once with it warm from all 256 inputs."""
     dom = scalars.gf(2)
     inputs = [Hypermatrix((2, 2, 2), list(bits), dom)
               for bits in itertools.product(range(2), repeat=8)]
     want = [outcome(ref.nullity, a) for a in inputs]
     cold = []
     for a in inputs:
-        monkeypatch.setattr(nullity_module, "_SWEEP_BLOCKS", {})
+        monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
         cold.append(outcome(nullity_module.nullity, a))
     assert cold == want
+    assert nullity_module._COMPLETIONS
     assert [outcome(nullity_module.nullity, a) for a in inputs] == want
 
 
-def test_sweep_blocks_stay_within_their_bound(monkeypatch):
+def test_completion_table_stays_within_its_bound(monkeypatch):
     """After via-rank nullity on seeded inputs over GF(2), GF(3) and
-    GF(5), the sweep's block table holds at most q^(2 p p) <=
-    DEFAULT_EXHAUSTIVE_COMPLETIONS entries per (q, p), each keyed by a
-    row and a column slice of values in range(q) and holding the block
-    and the flat data of its inverse, or None exactly when it is
-    singular, all as tuples."""
-    monkeypatch.setattr(nullity_module, "_SWEEP_BLOCKS", {})
+    GF(5), the completion table holds entries only at p = 2 with one
+    unused slice, at most q^(|support| p (m + n)) <=
+    DEFAULT_EXHAUSTIVE_COMPLETIONS per (q, m, n, support), each keyed by
+    the outer legs' values on the support, in range(q), and holding a
+    str or a tuple of tuples: the flat data (C, D, U, W) of an invertible
+    completed pair (U, W) with outer inverse (C, D) and U, W the given
+    legs on the support."""
+    monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
     rng = random.Random(4)
     for q, shape in [(2, (2, 2, 2)), (2, (2, 3, 3)), (3, (2, 2, 2)), (3, (2, 2, 3)),
                      (5, (2, 2, 2)), (5, (3, 3, 3))]:
         for _ in range(6):
             outcome(nullity_module.nullity, Hypermatrix.random(shape, scalars.gf(q), rng))
-    table = nullity_module._SWEEP_BLOCKS
-    assert set(table) == {2, 3}
-    for q, memo in table.items():
-        sizes = {}
-        for (row, col), (block, inv) in memo.items():
-            p = math.isqrt(len(row))
-            sizes[p] = sizes.get(p, 0) + 1
-            assert len(col) == p * p and set(row + col) <= set(range(q))
-            blk = Matrix((p, p), block, scalars.gf(q))
-            assert type(block) is tuple
-            assert blk.equals(inverse._flattening_block(row, col, blk.domain))
-            if blk.det() == 0:
-                assert inv is None
-            else:
-                assert type(inv) is tuple
-                assert blk.matmul(Matrix((p, p), inv, blk.domain)).equals(
-                    Matrix.identity(p, blk.domain))
-        assert all(count <= q ** (2 * p * p) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
-                   for p, count in sizes.items())
+    table = nullity_module._COMPLETIONS
+    sizes = {}
+    for key, found in table.items():
+        q, (m, n, p), support, x0, x2 = key
+        sizes[q, m, n, support] = sizes.get((q, m, n, support), 0) + 1
+        assert p == 2 and len(support) == 1
+        assert type(x0) is tuple and len(x0) == m * p and set(x0) <= set(range(q))
+        assert type(x2) is tuple and len(x2) == n * p and set(x2) <= set(range(q))
+        if type(found) is str:
+            continue
+        assert type(found) is tuple and all(type(part) is tuple for part in found)
+        dom = scalars.gf(q)
+        c, d, u, w = (Hypermatrix(shape, part, dom) for shape, part in
+                      zip([(m, p, p), (p, n, p)] * 2, found))
+        (t,) = support
+        assert [u[i, t, k] for i in range(m) for k in range(p)] == list(x0)
+        assert [w[t, j, k] for j in range(n) for k in range(p)] == list(x2)
+        assert inverse.recover_outer_inverse(HyperPair(u, w)).to_json() == {
+            "C": c.to_json(), "D": d.to_json(), "gauge": inverse.RECOVERED_GAUGE}
+    assert {q for q, *_ in sizes} == {2, 3}
+    assert all(count <= q ** (len(s) * 2 * (m + n)) <= DEFAULT_EXHAUSTIVE_COMPLETIONS
+               for (q, m, n, s), count in sizes.items())
 
 
-def test_single_pairs_and_random_completions_leave_the_sweep_blocks_alone(monkeypatch):
+def test_single_pairs_and_random_completions_leave_the_completion_table_alone(monkeypatch):
     """Only the exhaustive sweep fills the shared table: deciding single
     GF(7) 4x4x4 pairs, the GF(7) via-rank nullity of a 3x3x3 input, whose
     completions are random, and necessity on a one-term GF(7) triple add
     nothing to it."""
-    monkeypatch.setattr(nullity_module, "_SWEEP_BLOCKS", {})
+    monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
     rng = random.Random(7)
     dom = scalars.gf(7)
     for _ in range(3):
@@ -399,4 +415,38 @@ def test_single_pairs_and_random_completions_leave_the_sweep_blocks_alone(monkey
     outcome(nullity_module.nullity, Hypermatrix.random((3, 3, 3), dom, rng))
     d = random_triple(rng, 7, (2, 2, 2), 1, (0,), True)
     outcome(nullity_module.hyper_nullity_necessity, d.reconstruct(), d)
-    assert nullity_module._SWEEP_BLOCKS == {}
+    assert nullity_module._COMPLETIONS == {}
+
+
+def seeded_exhaustive_inputs():
+    """Seeded GF(3) 2x2x2 and GF(2) 2x2x3 inputs, whose completions are
+    swept exhaustively."""
+    rng = random.Random(38)
+    for q, shape in [(3, (2, 2, 2)), (2, (2, 2, 3))]:
+        for _ in range(40):
+            yield Hypermatrix.random(shape, scalars.gf(q), rng)
+
+
+def test_certificates_served_from_the_completion_table_share_no_data(monkeypatch):
+    """Via-rank certificates are the same with the completion table
+    cleared before each input and with it warm, and a certificate served
+    from the table owns its hypermatrices: no other certificate holds the
+    same data list, and flipping entries of one changes no later one."""
+    inputs = list(seeded_exhaustive_inputs())
+    cold = []
+    for a in inputs:
+        monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
+        cold.append(outcome(nullity_module.nullity, a))
+    monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
+    for a in inputs:
+        nullity_module.nullity(a)
+    for a, want in zip(inputs, cold):
+        first, second = nullity_module.nullity(a), nullity_module.nullity(a)
+        assert json.dumps(first.to_json(), sort_keys=True) == want
+        held = [first.pair.a, first.pair.b, first.outer_inverse.c, first.outer_inverse.d]
+        again = [second.pair.a, second.pair.b, second.outer_inverse.c, second.outer_inverse.d]
+        assert not {id(h.data) for h in held} & {id(h.data) for h in again}
+        q = a.domain.q
+        for h in held:
+            h.data[0] = (h.data[0] + 1) % q
+        assert outcome(nullity_module.nullity, a) == want
