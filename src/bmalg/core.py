@@ -24,8 +24,9 @@ fraction-free on integer rows (Bareiss, Math. Comp. 22, 1968), so its
 loop does Python-int arithmetic only; the kernels read ratios of those
 integers and return the same Fractions as elimination over Fractions.
 
-``BATCH_ENTRIES`` bounds the numpy probe stacks of
-``inverse.sandwich_check``.  The GF(q) rank searches build no array.
+``BATCH_ENTRIES`` bounds the complex probe stacks of
+``inverse.sandwich_check``; over Q and GF(q) the check stacks no probe.
+The GF(q) rank searches build no array.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from fractions import Fraction
 from .errors import ShapeError
 from .scalars import RATIONAL_KIND, ScalarDomain
 
-# Most array entries per probe stack (512 KiB of int64) of inverse.sandwich_check.
+# Most entries per complex probe stack of inverse.sandwich_check; the exact
+# checks compose the fibre action and stack no probe.
 BATCH_ENTRIES = 1 << 16
 # Search budgets of rank and nullity, kept here so that the CLI parser
 # reads them without importing either module.

@@ -23,12 +23,21 @@ helpers; :func:`flatten` builds the same blocks only as the public
 decides a pair with one run: the report of :func:`pair_invertible`
 carries the recovered (C, D) of an invertible pair, and the nullity
 module keeps the factors it accepted.
+
+:func:`sandwich_check` checks a claimed (C, D) on probes and shares no
+code with the block loop, since the CLI uses it to re-verify what the
+loop recovered.  Over Q and GF(q) it composes, from the four legs' flat
+data, the p x p action of the sandwich on each fibre X[i, j, :] once,
+and reads every probe's deviation off it exactly; over C it runs the
+probes through stacked ternary products, which keep the bits of one
+probe at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -452,19 +461,123 @@ def unit_probe_basis(m, n, p, domain):
 def sandwich_check(pair: HyperPair, inverse: OuterInversePair, probes) -> float:
     """Max deviation over probes of Prod(C, Prod(A, X, B), D) from X.
 
-    The probes run in stacks of as many as fit in ``core.BATCH_ENTRIES``
-    entries, at least one: the P probes of a stack fill one (P*m, n, p)
-    hypermatrix along axis 0, A and C are tiled P times along axis 0,
-    and two ternary products give probe q's Prod(C, Prod(A, X, B), D) as
-    the flat block [q*m*n*p, (q+1)*m*n*p).  The product kernel computes
-    every entry on its own, in term order, so each block has the bits of
-    the probe's own products, and the deviations fold in probe order.
-    Each probe is checked for conformability, in order, as its own
-    products would check it.
+    Each probe is checked for conformability, in order, as its own two
+    products would check it, and the first probe also against the depth
+    of (C, D), as its deviation from X would check it; an empty probe
+    list reads neither leg.
+
+    The sandwich acts fibre by fibre: Prod(C, Prod(A, X, B), D)[i, j, :]
+    is a p x p matrix times X[i, j, :].  Over Q and GF(q) that action is
+    composed once (:func:`_composed_action`) and each probe's deviation
+    read off it exactly (:func:`_composed_check`), with no product.
+    Over C the probes run through the products in stacks
+    (:func:`_stacked_check`), since composing reassociates the float
+    sums.
 
     The transpose conjugates of this identity need no probe of their
     own: T(Prod(A, B, C)) = Prod(T(B), T(C), T(A)), so they re-index the
     same equations.
+    """
+    probes = _conformed(pair, inverse, probes)
+    first = next(probes, None)
+    if first is None:
+        return 0.0
+    depth = inverse.c.shape[2]
+    if depth != first.shape[2]:
+        raise ShapeError(f"shape mismatch {first.shape[:2] + (depth,)} vs {first.shape}")
+    check = _composed_check if pair.domain.is_exact else _stacked_check
+    return check(pair, inverse, itertools.chain([first], probes))
+
+
+def _conformed(pair, inverse, probes):
+    """The probes, each checked for conformability as it is reached."""
+    for x in probes:
+        conformability(pair.a, x, pair.b)
+        # Prod(A, X, B) has the shape and domain of X
+        conformability(inverse.c, x, inverse.d)
+        yield x
+
+
+def _composed_action(pair, inverse):
+    """E_ij[k, t] = sum_s C[i,s,k] D[s,j,k] A[i,t,s] B[t,j,s] - den [k == t]
+    from the legs' flat data, as Python ints: (the nonzero rows E_ij[k, :],
+    each with the flat offset of fibre X[i, j, :], and den).
+
+    Over Q each leg is read as integer numerators over its own common
+    denominator, and den is the product of the four; over GF(q) the
+    canonical entries are used, den is 1 and every row is reduced mod q.
+    So Prod(C, Prod(A, X, B), D) - X is E_ij X[i, j, :] / den on fibre
+    (i, j).
+    """
+    m, n, p = pair.dims
+    q = pair.domain.q  # None over Q
+    legs = [leg.data for leg in (pair.a, pair.b, inverse.c, inverse.d)]
+    if q is None:
+        legs, dens = zip(*map(core.numerators, legs))
+        den = math.prod(dens)
+    else:
+        den = 1
+    a, b, c, d = legs
+    square, run = p * p, n * p
+    rows = []
+    for i in range(m):
+        a_i, c_i = a[i * square : (i + 1) * square], c[i * square : (i + 1) * square]
+        for j in range(n):
+            # ab[t][s] = A[i,t,s] B[t,j,s] and cd[k][s] = C[i,s,k] D[s,j,k]
+            ab = [list(map(operator.mul, a_i[t * p : (t + 1) * p],
+                           b[t * run + j * p : t * run + (j + 1) * p]))
+                  for t in range(p)]
+            cd = [list(map(operator.mul, c_i[k::p], d[j * p + k :: run]))
+                  for k in range(p)]
+            for k, cd_k in enumerate(cd):
+                row = [sum(map(operator.mul, cd_k, ab_t)) for ab_t in ab]
+                row[k] -= den
+                if q is not None:
+                    row = [v % q for v in row]
+                if any(row):
+                    rows.append(((i * n + j) * p, row))
+    return rows, den
+
+
+def _composed_check(pair, inverse, probes) -> float:
+    """The deviation of each probe, read off :func:`_composed_action`.
+
+    When E is zero every probe deviates by exactly 0.0, and no probe
+    entry is read.  Otherwise over Q a probe's deviation is the float of
+    the exact max |E_ij X[i, j, :]| / (den den_x), den_x the common
+    denominator of the probe's numerators: float rounding is monotone,
+    so it is the max of the entries' float deviations.  Over GF(q) it is
+    1.0 when some entry of E_ij X[i, j, :] is nonzero mod q, and once
+    one probe deviates the rest are only checked for conformability.
+    """
+    rows, den = _composed_action(pair, inverse)
+    q = pair.domain.q
+    p = pair.dims[2]
+    worst = 0.0
+    for x in probes:
+        if rows and q is None:
+            xs, den_x = core.numerators(x.data)
+            top = max(abs(sum(map(operator.mul, row, xs[at : at + p])))
+                      for at, row in rows)
+            worst = max(worst, top / (den * den_x))
+        elif rows and not worst:
+            xs = x.data
+            worst = float(any(sum(map(operator.mul, row, xs[at : at + p])) % q
+                              for at, row in rows))
+    return worst
+
+
+def _stacked_check(pair, inverse, probes) -> float:
+    """The deviation of each probe from its own two products, run in
+    stacks of as many probes as fit in ``core.BATCH_ENTRIES`` entries,
+    at least one.
+
+    The P probes of a stack fill one (P*m, n, p) hypermatrix along axis
+    0, A and C are tiled P times along axis 0, and two ternary products
+    give probe q's Prod(C, Prod(A, X, B), D) as the flat block
+    [q*m*n*p, (q+1)*m*n*p).  The product kernel computes every entry on
+    its own, in term order, so each block has the bits of the probe's
+    own products, and the deviations fold in probe order.
     """
     a, b = pair.a, pair.b
     c, d = inverse.c, inverse.d
@@ -472,12 +585,8 @@ def sandwich_check(pair: HyperPair, inverse: OuterInversePair, probes) -> float:
     dom = pair.domain
     size = m * n * p
     per_stack = max(1, core.BATCH_ENTRIES // size)
-    probes = iter(probes)
     worst = 0.0
     while stack := list(itertools.islice(probes, per_stack)):
-        for x in stack:
-            conformability(a, x, b)
-            conformability(c, x, d)  # Prod(A, X, B) has the shape and domain of X
         k = len(stack)
         xs = Hypermatrix((k * m, n, p), [v for x in stack for v in x.data], dom)
         z = bm_product(_tiled(c, k), bm_product(_tiled(a, k), xs, b), d).data

@@ -23,6 +23,7 @@ unloaded.
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -31,6 +32,8 @@ from pathlib import Path
 import pytest
 
 import bmalg
+from bmalg.inverse import random_pair
+from bmalg.scalars import gf, rational
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "benchmarks" / "corpus"
@@ -247,6 +250,21 @@ def test_numpy_free_corpus_commands_run_without_numpy(name, shadow):
     proc = run_python(["-m", "bmalg.cli", *COMMANDS[name]], shadow)
     assert proc.returncode == EXIT_CODES[name], proc.stderr
     assert proc.stdout == (CORPUS / "expected" / f"{name}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("dom", [rational(), gf(7)], ids=["rational", "gf7"])
+def test_exact_inverse_pair_rechecks_run_without_numpy(dom, shadow, tmp_path):
+    """The CLI re-checks a recovered 3x3x3 inverse on all 27 unit probes;
+    over Q and GF(q) the check composes the fibre action and runs no
+    product, so it builds no array."""
+    pair = random_pair(3, 3, 3, dom, random.Random(0))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair.to_json()))
+    proc = run_python(["-m", "bmalg.cli", "inverse-pair", str(path)], shadow)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["invertible"] is True
+    assert report["diagnostics"]["sandwich_residual"] == 0.0
 
 
 def test_the_shadow_numpy_stops_a_command_that_builds_arrays(shadow):

@@ -1,13 +1,17 @@
-"""The stacked sandwich check against the per-probe loop it replaced
+"""The sandwich check against the per-probe loop it replaced
 (``reference.sandwich_check_per_probe``), and the dense deviation
 against the one that always subtracted (``reference.max_deviation``):
 the same float, bit for bit, on every domain, probe set and stack
 split, and the same exception class on a probe of the wrong shape or
-domain."""
+domain or an inverse of the wrong depth.  Over C the check runs the
+probes through stacked products; over Q and GF(q) it composes the
+fibre action once and runs no product."""
 
 import math
 import random
+import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,12 +21,13 @@ from hypothesis import strategies as st
 import reference as ref
 from bmalg import core, inverse, scalars
 from bmalg.core import Hypermatrix, Matrix
-from bmalg.errors import ConformabilityError, DomainMismatchError
+from bmalg.errors import ConformabilityError, DomainMismatchError, ShapeError
 from bmalg.inverse import (
     OuterInversePair,
     random_pair,
     recover_outer_inverse,
     sandwich_check,
+    scaling_pair,
     unit_probe_basis,
 )
 from bmalg.products import bm_product
@@ -132,17 +137,31 @@ def test_stacked_check_matches_per_probe_loop(seed, dom, shape, inverse_kind,
             pair, inv, iter(probes) if as_generator else probes
         )
     assert_same(new, old, dom)
-    # two products per stack
-    assert len(calls) == 2 * math.ceil(count / per_stack)
+    if dom.is_exact:
+        # the composed fibre action replaces the products
+        assert calls == []
+    else:
+        # two products per stack
+        assert len(calls) == 2 * math.ceil(count / per_stack)
 
 
 def test_default_batch_runs_the_unit_basis_in_one_stack(monkeypatch):
-    dom = scalars.rational()
+    dom = scalars.complex_doubles()
     pair = random_pair(5, 5, 5, dom, random.Random(0))
     inv = recover_outer_inverse(pair)
+    probes = unit_probe_basis(5, 5, 5, dom)
     calls = counted_products(monkeypatch)
-    assert sandwich_check(pair, inv, unit_probe_basis(5, 5, 5, dom)) == 0.0
+    assert bits(sandwich_check(pair, inv, probes)) == bits(
+        ref.sandwich_check_per_probe(pair, inv, probes)
+    )
     assert calls == [(125 * 5, 5, 5)] * 2
+    # over Q the unit basis runs no product at all
+    rat = scalars.rational()
+    pair = random_pair(5, 5, 5, rat, random.Random(0))
+    inv = recover_outer_inverse(pair)
+    calls.clear()
+    assert sandwich_check(pair, inv, unit_probe_basis(5, 5, 5, rat)) == 0.0
+    assert calls == []
 
 
 @pytest.mark.parametrize("batch", [1, 1 << 16])
@@ -174,7 +193,7 @@ def outcome(fn, *args):
     """The result of fn, or the exception type it raised."""
     try:
         return fn(*args)
-    except (ConformabilityError, DomainMismatchError) as exc:
+    except (ShapeError, DomainMismatchError) as exc:
         return type(exc)
 
 
@@ -223,6 +242,88 @@ def test_bad_inverse_raises_before_a_later_bad_probe(batch, monkeypatch):
         assert old in (ConformabilityError, DomainMismatchError)
         assert outcome(sandwich_check, pair, inv, probes) is old
         assert sandwich_check(pair, inv, []) == 0.0
+
+
+def test_inverse_of_the_wrong_depth_raises_what_the_loop_raises():
+    """Legs (m, p, p') and (p, n, p'), p' != p, pass each probe's two
+    conformability checks; the loop then compares an (m, n, p') result
+    with X and raises ShapeError at the first probe, on every domain.
+    A bad first probe still raises first, and no probe checks nothing."""
+    message = re.escape("shape mismatch (2, 3, 3) vs (2, 3, 2)")
+    for dom in DOMAINS:
+        rng = random.Random(1)
+        pair = random_pair(2, 3, 2, dom, rng)
+        deep = OuterInversePair(Hypermatrix.random((2, 2, 3), dom, rng),
+                                Hypermatrix.random((2, 3, 3), dom, rng))
+        probes = unit_probe_basis(2, 3, 2, dom)
+        for check in (ref.sandwich_check_per_probe, sandwich_check):
+            for given_probes in (probes, iter(probes)):
+                with pytest.raises(ShapeError, match=message):
+                    check(pair, deep, given_probes)
+        for at, raised in ((0, ConformabilityError), (1, ShapeError)):
+            bad = list(probes)
+            bad[at] = bad_probe("cols", (2, 3, 2), dom)
+            assert outcome(ref.sandwich_check_per_probe, pair, deep, bad) is raised
+            assert outcome(sandwich_check, pair, deep, bad) is raised
+        assert sandwich_check(pair, deep, []) == 0.0
+
+
+def big_fraction(rng):
+    """A nonzero rational with numerator and denominator up to 10^6."""
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+
+
+LARGE_FIELDS = {
+    "gf2": scalars.gf(2), "gf3": scalars.gf(3), "gf251": scalars.gf(251),
+    "q-big": scalars.rational(),
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (5, 5, 5), (2, 5, 3)], ids=str)
+@pytest.mark.parametrize("field", sorted(LARGE_FIELDS))
+def test_composed_check_matches_the_loop_beyond_3x3x3(shape, field):
+    """Recovered, perturbed and mismatched inverses, with the unit basis
+    and dense probes, as a list and as a generator.  Over Q the entries
+    have denominators up to 10^6, so the composed numerators pass 2^63."""
+    dom = LARGE_FIELDS[field]
+    rng = random.Random(sum(shape))
+    m, n, p = shape
+    if field == "q-big":
+        sample = nonzero = big_fraction
+
+        def make_pair(rng):
+            return scaling_pair(Matrix((m, p), [sample(rng) for _ in range(m * p)], dom),
+                                Matrix((p, n), [sample(rng) for _ in range(p * n)], dom))
+    else:
+        sample, nonzero = dom.random, dom.random_nonzero
+
+        def make_pair(rng):
+            return random_pair(*shape, dom, rng)
+    pair = make_pair(rng)
+    recovered = recover_outer_inverse(pair)
+    # shift one entry D[t, j, t] on the scaling pattern, which the action reads
+    t, j = rng.randrange(p), rng.randrange(n)
+    data = list(recovered.d.data)
+    data[t * n * p + j * p + t] += nonzero(rng)
+    inverses = [
+        recovered,
+        OuterInversePair(recovered.c, Hypermatrix(recovered.d.shape, data, dom)),
+        recover_outer_inverse(make_pair(rng)),
+    ]
+    dense = [Hypermatrix(shape, [sample(rng) for _ in range(m * n * p)], dom)
+             for _ in range(3)]
+    probes = unit_probe_basis(*shape, dom) + dense
+    results = []
+    for inv in inverses:
+        old = ref.sandwich_check_per_probe(pair, inv, probes)
+        assert sandwich_check(pair, inv, probes) == old
+        assert sandwich_check(pair, inv, iter(probes)) == old
+        results.append(old)
+    # over GF(2) every scaling pair is all ones, so the mismatched inverse
+    # is the recovered one
+    assert results[0] == 0.0 < results[1]
+    if field == "q-big":
+        assert inverse._composed_action(pair, inverses[2])[1] > 2**63
 
 
 def entries(dom):
