@@ -27,11 +27,13 @@ consistent depends on those two slices alone: cached int bitmasks over
 the inner slice's values, one per (fiber pattern, outer slice value,
 right side), rule an outer-leg value out when they leave some inner
 slice no value, and otherwise the allowed inner values are walked
-lazily.  The CP search walks its terms depth first, normalised and
-sorted, and cuts a prefix whose span with the input's fibers exceeds r
-dimensions.  Both skip only pairs that cannot come first; survivors
-keep their order through the scalar solver, as in a
-candidate-by-candidate scan.
+lazily.  A fiber's solutions depend on the same values and its right
+side alone, so each surviving pair reads them from a per-field table
+that the scalar solver fills on a miss.  The CP search walks its terms
+depth first, normalised and sorted, and cuts a prefix whose span with
+the input's fibers exceeds r dimensions.  Both skip only pairs that
+cannot come first; survivors keep their order and the scalar solver's
+solutions, as in a candidate-by-candidate scan.
 """
 
 from __future__ import annotations
@@ -651,7 +653,8 @@ def _fiber_solutions(rows, rhs, domain, r, all_solutions):
 
 def _solve_fibers(outer, inner, ia_rows, ib_rows, rhs_rows, domain, r, all_solutions):
     """The per-fiber solution lists of :func:`_fiber_solutions` for one
-    pair of enumerated legs, or None at the first inconsistent fiber."""
+    pair of the CP search's enumerated legs, or None at the first
+    inconsistent fiber."""
     q = domain.q
     options = []
     for fa, fb, frhs in zip(ia_rows, ib_rows, rhs_rows):
@@ -712,6 +715,26 @@ def _fiber_masks(q, pattern, outer):
     return table
 
 
+# (q, fiber pattern) -> {(outer-part value, inner-part value, right side):
+# every solution of that consistent fiber system, as _fiber_solutions lists
+# them}.  Only survivors' fibers enter, so the outer-part values are among
+# those of the pattern's mask tables.  The lists of one (outer, inner) pair
+# split the q^r values of the fiber's r unknowns by their right side: they
+# hold at most q^r solutions over at most min(q^r, q^rows) right sides, so a
+# pattern keeps at most (outer-part values visited) x q^width x
+# min(q^r, q^rows) entries, the inner part having width digits.
+_SOLUTION_CACHE = {}
+
+
+def _pattern_rows(q, pattern, outer, inner):
+    """The coefficient rows of a fiber of ``pattern`` whose outer and inner
+    parts take the values ``outer`` and ``inner`` (read as in
+    :func:`_fiber_masks`)."""
+    rows_a, rows_b, _ = pattern
+    return [[outer[x] * inner[y] % q for x, y in zip(ra, rb)]
+            for ra, rb in zip(rows_a, rows_b)]
+
+
 def _lex_walk(masks, digits, q):
     """Lazily yield, in lexicographic order, every value of a leg whose
     parts all take a value allowed by ``masks`` (bit u of ``masks[b]``
@@ -746,18 +769,17 @@ def _bm_layout(m, n, p, r, q, solve_leg):
     the solved leg, as plain lists shared by every input.
 
     A fiber fixes the two axes of ``a`` that the solved leg shares, and
-    its rows run over the third; per fiber, ``ia``/``ib`` hold the flat
-    positions in the outer/inner enumerated leg of each row's
-    coefficients, ``rhs_at`` the flat positions in ``a`` of its right
-    side and ``solved_at`` those of its unknowns in the solved leg.  A
-    fiber reads one slice of each enumerated leg, its outer and inner
-    part (fiber (j, k) reads x0[:, :, k] and x1[:, j, :] when x2 is
-    solved), so the fibers form a grid of outer by inner parts, and
-    every fiber reads its parts in one ``pattern`` (see
-    :func:`_fiber_masks`).  ``getters`` read each outer part's value off
-    the outer leg, ``grid[a][b]`` is the fiber of outer part a and inner
-    part b, and ``digits`` places each inner-leg digit in its part, as
-    :func:`_lex_walk` reads it.
+    its rows run over the third; per fiber, ``rhs_at`` holds the flat
+    positions in ``a`` of its right side and ``solved_at`` those of its
+    unknowns in the solved leg.  A fiber reads one slice of each
+    enumerated leg, its outer and inner part (fiber (j, k) reads
+    x0[:, :, k] and x1[:, j, :] when x2 is solved), so the fibers form a
+    grid of outer by inner parts, and every fiber reads its parts in one
+    ``pattern`` (see :func:`_fiber_masks`).  ``getters`` and
+    ``inner_getters`` read each outer and inner part's value off its leg,
+    ``grid[a][b]`` is the fiber of outer part a and inner part b,
+    ``fiber_parts[f]`` is fiber f's (a, b), and ``digits`` places each
+    inner-leg digit in its part, as :func:`_lex_walk` reads it.
     """
     pos = {0: lambda i, j, k, t: (i * r + t) * p + k,
            1: lambda i, j, k, t: (i * n + j) * r + t,
@@ -788,16 +810,20 @@ def _bm_layout(m, n, p, r, q, solve_leg):
     outer_parts, fiber_a, local_a = parts(ia)
     inner_parts, fiber_b, local_b = parts(ib)
     pattern = (local_a[0], local_b[0], len(inner_parts[0]))
-    getters = [operator.itemgetter(*part) if len(part) > 1
-               else (lambda leg, x=part[0]: (leg[x],)) for part in outer_parts]
+    getters, inner_getters = (
+        [operator.itemgetter(*part) if len(part) > 1
+         else (lambda leg, x=part[0]: (leg[x],)) for part in leg_parts]
+        for leg_parts in (outer_parts, inner_parts))
+    fiber_parts = list(zip(fiber_a, fiber_b))
     grid = [[None] * len(inner_parts) for _ in outer_parts]
-    for f, (fa, fb) in enumerate(zip(fiber_a, fiber_b)):
+    for f, (fa, fb) in enumerate(fiber_parts):
         grid[fa][fb] = f
     digits = [None] * (len(inner_parts) * len(inner_parts[0]))
     for b, part in enumerate(inner_parts):
         for at, x in enumerate(part):
             digits[x] = (b, q ** (len(part) - 1 - at))
-    return ia, ib, rhs_at, solved_at, pattern, getters, grid, digits
+    return (rhs_at, solved_at, pattern, getters, inner_getters, fiber_parts, grid,
+            digits)
 
 
 def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
@@ -819,13 +845,18 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
     part's fibers are ANDed into the inner-part values that leave them
     all consistent; an empty one rules the outer value out, and
     otherwise :func:`_lex_walk` walks the allowed inner values in order.
-    Each survivor goes through the scalar solver
-    :func:`_fiber_solutions`, so the decompositions are those of a
-    candidate-by-candidate scan.
+    Each survivor reads its fibers' solutions from ``_SOLUTION_CACHE``,
+    keyed by the fiber pattern, the two part values and the right side;
+    a miss fills the entry with every solution from the scalar solver
+    :func:`_fiber_solutions`, the free-variables-zero one first, which
+    is the one yielded without ``all_solutions``.  So the decompositions
+    are those of a candidate-by-candidate scan.
     """
     dom = a.domain
     if dom.kind != "gf":
         raise ValueError("exhaustive rank search needs a GF(q) domain")
+    if r < 1:
+        raise ShapeError(f"contracted dimension r must be at least 1, got {r}")
     q = dom.q
     m, n, p = a.shape
     sizes = {0: m * r * p, 1: m * n * r, 2: r * n * p}
@@ -836,10 +867,11 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
         raise BudgetExceededError(
             f"enumeration q^{total_digits} exceeds budget {budget}"
         )
-    ia, ib, rhs_at, solved_at, pattern, getters, grid, digits = _bm_layout(
-        m, n, p, r, q, solve_leg)
+    (rhs_at, solved_at, pattern, getters, inner_getters, fiber_parts, grid,
+     digits) = _bm_layout(m, n, p, r, q, solve_leg)
     rhs = [tuple(a.data[x] for x in at) for at in rhs_at]
     tables = _MASK_CACHE.setdefault((q, pattern), {})
+    solutions = _SOLUTION_CACHE.setdefault((q, pattern), {})
     # per outer part: its value -> the masks of its fibers, one per inner part
     seen = [{} for _ in grid]
     for flat_a in itertools.product(range(q), repeat=sizes[enum_legs[0]]):
@@ -856,9 +888,21 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
             if not all(masks):
                 break
         else:
+            outer = [get(flat_a) for get in getters]
             for flat_b in _lex_walk(masks, digits, q):
-                options = _solve_fibers(flat_a, flat_b, ia, ib, rhs, dom, r, all_solutions)
-                for combo in itertools.product(*options):
+                inner = [get(flat_b) for get in inner_getters]
+                options = []
+                for (fa, fb), right in zip(fiber_parts, rhs):
+                    key = (outer[fa], inner[fb], right)
+                    sols = solutions.get(key)
+                    if sols is None:
+                        rows = _pattern_rows(q, pattern, outer[fa], inner[fb])
+                        sols = solutions[key] = _fiber_solutions(rows, right, dom, r, True)
+                    options.append(sols)
+                # an entry lists every solution, the free-variables-zero one first
+                combos = (itertools.product(*options) if all_solutions
+                          else [[sols[0] for sols in options]])
+                for combo in combos:
                     flat = [0] * sizes[solve_leg]
                     for at, sol in zip(solved_at, combo):
                         for x, v in zip(at, sol):

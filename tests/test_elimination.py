@@ -255,6 +255,23 @@ def test_fiber_solutions_match_oracle(seed, q, m, all_solutions):
     assert got == ref._fiber_solutions(rows, rhs, q, r, all_solutions)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 7]), st.integers(1, 4))
+def test_all_solutions_lead_with_the_free_zero_one(seed, q, m):
+    """The search's solution table keeps the all-solutions list and reads
+    its first entry as the single solution."""
+    rng = random.Random(seed)
+    r = rng.randint(1, 3)
+    rows = [
+        [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(r)]
+        for _ in range(m)
+    ]
+    rhs = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(m)]
+    every = _fiber_solutions(rows, rhs, scalars.gf(q), r, True)
+    first = _fiber_solutions(rows, rhs, scalars.gf(q), r, False)
+    assert first == (None if every is None else every[:1])
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(PRIMES), st.integers(1, 4))
 def test_inverse_mod_q_matches_oracle(seed, q, p):

@@ -68,9 +68,15 @@ def make_inverse(kind, pair, dom, rng):
     if kind == "recovered":
         return rec
     if kind == "perturbed":
+        # shift one entry D[t, j, t] on the scaling pattern, which the action reads
+        m, n, p = pair.dims
+        t, j = rng.randrange(p), rng.randrange(n)
         data = list(rec.d.data)
-        data[rng.randrange(len(data))] = dom.random(rng)
-        return OuterInversePair(rec.c, Hypermatrix(rec.d.shape, data, dom))
+        at = t * n * p + j * p + t
+        data[at] = dom.add(data[at], dom.random_nonzero(rng))
+        inv = OuterInversePair(rec.c, Hypermatrix(rec.d.shape, data, dom))
+        assert ref.sandwich_check_per_probe(pair, inv, unit_probe_basis(m, n, p, dom)) > 0.0
+        return inv
     other = random_pair(*pair.dims, dom, rng)
     return recover_outer_inverse(other)
 

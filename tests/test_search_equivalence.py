@@ -24,7 +24,7 @@ import reference as ref
 from bmalg import rank, scalars
 from bmalg.core import Hypermatrix
 from bmalg.dependence import is_dependent_exact
-from bmalg.errors import BudgetExceededError
+from bmalg.errors import BudgetExceededError, ShapeError
 from bmalg.rank import (
     DecompositionTriple,
     bm_rank_exhaustive,
@@ -237,6 +237,7 @@ def test_filter_leaves_few_scalar_solves(search, r, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(rank, "_fiber_solutions", counted)
+    monkeypatch.setattr(rank, "_SOLUTION_CACHE", {})
     search(delta_sum(3, r, scalars.gf(2)))
     assert 0 < len(calls) < 100
 
@@ -345,3 +346,87 @@ def test_mask_tables_stay_within_their_bound(monkeypatch):
         assert set(tables) == parts
         assert sum(map(len, tables.values())) <= len(parts) * q**rows
         assert all(len(table) <= q**rows for table in tables.values())
+
+
+def test_solution_table_stays_within_its_bound(monkeypatch):
+    """Each fiber pattern keeps one solution list per (outer-part value,
+    inner-part value, right side) a survivor met, its outer-part values
+    among those the pattern's mask tables hold.  The lists of one (outer,
+    inner) pair partition the q^r values of the fiber's r unknowns by
+    their right side, so they hold at most q^r solutions in all, over at
+    most min(q^r, q^rows) right sides, and the pattern's entries are at
+    most (outer parts visited) x q^width x min(q^r, q^rows), the inner
+    part having width digits."""
+    monkeypatch.setattr(rank, "_MASK_CACHE", {})
+    monkeypatch.setattr(rank, "_SOLUTION_CACHE", {})
+    for q, shape, r in ((3, (2, 2, 2), 1), (5, (2, 2, 2), 1), (3, (1, 2, 2), 2),
+                        (5, (2, 1, 2), 2), (2, (2, 2, 3), 2)):
+        for seed, all_solutions in ((4, False), (5, True)):
+            a = draw_input(q, shape, r, True, seed)
+            search = iter_bm_decompositions(a, r, budget=10**7, all_solutions=all_solutions)
+            for _ in itertools.islice(search, 200):
+                pass
+    assert rank._SOLUTION_CACHE
+    for (q, pattern), table in rank._SOLUTION_CACHE.items():
+        rows_a, _, width = pattern
+        rows, r = len(rows_a), len(rows_a[0])
+        visited = set(rank._MASK_CACHE[q, pattern])
+        pairs = {}
+        for (outer, inner, right), sols in table.items():
+            assert outer in visited
+            assert len(inner) == width and len(right) == rows
+            assert sols == rank._fiber_solutions(
+                rank._pattern_rows(q, pattern, outer, inner), right, scalars.gf(q), r, True)
+            pairs.setdefault((outer, inner), []).append(len(sols))
+        for counts in pairs.values():
+            assert sum(counts) <= q**r
+            assert len(counts) <= min(q**r, q**rows)
+        assert len(table) <= len(visited) * q**width * min(q**r, q**rows)
+
+
+TABLE_SHAPES = [(2, 2, 2), (2, 2, 3), (1, 2, 3), (3, 2, 2)]
+# the scalar scan refuses or finishes each of these within a second
+TABLE_BUDGET = 10**5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from(TABLE_SHAPES),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_solution_table_keeps_the_yields(q, shape, r, all_solutions, planted, seed):
+    """The first 50 yields match the reference's with the solution table
+    emptied, and again once it is warm, its entries filled by searches
+    under both ``all_solutions`` flags."""
+    a = draw_input(q, shape, r, planted, seed)
+
+    def first(search, flag):
+        found = search(a, r, budget=TABLE_BUDGET, all_solutions=flag)
+        return [canonical(t) for t in itertools.islice(found, 50)]
+
+    def listed(search, flag):
+        return outcome(first, search, flag)
+
+    want = listed(ref.iter_bm_decompositions, all_solutions)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(rank, "_SOLUTION_CACHE", {})
+        assert listed(iter_bm_decompositions, all_solutions) == want
+        listed(iter_bm_decompositions, not all_solutions)
+        assert listed(iter_bm_decompositions, all_solutions) == want
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("r", [0, -1])
+def test_search_refuses_r_below_one(q, r, monkeypatch):
+    """The refusal names r and comes before any table or budget work."""
+    monkeypatch.setattr(rank, "_MASK_CACHE", {})
+    monkeypatch.setattr(rank, "_SOLUTION_CACHE", {})
+    a = draw_input(q, (2, 2, 2), 1, True, 0)
+    for budget in (0, BUDGET):
+        with pytest.raises(ShapeError, match=f"r must be at least 1, got {r}"):
+            next(iter_bm_decompositions(a, r, budget=budget))
+    assert rank._MASK_CACHE == rank._SOLUTION_CACHE == {}
