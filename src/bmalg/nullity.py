@@ -535,10 +535,8 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
 # ---------------------------------------------------------------------------
 
 
-_ACTION_CACHE = {}
-
-
-def _invertible_actions(m, n, p, domain, budget):
+@functools.cache
+def _invertible_actions(m, n, p, domain):
     """All distinct invertible-pair actions over a small prime field.
 
     Enumerates every (X0, X1) candidate in integer form and keeps those
@@ -551,18 +549,10 @@ def _invertible_actions(m, n, p, domain, budget):
     tuple (which determines the action) before the factorization.  Returns
     (actions, zeros): ``actions`` a list of (blocks, flat0, flat1,
     inverse), ``inverse`` the factored (C, D), and ``zeros`` their
-    :func:`_zero_bitsets`; cached per signature.  The budget is checked
-    first.
+    :func:`_zero_bitsets`; cached per signature, whose budget callers
+    check first against the q^(m p p + p n p) candidates.
     """
     q = domain.q
-    digits = m * p * p + p * n * p
-    if q**digits > budget:
-        raise BudgetExceededError(
-            f"direct search needs q^{digits} pair candidates, over budget {budget}"
-        )
-    key = (m, n, p, q)
-    if key in _ACTION_CACHE:
-        return _ACTION_CACHE[key]
     legs1 = list(itertools.product(range(q), repeat=p * n * p))
     legs0 = itertools.product(range(q), repeat=m * p * p)
     cols_of = [_col_slices(flat1, n, p) for flat1 in legs1]
@@ -575,9 +565,7 @@ def _invertible_actions(m, n, p, domain, budget):
         inverse = _outer_inverse(inv_blocks, m, n, domain)[0]
         if inverse is not None:
             actions[blocks] = (blocks, sum(rows, ()), legs1[at], inverse)
-    out = _ACTION_CACHE[key] = (list(actions.values()),
-                                _zero_bitsets(list(actions), m * n, p, q))
-    return out
+    return list(actions.values()), _zero_bitsets(list(actions), m * n, p, q)
 
 
 def _zero_bitsets(blocks, count, p, q):
@@ -632,14 +620,20 @@ def nullity_direct_search(a: Hypermatrix, budget=DEFAULT_EXHAUSTIVE_COMPLETIONS)
     :func:`_invertible_actions` score every action at once in m n p
     ANDs; the first action with the most zero slices wins
     (:func:`_best_action`), as in an action-by-action scan that keeps
-    strict improvements.
+    strict improvements.  The budget is checked before the cache is
+    read, so a call over it raises even when the actions are cached.
     """
     dom = a.domain
     if dom.kind != "gf":
         raise ValueError("direct search needs a GF(q) domain")
     oriented, tcount = orient_depth_min(a)
     m, n, p = oriented.shape
-    actions, zeros = _invertible_actions(m, n, p, dom, budget)
+    digits = m * p * p + p * n * p
+    if dom.q**digits > budget:
+        raise BudgetExceededError(
+            f"direct search needs q^{digits} pair candidates, over budget {budget}"
+        )
+    actions, zeros = _invertible_actions(m, n, p, dom)
     best, zero_slices = _best_action(zeros, oriented.data, p)
     _, flat0, flat1, inverse = actions[best]
     pair = HyperPair(
@@ -703,9 +697,7 @@ def _via_rank_over_gf(oriented, budget, seed):
     r = None
     local = {}
     for r_level in range(1, min(top, p - 1) + 1):
-        decompositions = iter_bm_decompositions(
-            oriented, r_level, budget=budget, all_solutions=True
-        )
+        decompositions = iter_bm_decompositions(oriented, r_level, budget=budget)
         for tried, triple in enumerate(decompositions, 1):
             if r is None:
                 r = r_level

@@ -21,18 +21,17 @@ inputs only down to ell = 2 (see :func:`generic_rank_pipeline`).
 The exhaustive GF(q) searches (:func:`iter_bm_decompositions`, which
 serves :func:`bm_rank_exhaustive` and via-rank nullity, and
 :func:`cp_rank_exhaustive`) enumerate two legs in lexicographic order
-and solve for the third fiber by fiber, all in plain Python.  A BM
-fiber reads one slice of each enumerated leg, so whether it is
-consistent depends on those two slices alone: cached int bitmasks over
-the inner slice's values, one per (fiber pattern, outer slice value,
-right side), rule an outer-leg value out when they leave some inner
-slice no value, and otherwise the allowed inner values are walked
-lazily.  A fiber's solutions depend on the same values and its right
-side alone, so each surviving pair reads them from a per-field table
-that the scalar solver fills on a miss.  The CP search walks its terms
-depth first, normalised and sorted, and cuts a prefix whose span with
-the input's fibers exceeds r dimensions.  Both skip only pairs that
-cannot come first; survivors keep their order and the scalar solver's
+and solve for the third fiber by fiber through one scalar solver, all in
+plain Python.  A BM fiber reads one slice of each enumerated leg, so its
+consistency and its solutions depend on those two slices and its right
+side alone: int bitmasks over the inner slice's values rule an outer-leg
+value out, or give the inner values to walk lazily, and each surviving
+pair reads its solutions from a table that the solver fills on a miss;
+both tables live in the cache of :func:`_bm_layout`.  The CP search
+walks its terms depth first, normalised and sorted, cuts a prefix whose
+span with the input's fibers exceeds r dimensions, and solves its depth
+fibers against one coefficient matrix.  Both skip only pairs that cannot
+come first; survivors keep their order and the scalar solver's
 solutions, as in a candidate-by-candidate scan.
 """
 
@@ -623,10 +622,10 @@ def generic_rank_bound(n) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fiber_solutions(rows, rhs, domain, r, all_solutions):
-    """Solutions of one fiber system over GF(q), or None when it is
-    inconsistent: the free-variables-zero one, or every solution in
-    lexicographic free-assignment order."""
+def _fiber_solutions(rows, rhs, domain, r):
+    """Solutions of one fiber system over GF(q), lazily in lexicographic
+    free-assignment order (the free-variables-zero one first), or None
+    when it is inconsistent.  ``rows`` is not changed."""
     q = domain.q
     aug = [row + [b] for row, b in zip(rows, rhs)]
     pivots, _ = echelon(aug, r, domain)
@@ -635,10 +634,8 @@ def _fiber_solutions(rows, rhs, domain, r, all_solutions):
             return None
     free = [c for c in range(r) if c not in pivots]
     solved = [(pc, row, pow(row[pc], q - 2, q)) for pc, row in zip(pivots, aug)]
-    out = []
-    # the free-variables-zero solution is the first of the enumeration
-    values = range(q) if all_solutions else [0]
-    for assign in itertools.product(values, repeat=len(free)):
+
+    def solution(assign):
         sol = [0] * r
         for fc, v in zip(free, assign):
             sol[fc] = v
@@ -647,24 +644,9 @@ def _fiber_solutions(rows, rhs, domain, r, all_solutions):
             for fc, v in zip(free, assign):
                 acc -= row[fc] * v
             sol[pc] = acc * inv % q
-        out.append(sol)
-    return out
+        return sol
 
-
-def _solve_fibers(outer, inner, ia_rows, ib_rows, rhs_rows, domain, r, all_solutions):
-    """The per-fiber solution lists of :func:`_fiber_solutions` for one
-    pair of the CP search's enumerated legs, or None at the first
-    inconsistent fiber."""
-    q = domain.q
-    options = []
-    for fa, fb, frhs in zip(ia_rows, ib_rows, rhs_rows):
-        rows = [[outer[x] * inner[y] % q for x, y in zip(ra, rb)]
-                for ra, rb in zip(fa, fb)]
-        sols = _fiber_solutions(rows, frhs, domain, r, all_solutions)
-        if sols is None:
-            return None
-        options.append(sols)
-    return options
+    return map(solution, itertools.product(range(q), repeat=len(free)))
 
 
 def _extend_span(basis, vectors, q):
@@ -684,10 +666,6 @@ def _extend_span(basis, vectors, q):
     return basis
 
 
-# (q, fiber pattern) -> outer-part value -> {fiber right side: inner mask}
-_MASK_CACHE = {}
-
-
 def _fiber_masks(q, pattern, outer):
     """Which inner-part values leave a BM fiber consistent, per right side.
 
@@ -699,8 +677,7 @@ def _fiber_masks(q, pattern, outer):
     value u (its digits read base q, the first most significant) leaves
     the fiber consistent, that is, when the right side lies in the column
     span of the fiber's coefficients; a right side it lacks has no such
-    inner value.  Tables are built on first use and kept in
-    ``_MASK_CACHE``, at most q^rows right sides each.
+    inner value.  A table has at most q^rows right sides.
     """
     rows_a, rows_b, width = pattern
     coef = [[(outer[x], y) for x, y in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)]
@@ -713,17 +690,6 @@ def _fiber_masks(q, pattern, outer):
                     for s in unknowns}:
             table[rhs] = table.get(rhs, 0) | bit
     return table
-
-
-# (q, fiber pattern) -> {(outer-part value, inner-part value, right side):
-# every solution of that consistent fiber system, as _fiber_solutions lists
-# them}.  Only survivors' fibers enter, so the outer-part values are among
-# those of the pattern's mask tables.  The lists of one (outer, inner) pair
-# split the q^r values of the fiber's r unknowns by their right side: they
-# hold at most q^r solutions over at most min(q^r, q^rows) right sides, so a
-# pattern keeps at most (outer-part values visited) x q^width x
-# min(q^r, q^rows) entries, the inner part having width digits.
-_SOLUTION_CACHE = {}
 
 
 def _pattern_rows(q, pattern, outer, inner):
@@ -780,6 +746,17 @@ def _bm_layout(m, n, p, r, q, solve_leg):
     ``grid[a][b]`` is the fiber of outer part a and inner part b,
     ``fiber_parts[f]`` is fiber f's (a, b), and ``digits`` places each
     inner-leg digit in its part, as :func:`_lex_walk` reads it.
+
+    The last two entries, filled by :func:`iter_bm_decompositions`, live
+    as long as this cache.  ``tables`` maps each outer-part value visited
+    to its :func:`_fiber_masks` table, so it holds at most (outer parts
+    visited) x q^rows entries, a fiber having rows rows.  ``solutions``
+    maps (outer-part value, inner-part value, right side) of a survivor's
+    fiber to every solution, as :func:`_fiber_solutions` yields them.
+    The lists of one (outer, inner) pair split the q^r values of the r
+    unknowns by right side, so ``solutions`` holds at most (outer parts
+    in ``tables``) x q^width x min(q^r, q^rows) entries, the inner part
+    having width digits.
     """
     pos = {0: lambda i, j, k, t: (i * r + t) * p + k,
            1: lambda i, j, k, t: (i * n + j) * r + t,
@@ -823,21 +800,19 @@ def _bm_layout(m, n, p, r, q, solve_leg):
         for at, x in enumerate(part):
             digits[x] = (b, q ** (len(part) - 1 - at))
     return (rhs_at, solved_at, pattern, getters, inner_getters, fiber_parts, grid,
-            digits)
+            digits, {}, {})
 
 
-def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
-                           all_solutions=False):
-    """Yield contracted-dimension-r decompositions of ``a`` over GF(q),
-    in lexicographic order of the two enumerated legs.
+def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET):
+    """Lazily yield every contracted-dimension-r decomposition of ``a``
+    over GF(q), in lexicographic order of the two enumerated legs.
 
     The two smaller legs are enumerated entry by entry; for each
     candidate the remaining leg is solved fiber-wise (the constraints
-    are linear in it).  By default each consistent candidate yields one
-    decomposition (free entries pinned to zero); with ``all_solutions``
-    every solution of the solved leg is yielded.  Either way the scan
-    visits a decomposition iff one exists for the enumerated prefix, so
-    rank detection is complete.
+    are linear in it), and every solution of the solved leg is yielded,
+    in lexicographic order of the fibers' solutions.  So a candidate's
+    first yield pins every free entry to zero, and the first yield of
+    the search is the lex-first candidate's.
 
     Whether a fiber is consistent depends only on the values of its
     outer and inner parts (see :func:`_bm_layout`).  For each outer
@@ -845,12 +820,9 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
     part's fibers are ANDed into the inner-part values that leave them
     all consistent; an empty one rules the outer value out, and
     otherwise :func:`_lex_walk` walks the allowed inner values in order.
-    Each survivor reads its fibers' solutions from ``_SOLUTION_CACHE``,
-    keyed by the fiber pattern, the two part values and the right side;
-    a miss fills the entry with every solution from the scalar solver
-    :func:`_fiber_solutions`, the free-variables-zero one first, which
-    is the one yielded without ``all_solutions``.  So the decompositions
-    are those of a candidate-by-candidate scan.
+    Each survivor reads its fibers' solutions from the solution table of
+    :func:`_bm_layout`, which :func:`_fiber_solutions` fills on a miss,
+    so the decompositions are those of a candidate-by-candidate scan.
     """
     dom = a.domain
     if dom.kind != "gf":
@@ -868,10 +840,8 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
             f"enumeration q^{total_digits} exceeds budget {budget}"
         )
     (rhs_at, solved_at, pattern, getters, inner_getters, fiber_parts, grid,
-     digits) = _bm_layout(m, n, p, r, q, solve_leg)
+     digits, tables, solutions) = _bm_layout(m, n, p, r, q, solve_leg)
     rhs = [tuple(a.data[x] for x in at) for at in rhs_at]
-    tables = _MASK_CACHE.setdefault((q, pattern), {})
-    solutions = _SOLUTION_CACHE.setdefault((q, pattern), {})
     # per outer part: its value -> the masks of its fibers, one per inner part
     seen = [{} for _ in grid]
     for flat_a in itertools.product(range(q), repeat=sizes[enum_legs[0]]):
@@ -897,12 +867,9 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
                     sols = solutions.get(key)
                     if sols is None:
                         rows = _pattern_rows(q, pattern, outer[fa], inner[fb])
-                        sols = solutions[key] = _fiber_solutions(rows, right, dom, r, True)
+                        sols = solutions[key] = list(_fiber_solutions(rows, right, dom, r))
                     options.append(sols)
-                # an entry lists every solution, the free-variables-zero one first
-                combos = (itertools.product(*options) if all_solutions
-                          else [[sols[0] for sols in options]])
-                for combo in combos:
+                for combo in itertools.product(*options):
                     flat = [0] * sizes[solve_leg]
                     for at, sol in zip(solved_at, combo):
                         for x, v in zip(at, sol):
@@ -914,9 +881,9 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
 def _assemble_triple(a, r, flat0, flat1, flat2):
     dom = a.domain
     m, n, p = a.shape
-    x0 = Hypermatrix((m, r, p), list(flat0), dom)
-    x1 = Hypermatrix((m, n, r), list(flat1), dom)
-    x2 = Hypermatrix((r, n, p), list(flat2), dom)
+    x0 = Hypermatrix((m, r, p), flat0, dom)
+    x1 = Hypermatrix((m, n, r), flat1, dom)
+    x2 = Hypermatrix((r, n, p), flat2, dom)
     return DecompositionTriple(x0, x1, x2, tuple(range(r)))
 
 
@@ -990,16 +957,20 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
             raise BudgetExceededError(
                 f"CP enumeration q^{digits} exceeds budget {budget}"
             )
-        ia = [[[t * m + i for t in range(r)] for i in range(m) for _ in range(n)]] * p
-        ib = [[[t * n + j for t in range(r)] for _ in range(m) for j in range(n)]] * p
+        # every depth fiber has these coefficients, read as by _pattern_rows
+        pattern = ([[t * m + i for t in range(r)] for i in range(m) for _ in range(n)],
+                   [[t * n + j for t in range(r)] for _ in range(m) for j in range(n)], r * n)
         picks = [0] * (2 * r)  # x_0 .. x_{r-1} in xs_all, then y_0 .. y_{r-1} in ys_all
 
         def walk(t, spans):
             if t == 2 * r:
                 xs = [c for at in picks[:r] for c in xs_all[at]]
                 ys = [c for at in picks[r:] for c in ys_all[at]]
-                options = _solve_fibers(xs, ys, ia, ib, rhs, dom, r, False)
-                return options and (xs, ys, options)
+                coef = _pattern_rows(q, pattern, xs, ys)
+                # each depth fiber's first solution, up to the first inconsistent one
+                sols = (_fiber_solutions(coef, right, dom, r) for right in rhs)
+                zs = [next(z) for z in itertools.takewhile(operator.truth, sols)]
+                return len(zs) == p and (xs, ys, zs)
             cands = xs_all if t < r else ys_all
             # terms sort by x_t, then by y_t
             ordered = t % r and (t < r or picks[t - r] == picks[t - r - 1])
@@ -1019,13 +990,13 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
 
         found = walk(0, [cols, rows, depth])
         if found:
-            xs, ys, zsol = found
+            xs, ys, zs = found
             triple = _assemble_triple(
                 a,
                 r,
                 [xs[t * m + i] for i in range(m) for t in range(r) for _ in range(p)],
                 [ys[t * n + j] for _ in range(m) for j in range(n) for t in range(r)],
-                [zsol[k][0][t] for t in range(r) for _ in range(n) for k in range(p)],
+                [zs[k][t] for t in range(r) for _ in range(n) for k in range(p)],
             )
             return _exact_certificate(a, triple, q=q, cp=True)
     raise CertificateError("CP search exhausted its rank cap without success")

@@ -53,11 +53,10 @@ nullity copies import the rank pipeline from ``bmalg.rank`` instead of
 relatively, and the slice-rewrite copy calls the current
 product-preservation check under the name
 ``check_product_preservation``, because ``check_reduction_hypothesis``
-here is the hand-expanded check it replaced.  Likewise the search
-copies call the current fiber solver under the name
-``fiber_solutions``, because ``_fiber_solutions`` here is the former
-one.  The nullity copies run on the entry-wise inverse-pair layer
-above, which the inverse-layer tests hold equal to ``bmalg.inverse``,
+here is the hand-expanded check it replaced.  The search copies solve
+their fibers with the former solver ``_fiber_solutions`` kept here, not
+with the library's.  The nullity copies run on the entry-wise
+inverse-pair layer above, which the inverse-layer tests hold equal to ``bmalg.inverse``,
 and the via-rank copy on the scalar ``iter_bm_decompositions`` copy.
 The necessity copy still tries a repeated random completion again, but
 its error names the distinct completions tried, as ``bmalg.nullity``
@@ -149,7 +148,6 @@ from bmalg.rank import (
     bm_rank_exhaustive,
 )
 from bmalg.rank import _assemble_triple, bm_rank_one
-from bmalg.rank import _fiber_solutions as fiber_solutions
 from bmalg.rank import check_reduction_hypothesis as check_product_preservation
 
 # the bound on q^(p(m+n)) assignments that the exhaustive dependence scans
@@ -1546,7 +1544,7 @@ def iter_bm_decompositions(a: Hypermatrix, r, budget=DEFAULT_RANK_BUDGET,
             ok = True
             for key in fiber_keys:
                 rows, rhs = fiber(legs, key)
-                sols = fiber_solutions(rows, rhs, dom, r, all_solutions)
+                sols = _fiber_solutions(rows, rhs, q, r, all_solutions)
                 if sols is None:
                     ok = False
                     break
@@ -1586,7 +1584,7 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
                         for j in range(n)
                     ]
                     rhs = [av[(i * n + j) * p + k] for i in range(m) for j in range(n)]
-                    sols = fiber_solutions(rows, rhs, dom, r, False)
+                    sols = _fiber_solutions(rows, rhs, q, r, False)
                     if sols is None:
                         ok = False
                         break

@@ -13,7 +13,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -251,15 +251,18 @@ def test_fiber_solutions_match_oracle(seed, q, m, all_solutions):
         for _ in range(m)
     ]
     rhs = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(m)]
-    got = _fiber_solutions(rows, rhs, scalars.gf(q), r, all_solutions)
+    got = _fiber_solutions(rows, rhs, scalars.gf(q), r)
+    if got is not None:
+        got = list(got) if all_solutions else [next(got)]
     assert got == ref._fiber_solutions(rows, rhs, q, r, all_solutions)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 7]), st.integers(1, 4))
 def test_all_solutions_lead_with_the_free_zero_one(seed, q, m):
-    """The search's solution table keeps the all-solutions list and reads
-    its first entry as the single solution."""
+    """The solver's first solution is the reference's single
+    free-variables-zero one: the first triple of each pair of the BM
+    listing and the one the CP search reads."""
     rng = random.Random(seed)
     r = rng.randint(1, 3)
     rows = [
@@ -267,9 +270,9 @@ def test_all_solutions_lead_with_the_free_zero_one(seed, q, m):
         for _ in range(m)
     ]
     rhs = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(m)]
-    every = _fiber_solutions(rows, rhs, scalars.gf(q), r, True)
-    first = _fiber_solutions(rows, rhs, scalars.gf(q), r, False)
-    assert first == (None if every is None else every[:1])
+    every = _fiber_solutions(rows, rhs, scalars.gf(q), r)
+    first = ref._fiber_solutions(rows, rhs, q, r, False)
+    assert first == (None if every is None else list(every)[:1])
 
 
 @settings(max_examples=120, deadline=None)
@@ -291,17 +294,20 @@ def test_inverse_mod_q_matches_oracle(seed, q, p):
 @pytest.mark.parametrize(
     "m, n, p, q", [(1, 1, 1, 251), (1, 1, 2, 3), (2, 2, 1, 3), (2, 3, 1, 7), (2, 2, 2, 2)]
 )
-def test_invertible_actions_match_oracle(monkeypatch, m, n, p, q):
+def test_invertible_actions_match_oracle(monkeypatch, cold_tables, m, n, p, q):
     """Every candidate of these signatures is enumerated, so equal action
     lists mean the same flattening blocks were found singular; bit a of
     the zero bitset of block (i, j), fiber value v and row k is set
-    exactly when row k of action a's block (i, j) maps v to zero."""
-    monkeypatch.setattr(nullity_module, "_ACTION_CACHE", {})
+    exactly when row k of action a's block (i, j) maps v to zero.  The
+    cache then holds this one signature, of at most q^(m p p + p n p)
+    actions."""
     monkeypatch.setattr(ref, "_ACTION_CACHE", {})
     dom = scalars.gf(q)
     budget = q ** (m * p * p + p * n * p)
-    got, zeros = nullity_module._invertible_actions(m, n, p, dom, budget)
+    got, zeros = nullity_module._invertible_actions(m, n, p, dom)
     assert [a[:3] for a in got] == ref._invertible_actions(m, n, p, dom, budget)
+    assert nullity_module._invertible_actions.cache_info().currsize == 1
+    assert len(got) <= budget
     fibers = list(itertools.product(range(q), repeat=p))
     assert [sorted(table) for table in zeros] == [fibers] * (m * n)
     for ij, table in enumerate(zeros):
@@ -335,20 +341,23 @@ def sampled_itertools(seed, size):
     return types.SimpleNamespace(product=product)
 
 
-@settings(max_examples=10, deadline=None)
+# the fixture's tables are emptied in each example, so that no sampled
+# action list is read from the cache
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(0, 10**6), st.sampled_from(PRIMES[1:]))
-def test_sampled_invertible_actions_match_oracle(seed, q):
+def test_sampled_invertible_actions_match_oracle(cold_tables, seed, q):
     """At (2, 2, 2) over q >= 3 the pivots are not all one, so the
     scaling of the eliminated blocks into inverses decides which
     candidates factor."""
     fake = sampled_itertools(seed, 40)
+    cold_tables()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nullity_module, "_ACTION_CACHE", {})
         patch.setattr(ref, "_ACTION_CACHE", {})
         patch.setattr(nullity_module, "itertools", fake)
         patch.setattr(ref, "itertools", fake)
         dom = scalars.gf(q)
-        got, _ = nullity_module._invertible_actions(2, 2, 2, dom, q**16)
+        got, _ = nullity_module._invertible_actions(2, 2, 2, dom)
         assert [a[:3] for a in got] == ref._invertible_actions(2, 2, 2, dom, q**16)
 
 

@@ -33,7 +33,7 @@ def assert_same_nullity(a, **kwargs):
     return got
 
 
-def test_via_rank_matches_reference_on_every_gf2_2x2x2(monkeypatch):
+def test_via_rank_matches_reference_on_every_gf2_2x2x2(monkeypatch, cold_tables):
     """Necessity's CompletionError depends only on the outer legs' values
     on the support, so the climb tries each failing pair of outer legs
     once per field: over the 256 inputs necessity runs 384 times from a
@@ -49,7 +49,6 @@ def test_via_rank_matches_reference_on_every_gf2_2x2x2(monkeypatch):
         return necessity(*args, **kwargs)
 
     monkeypatch.setattr(nullity_module, "hyper_nullity_necessity", counted)
-    monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
     dom = scalars.gf(2)
     inputs = [Hypermatrix((2, 2, 2), list(bits), dom)
               for bits in itertools.product(range(2), repeat=8)]
@@ -103,7 +102,7 @@ def test_bitset_pick_matches_the_action_stack_on_every_gf2_2x2x2():
     """The first action with the most zero slices, and those slices, read
     off the cached bitsets are the first argmax of the int64 action
     stack's zero-slice counts (kept in ``reference``)."""
-    actions, zeros = nullity_module._invertible_actions(2, 2, 2, scalars.gf(2), 2**16)
+    actions, zeros = nullity_module._invertible_actions(2, 2, 2, scalars.gf(2))
     blocks = [action[0] for action in actions]
     picks = {assert_same_pick(blocks, zeros, data, (2, 2, 2), 2)[0]
              for data in itertools.product(range(2), repeat=8)}
@@ -344,24 +343,24 @@ def test_pruned_sweep_is_the_reference_sweep_without_singular_candidates(
                        if candidate != identity and every_block_inverts(candidate, p, dom)]
 
 
-def test_via_rank_on_every_gf2_2x2x2_does_not_depend_on_call_history(monkeypatch):
+def test_via_rank_on_every_gf2_2x2x2_does_not_depend_on_call_history(cold_tables):
     """Each via-rank certificate is the reference's, once with the
-    completion table, shared across calls, cleared before every input,
-    and once with it warm from all 256 inputs."""
+    tables shared across calls, the completion table among them, cleared
+    before every input, and once with them warm from all 256 inputs."""
     dom = scalars.gf(2)
     inputs = [Hypermatrix((2, 2, 2), list(bits), dom)
               for bits in itertools.product(range(2), repeat=8)]
     want = [outcome(ref.nullity, a) for a in inputs]
     cold = []
     for a in inputs:
-        monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
+        cold_tables()
         cold.append(outcome(nullity_module.nullity, a))
     assert cold == want
     assert nullity_module._COMPLETIONS
     assert [outcome(nullity_module.nullity, a) for a in inputs] == want
 
 
-def test_completion_table_stays_within_its_bound(monkeypatch):
+def test_completion_table_stays_within_its_bound(cold_tables):
     """After via-rank nullity on seeded inputs over GF(2), GF(3) and
     GF(5), the completion table holds entries only at p = 2 with one
     unused slice, at most q^(|support| p (m + n)) <=
@@ -370,7 +369,6 @@ def test_completion_table_stays_within_its_bound(monkeypatch):
     str or a tuple of tuples: the flat data (C, D, U, W) of an invertible
     completed pair (U, W) with outer inverse (C, D) and U, W the given
     legs on the support."""
-    monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
     rng = random.Random(4)
     for q, shape in [(2, (2, 2, 2)), (2, (2, 3, 3)), (3, (2, 2, 2)), (3, (2, 2, 3)),
                      (5, (2, 2, 2)), (5, (3, 3, 3))]:
@@ -400,12 +398,11 @@ def test_completion_table_stays_within_its_bound(monkeypatch):
                for (q, m, n, s), count in sizes.items())
 
 
-def test_single_pairs_and_random_completions_leave_the_completion_table_alone(monkeypatch):
+def test_single_pairs_and_random_completions_leave_the_completion_table_alone(cold_tables):
     """Only the exhaustive sweep fills the shared table: deciding single
     GF(7) 4x4x4 pairs, the GF(7) via-rank nullity of a 3x3x3 input, whose
     completions are random, and necessity on a one-term GF(7) triple add
     nothing to it."""
-    monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
     rng = random.Random(7)
     dom = scalars.gf(7)
     for _ in range(3):
@@ -427,17 +424,17 @@ def seeded_exhaustive_inputs():
             yield Hypermatrix.random(shape, scalars.gf(q), rng)
 
 
-def test_certificates_served_from_the_completion_table_share_no_data(monkeypatch):
-    """Via-rank certificates are the same with the completion table
-    cleared before each input and with it warm, and a certificate served
+def test_certificates_served_from_the_completion_table_share_no_data(cold_tables):
+    """Via-rank certificates are the same with the tables, the completion
+    table among them, cleared before each input and with them warm, and a certificate served
     from the table owns its hypermatrices: no other certificate holds the
     same data list, and flipping entries of one changes no later one."""
     inputs = list(seeded_exhaustive_inputs())
     cold = []
     for a in inputs:
-        monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
+        cold_tables()
         cold.append(outcome(nullity_module.nullity, a))
-    monkeypatch.setattr(nullity_module, "_COMPLETIONS", {})
+    cold_tables()
     for a in inputs:
         nullity_module.nullity(a)
     for a, want in zip(inputs, cold):

@@ -12,12 +12,13 @@ match on every GF(2) 2x2x2 input, on inputs whose fibers already span
 r dimensions, on shapes with an extent of 1 and on GF(5) inputs whose
 terms need scaling."""
 
+import functools
 import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -54,9 +55,41 @@ def outcome(fn, *args, **kwargs):
     return canonical(found) if hasattr(found, "to_json") else found
 
 
-def first_yields(search, a, r, all_solutions):
-    found = search(a, r, budget=BUDGET, all_solutions=all_solutions)
-    return [canonical(t) for t in itertools.islice(found, 50)]
+def library_listing(a, r, all_solutions, budget=BUDGET, count=50):
+    """The first ``count`` yields of the BM search as canonical JSON, or
+    the outcome of a refusal.
+
+    Without ``all_solutions`` they are the first triple of each of the
+    first ``count`` enumerated (outer, inner) pairs.  A pair's first
+    triple takes every fiber's first solution, the free-variables-zero
+    one (see test_all_solutions_lead_with_the_free_zero_one), so here
+    the solver is cut to that one, with a layout cache of its own, and
+    the search yields one triple per pair: listing all of them reads 5^8
+    triples per pair of the GF(5) zero input at r = 2."""
+
+    def listed():
+        found = iter_bm_decompositions(a, r, budget=budget)
+        return [canonical(t) for t in itertools.islice(found, count)]
+
+    if all_solutions:
+        return outcome(listed)
+    solve = rank._fiber_solutions
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rank, "_fiber_solutions",
+                      lambda *args: (sols := solve(*args)) and itertools.islice(sols, 1))
+        patch.setattr(rank, "_bm_layout", functools.cache(rank._bm_layout.__wrapped__))
+        return outcome(listed)
+
+
+def reference_listing(a, r, all_solutions, budget=BUDGET, count=50):
+    """The first ``count`` yields of the reference's scan under the same
+    flag, as :func:`library_listing` gives the library's."""
+
+    def listed():
+        found = ref.iter_bm_decompositions(a, r, budget=budget, all_solutions=all_solutions)
+        return [canonical(t) for t in itertools.islice(found, count)]
+
+    return outcome(listed)
 
 
 def witness(family):
@@ -92,9 +125,7 @@ def assert_cp_matches(a, budget=BUDGET):
 
 
 def assert_searches_match(a, r, all_solutions, monkeypatch):
-    got = outcome(first_yields, iter_bm_decompositions, a, r, all_solutions)
-    want = outcome(first_yields, ref.iter_bm_decompositions, a, r, all_solutions)
-    assert got == want
+    assert library_listing(a, r, all_solutions) == reference_listing(a, r, all_solutions)
     assert_cp_matches(a)
     family = [a.mat_of_depth(k) for k in range(a.shape[2])]
     try:
@@ -213,13 +244,8 @@ def test_larger_searches_match_reference(q, shape, r, seed, all_solutions):
         a = Hypermatrix.zeros(shape, scalars.gf(q))
     else:
         a = draw_input(q, shape, r, True, seed)
-
-    def first(search):
-        found = search(a, r, budget=10**12, all_solutions=all_solutions)
-        return [canonical(t) for t in itertools.islice(found, 10)]
-
-    got = first(iter_bm_decompositions)
-    assert got == first(ref.iter_bm_decompositions)
+    got = library_listing(a, r, all_solutions, budget=10**12, count=10)
+    assert got == reference_listing(a, r, all_solutions, budget=10**12, count=10)
     assert len(got) == 10
 
 
@@ -227,7 +253,7 @@ def test_larger_searches_match_reference(q, shape, r, seed, all_solutions):
     "search,r", [(bm_rank_exhaustive, 1), (bm_rank_exhaustive, 2),
                  (bm_rank_exhaustive, 3), (cp_rank_exhaustive, 3)],
 )
-def test_filter_leaves_few_scalar_solves(search, r, monkeypatch):
+def test_filter_leaves_few_scalar_solves(search, r, monkeypatch, cold_tables):
     """Without the filter these searches solve 48.7k to 154k fibers."""
     calls = []
     solve = rank._fiber_solutions
@@ -237,9 +263,28 @@ def test_filter_leaves_few_scalar_solves(search, r, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(rank, "_fiber_solutions", counted)
-    monkeypatch.setattr(rank, "_SOLUTION_CACHE", {})
     search(delta_sum(3, r, scalars.gf(2)))
     assert 0 < len(calls) < 100
+
+
+def test_cp_search_draws_one_solution_per_fiber(monkeypatch):
+    """The CP search reads only the first solution of each depth fiber,
+    so it draws one from the lazy solver per consistent fiber, although
+    its fibers with equal terms have q^free solutions."""
+    solve = rank._fiber_solutions
+    drawn, listed = [], []
+
+    def counted(rows, rhs, domain, r):
+        sols = solve(rows, rhs, domain, r)
+        if sols is None:
+            return None
+        listed.append(len(list(solve(rows, rhs, domain, r))))
+        return (drawn.append(sol) or sol for sol in sols)
+
+    monkeypatch.setattr(rank, "_fiber_solutions", counted)
+    for seed in range(4):
+        cp_rank_exhaustive(cp_planted(5, (2, 2, 2), 2, seed), budget=10**7)
+    assert len(drawn) == len(listed) < sum(listed)
 
 
 def draw_sparse_input(q, shape, zero_chance, seed):
@@ -267,9 +312,7 @@ def sparse_inputs(draw):
 @settings(max_examples=120, deadline=None)
 @given(sparse_inputs(), st.sampled_from([1, 2]), st.booleans())
 def test_sparse_searches_match_reference(a, r, all_solutions):
-    got = outcome(first_yields, iter_bm_decompositions, a, r, all_solutions)
-    want = outcome(first_yields, ref.iter_bm_decompositions, a, r, all_solutions)
-    assert got == want
+    assert library_listing(a, r, all_solutions) == reference_listing(a, r, all_solutions)
     assert_cp_matches(a)
 
 
@@ -320,68 +363,74 @@ def test_walked_outer_values_are_those_the_reference_uses(monkeypatch):
     assert ruled_out > 0
 
 
-def test_mask_tables_stay_within_their_bound(monkeypatch):
-    """On a GF(5) search each fiber pattern keeps one table per outer-part
-    value it visited, of at most q^rows right sides (a fiber has rows
-    rows), so its entries are at most (outer parts visited) x q^rows."""
-    monkeypatch.setattr(rank, "_MASK_CACHE", {})
-    visited = set()
-    masks = rank._fiber_masks
+def test_layout_tables_stay_within_their_bounds(monkeypatch, cold_tables):
+    """Each layout of :func:`rank._bm_layout` keeps a mask table and a
+    solution table.
 
-    def recorded(q, pattern, outer):
-        visited.add((pattern, outer))
+    The mask table keeps one table per outer-part value the search
+    visited, of at most q^rows right sides (a fiber has rows rows), so
+    its entries are at most (outer parts visited) x q^rows; GF(5)
+    searches whose walks are stubbed out visit every outer value.
+
+    The solution table keeps one solution list per (outer-part value,
+    inner-part value, right side) a survivor met, its outer-part values
+    among those of the mask table.  The lists of one (outer, inner) pair
+    partition the q^r values of the fiber's r unknowns by their right
+    side, so they hold at most q^r solutions in all, over at most
+    min(q^r, q^rows) right sides, and the table's entries are at most
+    (outer parts visited) x q^width x min(q^r, q^rows), the inner part
+    having width digits."""
+    # layouts: (m, n, p, r, q, solved leg) -> (pattern, mask table, solution table)
+    visited, layouts = set(), {}
+    masks, layout = rank._fiber_masks, rank._bm_layout
+
+    def recorded_masks(q, pattern, outer):
+        visited.add((q, pattern, outer))
         return masks(q, pattern, outer)
 
-    monkeypatch.setattr(rank, "_fiber_masks", recorded)
-    monkeypatch.setattr(rank, "_lex_walk", lambda *args: iter(()))
-    for shape, r in (((2, 2, 2), 1), ((1, 2, 2), 2), ((2, 1, 2), 2)):
-        for planted in (True, False):
-            a = draw_input(5, shape, r, planted, 3)
-            for _ in iter_bm_decompositions(a, r, budget=10**7):
-                pass
-    assert rank._MASK_CACHE
-    for (q, pattern), tables in rank._MASK_CACHE.items():
-        rows = len(pattern[0])
-        parts = {outer for seen, outer in visited if seen == pattern}
-        assert set(tables) == parts
-        assert sum(map(len, tables.values())) <= len(parts) * q**rows
-        assert all(len(table) <= q**rows for table in tables.values())
+    def recorded_layout(*key):
+        found = layout(*key)
+        layouts[key] = (found[2], *found[-2:])
+        return found
 
-
-def test_solution_table_stays_within_its_bound(monkeypatch):
-    """Each fiber pattern keeps one solution list per (outer-part value,
-    inner-part value, right side) a survivor met, its outer-part values
-    among those the pattern's mask tables hold.  The lists of one (outer,
-    inner) pair partition the q^r values of the fiber's r unknowns by
-    their right side, so they hold at most q^r solutions in all, over at
-    most min(q^r, q^rows) right sides, and the pattern's entries are at
-    most (outer parts visited) x q^width x min(q^r, q^rows), the inner
-    part having width digits."""
-    monkeypatch.setattr(rank, "_MASK_CACHE", {})
-    monkeypatch.setattr(rank, "_SOLUTION_CACHE", {})
+    monkeypatch.setattr(rank, "_fiber_masks", recorded_masks)
+    monkeypatch.setattr(rank, "_bm_layout", recorded_layout)
+    with monkeypatch.context() as patch:
+        patch.setattr(rank, "_lex_walk", lambda *args: iter(()))
+        for shape, r in (((2, 2, 2), 1), ((1, 2, 2), 2), ((2, 1, 2), 2)):
+            for planted in (True, False):
+                a = draw_input(5, shape, r, planted, 3)
+                for _ in iter_bm_decompositions(a, r, budget=10**7):
+                    pass
     for q, shape, r in ((3, (2, 2, 2), 1), (5, (2, 2, 2), 1), (3, (1, 2, 2), 2),
                         (5, (2, 1, 2), 2), (2, (2, 2, 3), 2)):
-        for seed, all_solutions in ((4, False), (5, True)):
+        for seed in (4, 5):
             a = draw_input(q, shape, r, True, seed)
-            search = iter_bm_decompositions(a, r, budget=10**7, all_solutions=all_solutions)
-            for _ in itertools.islice(search, 200):
+            for _ in itertools.islice(iter_bm_decompositions(a, r, budget=10**7), 200):
                 pass
-    assert rank._SOLUTION_CACHE
-    for (q, pattern), table in rank._SOLUTION_CACHE.items():
+    kept = {}
+    for (*_, q, _), (pattern, tables, _) in layouts.items():
+        kept.setdefault((q, pattern), set()).update(tables)
+    assert any(tables for _, tables, _ in layouts.values())
+    assert any(solutions for *_, solutions in layouts.values())
+    for (*_, r, q, _), (pattern, tables, solutions) in layouts.items():
         rows_a, _, width = pattern
-        rows, r = len(rows_a), len(rows_a[0])
-        visited = set(rank._MASK_CACHE[q, pattern])
+        rows = len(rows_a)
+        assert kept[q, pattern] == {outer for seen_q, seen, outer in visited
+                                    if (seen_q, seen) == (q, pattern)}
+        assert sum(map(len, tables.values())) <= len(tables) * q**rows
+        assert all(len(table) <= q**rows for table in tables.values())
         pairs = {}
-        for (outer, inner, right), sols in table.items():
-            assert outer in visited
+        for (outer, inner, right), sols in solutions.items():
+            assert outer in tables
             assert len(inner) == width and len(right) == rows
-            assert sols == rank._fiber_solutions(
-                rank._pattern_rows(q, pattern, outer, inner), right, scalars.gf(q), r, True)
+            assert sols == list(rank._fiber_solutions(
+                rank._pattern_rows(q, pattern, outer, inner), right, scalars.gf(q), r))
             pairs.setdefault((outer, inner), []).append(len(sols))
         for counts in pairs.values():
             assert sum(counts) <= q**r
             assert len(counts) <= min(q**r, q**rows)
-        assert len(table) <= len(visited) * q**width * min(q**r, q**rows)
+        assert len(solutions) <= len(tables) * q**width * min(q**r, q**rows)
 
 
 TABLE_SHAPES = [(2, 2, 2), (2, 2, 3), (1, 2, 3), (3, 2, 2)]
@@ -389,44 +438,36 @@ TABLE_SHAPES = [(2, 2, 2), (2, 2, 3), (1, 2, 3), (3, 2, 2)]
 TABLE_BUDGET = 10**5
 
 
-@settings(max_examples=60, deadline=None)
+# the fixture's tables are emptied in each example
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     st.sampled_from([2, 3, 5]),
     st.sampled_from(TABLE_SHAPES),
     st.sampled_from([1, 2]),
     st.booleans(),
-    st.booleans(),
     st.integers(0, 10**6),
 )
-def test_solution_table_keeps_the_yields(q, shape, r, all_solutions, planted, seed):
-    """The first 50 yields match the reference's with the solution table
-    emptied, and again once it is warm, its entries filled by searches
-    under both ``all_solutions`` flags."""
+def test_solution_table_keeps_the_yields(cold_tables, q, shape, r, planted, seed):
+    """The first 50 yields match the reference's all-solutions listing
+    with the tables emptied, and again once they are warm, their entries
+    filled by longer listings of this input and of another of its
+    shape."""
     a = draw_input(q, shape, r, planted, seed)
-
-    def first(search, flag):
-        found = search(a, r, budget=TABLE_BUDGET, all_solutions=flag)
-        return [canonical(t) for t in itertools.islice(found, 50)]
-
-    def listed(search, flag):
-        return outcome(first, search, flag)
-
-    want = listed(ref.iter_bm_decompositions, all_solutions)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(rank, "_SOLUTION_CACHE", {})
-        assert listed(iter_bm_decompositions, all_solutions) == want
-        listed(iter_bm_decompositions, not all_solutions)
-        assert listed(iter_bm_decompositions, all_solutions) == want
+    want = reference_listing(a, r, True, budget=TABLE_BUDGET)
+    cold_tables()
+    assert library_listing(a, r, True, budget=TABLE_BUDGET) == want
+    for b in (a, draw_input(q, shape, r, not planted, seed + 1)):
+        library_listing(b, r, True, budget=TABLE_BUDGET, count=200)
+    assert library_listing(a, r, True, budget=TABLE_BUDGET) == want
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("r", [0, -1])
-def test_search_refuses_r_below_one(q, r, monkeypatch):
+def test_search_refuses_r_below_one(q, r, cold_tables):
     """The refusal names r and comes before any table or budget work."""
-    monkeypatch.setattr(rank, "_MASK_CACHE", {})
-    monkeypatch.setattr(rank, "_SOLUTION_CACHE", {})
     a = draw_input(q, (2, 2, 2), 1, True, 0)
     for budget in (0, BUDGET):
         with pytest.raises(ShapeError, match=f"r must be at least 1, got {r}"):
             next(iter_bm_decompositions(a, r, budget=budget))
-    assert rank._MASK_CACHE == rank._SOLUTION_CACHE == {}
+    assert rank._bm_layout.cache_info().currsize == 0
