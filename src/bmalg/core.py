@@ -24,8 +24,6 @@ fraction-free on integer rows (Bareiss, Math. Comp. 22, 1968), so its
 loop does Python-int arithmetic only; the kernels read ratios of those
 integers and return the same Fractions as elimination over Fractions.
 
-``BATCH_ENTRIES`` bounds the complex probe stacks of
-``inverse.sandwich_check``; over Q and GF(q) the check stacks no probe.
 The GF(q) rank searches build no array.
 """
 
@@ -41,9 +39,6 @@ from fractions import Fraction
 from .errors import ShapeError
 from .scalars import RATIONAL_KIND, ScalarDomain
 
-# Most entries per complex probe stack of inverse.sandwich_check; the exact
-# checks compose the fibre action and stack no probe.
-BATCH_ENTRIES = 1 << 16
 # Search budgets of rank and nullity, kept here so that the CLI parser
 # reads them without importing either module.
 DEFAULT_RANK_BUDGET = 10_000_000
@@ -467,11 +462,15 @@ class Matrix(_Dense):
 
     def row(self, i):
         m, n = self.shape
+        if not 0 <= i < m:
+            raise ShapeError(f"row {i} out of range for {self.shape}")
         return self.data[i * n : (i + 1) * n]
 
     def col(self, j):
         m, n = self.shape
-        return [self.data[i * n + j] for i in range(m)]
+        if not 0 <= j < n:
+            raise ShapeError(f"column {j} out of range for {self.shape}")
+        return self.data[j::n]
 
     def to_rows(self):
         return [self.row(i) for i in range(self.shape[0])]

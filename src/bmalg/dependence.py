@@ -199,14 +199,13 @@ def is_dependent_numeric(family, seed=0):
     return None
 
 
-def find_dependence(family, **numeric_opts):
+def find_dependence(family):
     """Dispatch on the family's domain: exact for GF(q) and the
-    rationals, numeric for complex (``numeric_opts`` go to
-    :func:`is_dependent_numeric`)."""
+    rationals, numeric for complex."""
     (_, _), dom = check_family(family)
     if dom.is_exact:
         return is_dependent_exact(family)
-    return is_dependent_numeric(family, **numeric_opts)
+    return is_dependent_numeric(family)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +398,7 @@ class SliceDependence:
     witness: DiagonalWitness
 
 
-def dependent_depth_subset(h: Hypermatrix, k, **numeric_opts):
+def dependent_depth_subset(h: Hypermatrix, k):
     """The first k-subset of depth slices of ``h``, in
     ``itertools.combinations`` order, whose family has a witness
     (:func:`find_dependence`), or None.
@@ -412,13 +411,13 @@ def dependent_depth_subset(h: Hypermatrix, k, **numeric_opts):
         raise ShapeError(f"subset size {k} outside [1, {p}]")
     slices = h.depth_matrices()
     for subset in itertools.combinations(range(p), k):
-        witness = find_dependence([slices[t] for t in subset], **numeric_opts)
+        witness = find_dependence([slices[t] for t in subset])
         if witness is not None:
             return SliceDependence(subset, witness)
     return None
 
 
-def dependent_slice_family(h: Hypermatrix, decomposition, **numeric_opts):
+def dependent_slice_family(h: Hypermatrix, decomposition, seed=0):
     """Find a dependent (ell+1)-subset of depth slices of a hypermatrix
     that admits a decomposition with contracted dimension ell below
     min(m, n, p).
@@ -428,7 +427,8 @@ def dependent_slice_family(h: Hypermatrix, decomposition, **numeric_opts):
     own (the degenerate case where nontriviality is waived).  Otherwise
     this is :func:`dependent_depth_subset` at k = ell + 1, which returns
     None when no subset has a witness; existence is only guaranteed
-    when ell is the exact rank.
+    when ell is the exact rank.  ``seed`` does not change the result; it
+    is kept for the callers that pass it.
     """
     from .rank import DecompositionTriple
     if not isinstance(decomposition, DecompositionTriple):
@@ -450,7 +450,7 @@ def dependent_slice_family(h: Hypermatrix, decomposition, **numeric_opts):
             return SliceDependence(
                 (k,), DiagonalWitness([ones_m], [ones_n], residual=0.0)
             )
-    return dependent_depth_subset(h, ell + 1, **numeric_opts)
+    return dependent_depth_subset(h, ell + 1)
 
 
 # ---------------------------------------------------------------------------

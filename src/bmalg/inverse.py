@@ -28,9 +28,8 @@ module keeps the factors it accepted.
 code with the block loop, since the CLI uses it to re-verify what the
 loop recovered.  Over Q and GF(q) it composes, from the four legs' flat
 data, the p x p action of the sandwich on each fibre X[i, j, :] once,
-and reads every probe's deviation off it exactly; over C it runs the
-probes through stacked ternary products, which keep the bits of one
-probe at a time.
+and reads every probe's deviation off it exactly; over C it runs each
+probe through its own two ternary products.
 """
 
 from __future__ import annotations
@@ -470,9 +469,9 @@ def sandwich_check(pair: HyperPair, inverse: OuterInversePair, probes) -> float:
     is a p x p matrix times X[i, j, :].  Over Q and GF(q) that action is
     composed once (:func:`_composed_action`) and each probe's deviation
     read off it exactly (:func:`_composed_check`), with no product.
-    Over C the probes run through the products in stacks
-    (:func:`_stacked_check`), since composing reassociates the float
-    sums.
+    Over C each probe runs through its own two products, since composing
+    reassociates the float sums; the deviations fold in probe order from
+    0.0, so a probe whose deviation is NaN is dropped.
 
     The transpose conjugates of this identity need no probe of their
     own: T(Prod(A, B, C)) = Prod(T(B), T(C), T(A)), so they re-index the
@@ -485,8 +484,13 @@ def sandwich_check(pair: HyperPair, inverse: OuterInversePair, probes) -> float:
     depth = inverse.c.shape[2]
     if depth != first.shape[2]:
         raise ShapeError(f"shape mismatch {first.shape[:2] + (depth,)} vs {first.shape}")
-    check = _composed_check if pair.domain.is_exact else _stacked_check
-    return check(pair, inverse, itertools.chain([first], probes))
+    probes = itertools.chain([first], probes)
+    if pair.domain.is_exact:
+        return _composed_check(pair, inverse, probes)
+    worst = 0.0
+    for x in probes:
+        worst = max(worst, inverse.act(pair.act(x)).max_deviation(x))
+    return worst
 
 
 def _conformed(pair, inverse, probes):
@@ -565,41 +569,6 @@ def _composed_check(pair, inverse, probes) -> float:
             worst = float(any(sum(map(operator.mul, row, xs[at : at + p])) % q
                               for at, row in rows))
     return worst
-
-
-def _stacked_check(pair, inverse, probes) -> float:
-    """The deviation of each probe from its own two products, run in
-    stacks of as many probes as fit in ``core.BATCH_ENTRIES`` entries,
-    at least one.
-
-    The P probes of a stack fill one (P*m, n, p) hypermatrix along axis
-    0, A and C are tiled P times along axis 0, and two ternary products
-    give probe q's Prod(C, Prod(A, X, B), D) as the flat block
-    [q*m*n*p, (q+1)*m*n*p).  The product kernel computes every entry on
-    its own, in term order, so each block has the bits of the probe's
-    own products, and the deviations fold in probe order.
-    """
-    a, b = pair.a, pair.b
-    c, d = inverse.c, inverse.d
-    m, n, p = pair.dims
-    dom = pair.domain
-    size = m * n * p
-    per_stack = max(1, core.BATCH_ENTRIES // size)
-    worst = 0.0
-    while stack := list(itertools.islice(probes, per_stack)):
-        k = len(stack)
-        xs = Hypermatrix((k * m, n, p), [v for x in stack for v in x.data], dom)
-        z = bm_product(_tiled(c, k), bm_product(_tiled(a, k), xs, b), d).data
-        for q, x in enumerate(stack):
-            block = Hypermatrix(x.shape, z[q * size : (q + 1) * size], dom)
-            worst = max(worst, block.max_deviation(x))
-    return worst
-
-
-def _tiled(h: Hypermatrix, k) -> Hypermatrix:
-    """h repeated k times along axis 0."""
-    n0, n1, n2 = h.shape
-    return Hypermatrix((k * n0, n1, n2), h.data * k, h.domain)
 
 
 def random_pair(m, n, p, domain, rng: random.Random) -> HyperPair:

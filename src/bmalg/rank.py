@@ -260,7 +260,9 @@ def matrix_slice_reduce(x: Matrix, y: Matrix, tau, us):
     combination sum_{t != tau} us[t] * y[t, :], drop one outer product.
 
     Returns (x', y') with contracted dimension ell - 1 and the same
-    product; raises when the row hypothesis fails (row tau != u y').
+    product; raises ShapeError when some t != tau has no us[t], and
+    ReductionHypothesisError when the row hypothesis fails (row tau !=
+    u y').
     """
     dom = x.domain
     m, ell = x.shape
@@ -272,7 +274,13 @@ def matrix_slice_reduce(x: Matrix, y: Matrix, tau, us):
     if not (0 <= tau < ell):
         raise ShapeError(f"tau {tau} out of range")
     others = [t for t in range(ell) if t != tau]
-    u = [dom.coerce(us[t]) for t in others]
+    u = []
+    for t in others:
+        try:
+            c = us[t]
+        except LookupError:
+            raise ShapeError(f"us[{t}] is missing: each t != tau needs one") from None
+        u.append(dom.coerce(c))
     new_y = Matrix((ell - 1, n), [a for t in others for a in y.row(t)], dom)
     combo = Matrix((1, ell - 1), u, dom).matmul(new_y)
     for j, (a, b) in enumerate(zip(combo.data, y.row(tau))):

@@ -1759,6 +1759,9 @@ def two_slice_witness(b: Hypermatrix, tau=1):
 
 # -- former batched candidate scan (core) -------------------------------------
 
+# Most array entries per block of candidates in the batched scans below.
+BATCH_ENTRIES = 1 << 16
+
 
 def lex_filter(q, outer_len, inner_len, per_candidate, test):
     """Yield the pairs (outer, inner) of digit tuples over ``range(q)``,
@@ -1770,12 +1773,12 @@ def lex_filter(q, outer_len, inner_len, per_candidate, test):
     candidates, one per column of an int64 array, and returns a boolean
     mask over the columns.  A block holds the q^k candidates that share
     all but their last k digits, k as large as keeps ``per_candidate``
-    entries each within ``core.BATCH_ENTRIES`` (one candidate when a
+    entries each within ``BATCH_ENTRIES`` (one candidate when a
     single one exceeds it), so memory stays bounded however long the
     inner leg is.
     """
     k = 0
-    while k < inner_len and q ** (k + 1) * per_candidate <= core.BATCH_ENTRIES:
+    while k < inner_len and q ** (k + 1) * per_candidate <= BATCH_ENTRIES:
         k += 1
     cut = inner_len - k
     tails = list(itertools.product(range(q), repeat=k))
@@ -1801,7 +1804,7 @@ def is_dependent_exact_batched(family, budget=DEFAULT_SEARCH_BUDGET):
     by definition (the single term must itself vanish).
 
     For each assignment of the x vectors, a numpy test checks the y
-    assignments in lexicographic blocks of at most ``core.BATCH_ENTRIES``
+    assignments in lexicographic blocks of at most ``BATCH_ENTRIES``
     array entries (zero residual and some nonzero term) and the first
     hit is returned, the one a one-by-one scan would find.
     """

@@ -141,6 +141,17 @@ def test_diag_sandwich_expansion():
             assert s[i, j] == u[i] * m[i, j] * v[j]
 
 
+def test_matrix_rows_and_columns_check_their_index():
+    """row and col read what __getitem__ reads, and refuse the indices it
+    refuses, negative ones included."""
+    m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]], RAT)
+    assert [m.row(i) for i in range(2)] == [[m[i, j] for j in range(3)] for i in range(2)]
+    assert [m.col(j) for j in range(3)] == [[m[i, j] for i in range(2)] for j in range(3)]
+    for read, index in ((m.row, 2), (m.row, -1), (m.col, 3), (m.col, -1)):
+        with pytest.raises(ShapeError, match="out of range for \\(2, 3\\)"):
+            read(index)
+
+
 def test_matrix_inverse_and_det():
     rng = random.Random(2)
     for _ in range(20):

@@ -32,8 +32,14 @@ from pathlib import Path
 import pytest
 
 import bmalg
-from bmalg.inverse import random_pair
-from bmalg.scalars import gf, rational
+from bmalg.inverse import (
+    HyperPair,
+    random_pair,
+    recover_outer_inverse,
+    sandwich_check,
+    unit_probe_basis,
+)
+from bmalg.scalars import complex_doubles, gf, rational
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "benchmarks" / "corpus"
@@ -252,19 +258,29 @@ def test_numpy_free_corpus_commands_run_without_numpy(name, shadow):
     assert proc.stdout == (CORPUS / "expected" / f"{name}.stdout").read_bytes()
 
 
-@pytest.mark.parametrize("dom", [rational(), gf(7)], ids=["rational", "gf7"])
-def test_exact_inverse_pair_rechecks_run_without_numpy(dom, shadow, tmp_path):
-    """The CLI re-checks a recovered 3x3x3 inverse on all 27 unit probes;
-    over Q and GF(q) the check composes the fibre action and runs no
-    product, so it builds no array."""
-    pair = random_pair(3, 3, 3, dom, random.Random(0))
+@pytest.mark.parametrize("dom, n", [(rational(), 3), (gf(7), 3), (complex_doubles(), 3),
+                                    (complex_doubles(), 5)],
+                         ids=["rational", "gf7", "complex-3", "complex-5"])
+def test_inverse_pair_rechecks_run_without_numpy(dom, n, shadow, tmp_path):
+    """The CLI re-checks a recovered n x n x n inverse on all n^3 unit
+    probes.  Over Q and GF(q) the check composes the fibre action and
+    runs no product; over C each probe's two products, of n^4 <= 625
+    multiply-adds here, stay in the pure-Python kernel.  So neither
+    builds an array, and the residual is the one the check gives in
+    process."""
+    pair = random_pair(n, n, n, dom, random.Random(0))
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(pair.to_json()))
     proc = run_python(["-m", "bmalg.cli", "inverse-pair", str(path)], shadow)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["invertible"] is True
-    assert report["diagnostics"]["sandwich_residual"] == 0.0
+    pair = HyperPair.from_json(json.loads(path.read_text()))
+    residual = sandwich_check(pair, recover_outer_inverse(pair),
+                              unit_probe_basis(n, n, n, pair.domain))
+    assert report["diagnostics"]["sandwich_residual"] == residual
+    if dom.is_exact:
+        assert residual == 0.0
 
 
 def test_the_shadow_numpy_stops_a_command_that_builds_arrays(shadow):

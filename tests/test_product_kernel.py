@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import reference as ref
 from bmalg import products, scalars
 from bmalg.core import Hypermatrix
-from bmalg.inverse import _tiled, random_pair, unit_probe_basis
+from bmalg.inverse import random_pair, unit_probe_basis
 from bmalg.products import (
     bm_product,
     delta_t,
@@ -265,18 +265,18 @@ def test_general_products_at_and_above_the_constant(dom, over, monkeypatch):
 @pytest.mark.parametrize("dom", EXACT, ids=domain_id)
 @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3, 3), (1, 4, 2)])
 def test_tiled_sandwich_legs_match_per_scalar_oracle(dom, dims):
-    """The stacked products of ``inverse.sandwich_check``: A and C tiled
-    along axis 0 around every unit probe of a random pair at once."""
+    """Tall sandwich products: A and C repeated along axis 0 around every
+    unit probe of a random pair at once."""
     m, n, p = dims
     rng = random.Random(m * n * p)
     pair = random_pair(m, n, p, dom, rng)
     probes = unit_probe_basis(m, n, p, dom)
     k = len(probes)
     xs = Hypermatrix((k * m, n, p), [v for x in probes for v in x.data], dom)
-    a, b = _tiled(pair.a, k), pair.b
+    a, b = Hypermatrix((k * m, p, p), pair.a.data * k, dom), pair.b
     y = ref.scalar_bm_product(a, xs, b)
     assert_kernels_match(lambda: bm_product(a, xs, b), y)
-    c = _tiled(Hypermatrix.random(pair.a.shape, dom, rng), k)
+    c = Hypermatrix((k * m, p, p), Hypermatrix.random(pair.a.shape, dom, rng).data * k, dom)
     assert_kernels_match(lambda: bm_product(c, y, b), ref.scalar_bm_product(c, y, b))
 
 

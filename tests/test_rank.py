@@ -253,6 +253,17 @@ def test_matrix_slice_reduce_hypothesis_check():
         matrix_slice_reduce(x, y, 1, {0: Fraction(7)})
 
 
+@pytest.mark.parametrize("us, missing", [([1], 1), ({1: 1}, 0)], ids=["list", "dict"])
+def test_matrix_slice_reduce_names_a_missing_multiplier(us, missing):
+    """At tau = 2 both t = 0 and t = 1 need a multiplier: a list too
+    short and a dict without the key raise ShapeError naming it, as
+    hyper_slice_reduce names a missing vector."""
+    x = Matrix.from_rows([[1, 2, 3]], RAT)
+    y = Matrix.from_rows([[1, 0], [0, 1], [1, 0]], RAT)
+    with pytest.raises(ShapeError, match=rf"^us\[{missing}\] is missing"):
+        matrix_slice_reduce(x, y, 2, us)
+
+
 def build_reducible_identity_triple(rng, m, n, p, tau, dom=RAT):
     """Forward construction: B's tau slice is a diagonal combination of
     the others, so (J0, B, J1) satisfies the reduction hypothesis."""

@@ -1,11 +1,11 @@
 """The sandwich check against the per-probe loop it replaced
 (``reference.sandwich_check_per_probe``), and the dense deviation
 against the one that always subtracted (``reference.max_deviation``):
-the same float, bit for bit, on every domain, probe set and stack
-split, and the same exception class on a probe of the wrong shape or
-domain or an inverse of the wrong depth.  Over C the check runs the
-probes through stacked products; over Q and GF(q) it composes the
-fibre action once and runs no product."""
+the same float, bit for bit, on every domain and probe set, and the
+same exception class on a probe of the wrong shape or domain or an
+inverse of the wrong depth.  Over C the check runs each probe through
+its own two products; over Q and GF(q) it composes the fibre action
+once and runs no product."""
 
 import math
 import random
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from bmalg import core, inverse, scalars
+from bmalg import inverse, scalars
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.errors import ConformabilityError, DomainMismatchError, ShapeError
 from bmalg.inverse import (
@@ -91,11 +91,12 @@ def make_probes(kind, shape, dom, rng):
 
 
 def counted_products(monkeypatch):
-    """Record the middle-leg shape of every product the check runs."""
+    """Record the shapes of the three legs of every product the check
+    runs."""
     calls = []
 
     def counting(*legs):
-        calls.append(legs[1].shape)
+        calls.append(tuple(leg.shape for leg in legs))
         return bm_product(*legs)
 
     monkeypatch.setattr(inverse, "bm_product", counting)
@@ -110,12 +111,10 @@ def counted_products(monkeypatch):
     inverse_kind=st.sampled_from(["recovered", "perturbed", "mismatched"]),
     probe_kind=st.sampled_from(["unit", "dense", "empty", "one"]),
     as_generator=st.booleans(),
-    split=st.sampled_from(["one", "two", "each", "below-one"]),
     specials=st.booleans(),
 )
-def test_stacked_check_matches_per_probe_loop(seed, dom, shape, inverse_kind,
-                                              probe_kind, as_generator, split,
-                                              specials):
+def test_sandwich_check_matches_per_probe_loop(seed, dom, shape, inverse_kind,
+                                               probe_kind, as_generator, specials):
     rng = random.Random(seed)
     pair = random_pair(*shape, dom, rng)
     inv = make_inverse(inverse_kind, pair, dom, rng)
@@ -125,18 +124,8 @@ def test_stacked_check_matches_per_probe_loop(seed, dom, shape, inverse_kind,
         probes[at] = with_specials(probes[at], rng)
         if rng.random() < 0.5:
             inv = OuterInversePair(with_specials(inv.c, rng), inv.d)
-    size = math.prod(shape)
-    count = len(probes)
-    per_stack = {
-        "one": max(1, count),
-        "two": max(1, math.ceil(count / 2)),
-        "each": 1,
-        "below-one": 1,
-    }[split]
-    batch = {"below-one": size - 1}.get(split, per_stack * size)
     # NaN and inf entries are deliberate here
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
-        mp.setattr(core, "BATCH_ENTRIES", batch)
         calls = counted_products(mp)
         new = sandwich_check(pair, inv, iter(probes) if as_generator else probes)
         old = ref.sandwich_check_per_probe(
@@ -147,11 +136,12 @@ def test_stacked_check_matches_per_probe_loop(seed, dom, shape, inverse_kind,
         # the composed fibre action replaces the products
         assert calls == []
     else:
-        # two products per stack
-        assert len(calls) == 2 * math.ceil(count / per_stack)
+        # two products per probe, each on the probe's own legs
+        m, n, p = shape
+        assert calls == [((m, p, p), shape, (p, n, p))] * (2 * len(probes))
 
 
-def test_default_batch_runs_the_unit_basis_in_one_stack(monkeypatch):
+def test_the_unit_basis_runs_two_products_per_probe(monkeypatch):
     dom = scalars.complex_doubles()
     pair = random_pair(5, 5, 5, dom, random.Random(0))
     inv = recover_outer_inverse(pair)
@@ -160,7 +150,7 @@ def test_default_batch_runs_the_unit_basis_in_one_stack(monkeypatch):
     assert bits(sandwich_check(pair, inv, probes)) == bits(
         ref.sandwich_check_per_probe(pair, inv, probes)
     )
-    assert calls == [(125 * 5, 5, 5)] * 2
+    assert calls == [((5, 5, 5),) * 3] * (2 * 125)
     # over Q the unit basis runs no product at all
     rat = scalars.rational()
     pair = random_pair(5, 5, 5, rat, random.Random(0))
@@ -170,12 +160,10 @@ def test_default_batch_runs_the_unit_basis_in_one_stack(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("batch", [1, 1 << 16])
-def test_nan_first_probe_folds_as_in_the_loop(batch, monkeypatch):
+def test_nan_first_probe_folds_as_in_the_loop():
     """A probe whose first deviation is NaN has deviation NaN, which
     max(worst, dev) drops: the check reads 0.0 on it alone, though a
     later entry deviates, and the other probe's deviation otherwise."""
-    monkeypatch.setattr(core, "BATCH_ENTRIES", batch)
     dom = scalars.complex_doubles()
     rng = random.Random(1)
     pair = random_pair(2, 2, 2, dom, rng)
@@ -214,9 +202,7 @@ def bad_probe(kind, shape, dom):
 @pytest.mark.parametrize("dom", DOMAINS[:2] + DOMAINS[-1:], ids=str)
 @pytest.mark.parametrize("kind", ["rows", "cols", "depth", "wrong-domain"])
 @pytest.mark.parametrize("at", [0, 1, 3])
-@pytest.mark.parametrize("batch", [1, 1 << 16])
-def test_bad_probe_raises_what_the_loop_raises(dom, kind, at, batch, monkeypatch):
-    monkeypatch.setattr(core, "BATCH_ENTRIES", batch)
+def test_bad_probe_raises_what_the_loop_raises(dom, kind, at):
     shape = (2, 3, 2)
     rng = random.Random(at)
     pair = random_pair(*shape, dom, rng)
@@ -228,12 +214,10 @@ def test_bad_probe_raises_what_the_loop_raises(dom, kind, at, batch, monkeypatch
     assert outcome(sandwich_check, pair, inv, probes) is old
 
 
-@pytest.mark.parametrize("batch", [1, 1 << 16])
-def test_bad_inverse_raises_before_a_later_bad_probe(batch, monkeypatch):
+def test_bad_inverse_raises_before_a_later_bad_probe():
     """The loop checks probe 0's second product before probe 1: an
     inverse in the wrong domain wins over a later probe of the wrong
     shape, and an empty probe list checks nothing."""
-    monkeypatch.setattr(core, "BATCH_ENTRIES", batch)
     shape = (2, 2, 2)
     rng = random.Random(5)
     pair = random_pair(*shape, scalars.rational(), rng)
