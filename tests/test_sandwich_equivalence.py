@@ -90,6 +90,11 @@ def make_probes(kind, shape, dom, rng):
     return [Hypermatrix.random(shape, dom, rng) for _ in range(count)]
 
 
+# A probe set is read once, in order, as it is reached: a list and a
+# one-shot iterator over the same probes give the same result or raise.
+FEEDS = pytest.mark.parametrize("feed", [list, iter], ids=["list", "iterator"])
+
+
 def counted_products(monkeypatch):
     """Record the shapes of the three legs of every product the check
     runs."""
@@ -160,7 +165,8 @@ def test_the_unit_basis_runs_two_products_per_probe(monkeypatch):
     assert calls == []
 
 
-def test_nan_first_probe_folds_as_in_the_loop():
+@FEEDS
+def test_nan_first_probe_folds_as_in_the_loop(feed):
     """A probe whose first deviation is NaN has deviation NaN, which
     max(worst, dev) drops: the check reads 0.0 on it alone, though a
     later entry deviates, and the other probe's deviation otherwise."""
@@ -171,14 +177,14 @@ def test_nan_first_probe_folds_as_in_the_loop():
     x1 = Hypermatrix.random((2, 2, 2), dom, rng)
     x0 = Hypermatrix((2, 2, 2), [complex(math.nan, 0.0)] + x1.data[1:], dom)
     with np.errstate(invalid="ignore"):
-        assert sandwich_check(pair, inv, [x0]) == 0.0
+        assert sandwich_check(pair, inv, feed([x0])) == 0.0
         assert ref.max_deviation(
             bm_product(inv.c, bm_product(pair.a, x0, pair.b), inv.d), x0
         ) != ref.max_deviation(x0, x0)  # NaN, not 0.0
-        alone = sandwich_check(pair, inv, [x1])
+        alone = sandwich_check(pair, inv, feed([x1]))
         assert alone > 0.0
         for probes in ([x0, x1], [x1, x0]):
-            new = sandwich_check(pair, inv, probes)
+            new = sandwich_check(pair, inv, feed(probes))
             assert bits(new) == bits(alone)
             assert bits(new) == bits(ref.sandwich_check_per_probe(pair, inv, probes))
 
@@ -202,7 +208,8 @@ def bad_probe(kind, shape, dom):
 @pytest.mark.parametrize("dom", DOMAINS[:2] + DOMAINS[-1:], ids=str)
 @pytest.mark.parametrize("kind", ["rows", "cols", "depth", "wrong-domain"])
 @pytest.mark.parametrize("at", [0, 1, 3])
-def test_bad_probe_raises_what_the_loop_raises(dom, kind, at):
+@FEEDS
+def test_bad_probe_raises_what_the_loop_raises(dom, kind, at, feed):
     shape = (2, 3, 2)
     rng = random.Random(at)
     pair = random_pair(*shape, dom, rng)
@@ -211,10 +218,11 @@ def test_bad_probe_raises_what_the_loop_raises(dom, kind, at):
     probes[at] = bad_probe(kind, shape, dom)
     old = outcome(ref.sandwich_check_per_probe, pair, inv, probes)
     assert old in (ConformabilityError, DomainMismatchError)
-    assert outcome(sandwich_check, pair, inv, probes) is old
+    assert outcome(sandwich_check, pair, inv, feed(probes)) is old
 
 
-def test_bad_inverse_raises_before_a_later_bad_probe():
+@FEEDS
+def test_bad_inverse_raises_before_a_later_bad_probe(feed):
     """The loop checks probe 0's second product before probe 1: an
     inverse in the wrong domain wins over a later probe of the wrong
     shape, and an empty probe list checks nothing."""
@@ -230,8 +238,8 @@ def test_bad_inverse_raises_before_a_later_bad_probe():
     for inv in (wrong, grown):
         old = outcome(ref.sandwich_check_per_probe, pair, inv, probes)
         assert old in (ConformabilityError, DomainMismatchError)
-        assert outcome(sandwich_check, pair, inv, probes) is old
-        assert sandwich_check(pair, inv, []) == 0.0
+        assert outcome(sandwich_check, pair, inv, feed(probes)) is old
+        assert sandwich_check(pair, inv, feed([])) == 0.0
 
 
 def test_inverse_of_the_wrong_depth_raises_what_the_loop_raises():
