@@ -29,7 +29,9 @@ on the support, is kept per field and shared across calls
 (``_COMPLETIONS``), as flat tuples from which every certificate builds
 hypermatrices of its own; every other outcome lives for one call.  Only
 :func:`nullity` labels via-rank certificates with their strategy and
-transpose count.
+transpose count.  Sufficiency and necessity judge a decomposition by
+one rule (:func:`_check_reconstruction`) and a pair's zero depth slices
+by one rule (:func:`first_nonzero_slice`), the one the CLI re-checks.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .inverse import (
     _row_slices,
     recover_outer_inverse,
 )
-from .products import bm_product, identity_pair
+from .products import identity_pair
 from .rank import (
     DecompositionTriple,
     bm_rank_one,
@@ -221,25 +223,18 @@ def _slice_is_zero(g: Hypermatrix, k, tol_scale=0.0):
 
 def first_nonzero_slice(g: Hypermatrix, a: Hypermatrix, zero_set):
     """The first k of ``zero_set`` whose depth slice of ``g`` (a pair's
-    action on ``a``) has norm above tol * (1 + ||a||) * 100, or None."""
+    action on ``a``) has norm above tol * (1 + ||a||) * 100, or None: the
+    zero-slice rule of sufficiency, necessity and the CLI re-check."""
     dom = a.domain
     tol_scale = 0.0 if dom.is_exact else dom.tol * (1.0 + a.norm()) * 100
     return next((k for k in zero_set if not _slice_is_zero(g, k, tol_scale)), None)
 
 
-def _check_reconstruction(rec: Hypermatrix, a: Hypermatrix, what):
-    """Raise CertificateError unless ``rec`` reconstructs ``a``: equal
-    over exact domains, ||rec - a|| <= tol (1 + ||a||) 1e3 over C.
-    Returns that scale, 0.0 over exact domains."""
-    dom = a.domain
-    if dom.is_exact:
-        if not rec.equals(a):
-            raise CertificateError(f"{what} does not reconstruct the input")
-        return 0.0
-    tol_scale = dom.tol * (1.0 + a.norm()) * 1e3
-    if rec.sub(a).norm() > tol_scale:
-        raise CertificateError(f"{what} residual {rec.sub(a).norm():.3e} too large")
-    return tol_scale
+def _check_reconstruction(triple: DecompositionTriple, a: Hypermatrix, what):
+    """Raise CertificateError unless ``triple.deviation(a)`` is at most
+    tol * 1e3, which is 0.0 over exact domains."""
+    if (deviation := triple.deviation(a)) > a.domain.tol * 1e3:
+        raise CertificateError(f"{what} deviates from the input by {deviation:.3e}")
 
 
 def hyper_nullity_sufficiency(
@@ -263,7 +258,7 @@ def hyper_nullity_sufficiency(
         raise CertificateError(f"claimed zero depth slice {bad} is not zero")
     support = tuple(t for t in range(p) if t not in zero_set)
     triple = DecompositionTriple(inv.c, g, inv.d, support)
-    _check_reconstruction(triple.reconstruct(), a, "sufficiency decomposition")
+    _check_reconstruction(triple, a, "sufficiency decomposition")
     return triple
 
 
@@ -472,7 +467,9 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
     maps ``a`` to the middle leg padded to p slices.  (C, D) undoes the
     completion's action, and a left inverse on a finite-dimensional space
     is a right inverse, so (C, D) is invertible with outer inverse the
-    completed legs, and is not tested again.  Each certificate gets
+    completed legs, and is not tested again; its action's unused slices
+    must pass :func:`first_nonzero_slice`, or over C the next completion
+    is tried.  Each certificate gets
     hypermatrices of its own, built from the kept flat data.  Completion
     failure is surfaced as CompletionError, never silently accepted.  The
     certificate reads strategy "via-rank" with no transposes applied;
@@ -490,7 +487,7 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         )
     dom = a.domain
     x0, x1, x2 = decomp.legs()
-    tol_scale = _check_reconstruction(bm_product(x0, x1, x2), a, "decomposition")
+    _check_reconstruction(decomp, a, "decomposition")
     s = decomp.support
     t = _degenerate_term(x0, x1, x2, s)
     if t is not None:
@@ -509,12 +506,10 @@ def hyper_nullity_necessity(a: Hypermatrix, decomp: DecompositionTriple,
         cert_pair = HyperPair(Hypermatrix((m, p, p), c_data, dom),
                               Hypermatrix((p, n, p), d_data, dom))
         g = cert_pair.act(a)
-        bad = [k for k in zero_set if not _slice_is_zero(g, k, tol_scale)]
-        if bad:
+        bad = first_nonzero_slice(g, a, zero_set)
+        if bad is not None:
             if dom.is_exact:
-                raise CertificateError(
-                    f"substitution broke the identity at slices {bad}"
-                )
+                raise CertificateError(f"substitution broke the identity at slice {bad}")
             continue
         pad = [*range(decomp.ell)] + [None] * (p - decomp.ell)  # x1 to p slices
         residual = None if dom.is_exact else g.sub(x1.restack(2, pad)).norm() / (1 + a.norm())
@@ -677,7 +672,9 @@ def _via_rank_over_gf(oriented, budget, seed):
     until a completion exists.  A pair with z zero slices always yields a
     completable (p - z)-term decomposition, so the first level that
     completes matches the exhaustive oracle, as long as the per-level cap
-    of ``DEFAULT_DECOMPOSITION_ATTEMPTS`` decompositions does not bind.
+    of ``DEFAULT_DECOMPOSITION_ATTEMPTS`` decompositions does not bind and
+    the sweep is exhaustive: a random-completion sweep that fails is read
+    as a proof that no completion exists, so the nullity can be too low.
     With z zero depth slices the zero-slice triple has p - z terms and
     always completes, so the climb stops at level min(p - z, p - 1) and
     that triple stands in at level p - z: no higher level can certify
@@ -737,8 +734,11 @@ def nullity(
     inputs, and complex ones with a zero entry (the rank-one test divides
     by entries), certify only their zero depth slices, a lower bound.
     "direct-search" is the exhaustive oracle over tiny prime fields.
-    ``budget`` caps every exhaustive enumeration either strategy runs
-    over GF(q).  A caller that already holds a decomposition calls
+    ``budget`` caps direct search and the rank searches over GF(q), not
+    the completion sweep, which is exhaustive only up to
+    ``DEFAULT_EXHAUSTIVE_COMPLETIONS`` fills and above that tries the
+    identity and ``DEFAULT_COMPLETION_RETRIES`` random completions.  A
+    caller that already holds a decomposition calls
     :func:`hyper_nullity_necessity`.
 
     The relation computed is rank + nullity <= p, not an equality:

@@ -104,6 +104,15 @@ class DecompositionTriple:
     def reconstruct(self) -> Hypermatrix:
         return bm_product(self.x0, self.x1, self.x2)
 
+    def deviation(self, target: Hypermatrix) -> float:
+        """The reconstruction's deviation from ``target``, the one rule of
+        every check: 0.0 or inf over exact domains, else
+        ||product - target|| / (1 + ||target||)."""
+        rec = self.reconstruct()
+        if target.domain.is_exact:
+            return 0.0 if rec.equals(target) else float("inf")
+        return rec.sub(target).norm() / (1.0 + target.norm())
+
     def to_json(self):
         return {
             "x0": self.x0.to_json(),
@@ -139,16 +148,12 @@ class RankCertificate:
     params: dict = field(default_factory=dict)
 
     def verify(self, target: Hypermatrix) -> float:
-        """Re-run the reconstruction check; returns the deviation."""
+        """``triple.deviation(target)``; at r = 0, 0.0 iff ``target`` is zero."""
         if self.triple is None:
             if self.r == 0:
                 return 0.0 if target.is_zero() else float("inf")
             raise CertificateError("certificate carries no decomposition")
-        rec = self.triple.reconstruct()
-        if target.domain.is_exact:
-            return 0.0 if rec.equals(target) else float("inf")
-        dev = rec.sub(target).norm()
-        return dev / (1.0 + target.norm())
+        return self.triple.deviation(target)
 
     def to_json(self):
         return {
@@ -197,11 +202,10 @@ def rank_upper_min(a: Hypermatrix) -> RankCertificate:
     j0, j1 = identity_pair(m, n, r, a.domain)
     legs = _untransposed((j0, oriented, j1), times)
     triple = DecompositionTriple(*legs, tuple(range(r)))
-    cert = RankCertificate(kind="upper-bound", r=r, triple=triple)
-    if not triple.reconstruct().equals(a):
+    if triple.deviation(a) != 0.0:
         raise CertificateError("identity-pair reconstruction failed")
-    cert.residual = None if a.domain.is_exact else 0.0
-    return cert
+    return RankCertificate(kind="upper-bound", r=r, triple=triple,
+                           residual=None if a.domain.is_exact else 0.0)
 
 
 def delta_sum(n, r, domain) -> Hypermatrix:
@@ -227,10 +231,9 @@ def _delta_sum_certificate(n, r, domain, column, depth) -> RankCertificate:
 
     legs = [leg((n, 1, n), column), leg((n, n, 1), depth), leg((1, n, n), operator.eq)]
     triple = DecompositionTriple(*legs, (0,))
-    cert = RankCertificate(kind="upper-bound", r=1, triple=triple)
-    if not triple.reconstruct().equals(delta_sum(n, r, domain)):
+    if triple.deviation(delta_sum(n, r, domain)) != 0.0:
         raise CertificateError("delta-sum reconstruction failed")
-    return cert
+    return RankCertificate(kind="upper-bound", r=1, triple=triple)
 
 
 def delta_sum_certificate(n, r, domain) -> RankCertificate:
@@ -428,9 +431,7 @@ def _batched_lstsq():
     return lambda a, rhs, cut: gelsd(a, rhs, cut, signature="DDd->Ddid")[0][..., 0]
 
 
-def depth_slice_witness(
-    b: Hypermatrix, tau, tol=None, restarts=50, iters=500, seed=0
-):
+def depth_slice_witness(b: Hypermatrix, tau, restarts=50, iters=500, seed=0):
     """Alternating least squares for the affine depth-slice dependence.
 
     With V fixed the relation is linear in each row of U and decouples
@@ -438,7 +439,7 @@ def depth_slice_witness(
     half-sweep solves its m row systems, or its n column systems, in one
     call of :func:`_batched_lstsq`'s solve.  Random restarts with fresh V
     initializations; the first restart whose residual reaches tol * ||B||_F
-    is the witness, None when none does within the budget.
+    (the domain's tol, 1e-9 when zero) is the witness, None if none does.
 
     A sweep does only what changes between sweeps: the slice cuts, the
     right sides, the lstsq cutoffs and the gelsd gufunc are fixed once
@@ -455,8 +456,7 @@ def depth_slice_witness(
     dom = b.domain
     if dom.kind != "complex":
         raise ValueError("depth_slice_witness needs the complex domain")
-    if tol is None:
-        tol = dom.tol or 1e-9
+    tol = dom.tol or 1e-9
     m, n, p = b.shape
     if not (0 <= tau < p):
         raise ShapeError(f"tau {tau} out of range")
@@ -898,7 +898,7 @@ def _assemble_triple(a, r, flat0, flat1, flat2):
 def _exact_certificate(a, triple, **params) -> RankCertificate:
     """The "exact" certificate of ``triple``, found after every term count
     below its r was exhausted; raises when it does not reconstruct ``a``."""
-    if not triple.reconstruct().equals(a):
+    if triple.deviation(a) != 0.0:
         raise CertificateError("search returned a bad decomposition")
     params["exhausted_below"] = triple.r
     return RankCertificate(kind="exact", r=triple.r, triple=triple, params=params)
@@ -1015,8 +1015,7 @@ def cp_rank_exhaustive(a: Hypermatrix, budget=DEFAULT_RANK_BUDGET) -> RankCertif
 # ---------------------------------------------------------------------------
 
 
-def triple_reduction_witness(b: Hypermatrix, kept, tau, tol=None, restarts=20, iters=200,
-                             seed=0):
+def triple_reduction_witness(b: Hypermatrix, kept, tau, restarts=20, iters=200, seed=0):
     """The legs of ``b`` over S' = ``kept`` less ``kept[tau]``, or None.
 
     Each depth slice k outside S' needs a witness B[:,:,k] =
@@ -1034,7 +1033,7 @@ def triple_reduction_witness(b: Hypermatrix, kept, tau, tol=None, restarts=20, i
 
     x1 is ``b`` restacked to S'; x0[i,s,k] and x2[s,j,k] are 1 at k = S'[s],
     u^k_s[i] and v^k_s[j] at k outside S', and 0 otherwise.  The legs
-    stand when their certificate verifies within REDUCTION_ACCEPT * tol.
+    stand when their deviation from ``b`` is at most REDUCTION_ACCEPT * tol.
     """
     dom = b.domain
     if dom.kind != "complex":
@@ -1042,8 +1041,7 @@ def triple_reduction_witness(b: Hypermatrix, kept, tau, tol=None, restarts=20, i
     if not 0 <= tau < len(kept):
         raise ShapeError(f"tau {tau} out of range")
     import numpy as np
-    if tol is None:
-        tol = dom.tol or 1e-9
+    tol = dom.tol or 1e-9
     smaller = kept[:tau] + kept[tau + 1:]
     m, n, p = b.shape
     q, size = len(smaller), m + n
@@ -1102,8 +1100,8 @@ def triple_reduction_witness(b: Hypermatrix, kept, tau, tol=None, restarts=20, i
             x0[:, :, k], x2[:, :, k] = found[:, :m].T, found[:, m:]
     legs = (Hypermatrix(x0.shape, x0.ravel().tolist(), dom), b.restack(2, smaller),
             Hypermatrix(x2.shape, x2.ravel().tolist(), dom))
-    cert = RankCertificate("upper-bound", q, DecompositionTriple(*legs, tuple(range(q))))
-    return legs if cert.verify(b) <= REDUCTION_ACCEPT * tol else None
+    deviation = DecompositionTriple(*legs, tuple(range(q))).deviation(b)
+    return legs if deviation <= REDUCTION_ACCEPT * tol else None
 
 
 def generic_rank_pipeline(b: Hypermatrix, tau=None, restarts=DEFAULT_PIPELINE_RESTARTS,

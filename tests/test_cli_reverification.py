@@ -6,13 +6,14 @@ re-verifies that an exact witness cancels."""
 import dataclasses
 import importlib
 import json
+import random
 
 import pytest
 
 from bmalg import cli, dependence, scalars
 from bmalg.core import Hypermatrix, Matrix
 from bmalg.dependence import SliceDependence
-from bmalg.inverse import OuterInversePair
+from bmalg.inverse import HyperPair, OuterInversePair
 
 # each command imports the library call it re-verifies at call time, so
 # the patches go on the defining modules
@@ -97,3 +98,47 @@ def test_dependence_rejects_a_witness_that_does_not_cancel(tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "failed re-verification" in captured.err
+
+
+def test_necessity_returns_only_what_the_cli_accepts(tmp_path, monkeypatch, capsys):
+    """Necessity judges its unused action slices by ``first_nonzero_slice``,
+    the rule ``bmalg nullity`` re-checks.  A first completion whose unused
+    slice sits at 500 tol (1 + ||a||), which that rule (scale 100) rejects
+    and a 1e3 scale would accept, is skipped over C, so the library
+    returns a later completion and the CLI accepts it."""
+    cplx = scalars.complex_doubles()
+    a = Hypermatrix.random((3, 3, 3), cplx, random.Random(3), nonzero=True)
+    completions = nullity_module._completions
+    band = []
+
+    def crafted_first(a, decomp, exhaustive, seed):
+        # shift C[0, 0, k] on an unused slice k: the action's slice k moves
+        # by eps A[0, :, 0] D[0, :, k] (g[i,j,k] = sum_t C[i,t,k] A[i,j,t] D[t,j,k])
+        outcomes = completions(a, decomp, exhaustive, seed)
+        first = next(outcomes)
+        m, n, p = a.shape
+        k = next(t for t in range(p) if t not in decomp.support)
+        c_data, d_data, *rest = first
+        row = [a.data[j * p] * d_data[j * p + k] for j in range(n)]
+        goal = 500 * cplx.tol * (1.0 + a.norm())
+        shifted = list(c_data)
+        shifted[k] += goal / sum(abs(v) ** 2 for v in row) ** 0.5
+        pair = HyperPair(Hypermatrix((m, p, p), shifted, cplx),
+                         Hypermatrix((p, n, p), d_data, cplx))
+        band.append((k, pair.act(a).mat_of_depth(k).norm() / goal))
+        yield (tuple(shifted), d_data, *rest)
+        yield first
+        yield from outcomes
+
+    monkeypatch.setattr(nullity_module, "_completions", crafted_first)
+    cert = nullity_module.nullity(a)
+    assert cert.nullity == 1 and band
+    k, ratio = band[0]
+    assert cert.zero_set == (k,) and 0.99 < ratio < 1.01
+    g = cert.pair.act(a)
+    assert nullity_module.first_nonzero_slice(g, a, cert.zero_set) is None
+
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(a.to_json()))
+    assert cli.main(["nullity", str(path)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["nullity"] == 1

@@ -104,9 +104,11 @@ def count_solved_systems(fn, *args, **kw):
         return fn(*args, **kw), solved
 
 
-def same_depth_witness(b, tau, **kw):
+def same_depth_witness(b, tau, tol=None, **kw):
+    """The library witness, which reads the domain tolerance, against the
+    reference at ``tol``: pass the tolerance ``b``'s domain carries."""
     got, got_solved = count_solved_systems(depth_slice_witness, b, tau, **kw)
-    want, want_solved = count_solved_systems(ref.depth_slice_witness, b, tau, **kw)
+    want, want_solved = count_solved_systems(ref.depth_slice_witness, b, tau, tol=tol, **kw)
     assert bits(got) == bits(want)
     assert got_solved == want_solved > 0
     return got is not None
@@ -121,7 +123,8 @@ def same_depth_witness(b, tau, **kw):
     st.sampled_from([None, 1e-3, 1e-6]),
 )
 def test_depth_slice_witness_matches_reference(seed, shape, restarts, iters, tol):
-    b = Hypermatrix.random(shape, CPLX, random.Random(seed), nonzero=True)
+    dom = CPLX if tol is None else scalars.complex_doubles(tol)
+    b = Hypermatrix.random(shape, dom, random.Random(seed), nonzero=True)
     tau = seed % shape[2]
     same_depth_witness(b, tau, restarts=restarts, iters=iters, tol=tol, seed=seed)
 
@@ -140,7 +143,8 @@ def test_depth_slice_witness_matches_reference(seed, shape, restarts, iters, tol
     ],
 )
 def test_depth_slice_witness_outcomes_match_reference(shape, seed, kw, found):
-    b = Hypermatrix.random(shape, CPLX, random.Random(seed), nonzero=True)
+    dom = scalars.complex_doubles(kw["tol"]) if "tol" in kw else CPLX
+    b = Hypermatrix.random(shape, dom, random.Random(seed), nonzero=True)
     assert same_depth_witness(b, seed % shape[2], seed=seed, **kw) is found
 
 
